@@ -7,7 +7,6 @@
 //	exflow-serve -drift             # mid-run dataset drift: static vs adaptive
 //	exflow-serve -drift -arrival bursty -load 0.95 -gpus 32
 //	exflow-serve -oversub           # tiered expert memory: policy x ratio sweep
-//	exflow-serve -replication       # expert-copy replication budget frontier
 //	exflow-serve -scenarios         # chaos scenario matrix with pass/fail gates
 //
 // With -drift the command serves the same two-phase traffic program twice —
@@ -123,7 +122,6 @@ func main() {
 		drift       = flag.Bool("drift", false, "inject a mid-run dataset drift and compare static vs adaptive")
 		oversub     = flag.Bool("oversub", false, "sweep tiered expert-weight memory: cache policies x oversubscription ratios, write BENCH_expertmem.json")
 		fleetBench  = flag.Bool("fleet", false, "drive the fleet tier through a flash crowd: shared host cache vs independent, paging vs queue-depth admission, autoscaler on/off; write BENCH_fleet.json")
-		replication = flag.Bool("replication", false, "sweep expert-copy replication budgets at 1x-4x memory oversubscription and write the P95/tokens-per-sec frontier to BENCH_replication.json")
 		scenarios   = flag.Bool("scenarios", false, "run the declarative chaos scenario matrix (crash/recovery, degraded links, retry exhaustion, autoscaler faults) with per-row pass/fail gates; write BENCH_scenarios.json and exit nonzero on any failing row")
 		scale       = flag.String("scale", "bench", "with -scenarios: matrix scale, smoke (short eras, loose recovery gates — the CI quick pass) | bench (the checked-in matrix, tight gates)")
 		memaware    = flag.Bool("memaware", false, "with -oversub: add a memory-aware-placement arm per ratio (expert-stall cost folded into the solver objective) and compare against crossing-only")
@@ -202,27 +200,6 @@ func main() {
 			seed: *seed, dur: *warm + *duration, arrival: *arrival, provision: provision,
 			jsonPath: path, memaware: *memaware, residency: *residency,
 			solveWorkers: *workers, solveLat: *solveLat, autoSolve: *autoSolve,
-		})
-		return
-	}
-	if *replication {
-		// Two oversub-style default overrides: -json lands in
-		// BENCH_replication.json and -load defaults to 0.7 (the 0.97 default
-		// targets the 1x knee; see the -oversub comment above).
-		path := "BENCH_replication.json"
-		provision := 0.7
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "json":
-				path = *jsonPath
-			case "load":
-				provision = *load
-			}
-		})
-		runReplicationSweep(sys, cfg, replicationConfig{
-			gpus: *gpus, replicas: *replicas, decode: *decode, hostSlots: *hostSlots,
-			seed: *seed, dur: *warm + *duration, arrival: *arrival, provision: provision,
-			jsonPath: path, residency: *residency, solveWorkers: *workers,
 		})
 		return
 	}

@@ -168,20 +168,6 @@ func (s *System) SolvePlacement(tr *trace.Trace) *placement.Placement {
 // che prices fractional occupancy under churn with the prefetcher's
 // coverage discounted.
 func (s *System) SolvePlacementMemoryAware(tr *trace.Trace, oversub float64, policy string, prefetchK, hostSlots int) *placement.Placement {
-	return s.SolvePlacementReplicated(tr, oversub, policy, prefetchK, hostSlots, 0)
-}
-
-// SolvePlacementReplicated runs the staged pipeline with a replication
-// budget: after the two-stage single-copy solve finishes, up to budget extra
-// expert copies are annealed in (placement.AnnealReplicas) wherever the
-// replicated-crossing relief outweighs the memory objective's price for
-// holding another copy. oversub, policy, prefetchK, and hostSlots mirror
-// SolvePlacementMemoryAware and build that pricing objective; oversub 0
-// solves crossing-only and leaves copies free in memory terms (the
-// crossing relief alone decides). Budget 0 is bit-identical to the
-// corresponding single-copy solve — SolvePlacement when oversub is 0,
-// SolvePlacementMemoryAware otherwise.
-func (s *System) SolvePlacementReplicated(tr *trace.Trace, oversub float64, policy string, prefetchK, hostSlots, budget int) *placement.Placement {
 	cfg := s.Model.Cfg
 	counts := tr.AllTransitionCounts()
 	var mo *placement.MemoryObjective
@@ -206,7 +192,7 @@ func (s *System) SolvePlacementReplicated(tr *trace.Trace, oversub float64, poli
 		mo.Model = model
 	}
 	return placement.StagedOpt(counts, cfg.Layers, cfg.Experts, s.Topo, s.Seed,
-		placement.StagedOptions{Memory: mo, Workers: s.SolveWorkers, ReplicaBudget: budget})
+		placement.StagedOptions{Memory: mo, Workers: s.SolveWorkers})
 }
 
 // Baseline returns the Deepspeed-MoE contiguous placement.

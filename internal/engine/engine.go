@@ -271,7 +271,7 @@ func Run(cfg Config) *Report {
 	var mem *expertmem.Manager
 	if cfg.Memory != nil {
 		mem = expertmem.New(*cfg.Memory)
-		mem.WarmReplicated(cfg.Placement.Assign, cfg.Placement.Extra)
+		mem.Warm(cfg.Placement.Assign)
 		mem.Instrument(cfg.Trace, cfg.Metrics, 0)
 	}
 
@@ -365,23 +365,7 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			}
 		}
 
-		// Replica routing signals: hop class for locality tie-breaks, and a
-		// per-layer dispatch-load counter so the rank spreads its own jobs
-		// across an expert's copies least-loaded-first. Nil for single-copy
-		// placements — PickReplica then returns the primary untouched, the
-		// pre-replication routing path bit for bit.
-		class := func(from, to int) int { return int(cfg.Topo.Classify(from, to)) }
-		var dispatchLoad []int
-		if cfg.Placement.Replicated() {
-			dispatchLoad = make([]int, gpus)
-		}
-
 		for layer := 0; layer < mcfg.Layers; layer++ {
-			if dispatchLoad != nil {
-				for i := range dispatchLoad {
-					dispatchLoad[i] = 0
-				}
-			}
 			// 1. Attention in place for resident tokens.
 			for _, t := range resident {
 				ctxLen := reqs[t.req].caches[layer].Len()
@@ -405,29 +389,22 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 				t.prev = experts[0]
 				if hints != nil {
 					for _, sc := range mem.Successors(layer, experts[0]) {
-						owner := cfg.Placement.PickReplica(layer+1, sc, rk.ID, nil, class)
+						owner := cfg.Placement.GPUOf(layer+1, sc)
 						if k := [2]int{owner, sc}; !hinted[k] {
 							hinted[k] = true
 							hints[owner] = append(hints[owner], sc)
 						}
 					}
 				}
-				// The combine site: the primary expert's chosen copy in
-				// coherent modes (the token continues there), the home GPU in
+				// The combine site: the primary expert's GPU in coherent
+				// modes (the token continues there), the home GPU in
 				// vanilla mode (the context lives there).
-				primaryOwner := cfg.Placement.PickReplica(layer, experts[0], rk.ID, dispatchLoad, class)
-				combineAt := primaryOwner
+				combineAt := cfg.Placement.GPUOf(layer, experts[0])
 				if !cfg.Mode.coherent() {
 					combineAt = t.home
 				}
 				for k, e := range experts {
-					owner := primaryOwner
-					if k > 0 {
-						owner = cfg.Placement.PickReplica(layer, e, rk.ID, dispatchLoad, class)
-					}
-					if dispatchLoad != nil {
-						dispatchLoad[owner]++
-					}
+					owner := cfg.Placement.GPUOf(layer, e)
 					m.recordDispatch(rk, owner)
 					job := &expertJob{
 						tok: t, kIdx: k, expert: e, weight: weights[k],

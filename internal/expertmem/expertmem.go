@@ -272,13 +272,6 @@ type Manager struct {
 	hostTime   float64   // HostLink.Time(ExpertBytes)
 	nvmeTime   float64   // NVMeLink.Time(ExpertBytes)
 
-	// Replica layout learned at Warm time (both nil until a replicated
-	// preload): popAt concentrates each replicated expert's affinity mass on
-	// its designated holder — the primary owner — so overflow copies hold no
-	// steady-state claim on HBM (see popAt).
-	repAssign [][]int
-	repExtra  [][][]int
-
 	// hostTier, when set, replaces the static hostOnNVMe split with a shared
 	// node-level master-copy tier (see SetHostTier); tierRep is this
 	// manager's replica id there.
@@ -483,25 +476,6 @@ func (m *Manager) popOf(layer, expert int) float64 {
 	return m.popularity[layer*m.cfg.Experts+expert]
 }
 
-// popAt is popOf concentrated on a replica set's designated holder: for an
-// expert with extra copies (per the layout Warm recorded) the full affinity
-// mass scores only on the primary owner's GPU; on any other holder the copy
-// scores zero — it competes as scratch, is the first victim the policy
-// reclaims, and never earns a steady-state slot. That mirrors the stall
-// walk's warm-first routing, which sends the set's demand to one stable
-// holder and touches the others only while it is cold. Single-copy experts
-// (and managers never handed a replicated layout) score full mass on every
-// GPU, so the degree-1 path is bit-identical to popOf.
-func (m *Manager) popAt(gpu, layer, expert int) float64 {
-	if m.repExtra == nil || layer >= len(m.repExtra) || len(m.repExtra[layer][expert]) == 0 {
-		return m.popOf(layer, expert)
-	}
-	if layer < len(m.repAssign) && m.repAssign[layer][expert] == gpu {
-		return m.popOf(layer, expert)
-	}
-	return 0
-}
-
 // Popularity returns the affinity-derived demand mass of (layer, expert) —
 // the score Warm preloads by and the pin/affinity policies rank by. The
 // memory-aware placement objective reads it so the solver and the runtime
@@ -532,22 +506,7 @@ func (m *Manager) FetchSeconds(layer, expert int) float64 {
 // budget, modeling the deployment-time weight load. assign[layer][expert]
 // is the owning GPU (a placement's Assign tensor). Under a pinning policy
 // the preloaded set is immovable.
-func (m *Manager) Warm(assign [][]int) { m.warm(assign, nil, false, 0) }
-
-// WarmReplicated is Warm for replicated placements: extra[layer][expert]
-// (a placement's Extra tensor; nil for single-copy) lists additional GPUs
-// holding copies of the expert. Deployment ships exactly ONE warm copy per
-// expert — the primary's, at full popularity, just as Warm would — and the
-// layout is remembered so runtime fetches onto overflow holders carry zero
-// residency priority (popAt): the stall walk's warm-first router concentrates
-// a replica set's steady-state demand on one holder, so a copy elsewhere sees
-// demand only while that holder's weights are in flight. Preloading or
-// score-protecting such copies was tried and pins duplicates of the hottest
-// weights in HBM, displacing the tail on every holder — the dominant
-// replication loss channel before this rule. A nil extra is exactly Warm.
-func (m *Manager) WarmReplicated(assign [][]int, extra [][][]int) {
-	m.warm(assign, extra, false, 0)
-}
+func (m *Manager) Warm(assign [][]int) { m.warm(assign, false, 0) }
 
 // WarmCharged is Warm with the crash-recovery cost model: every preloaded
 // expert's master copy is re-fetched through the tier at simulated time now
@@ -556,31 +515,20 @@ func (m *Manager) WarmReplicated(assign [][]int, extra [][][]int) {
 // slowest GPU's preload pays beyond the plain host-link parameter copy —
 // the re-warm surcharge the recovery timeline must absorb.
 func (m *Manager) WarmCharged(assign [][]int, now float64) float64 {
-	return m.warm(assign, nil, true, now)
+	return m.warm(assign, true, now)
 }
 
-// WarmChargedReplicated is WarmCharged with extra replica copies (see
-// WarmReplicated).
-func (m *Manager) WarmChargedReplicated(assign [][]int, extra [][][]int, now float64) float64 {
-	return m.warm(assign, extra, true, now)
-}
-
-func (m *Manager) warm(assign [][]int, extra [][][]int, charged bool, now float64) float64 {
-	m.repAssign, m.repExtra = assign, extra
+func (m *Manager) warm(assign [][]int, charged bool, now float64) float64 {
 	pin := m.policy.Pin()
 	type cand struct {
 		k   key
 		pop float64
 	}
-	// Only primaries preload — an overflow copy starts cold (and, per popAt,
-	// stays reclaimable), so a replicated layout warms exactly the working
-	// set its single-copy counterpart would.
 	perGPU := make([][]cand, m.cfg.GPUs)
 	for l := 0; l < m.cfg.Layers && l < len(assign); l++ {
 		for e := 0; e < m.cfg.Experts; e++ {
 			g := assign[l][e]
-			pop := m.popularity[l*m.cfg.Experts+e]
-			perGPU[g] = append(perGPU[g], cand{key{l, e}, pop})
+			perGPU[g] = append(perGPU[g], cand{key{l, e}, m.popularity[l*m.cfg.Experts+e]})
 		}
 	}
 	maxExtra := 0.0
@@ -726,7 +674,7 @@ func (m *Manager) AccessChecked(gpu, layer, expert int, now float64) (stall floa
 	if m.freeSlot(s, now) {
 		s.entries[k] = &Entry{
 			Layer: layer, Expert: expert,
-			readyAt: ready, uses: 1, lastUse: ready, pop: m.popAt(gpu, layer, expert),
+			readyAt: ready, uses: 1, lastUse: ready, pop: m.popOf(layer, expert),
 		}
 		s.used++
 		m.retainMaster(layer, expert)
@@ -765,7 +713,7 @@ func (m *Manager) Prefetch(gpu, layer, expert int, now float64) {
 	ready, _ := m.issueFetch(s, k, now)
 	s.entries[k] = &Entry{
 		Layer: layer, Expert: expert,
-		readyAt: ready, lastUse: ready, prefetched: true, pop: m.popAt(gpu, layer, expert),
+		readyAt: ready, lastUse: ready, prefetched: true, pop: m.popOf(layer, expert),
 	}
 	s.used++
 	m.retainMaster(layer, expert)
@@ -958,48 +906,6 @@ func (m *Manager) Relocate(layer, expert, from, to int, now float64) bool {
 		dst.used++
 		m.retainMaster(layer, expert)
 	}
-	return churned
-}
-
-// Install lands a new replica copy of (layer, expert) resident on the GPU at
-// simulated time now — the runtime half of a replication move (the transfer
-// itself is priced by the migration plan, like Relocate's). Evicts by policy
-// for a slot; a GPU already holding the expert, or unable to free a slot, is
-// left unchanged.
-func (m *Manager) Install(layer, expert, gpu int, now float64) {
-	if !m.Oversubscribed() {
-		return
-	}
-	k := key{layer, expert}
-	s := m.shards[gpu]
-	if s.entries[k] == nil && m.freeSlot(s, now) {
-		s.entries[k] = &Entry{
-			Layer: layer, Expert: expert,
-			resident: true, lastUse: now, pinned: m.policy.Pin(), pop: m.popOf(layer, expert),
-		}
-		s.used++
-		m.retainMaster(layer, expert)
-	}
-}
-
-// Discard drops the copy of (layer, expert) from the GPU — the runtime half
-// of a replica-drop move, freeing the HBM slot. It returns whether a
-// resident copy was destroyed (the residency churn, mirroring Relocate's
-// source half).
-func (m *Manager) Discard(layer, expert, gpu int) bool {
-	if !m.Oversubscribed() {
-		return false
-	}
-	k := key{layer, expert}
-	s := m.shards[gpu]
-	e := s.entries[k]
-	if e == nil {
-		return false
-	}
-	churned := e.resident
-	delete(s.entries, k)
-	s.used--
-	m.releaseMaster(layer, expert)
 	return churned
 }
 

@@ -439,69 +439,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestWarmReplicatedConcentratesResidency(t *testing.T) {
-	extra := make([][][]int, 3)
-	for l := range extra {
-		extra[l] = make([][]int, 4)
-	}
-	extra[0][2] = []int{0} // copy of (0,2) on GPU 0; primary on GPU 1
-
-	// Replicated warm preloads exactly the single-copy working set: the
-	// primary holder at full popularity, the overflow copy not at all.
-	single := New(testConfig(4, AffinityPrefetch()))
-	single.Warm(contiguousAssign())
-	m := New(testConfig(4, AffinityPrefetch()))
-	m.WarmReplicated(contiguousAssign(), extra)
-	for l := 0; l < 3; l++ {
-		for e := 0; e < 4; e++ {
-			for g := 0; g < 2; g++ {
-				if single.Resident(g, l, e) != m.Resident(g, l, e) {
-					t.Fatalf("replicated preload diverged from single-copy at gpu %d (%d,%d)", g, l, e)
-				}
-			}
-		}
-	}
-
-	// A demand fetch of the copy onto its overflow holder carries zero
-	// residency priority: the very next slot pressure on GPU 0 reclaims the
-	// copy, never a primary — the copy serves transiently, it cannot
-	// displace GPU 0's own working set.
-	m.Access(0, 0, 2, 1.0)
-	m.Access(0, 0, 2, 5.0) // post-arrival touch marks the entry resident
-	if !m.Resident(0, 0, 2) {
-		t.Fatal("demand fetch must land the overflow copy in GPU 0's HBM")
-	}
-	m.Access(0, 2, 3, 6.0) // miss on a GPU-1 primary: needs a slot on GPU 0
-	if m.Resident(0, 0, 2) {
-		t.Fatal("slot pressure must reclaim the zero-priority overflow copy first")
-	}
-
-	// The same fetch onto the designated (primary) holder keeps full mass.
-	if got, want := m.popAt(1, 0, 2), m.popOf(0, 2); got != want {
-		t.Fatalf("primary holder popAt = %v, want full mass %v", got, want)
-	}
-	if got := m.popAt(0, 0, 2); got != 0 {
-		t.Fatalf("overflow holder popAt = %v, want 0", got)
-	}
-
-	// Nil extra is exactly Warm, charged or not.
-	a := New(testConfig(4, LRU()))
-	a.Warm(contiguousAssign())
-	b := New(testConfig(4, LRU()))
-	if got := b.WarmChargedReplicated(contiguousAssign(), nil, 0); got != 0 {
-		t.Fatalf("unbounded host DRAM re-warm surcharge = %v, want 0", got)
-	}
-	for l := 0; l < 3; l++ {
-		for e := 0; e < 4; e++ {
-			for g := 0; g < 2; g++ {
-				if a.Resident(g, l, e) != b.Resident(g, l, e) {
-					t.Fatalf("nil-extra warm diverged at gpu %d (%d,%d)", g, l, e)
-				}
-			}
-		}
-	}
-}
-
 func TestResidentUnconstrained(t *testing.T) {
 	m := New(testConfig(6, LRU())) // 6 slots = everything fits
 	if !m.Resident(0, 2, 3) || !m.Resident(1, 0, 0) {

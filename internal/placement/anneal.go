@@ -46,14 +46,6 @@ type AnnealOptions struct {
 	// Portfolio replicas update the shared counters concurrently; the
 	// registry is race-safe and the metrics never affect the solve.
 	Obs *obs.Registry
-	// ReplicaBudget, when positive, follows the swap anneal (and, for a
-	// portfolio, the best-replica selection) with AnnealReplicas: a
-	// replicate/dereplicate refinement pass that may spend up to this many
-	// extra expert copies where the crossing relief beats the memory
-	// objective's slot/occupancy price. Zero skips the pass entirely — the
-	// swap anneal itself never proposes replica moves, so the single-copy
-	// result stays bit-identical.
-	ReplicaBudget int
 }
 
 // Anneal refines a placement by intra-layer expert swaps under a
@@ -77,7 +69,7 @@ func Anneal(counts [][][]float64, init *Placement, opts AnnealOptions) *Placemen
 	}
 	if workers == 1 {
 		pl, _ := annealRun(counts, init, opts, opts.Seed)
-		return applyReplicaBudget(counts, pl, opts.ReplicaBudget, opts.Seed, opts.Memory, opts.Index)
+		return pl
 	}
 	if opts.Index == nil && !opts.Dense {
 		opts.Index = NewTransIndex(counts, init.Layers, init.Experts)
@@ -109,7 +101,7 @@ func Anneal(counts [][][]float64, init *Placement, opts AnnealOptions) *Placemen
 			best = w
 		}
 	}
-	return applyReplicaBudget(counts, results[best].pl, opts.ReplicaBudget, opts.Seed, opts.Memory, opts.Index)
+	return results[best].pl
 }
 
 // memPricer is the annealer's incremental view of the memory term: per-GPU

@@ -151,93 +151,6 @@ func (mo *MemoryObjective) cheStall(items []int32, warmT float64) (float64, floa
 	return stall, t
 }
 
-// cheTMass is cheT with explicit per-item masses — the replicated pricer's
-// path, where each copy of an expert carries mass/degree instead of the
-// oracle mass its packed id would index.
-func (mo *MemoryObjective) cheTMass(masses []float64, warmT float64) float64 {
-	slots := float64(mo.Slots)
-	pos, sumRate := 0, 0.0
-	for _, m := range masses {
-		if m > 0 {
-			pos++
-			sumRate += m
-		}
-	}
-	if float64(pos) <= slots {
-		return math.Inf(1)
-	}
-	eval := func(t float64) (f, df float64) {
-		f = -slots
-		for _, m := range masses {
-			if m == 0 {
-				continue
-			}
-			e := expNeg(m * t)
-			f += 1 - e
-			df += m * e
-		}
-		return f, df
-	}
-	t := warmT
-	if !(t > 0) || math.IsInf(t, 1) {
-		t = slots / sumRate
-	}
-	lo, hi := 0.0, t
-	for f, _ := eval(hi); f < 0; f, _ = eval(hi) {
-		lo = hi
-		hi *= 2
-	}
-	for iter := 0; iter < 80; iter++ {
-		f, df := eval(t)
-		if f >= 0 {
-			hi = t
-		} else {
-			lo = t
-		}
-		if math.Abs(f) <= cheConverged*(slots+1) || hi-lo <= cheConverged*hi {
-			break
-		}
-		nt := t
-		if df > 0 {
-			nt = t - f/df
-		}
-		if !(nt > lo && nt < hi) {
-			nt = 0.5 * (lo + hi)
-		}
-		if nt == t {
-			break
-		}
-		t = nt
-	}
-	return t
-}
-
-// cheStallMass is cheStall with explicit per-item masses: the Che price of
-// one GPU's replicated copy set (fetch and coverage still come from the
-// packed ids; only the demand rate is deflated by copy degree).
-func (mo *MemoryObjective) cheStallMass(items []int32, masses []float64, warmT float64) (float64, float64) {
-	if len(items) <= mo.Slots {
-		return 0, math.Inf(1)
-	}
-	t := mo.cheTMass(masses, warmT)
-	if math.IsInf(t, 1) {
-		return 0, t
-	}
-	stall := 0.0
-	for i, it := range items {
-		m := masses[i]
-		if m == 0 {
-			continue
-		}
-		cost := m * mo.fetch[it] * expNeg(m*t)
-		if mo.covered != nil {
-			cost *= 1 - mo.covered[it]
-		}
-		stall += cost
-	}
-	return stall, t
-}
-
 // cheMemState is the annealer's incremental Che pricer (the memPricer used
 // when Model == ResidencyChe): per-GPU assigned-id lists kept in ascending
 // packed-id order — the same iteration order StallSeconds builds, so the

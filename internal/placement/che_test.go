@@ -201,3 +201,64 @@ func TestStagedCheValidAndImproves(t *testing.T) {
 			mo.StallSeconds(aware), mo.StallSeconds(plain))
 	}
 }
+
+func TestFastExpNegBoundedError(t *testing.T) {
+	// The table-plus-cubic path must stay within 1e-8 relative of math.Exp
+	// across the whole tabled range (satellite 3's bound; the analytic
+	// truncation error is ~2.5e-9 relative).
+	check := func(x float64) {
+		t.Helper()
+		got, want := expNeg(x), math.Exp(-x)
+		if diff := math.Abs(got - want); diff > 1e-8*want {
+			t.Fatalf("expNeg(%v) = %v, want %v (rel err %v)", x, got, want, diff/want)
+		}
+	}
+	for x := 0.0; x < 70; x += 0.0137 {
+		check(x)
+	}
+	r := rng.New(42)
+	for i := 0; i < 20000; i++ {
+		check(r.Float64() * 70)
+	}
+	for _, x := range []float64{0, expNegStep / 2, expNegStep, 1, expNegMax - 1e-9, expNegMax, expNegMax + 1, 700} {
+		check(x)
+	}
+	// Out-of-domain arguments take the exact fallback verbatim.
+	for _, x := range []float64{-3, -0.5, math.Inf(1)} {
+		if got, want := expNeg(x), math.Exp(-x); got != want {
+			t.Fatalf("expNeg(%v) fallback = %v, want %v", x, got, want)
+		}
+	}
+	if !math.IsNaN(expNeg(math.NaN())) {
+		t.Fatal("expNeg(NaN) must be NaN")
+	}
+	// The cheExactExp toggle routes every call to math.Exp bit for bit.
+	cheExactExp = true
+	defer func() { cheExactExp = false }()
+	for i := 0; i < 2000; i++ {
+		x := r.Float64() * 70
+		if expNeg(x) != math.Exp(-x) {
+			t.Fatalf("cheExactExp path diverged at %v", x)
+		}
+	}
+}
+
+// TestPropertyCheStallTableVsExactClose compares whole Che pricings under
+// the table path against the exact math.Exp reference: per-call error below
+// 1e-8 relative must stay small through the Newton solve and the stall sum.
+func TestPropertyCheStallTableVsExactClose(t *testing.T) {
+	if err := quick.Check(func(seed uint64) bool {
+		tr, layers, experts, gpus := randomInstance(seed)
+		counts := tr.AllTransitionCounts()
+		pl := Random(layers, experts, gpus, seed)
+		mo := memObjectiveFor(counts, layers, experts, gpus, 2)
+		mo.Model = ResidencyChe
+		table := mo.StallSeconds(pl)
+		cheExactExp = true
+		exact := mo.StallSeconds(pl)
+		cheExactExp = false
+		return math.Abs(table-exact) <= 1e-6*(1+exact)
+	}, &quick.Config{MaxCount: 12}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -189,26 +189,6 @@ func (mo *MemoryObjective) StallSeconds(p *Placement) float64 {
 		return 0
 	}
 	mo.checkShape(p.Layers, p.Experts)
-	if p.Extra != nil {
-		// Replicated path: each copy of an expert carries mass/degree of its
-		// demand (the router splits the load across copies), so a GPU's set is
-		// priced on effective masses. With an all-empty Extra every degree is
-		// 1 and both mass-explicit pricers reduce bit-identically to the
-		// single-copy path below.
-		items, masses := mo.copySets(p)
-		total := 0.0
-		if mo.Model == ResidencyChe {
-			for g := range items {
-				stall, _ := mo.cheStallMass(items[g], masses[g], 0)
-				total += stall
-			}
-			return total
-		}
-		for g := range items {
-			total += mo.staticStallMass(items[g], masses[g])
-		}
-		return total
-	}
 	items := make([][]int32, p.GPUs)
 	for g := range items {
 		items[g] = make([]int32, 0, mo.PerGPU)
@@ -284,68 +264,6 @@ func (mo *MemoryObjective) gpuStall(items []int32) float64 {
 	return stall
 }
 
-// copySets builds the per-GPU copy lists of a (possibly replicated)
-// placement together with each copy's effective demand mass (mass/degree).
-// Ids within one GPU's list ascend, matching the single-copy builders.
-func (mo *MemoryObjective) copySets(p *Placement) ([][]int32, [][]float64) {
-	items := make([][]int32, p.GPUs)
-	masses := make([][]float64, p.GPUs)
-	for g := range items {
-		items[g] = make([]int32, 0, mo.PerGPU)
-		masses[g] = make([]float64, 0, mo.PerGPU)
-	}
-	for l := 0; l < p.Layers; l++ {
-		for e := 0; e < p.Experts; e++ {
-			id := int32(l*mo.experts + e)
-			m := mo.mass[id] / float64(p.Degree(l, e))
-			items[p.Assign[l][e]] = append(items[p.Assign[l][e]], id)
-			masses[p.Assign[l][e]] = append(masses[p.Assign[l][e]], m)
-			for _, h := range p.extraOf(l, e) {
-				items[h] = append(items[h], id)
-				masses[h] = append(masses[h], m)
-			}
-		}
-	}
-	return items, masses
-}
-
-// staticStallMass prices one GPU's copy set under the static warm-set model
-// with explicit per-item masses (the replicated path: each copy carries
-// mass/degree). The top Slots by effective mass stay resident for free; the
-// tail pays effective mass times fetch. Both slices are reordered in place.
-// With all-unit degrees the sort key and the tail sum match gpuStall exactly.
-func (mo *MemoryObjective) staticStallMass(items []int32, masses []float64) float64 {
-	if len(items) <= mo.Slots {
-		return 0
-	}
-	sort.Sort(&massOrder{items, masses})
-	stall := 0.0
-	for i := mo.Slots; i < len(items); i++ {
-		stall += masses[i] * mo.fetch[items[i]]
-	}
-	return stall
-}
-
-// massOrder sorts a (packed id, effective mass) pair set in residency order:
-// mass descending, id ascending on ties — gpuStall's order lifted to
-// explicit masses.
-type massOrder struct {
-	ids    []int32
-	masses []float64
-}
-
-func (s *massOrder) Len() int { return len(s.ids) }
-func (s *massOrder) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.masses[i], s.masses[j] = s.masses[j], s.masses[i]
-}
-func (s *massOrder) Less(i, j int) bool {
-	if s.masses[i] != s.masses[j] {
-		return s.masses[i] > s.masses[j]
-	}
-	return s.ids[i] < s.ids[j]
-}
-
 // DeflateBatch rescales the demand-mass oracle for bulk-synchronous batches
 // of B tokens (ROADMAP item 3a). The per-token oracle counts every
 // activation as a distinct residency-table access, but a batch of B tokens
@@ -386,15 +304,20 @@ func (mo *MemoryObjective) DeflateBatch(b int) {
 // expert the destination's residency table would hold anyway is a real,
 // unavoidable cost; a tail expert that would miss regardless adds nothing
 // beyond the stall the steady-state objective already prices. Under the Che
-// model the weight is the steady-state occupancy 1 - exp(-mass_eff*T_dest);
-// under the static model it is the in-warm-set indicator. Replica installs
-// (Move.From == -1) price identically; drops (Move.To == -1) fetch nothing.
+// model the weight is the steady-state occupancy 1 - exp(-mass*T_dest);
+// under the static model it is the in-warm-set indicator.
 func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 	if !mo.Active() || len(moves) == 0 {
 		return 0
 	}
 	mo.checkShape(pl.Layers, pl.Experts)
-	items, masses := mo.copySets(pl)
+	items := make([][]int32, pl.GPUs)
+	for l := 0; l < pl.Layers; l++ {
+		for e := 0; e < pl.Experts; e++ {
+			g := pl.Assign[l][e]
+			items[g] = append(items[g], int32(l*mo.experts+e))
+		}
+	}
 	che := mo.Model == ResidencyChe
 	var t []float64
 	var warm []map[int32]bool
@@ -408,22 +331,19 @@ func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 	}
 	total := 0.0
 	for _, m := range moves {
-		if m.To < 0 {
-			continue
-		}
 		id := int32(m.Layer*mo.experts + m.Expert)
 		g := m.To
 		occ := 0.0
 		if che {
 			if math.IsNaN(t[g]) {
-				t[g] = mo.cheTMass(masses[g], 0)
+				t[g] = mo.cheT(items[g], 0)
 			}
-			if eff := mo.mass[id] / float64(pl.Degree(m.Layer, m.Expert)); eff > 0 {
-				occ = 1 - expNeg(eff*t[g]) // t = +Inf (non-binding) -> occ = 1
+			if mass := mo.mass[id]; mass > 0 {
+				occ = 1 - expNeg(mass*t[g]) // t = +Inf (non-binding) -> occ = 1
 			}
 		} else {
 			if warm[g] == nil {
-				warm[g] = mo.warmSet(items[g], masses[g])
+				warm[g] = mo.warmSet(items[g])
 			}
 			if warm[g][id] {
 				occ = 1
@@ -434,10 +354,10 @@ func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 	return total
 }
 
-// warmSet returns the static-model resident set of one GPU's copy set: the
-// top Slots ids by effective mass, or everything when the budget does not
-// bind. The inputs are copied, not reordered.
-func (mo *MemoryObjective) warmSet(items []int32, masses []float64) map[int32]bool {
+// warmSet returns the static-model resident set of one GPU's assigned set:
+// the top Slots ids in residency order, or everything when the budget does
+// not bind. The input is copied, not reordered.
+func (mo *MemoryObjective) warmSet(items []int32) map[int32]bool {
 	w := make(map[int32]bool, mo.Slots)
 	if len(items) <= mo.Slots {
 		for _, id := range items {
@@ -446,8 +366,7 @@ func (mo *MemoryObjective) warmSet(items []int32, masses []float64) map[int32]bo
 		return w
 	}
 	ids := append([]int32(nil), items...)
-	ms := append([]float64(nil), masses...)
-	sort.Sort(&massOrder{ids, ms})
+	sort.Slice(ids, func(a, b int) bool { return mo.lessID(ids[a], ids[b]) })
 	for _, id := range ids[:mo.Slots] {
 		w[id] = true
 	}

@@ -14,30 +14,15 @@ import (
 // across the cluster, which stalls serving. Diff and MigrationPlan quantify
 // that trade so a server can decide whether a re-solve pays for itself.
 
-// Move describes relocating one expert's parameters. Replica churn uses -1
-// sentinels: From == -1 is a copy install (parameters fetched from the host
-// master tier onto To), To == -1 is a copy drop (the HBM slot on From is
-// freed; nothing transfers). Primary relocations always carry real GPU ids
-// on both sides.
+// Move describes relocating one expert's parameters.
 type Move struct {
 	Layer, Expert int
 	From, To      int
 	Tier          topo.HopClass
 }
 
-// Install reports whether the move is a replica install (host fetch).
-func (m Move) Install() bool { return m.From < 0 }
-
-// Drop reports whether the move is a replica drop (free).
-func (m Move) Drop() bool { return m.To < 0 }
-
-// Diff lists the expert moves required to turn placement a into b: primary
-// relocations first (in (layer, expert) order, exactly the pre-replication
-// listing), then replica installs and drops for every copy-set change. A GPU
-// that holds a copy in b but not in a gets an install unless it is b's
-// primary (the relocation already ships the parameters there); a GPU whose
-// copy exists only in a gets a drop unless it is a's primary (the relocation
-// already vacates it). The two placements must share shape.
+// Diff lists the expert moves required to turn placement a into b. The two
+// placements must share shape.
 func Diff(a, b *Placement) []Move {
 	if a.Layers != b.Layers || a.Experts != b.Experts || a.GPUs != b.GPUs {
 		panic("placement: Diff shape mismatch")
@@ -47,23 +32,6 @@ func Diff(a, b *Placement) []Move {
 		for e := 0; e < a.Experts; e++ {
 			if a.Assign[j][e] != b.Assign[j][e] {
 				moves = append(moves, Move{Layer: j, Expert: e, From: a.Assign[j][e], To: b.Assign[j][e]})
-			}
-		}
-	}
-	if a.Extra == nil && b.Extra == nil {
-		return moves
-	}
-	for j := 0; j < a.Layers; j++ {
-		for e := 0; e < a.Experts; e++ {
-			for _, g := range b.extraOf(j, e) {
-				if !a.HasCopy(j, e, g) {
-					moves = append(moves, Move{Layer: j, Expert: e, From: -1, To: g})
-				}
-			}
-			for _, g := range a.extraOf(j, e) {
-				if !b.HasCopy(j, e, g) {
-					moves = append(moves, Move{Layer: j, Expert: e, From: g, To: -1})
-				}
 			}
 		}
 	}
@@ -105,7 +73,6 @@ func Canonicalize(a, b *Placement) *Placement {
 			out.Assign[j][e] = permTo[b.Assign[j][e]]
 		}
 	}
-	out.relabelExtra(permTo)
 	return fewerMoves(a, out, b)
 }
 
@@ -204,7 +171,6 @@ func CanonicalizeTopo(a, b *Placement, gpusPerNode int) *Placement {
 			out.Assign[j][e] = permTo[b.Assign[j][e]]
 		}
 	}
-	out.relabelExtra(permTo)
 	return fewerMoves(a, out, b)
 }
 
@@ -234,30 +200,16 @@ func PriceMigration(a, b *Placement, tp *topo.Topology, expertBytes int) *Migrat
 	return PriceMoves(Diff(a, canon), tp, expertBytes)
 }
 
-// PriceMoves prices an explicit move set on a topology. Primary relocations
-// price as GPU-to-GPU transfers over their classified hop. Replica installs
-// (From == -1) ship the parameters from the host master tier over the host
-// link — every GPU can reach it, so installs never count as cross-node
-// fabric traffic. Replica drops (To == -1) free an HBM slot and cost
-// nothing.
+// PriceMoves prices an explicit move set on a topology.
 func PriceMoves(moves []Move, tp *topo.Topology, expertBytes int) *MigrationPlan {
 	plan := &MigrationPlan{Moves: moves}
 	for i := range plan.Moves {
 		m := &plan.Moves[i]
-		switch {
-		case m.Drop():
-			m.Tier = topo.SameGPU
-		case m.Install():
-			m.Tier = topo.SameGPU
-			plan.Bytes += expertBytes
-			plan.Seconds += tp.HostPath().Time(expertBytes)
-		default:
-			m.Tier = tp.Classify(m.From, m.To)
-			plan.Bytes += expertBytes
-			plan.Seconds += tp.TransferTime(m.From, m.To, expertBytes)
-			if m.Tier == topo.CrossNode {
-				plan.CrossNodeMoves++
-			}
+		m.Tier = tp.Classify(m.From, m.To)
+		plan.Bytes += expertBytes
+		plan.Seconds += tp.TransferTime(m.From, m.To, expertBytes)
+		if m.Tier == topo.CrossNode {
+			plan.CrossNodeMoves++
 		}
 	}
 	return plan

@@ -24,23 +24,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Placement assigns experts to GPUs as replica sets. Assign[layer][expert]
-// is the expert's primary GPU — the copy that always exists, subject to the
-// paper's balance constraint (Formula 9) — and Extra[layer][expert], when
-// present, lists additional GPUs holding copies of the same expert
-// (relaxing Formula 10's exclusivity: a hot expert may spend HBM slots on
-// copies instead of cross-GPU moves). Extra is nil for single-copy
-// placements; every consumer's single-copy path is gated on that and stays
-// bit-identical to the pre-replication representation.
+// Placement assigns experts to GPUs: Assign[layer][expert] = gpu.
 type Placement struct {
 	Layers  int
 	Experts int
 	GPUs    int
 	Assign  [][]int
-	// Extra[layer][expert] holds the expert's additional replica GPUs in
-	// ascending order, never including Assign[layer][expert]. A nil Extra
-	// (or an Extra of all-empty lists) is the single-copy placement.
-	Extra [][][]int
 }
 
 // NewPlacement allocates an all-zero placement (valid only if GPUs == 1).
@@ -59,29 +48,17 @@ func (p *Placement) Capacity() int { return p.Experts / p.GPUs }
 // GPUOf returns the GPU holding expert e at layer j.
 func (p *Placement) GPUOf(j, e int) int { return p.Assign[j][e] }
 
-// Clone deep-copies the placement, replica sets included.
+// Clone deep-copies the placement.
 func (p *Placement) Clone() *Placement {
 	c := NewPlacement(p.Layers, p.Experts, p.GPUs)
 	for j := range p.Assign {
 		copy(c.Assign[j], p.Assign[j])
 	}
-	if p.Extra != nil {
-		c.Extra = make([][][]int, p.Layers)
-		for j := range p.Extra {
-			c.Extra[j] = make([][]int, p.Experts)
-			for e, ex := range p.Extra[j] {
-				if len(ex) > 0 {
-					c.Extra[j][e] = append([]int(nil), ex...)
-				}
-			}
-		}
-	}
 	return c
 }
 
 // Equal reports whether two placements have the same shape and agree on
-// every (layer, expert) replica set. A nil Extra equals an all-empty one,
-// so a degree-1 placement compares equal regardless of representation.
+// every (layer, expert) assignment.
 func (p *Placement) Equal(o *Placement) bool {
 	if p.Layers != o.Layers || p.Experts != o.Experts || p.GPUs != o.GPUs {
 		return false
@@ -93,31 +70,7 @@ func (p *Placement) Equal(o *Placement) bool {
 			}
 		}
 	}
-	if p.Extra == nil && o.Extra == nil {
-		return true
-	}
-	for j := 0; j < p.Layers; j++ {
-		for e := 0; e < p.Experts; e++ {
-			pe, oe := p.extraOf(j, e), o.extraOf(j, e)
-			if len(pe) != len(oe) {
-				return false
-			}
-			for i := range pe {
-				if pe[i] != oe[i] {
-					return false
-				}
-			}
-		}
-	}
 	return true
-}
-
-// extraOf returns the extra-replica list for (j, e), nil when none.
-func (p *Placement) extraOf(j, e int) []int {
-	if p.Extra == nil {
-		return nil
-	}
-	return p.Extra[j][e]
 }
 
 // Validate checks the paper's Formulas 9 and 10: every expert on exactly one
@@ -143,31 +96,6 @@ func (p *Placement) Validate() error {
 			}
 		}
 	}
-	if p.Extra != nil {
-		if len(p.Extra) != p.Layers {
-			return fmt.Errorf("placement: extra replicas cover %d layers, want %d", len(p.Extra), p.Layers)
-		}
-		for j := range p.Extra {
-			if len(p.Extra[j]) != p.Experts {
-				return fmt.Errorf("placement: layer %d extra replicas cover %d experts, want %d", j, len(p.Extra[j]), p.Experts)
-			}
-			for e, ex := range p.Extra[j] {
-				prev := -1
-				for _, g := range ex {
-					if g < 0 || g >= p.GPUs {
-						return fmt.Errorf("placement: layer %d expert %d replica on invalid gpu %d", j, e, g)
-					}
-					if g == p.Assign[j][e] {
-						return fmt.Errorf("placement: layer %d expert %d replica duplicates primary gpu %d", j, e, g)
-					}
-					if g <= prev {
-						return fmt.Errorf("placement: layer %d expert %d replica list not strictly ascending", j, e)
-					}
-					prev = g
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -184,15 +112,8 @@ func (p *Placement) ExpertsOn(j, g int) []int {
 
 // Crossings evaluates the paper's objective (Formula 8) on transition
 // counts: the weighted number of consecutive-layer transitions whose two
-// experts live on different GPUs. With replica sets present a transition is
-// non-crossing when any copy of `from` shares a GPU with any copy of `to`
-// (the router can keep the token in place by picking the co-located
-// copies); for a single-copy placement the loop below is the pre-replication
-// path, bit for bit.
+// experts live on different GPUs.
 func (p *Placement) Crossings(counts [][][]float64) float64 {
-	if p.Extra != nil {
-		return p.crossingsReplicated(counts)
-	}
 	total := 0.0
 	for j := 0; j < p.Layers-1 && j < len(counts); j++ {
 		for from := 0; from < p.Experts; from++ {
@@ -209,8 +130,7 @@ func (p *Placement) Crossings(counts [][][]float64) float64 {
 }
 
 // NodeCrossings evaluates the staged objective: transitions whose experts
-// live on different *nodes* under the given GPUs-per-node grouping. Replica
-// sets count as non-crossing when some copy pair shares a node.
+// live on different *nodes* under the given GPUs-per-node grouping.
 func (p *Placement) NodeCrossings(counts [][][]float64, gpusPerNode int) float64 {
 	total := 0.0
 	for j := 0; j < p.Layers-1 && j < len(counts); j++ {
@@ -218,16 +138,9 @@ func (p *Placement) NodeCrossings(counts [][][]float64, gpusPerNode int) float64
 			nFrom := p.Assign[j][from] / gpusPerNode
 			row := counts[j][from]
 			for to, w := range row {
-				if w == 0 {
-					continue
+				if w != 0 && nFrom != p.Assign[j+1][to]/gpusPerNode {
+					total += w
 				}
-				if nFrom == p.Assign[j+1][to]/gpusPerNode {
-					continue
-				}
-				if p.Extra != nil && p.copiesShareNode(j, from, j+1, to, gpusPerNode) {
-					continue
-				}
-				total += w
 			}
 		}
 	}
@@ -254,20 +167,12 @@ func (p *Placement) Locality(tr *trace.Trace, tp *topo.Topology) LocalityReport 
 		panic(fmt.Sprintf("placement: topology has %d gpus, placement %d", tp.TotalGPUs(), p.GPUs))
 	}
 	var rep LocalityReport
-	class := func(from, to int) int { return int(tp.Classify(from, to)) }
 	for _, path := range tr.Paths {
-		if len(path) == 0 {
-			continue
-		}
-		// Walk the token along its chosen copies: with replica sets the
-		// router holds the token on the nearest copy (PickReplica with no
-		// load signal), so locality is scored on the copies actually used.
-		// Single-copy placements reduce to the primary assignment walk.
-		at := p.PickReplica(0, int(path[0]), p.Assign[0][path[0]], nil, class)
 		for j := 0; j+1 < len(path); j++ {
-			dst := p.PickReplica(j+1, int(path[j+1]), at, nil, class)
+			src := p.Assign[j][path[j]]
+			dst := p.Assign[j+1][path[j+1]]
 			rep.Transitions++
-			switch tp.Classify(at, dst) {
+			switch tp.Classify(src, dst) {
 			case topo.SameGPU:
 				rep.SameGPU++
 			case topo.SameNode:
@@ -275,7 +180,6 @@ func (p *Placement) Locality(tr *trace.Trace, tp *topo.Topology) LocalityReport 
 			default:
 				rep.CrossNode++
 			}
-			at = dst
 		}
 	}
 	if rep.Transitions > 0 {

@@ -21,10 +21,6 @@ type SolveOptions struct {
 	// Obs optionally receives solver metrics (proposal/acceptance counters,
 	// stage wall times). Nil costs nothing; metrics never affect the solve.
 	Obs *obs.Registry
-	// ReplicaBudget, when positive, finishes the pipeline with the
-	// replicate/dereplicate refinement pass (see AnnealOptions.ReplicaBudget).
-	// Zero reproduces the single-copy solve bit-identically.
-	ReplicaBudget int
 }
 
 // Solve runs the production single-level pipeline: LayerSweep coordinate
@@ -46,7 +42,7 @@ func SolveMem(counts [][][]float64, layers, experts, gpus int, seed uint64, mem 
 // (beyond Seed) reproduce Solve bit-identically.
 func SolveOpt(counts [][][]float64, layers, experts, gpus int, opts SolveOptions) *Placement {
 	p := LayerSweep(counts, layers, experts, gpus, LayerSweepOptions{})
-	return Anneal(counts, p, AnnealOptions{Seed: opts.Seed, Memory: opts.Memory, Workers: opts.Workers, Obs: opts.Obs, ReplicaBudget: opts.ReplicaBudget})
+	return Anneal(counts, p, AnnealOptions{Seed: opts.Seed, Memory: opts.Memory, Workers: opts.Workers, Obs: opts.Obs})
 }
 
 // StagedOptions tunes the two-stage hierarchical solve.
@@ -61,12 +57,6 @@ type StagedOptions struct {
 	// per-node subproblems run concurrently. Any fixed value is
 	// deterministic; zero or one reproduces the serial solve bit-identically.
 	Workers int
-	// ReplicaBudget, when positive, finishes the staged pipeline with the
-	// replicate/dereplicate refinement pass over the fully assembled
-	// placement (never inside the node or per-node sub-solves, whose local
-	// GPU numbering would not survive reassembly). Zero reproduces the
-	// single-copy solve bit-identically.
-	ReplicaBudget int
 	// Obs optionally receives solver metrics: per-stage wall-time histograms
 	// (solver_stage_node_seconds, solver_stage_gpu_seconds) and the annealer's
 	// proposal/acceptance counters. Nil costs nothing; metrics never affect
@@ -93,8 +83,7 @@ func StagedOpt(counts [][][]float64, layers, experts int, tp *topo.Topology, see
 	gpus := tp.TotalGPUs()
 	checkShape(experts, gpus)
 	if tp.Nodes == 1 {
-		return SolveOpt(counts, layers, experts, gpus,
-			SolveOptions{Seed: seed, Memory: opts.Memory, Workers: opts.Workers, Obs: opts.Obs, ReplicaBudget: opts.ReplicaBudget})
+		return SolveOpt(counts, layers, experts, gpus, SolveOptions{Seed: seed, Memory: opts.Memory, Workers: opts.Workers, Obs: opts.Obs})
 	}
 	if experts%tp.Nodes != 0 {
 		panic(fmt.Sprintf("placement: experts %d not divisible by nodes %d", experts, tp.Nodes))
@@ -190,5 +179,5 @@ func StagedOpt(counts [][][]float64, layers, experts int, tp *topo.Topology, see
 	if perGPU*gpus != experts {
 		panic("placement: internal balance accounting error")
 	}
-	return applyReplicaBudget(counts, final, opts.ReplicaBudget, seed, opts.Memory, nil)
+	return final
 }

@@ -64,8 +64,10 @@ type Phase struct {
 
 // validate checks one phase.
 func (p Phase) validate() error {
-	if p.Duration <= 0 || p.Rate <= 0 {
-		return fmt.Errorf("serve: phase %q needs positive duration and rate", p.Name)
+	// NaN passes every ordered comparison and +Inf never ends the arrival
+	// loop, so both are rejected explicitly.
+	if !(p.Duration > 0) || math.IsInf(p.Duration, 1) || !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
+		return fmt.Errorf("serve: phase %q needs positive finite duration and rate, got %v and %v", p.Name, p.Duration, p.Rate)
 	}
 	if p.Dataset == nil {
 		return fmt.Errorf("serve: phase %q has no dataset", p.Name)

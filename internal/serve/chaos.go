@@ -185,7 +185,7 @@ func (s *server) onRecover(now float64, r *replica) {
 			mem.SetHostTier(s.fl.cache, r.id)
 		}
 		s.applyChaosHooks(mem)
-		extra := mem.WarmChargedReplicated(r.pl.Assign, r.pl.Extra, now)
+		extra := mem.WarmCharged(r.pl.Assign, now)
 		mem.Instrument(s.opts.Trace, s.opts.Metrics, r.id)
 		s.mems[r.id] = mem
 		if extra > 0 {

@@ -249,7 +249,7 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 	go func() {
 		t0 := reg.Now()
 		pl := placement.StagedOpt(counts, layers, experts, tp, seed,
-			placement.StagedOptions{Memory: mo, Workers: workers, Obs: reg, ReplicaBudget: c.opts.ReplicaBudget})
+			placement.StagedOptions{Memory: mo, Workers: workers, Obs: reg})
 		ps.wall = reg.Now() - t0
 		ps.result <- pl
 	}()
@@ -403,8 +403,6 @@ func residencyObjective(o *Options, layers, experts int, counts [][][]float64) *
 // and cross-node transition fractions plugged into the fitted coefficients.
 func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement) float64 {
 	var node, cross, total float64
-	gpn := c.opts.Topo.GPUsPerNode
-	replicated := pl.Replicated()
 	for j := range counts {
 		for from := range counts[j] {
 			gFrom := pl.GPUOf(j, from)
@@ -413,18 +411,6 @@ func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement)
 					continue
 				}
 				total += w
-				if replicated {
-					// Optimistic replica routing: the transition lands on the
-					// closest copy pair, matching the solver's replicated
-					// crossing model.
-					switch pl.TransitionHop(j, from, to, gpn) {
-					case int(topo.SameNode):
-						node += w
-					case int(topo.CrossNode):
-						cross += w
-					}
-					continue
-				}
 				switch c.opts.Topo.Classify(gFrom, pl.GPUOf(j+1, to)) {
 				case topo.SameNode:
 					node += w

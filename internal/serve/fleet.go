@@ -6,7 +6,6 @@ import (
 	"repro/internal/expertmem"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/stats"
 )
 
@@ -68,16 +67,15 @@ func newFleetState(o *Options) *fleetState {
 }
 
 // newMem builds one replica's tiered memory: fresh residency tables warmed
-// on the given placement's copy sets (extras included), wired to the shared
-// host tier when one exists (before Warm, so the preload registers its
-// master references).
-func (s *server) newMem(r int, pl *placement.Placement) *expertmem.Manager {
+// on the given assignment, wired to the shared host tier when one exists
+// (before Warm, so the preload registers its master references).
+func (s *server) newMem(r int, assign [][]int) *expertmem.Manager {
 	mem := expertmem.New(s.memCfg)
 	if s.fl != nil && s.fl.cache != nil {
 		mem.SetHostTier(s.fl.cache, r)
 	}
 	s.applyChaosHooks(mem)
-	mem.WarmReplicated(pl.Assign, pl.Extra)
+	mem.Warm(assign)
 	mem.Instrument(s.opts.Trace, s.opts.Metrics, r)
 	return mem
 }
@@ -342,7 +340,7 @@ func (s *server) onScaleUp(now float64, r *replica) {
 			// resurrected one); keep the old counters for the run totals.
 			s.fl.retiredStats.Add(old.Stats())
 		}
-		s.mems[r.id] = s.newMem(r.id, r.pl)
+		s.mems[r.id] = s.newMem(r.id, r.pl.Assign)
 	}
 	s.opts.Decisions.Logf(now, "scale-up-complete replica=%d", r.id)
 	s.sampleFleet(now)

@@ -59,10 +59,6 @@ type Report struct {
 	// sums every access's wait even when accesses stall in parallel across
 	// GPUs; MemStallSeconds below is the wall-clock-consistent figure.
 	ExpertMem *expertmem.Stats
-	// MeanDispatchImbalance is the mean per-iteration inbound-row straggler
-	// factor the hop cost was scaled by (Options.DispatchImbalance); zero
-	// when the straggler model is off. 1 means perfectly balanced links.
-	MeanDispatchImbalance float64
 	// MemStallSeconds is the expert-miss stall actually charged to the
 	// fleet's iteration clocks (per layer, the slowest GPU's wait — the
 	// others overlap). Compare against Makespan; zero when the memory
@@ -190,9 +186,6 @@ func (s *server) buildReport() *Report {
 		}
 		rep.ExpertMem = &mst
 		rep.MemStallSeconds = s.memStall
-		if s.kappaN > 0 {
-			rep.MeanDispatchImbalance = s.kappaSum / float64(s.kappaN)
-		}
 	}
 	if s.ch != nil {
 		rep.Faults = s.faultReport(rep.ExpertMem)

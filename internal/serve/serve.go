@@ -132,23 +132,6 @@ type Options struct {
 	// StallTriggerFactor is how far above its observed minimum the smoothed
 	// stall rate must rise before the trigger fires (default 1.5).
 	StallTriggerFactor float64
-	// ReplicaBudget is the extra-copy budget controller re-solves carry
-	// (placement.StagedOptions.ReplicaBudget): each background re-placement
-	// may hold up to this many additional expert copies beyond the
-	// one-per-expert primaries, and the router splits tokens across live
-	// copies. Zero keeps every solve single-copy — bit-identical to the
-	// pre-replication solver.
-	ReplicaBudget int
-	// DispatchImbalance charges the Alltoall dispatch straggler: the fitted
-	// hop costs are batch means (every link equally loaded), but the
-	// bulk-synchronous dispatch actually completes when the most-loaded
-	// receiving GPU's link drains, so with this on the per-iteration hop
-	// cost scales by the inbound-row imbalance factor (max over GPUs of
-	// remote rows received, over the balanced share). A hot expert that
-	// concentrates inbound traffic on one GPU then costs what its straggler
-	// link costs — the load imbalance expert replication exists to flatten.
-	// Off (the default) is bit-identical to the mean-hop model.
-	DispatchImbalance bool
 	// Fleet enables the node-level fleet tier (internal/fleet): a shared
 	// host-DRAM master-copy cache across co-located replicas, a
 	// reconciliation-loop autoscaler on the simulated clock, and paging-aware
@@ -481,8 +464,6 @@ type server struct {
 
 	iterations int
 	batchTotal int
-	kappaSum   float64     // summed per-iteration inbound imbalance (DispatchImbalance on)
-	kappaN     int         // iterations that priced a straggler factor
 	memStall   float64     // expert-miss stall actually charged to iteration clocks
 	memSamples []memSample // per-iteration stall samples (realized-delta accounting)
 	decoded    []tick      // (time, tokens decoded) per iteration
@@ -570,7 +551,7 @@ func Run(opts Options) (*Report, error) {
 		}
 		s.mems = make([]*expertmem.Manager, len(s.replicas))
 		for r := 0; r < opts.Replicas; r++ {
-			s.mems[r] = s.newMem(r, opts.Placement)
+			s.mems[r] = s.newMem(r, opts.Placement.Assign)
 		}
 		// The controller must price residency churn, not just parameter
 		// copies: a migration invalidates the HBM copies of every moved
@@ -583,17 +564,6 @@ func Run(opts Options) (*Report, error) {
 			s.ctrl.churn = func(moves []placement.Move) (int, float64) {
 				n, sec := 0, 0.0
 				for _, mv := range moves {
-					if mv.Install() {
-						continue // a new copy destroys no residency
-					}
-					if mv.Drop() {
-						// Dropping a copy invalidates its residency but frees
-						// the slot; nothing is refetched.
-						if s.mems[0].Resident(mv.From, mv.Layer, mv.Expert) {
-							n++
-						}
-						continue
-					}
 					if s.mems[0].Resident(mv.From, mv.Layer, mv.Expert) {
 						n++
 						sec += s.mems[0].FetchSeconds(mv.Layer, mv.Expert)
@@ -754,25 +724,14 @@ func (s *server) onStallEnd(now float64, r *replica) {
 			// refetch from NVMe on next demand.
 			s.pending.invalidated = true
 			for _, mv := range moves {
-				if mv.Install() || mv.Drop() {
-					continue // replica churn reuses the same canonical weights
-				}
 				s.fl.cache.Invalidate(mv.Layer, mv.Expert)
 			}
 		}
 		// The parameter copy lands each moved expert on its new owner's HBM
 		// and invalidates the stale copy — the residency churn the
-		// controller priced into the pause. Replica installs land a fresh
-		// copy; drops free the slot.
+		// controller priced into the pause.
 		for _, mv := range moves {
-			switch {
-			case mv.Install():
-				s.mems[r.id].Install(mv.Layer, mv.Expert, mv.To, now)
-			case mv.Drop():
-				s.mems[r.id].Discard(mv.Layer, mv.Expert, mv.From)
-			default:
-				s.mems[r.id].Relocate(mv.Layer, mv.Expert, mv.From, mv.To, now)
-			}
+			s.mems[r.id].Relocate(mv.Layer, mv.Expert, mv.From, mv.To, now)
 		}
 	}
 	r.pl = s.pending.newPl.Clone()
@@ -921,19 +880,6 @@ func (s *server) start(now float64, r *replica) {
 		s.paths = append(s.paths, make([]int, layers))
 	}
 	same, node, cross := 0, 0, 0
-	// Replica routing signals (single-copy placements leave both nil and the
-	// walk below reduces to the primary-owner walk bit for bit): hop class
-	// for locality tie-breaks, and a per-iteration token-load counter so the
-	// batch spreads across an expert's copies least-loaded-first.
-	class := func(from, to int) int { return int(s.opts.Topo.Classify(from, to)) }
-	var routeLoad []int
-	if r.pl.Replicated() {
-		routeLoad = make([]int, gpus)
-	}
-	var inbound []int
-	if s.opts.DispatchImbalance {
-		inbound = make([]int, gpus)
-	}
 	for i, rq := range r.active {
 		router := s.routers[rq.phase]
 		id := s.opts.Phases[rq.phase].Dataset.TokenID(tokenOrdinalBase + s.ordinal)
@@ -948,47 +894,20 @@ func (s *server) start(now float64, r *replica) {
 		s.window.Push(path)
 		at := rq.home
 		for j := 0; j < layers; j++ {
-			owner := r.pl.PickReplica(j, path[j], at, routeLoad, class)
-			if routeLoad != nil {
-				routeLoad[owner]++
-			}
+			owner := r.pl.GPUOf(j, path[j])
 			switch s.opts.Topo.Classify(at, owner) {
 			case topo.SameGPU:
 				same++
 			case topo.SameNode:
 				node++
-				if inbound != nil {
-					inbound[owner]++
-				}
 			default:
 				cross++
-				if inbound != nil {
-					inbound[owner]++
-				}
 			}
 			at = owner
 		}
 	}
 	total := float64(same + node + cross)
 	fn, fc := float64(node)/total, float64(cross)/total
-	if remote := node + cross; inbound != nil && remote > 0 {
-		// The straggler link sets the Alltoall pace: scale the hop terms by
-		// the most-loaded GPU's inbound share over the balanced share. The
-		// cost model is linear in the fractions, so scaling them is exactly
-		// "hop cost x imbalance"; the raw fractions still feed the report
-		// series and the fleet estimator below.
-		maxIn := 0
-		for _, v := range inbound {
-			if v > maxIn {
-				maxIn = v
-			}
-		}
-		kappa := float64(maxIn) * float64(gpus) / float64(remote)
-		fn *= kappa
-		fc *= kappa
-		s.kappaSum += kappa
-		s.kappaN++
-	}
 	dt := s.opts.Cost.Time(len(r.active), fn, fc)
 	var failedRows []int
 	if s.mems != nil {
@@ -1002,9 +921,9 @@ func (s *server) start(now float64, r *replica) {
 		s.memSamples = append(s.memSamples, memSample{t: now, stall: st, tokens: len(r.active)})
 	}
 	s.fracT = append(s.fracT, now)
-	s.fracY = append(s.fracY, float64(cross)/total)
+	s.fracY = append(s.fracY, fc)
 	if s.fl != nil {
-		s.fl.fn, s.fl.fc = float64(node)/total, float64(cross)/total
+		s.fl.fn, s.fl.fc = fn, fc
 	}
 	s.iterations++
 	s.batchTotal += len(r.active)

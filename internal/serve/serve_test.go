@@ -172,12 +172,25 @@ func TestServeValidation(t *testing.T) {
 	if _, err := Run(Options{}); err == nil {
 		t.Fatal("empty options must fail")
 	}
-	opts, _ := testSystem(t)
-	opts.Phases = []Phase{{Name: "bad", Duration: 1, Rate: 0, Dataset: synth.Pile()}}
-	if _, err := Run(opts); err == nil {
-		t.Fatal("zero-rate phase must fail")
+	// NaN and +Inf slip past ordered comparisons and would spin the arrival
+	// generator forever, so they are rejected alongside non-positive values.
+	for _, c := range []struct {
+		name           string
+		duration, rate float64
+	}{
+		{"zero rate", 1, 0},
+		{"NaN rate", 1, math.NaN()},
+		{"infinite rate", 1, math.Inf(1)},
+		{"NaN duration", math.NaN(), 10},
+		{"infinite duration", math.Inf(1), 10},
+	} {
+		opts, _ := testSystem(t)
+		opts.Phases = []Phase{{Name: "bad", Duration: c.duration, Rate: c.rate, Dataset: synth.Pile()}}
+		if _, err := Run(opts); err == nil {
+			t.Fatalf("%s phase must fail", c.name)
+		}
 	}
-	opts, _ = testSystem(t)
+	opts, _ := testSystem(t)
 	opts.Phases = []Phase{{Name: "ok", Duration: 1, Rate: 10, Dataset: synth.Pile()}}
 	opts.ExpertBytes = 0
 	if _, err := Run(opts); err == nil {

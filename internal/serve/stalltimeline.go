@@ -70,29 +70,6 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 	total := 0.0
 	seen := make(map[[2]int]bool, batch)
 	gpuStall := make([]float64, pl.GPUs)
-	// Replicated placements assign each distinct (layer, expert) demand to
-	// ONE copy per iteration — warm (currently resident) copies first, then
-	// the least fetch-loaded GPU, lowest id on ties. Warmth-first is the
-	// residency table the router would consult: sending a demand to a cold
-	// copy pays a fetch the warm copy serves for free, and a copy nothing
-	// routes to simply stays cold (pure slot displacement, which the
-	// annealer prices). Stickiness matters too: splitting one expert's rows
-	// across its copies would fetch the same weights over two host links,
-	// while assigning whole experts to copies spreads the *serialized fetch
-	// queues* the bulk-synchronous layer stall takes the max of — the
-	// single-GPU bandwidth ceiling replication exists to break. demandLoad
-	// therefore counts distinct expert demands per GPU, not batch rows.
-	// Single-copy placements skip all of it and walk the primaries bit for
-	// bit.
-	replicated := pl.Replicated()
-	var demandLoad []int
-	var rowOwner []int
-	var pickedOwner []int // per layer: expert -> chosen copy, -1 unpicked
-	if replicated {
-		demandLoad = make([]int, pl.GPUs)
-		rowOwner = make([]int, batch)
-		pickedOwner = make([]int, pl.Experts)
-	}
 	var failed []bool              // lazily allocated: rows dropped by a failed fetch
 	var failedRows []int           // their indices, in discovery order
 	var failedKeys map[[2]int]bool // this layer's exhausted (GPU, expert) fetches
@@ -100,12 +77,6 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 		clear(seen)
 		for g := range gpuStall {
 			gpuStall[g] = 0
-		}
-		for g := range demandLoad {
-			demandLoad[g] = 0
-		}
-		for e := range pickedOwner {
-			pickedOwner[e] = -1
 		}
 		stall := 0.0
 		// Demand accesses first: same-instant speculation must never delay
@@ -120,32 +91,6 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 			}
 			e := paths[i][j]
 			gpu := pl.GPUOf(j, e)
-			if replicated {
-				if pickedOwner[e] < 0 {
-					cold := func(_, g int) int {
-						if mem.Resident(g, j, e) {
-							return 0
-						}
-						return 1
-					}
-					// Warm copies serve for free, so when any copy is
-					// resident the pick must be STABLE (nil load signal:
-					// lowest id wins every iteration) — a least-loaded
-					// tie-break would ping-pong demand across warm copies,
-					// refresh every copy's recency, and pin duplicates of
-					// the same weights in HBM forever, displacing the tail.
-					// Only a cold set has a fetch queue to spread: then the
-					// least-loaded holder takes the fetch.
-					g := pl.PickReplica(j, e, 0, nil, cold)
-					if !mem.Resident(g, j, e) {
-						g = pl.PickReplica(j, e, 0, demandLoad, cold)
-						demandLoad[g]++
-					}
-					pickedOwner[e] = g
-				}
-				gpu = pickedOwner[e]
-				rowOwner[i] = gpu
-			}
 			k := [2]int{gpu, e}
 			if seen[k] {
 				continue
@@ -176,11 +121,7 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 					continue
 				}
 				e := paths[i][j]
-				own := pl.GPUOf(j, e)
-				if replicated {
-					own = rowOwner[i]
-				}
-				if failedKeys[[2]int{own, e}] {
+				if failedKeys[[2]int{pl.GPUOf(j, e), e}] {
 					failed[i] = true
 					failedRows = append(failedRows, i)
 				}
@@ -194,34 +135,6 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 				}
 				for _, sc := range mem.Successors(j, paths[i][j]) {
 					owner := pl.GPUOf(j+1, sc)
-					if replicated {
-						// Each hint addresses exactly ONE holder of the
-						// successor's replica set: a warm copy is hinted
-						// deterministically (nil load signal — the refresh
-						// keeps ONE copy alive and lets duplicates decay
-						// out of HBM), and a fully cold set speculates on
-						// its designated holder — the primary, whose copy
-						// the residency table scores at full mass — so the
-						// prefetcher warms the steady-state holder rather
-						// than scattering transient zero-priority copies
-						// that attract demand and then evict. Spreading
-						// belongs to realized demand (below), not to
-						// speculation. The alternatives were tried and
-						// lose: fanning out to every copy duplicates the
-						// transfer and displaces double the footprint, and
-						// load-balancing warm copies refreshes all of them
-						// — permanent duplicates.
-						cold := func(_, g int) int {
-							if mem.Resident(g, j+1, sc) {
-								return 0
-							}
-							return 1
-						}
-						owner = pl.PickReplica(j+1, sc, 0, nil, cold)
-						if !mem.Resident(owner, j+1, sc) {
-							owner = pl.GPUOf(j+1, sc)
-						}
-					}
 					mem.Prefetch(owner, j+1, sc, t+gpuStall[owner])
 				}
 			}

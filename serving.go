@@ -2,6 +2,7 @@ package exflow
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
@@ -114,25 +115,6 @@ type ServeOptions struct {
 	// admission, which prices requests with the same oracle); static keeps
 	// re-solves bit-identical to previous releases.
 	ResidencyModel string
-	// ReplicaBudget is the extra-copy budget the adaptive controller's
-	// background re-solves carry (see System.SolvePlacementReplicated for
-	// the initial-placement counterpart, threaded in via Calibration): each
-	// re-solve may keep up to this many expert copies beyond the
-	// one-per-expert primaries, the rollout installs and drops them like
-	// migrations, and the router splits tokens across live copies
-	// least-loaded-first. Requires Adaptive; zero keeps every re-solve
-	// single-copy, bit-identical to the pre-replication controller.
-	ReplicaBudget int
-	// DispatchImbalance charges the Alltoall dispatch straggler in the
-	// iteration-cost model: the fitted hop costs are batch means (all links
-	// equally loaded), but bulk-synchronous dispatch completes when the
-	// most-loaded receiving GPU's link drains, so with this on the hop cost
-	// scales per iteration by the inbound-row imbalance factor. This is the
-	// load concentration expert replication flattens — the replication
-	// frontier turns it on for every arm, single-copy reference included,
-	// so budgets compete under one model. Off (the default) keeps the
-	// mean-hop model, bit-identical to previous releases.
-	DispatchImbalance bool
 	// StallTrigger arms the stall-rate migration trigger: the controller
 	// also fires a re-solve when the charged expert-stall seconds per token
 	// trend up at a stable routing mix — residency decay the drift detector
@@ -209,8 +191,8 @@ func (o ServeOptions) Validate() error {
 		return fmt.Errorf("exflow: DecodeTokens must be positive (zero for the default), got %d", o.DecodeTokens)
 	case o.ProfileTokens < 0:
 		return fmt.Errorf("exflow: ProfileTokens must be positive (zero for the default), got %d", o.ProfileTokens)
-	case o.LoadFrac < 0:
-		return fmt.Errorf("exflow: LoadFrac must be positive (zero for the default), got %v", o.LoadFrac)
+	case !(o.LoadFrac >= 0) || math.IsInf(o.LoadFrac, 1):
+		return fmt.Errorf("exflow: LoadFrac must be positive and finite (zero for the default), got %v", o.LoadFrac)
 	case o.CalibIters < 0:
 		return fmt.Errorf("exflow: CalibIters must be positive (zero for the default), got %d", o.CalibIters)
 	case o.CheckInterval < 0 || o.DriftThreshold < 0 || o.Patience < 0 || o.Cooldown < 0 ||
@@ -243,13 +225,6 @@ func (o ServeOptions) Validate() error {
 		// the caller notices the missing flag. Paging admission is the one
 		// consumer besides MemoryAware.
 		return fmt.Errorf("exflow: ResidencyModel %q set but MemoryAware is off; enable MemoryAware or drop the model", o.ResidencyModel)
-	case o.ReplicaBudget < 0:
-		return fmt.Errorf("exflow: ReplicaBudget must be non-negative, got %d", o.ReplicaBudget)
-	case o.ReplicaBudget > 0 && !o.Adaptive:
-		// Only the adaptive controller's re-solves consume the budget; a
-		// replicated *initial* placement arrives via Calibration.Placement
-		// (System.SolvePlacementReplicated), not this knob.
-		return fmt.Errorf("exflow: ReplicaBudget requires the adaptive controller; enable Adaptive or solve the initial placement with SolvePlacementReplicated")
 	case o.StallTriggerFactor < 0:
 		return fmt.Errorf("exflow: StallTriggerFactor must be non-negative, got %v", o.StallTriggerFactor)
 	case o.StallTriggerFactor > 0 && !o.StallTrigger:
@@ -298,11 +273,13 @@ func (o ServeOptions) Validate() error {
 		if name == "" {
 			name = fmt.Sprintf("phase%d", i)
 		}
-		if p.Duration <= 0 {
-			return fmt.Errorf("exflow: phase %q needs a positive Duration, got %v", name, p.Duration)
+		// NaN passes every ordered comparison and +Inf never ends the
+		// arrival loop, so both are rejected explicitly.
+		if !(p.Duration > 0) || math.IsInf(p.Duration, 1) {
+			return fmt.Errorf("exflow: phase %q needs a positive finite Duration, got %v", name, p.Duration)
 		}
-		if p.Rate < 0 {
-			return fmt.Errorf("exflow: phase %q arrival rate must be positive (zero to derive it from LoadFrac), got %v", name, p.Rate)
+		if !(p.Rate >= 0) || math.IsInf(p.Rate, 1) {
+			return fmt.Errorf("exflow: phase %q arrival rate must be positive and finite (zero to derive it from LoadFrac), got %v", name, p.Rate)
 		}
 		if _, err := serve.ParseArrivalKind(p.Arrival); err != nil {
 			return fmt.Errorf("exflow: phase %q: %w", name, err)
@@ -452,8 +429,6 @@ func Serve(sys *System, opts ServeOptions) (*ServeReport, *ServeMetrics, error) 
 		HostSlots:          opts.HostSlots,
 		MemoryAware:        opts.MemoryAware,
 		ResidencyModel:     opts.ResidencyModel,
-		ReplicaBudget:      opts.ReplicaBudget,
-		DispatchImbalance:  opts.DispatchImbalance,
 		StallTrigger:       opts.StallTrigger,
 		StallTriggerFactor: opts.StallTriggerFactor,
 		Fleet:              opts.Fleet,

@@ -1,6 +1,7 @@
 package exflow
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -27,9 +28,17 @@ func TestServeOptionValidation(t *testing.T) {
 		{"negative decode", ServeOptions{DecodeTokens: -1}, "DecodeTokens"},
 		{"negative profile", ServeOptions{ProfileTokens: -10}, "ProfileTokens"},
 		{"negative load", ServeOptions{LoadFrac: -0.5}, "LoadFrac"},
+		// NaN and +Inf slip past ordered comparisons and would spin the
+		// arrival generator forever.
+		{"NaN load", ServeOptions{LoadFrac: math.NaN()}, "LoadFrac"},
+		{"infinite load", ServeOptions{LoadFrac: math.Inf(1)}, "LoadFrac"},
 		{"negative rate", ServeOptions{Phases: []ServePhase{{Duration: 1, Rate: -3}}}, "rate"},
+		{"NaN rate", ServeOptions{Phases: []ServePhase{{Duration: 1, Rate: math.NaN()}}}, "rate"},
+		{"infinite rate", ServeOptions{Phases: []ServePhase{{Duration: 1, Rate: math.Inf(1)}}}, "rate"},
 		{"zero duration", ServeOptions{Phases: []ServePhase{{Duration: 0, Rate: 1}}}, "Duration"},
 		{"negative duration", ServeOptions{Phases: []ServePhase{{Duration: -2, Rate: 1}}}, "Duration"},
+		{"NaN duration", ServeOptions{Phases: []ServePhase{{Duration: math.NaN(), Rate: 1}}}, "Duration"},
+		{"infinite duration", ServeOptions{Phases: []ServePhase{{Duration: math.Inf(1), Rate: 1}}}, "Duration"},
 		{"bad arrival", ServeOptions{Phases: []ServePhase{{Duration: 1, Rate: 1, Arrival: "fractal"}}}, "arrival"},
 		{"negative patience", ServeOptions{Patience: -1}, "non-negative"},
 		{"fractional oversub", ServeOptions{Oversubscription: 0.5}, "Oversubscription"},
