@@ -146,20 +146,26 @@ type key struct{ layer, expert int }
 // resident in a GPU's HBM or in flight on its host link.
 type Entry struct {
 	Layer, Expert int
-	resident      bool
 	readyAt       float64 // fetch completion time while in flight
 	lastUse       float64
 	uses          int
 	pop           float64 // affinity popularity (the affinity policy's score)
+	pos           int     // index in shard.occupied while held
+	held          bool    // occupies a slot (resident or in flight)
+	resident      bool
 	pinned        bool
 	prefetched    bool // brought in speculatively and not yet demanded
 }
 
 // shard is one GPU's residency table plus its host-link fetch channel.
 type shard struct {
-	gpu        int
-	entries    map[key]*Entry
-	used       int // entries occupying slots (resident or in flight)
+	gpu int
+	// table is the dense residency table, indexed layer*Experts+expert; a
+	// row is live while held. occupied lists the held ids (in no particular
+	// order — eviction picks by a strict total order, so scan order cannot
+	// matter) and its length is the number of slots in use.
+	table      []Entry
+	occupied   []int
 	linkFreeAt float64
 	stats      Stats
 	// hasSpec marks that the transfer currently occupying the link (through
@@ -168,6 +174,38 @@ type shard struct {
 	hasSpec   bool
 	specKey   key
 	specUntil float64
+}
+
+// used is the number of slots held (resident or in flight).
+func (s *shard) used() int { return len(s.occupied) }
+
+// lookup returns the live row for table id, or nil.
+func (s *shard) lookup(id int) *Entry {
+	if e := &s.table[id]; e.held {
+		return e
+	}
+	return nil
+}
+
+// insert makes e the live row for (e.Layer, e.Expert) at table id, taking
+// a slot; the caller has checked one is free.
+func (s *shard) insert(id int, e Entry) {
+	e.held = true
+	e.pos = len(s.occupied)
+	s.table[id] = e
+	s.occupied = append(s.occupied, id)
+}
+
+// remove frees the slot of the live row at table id, moving the last
+// occupied id into its place.
+func (s *shard) remove(id int) {
+	pos := s.table[id].pos
+	last := len(s.occupied) - 1
+	moved := s.occupied[last]
+	s.occupied[pos] = moved
+	s.table[moved].pos = pos
+	s.occupied = s.occupied[:last]
+	s.table[id] = Entry{}
 }
 
 // Stats counts one shard's (or, aggregated, one manager's) activity.
@@ -310,7 +348,11 @@ func New(cfg Config) *Manager {
 	}
 	m.shards = make([]*shard, cfg.GPUs)
 	for g := range m.shards {
-		m.shards[g] = &shard{gpu: g, entries: make(map[key]*Entry, cfg.SlotsPerGPU)}
+		m.shards[g] = &shard{
+			gpu:      g,
+			table:    make([]Entry, cfg.Layers*cfg.Experts),
+			occupied: make([]int, 0, cfg.SlotsPerGPU),
+		}
 	}
 	m.buildOracles()
 	return m
@@ -471,9 +513,12 @@ func topKIndices(row []float64, k int) []int {
 	return append([]int(nil), idx...)
 }
 
+// id is the flat index of (layer, expert) in the per-expert tables.
+func (m *Manager) id(layer, expert int) int { return layer*m.cfg.Experts + expert }
+
 // popOf returns the affinity popularity of (layer, expert).
 func (m *Manager) popOf(layer, expert int) float64 {
-	return m.popularity[layer*m.cfg.Experts+expert]
+	return m.popularity[m.id(layer, expert)]
 }
 
 // Popularity returns the affinity-derived demand mass of (layer, expert) —
@@ -545,14 +590,13 @@ func (m *Manager) warm(assign [][]int, charged bool, now float64) float64 {
 		s := m.shards[g]
 		gpuExtra := 0.0
 		for _, c := range cands {
-			if s.used >= m.cfg.SlotsPerGPU {
+			if s.used() >= m.cfg.SlotsPerGPU {
 				break
 			}
-			s.entries[c.k] = &Entry{
+			s.insert(m.id(c.k.layer, c.k.expert), Entry{
 				Layer: c.k.layer, Expert: c.k.expert,
 				resident: true, pinned: pin, pop: c.pop,
-			}
-			s.used++
+			})
 			if charged {
 				var hop float64
 				if m.hostTier != nil {
@@ -602,7 +646,8 @@ func (m *Manager) AccessChecked(gpu, layer, expert int, now float64) (stall floa
 		return 0, true
 	}
 	k := key{layer, expert}
-	if e := s.entries[k]; e != nil {
+	id := m.id(layer, expert)
+	if e := s.lookup(id); e != nil {
 		stall := 0.0
 		if !e.resident {
 			if e.readyAt > now {
@@ -645,9 +690,9 @@ func (m *Manager) AccessChecked(gpu, layer, expert int, now float64) (stall floa
 	s.stats.Misses++
 	m.met.misses.Inc()
 	if m.preempt && s.hasSpec && s.linkFreeAt > now && s.specUntil == s.linkFreeAt {
-		if e := s.entries[s.specKey]; e != nil && e.prefetched && !e.resident {
-			delete(s.entries, s.specKey)
-			s.used--
+		specID := m.id(s.specKey.layer, s.specKey.expert)
+		if e := s.lookup(specID); e != nil && e.prefetched && !e.resident {
+			s.remove(specID)
 			m.releaseMaster(s.specKey.layer, s.specKey.expert)
 			s.stats.Preemptions++
 			m.met.preemptions.Inc()
@@ -672,11 +717,10 @@ func (m *Manager) AccessChecked(gpu, layer, expert int, now float64) (stall floa
 			Layer: int32(layer), Expert: int32(expert), T: ready - xfer, Dur: xfer, Value: stall})
 	}
 	if m.freeSlot(s, now) {
-		s.entries[k] = &Entry{
+		s.insert(id, Entry{
 			Layer: layer, Expert: expert,
 			readyAt: ready, uses: 1, lastUse: ready, pop: m.popOf(layer, expert),
-		}
-		s.used++
+		})
 		m.retainMaster(layer, expert)
 	} else {
 		s.stats.Bypasses++
@@ -702,7 +746,8 @@ func (m *Manager) Prefetch(gpu, layer, expert int, now float64) {
 		return
 	}
 	k := key{layer, expert}
-	if s.entries[k] != nil {
+	id := m.id(layer, expert)
+	if s.lookup(id) != nil {
 		m.dropPrefetch(gpu, layer, expert, now, DropPresent)
 		return
 	}
@@ -711,11 +756,10 @@ func (m *Manager) Prefetch(gpu, layer, expert int, now float64) {
 		return
 	}
 	ready, _ := m.issueFetch(s, k, now)
-	s.entries[k] = &Entry{
+	s.insert(id, Entry{
 		Layer: layer, Expert: expert,
 		readyAt: ready, lastUse: ready, prefetched: true, pop: m.popOf(layer, expert),
-	}
-	s.used++
+	})
 	m.retainMaster(layer, expert)
 	s.hasSpec = true
 	s.specKey = k
@@ -767,7 +811,7 @@ func (m *Manager) issueFetch(s *shard, k key, now float64) (ready, xfer float64)
 func (m *Manager) fetchCost(k key, masterAt, start float64) (xfer, extra float64) {
 	if m.hostTier != nil {
 		extra = m.hostTier.FetchMaster(m.tierRep, k.layer, k.expert, masterAt)
-	} else if m.hostOnNVMe != nil && m.hostOnNVMe[k.layer*m.cfg.Experts+k.expert] {
+	} else if m.hostOnNVMe != nil && m.hostOnNVMe[m.id(k.layer, k.expert)] {
 		extra = m.nvmeTime
 	}
 	xfer = m.hostTime + extra
@@ -839,11 +883,12 @@ func (m *Manager) backoff(attempt int) float64 {
 // victim if needed. It reports whether a slot is available. Pinned entries
 // and in-flight transfers (readyAt > now) are never evicted.
 func (m *Manager) freeSlot(s *shard, now float64) bool {
-	if s.used < m.cfg.SlotsPerGPU {
+	if s.used() < m.cfg.SlotsPerGPU {
 		return true
 	}
 	var victim *Entry
-	for _, e := range s.entries {
+	for _, id := range s.occupied {
+		e := &s.table[id]
 		if e.pinned || (!e.resident && e.readyAt > now) {
 			continue
 		}
@@ -856,14 +901,14 @@ func (m *Manager) freeSlot(s *shard, now float64) bool {
 		s.stats.WastedPrefetches++
 		m.met.wastedPrefetches.Inc()
 	}
-	delete(s.entries, key{victim.Layer, victim.Expert})
-	s.used--
-	m.releaseMaster(victim.Layer, victim.Expert)
+	layer, expert := victim.Layer, victim.Expert
+	s.remove(m.id(layer, expert))
+	m.releaseMaster(layer, expert)
 	s.stats.Evictions++
 	m.met.evictions.Inc()
 	if m.tr != nil {
 		m.tr.Emit(obs.Event{Kind: obs.EvEvict, Rep: m.rep, GPU: int32(s.gpu),
-			Layer: int32(victim.Layer), Expert: int32(victim.Expert), T: now})
+			Layer: int32(layer), Expert: int32(expert), T: now})
 	}
 	return true
 }
@@ -873,7 +918,7 @@ func (m *Manager) Resident(gpu, layer, expert int) bool {
 	if !m.Oversubscribed() {
 		return true
 	}
-	e := m.shards[gpu].entries[key{layer, expert}]
+	e := m.shards[gpu].lookup(m.id(layer, expert))
 	return e != nil && e.resident
 }
 
@@ -886,24 +931,20 @@ func (m *Manager) Relocate(layer, expert, from, to int, now float64) bool {
 	if !m.Oversubscribed() {
 		return false
 	}
-	k := key{layer, expert}
+	id := m.id(layer, expert)
 	src := m.shards[from]
 	churned := false
-	if e := src.entries[k]; e != nil {
-		if e.resident {
-			churned = true
-		}
-		delete(src.entries, k)
-		src.used--
+	if e := src.lookup(id); e != nil {
+		churned = e.resident
+		src.remove(id)
 		m.releaseMaster(layer, expert)
 	}
 	dst := m.shards[to]
-	if dst.entries[k] == nil && m.freeSlot(dst, now) {
-		dst.entries[k] = &Entry{
+	if dst.lookup(id) == nil && m.freeSlot(dst, now) {
+		dst.insert(id, Entry{
 			Layer: layer, Expert: expert,
 			resident: true, lastUse: now, pinned: m.policy.Pin(), pop: m.popOf(layer, expert),
-		}
-		dst.used++
+		})
 		m.retainMaster(layer, expert)
 	}
 	return churned

@@ -40,14 +40,22 @@ type RNG struct {
 
 // New returns a generator seeded from a single 64-bit seed via SplitMix64,
 // following the reference initialization recommended by the xoshiro authors.
+//
+// New stays within the compiler's inlining budget (the seeding lives in
+// seedFrom), so a generator its caller uses only locally stays on the stack.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.seedFrom(seed)
+	return r
+}
+
+// seedFrom fills the state with the first four SplitMix64 outputs of seed.
+func (r *RNG) seedFrom(seed uint64) {
 	state := seed
 	r.s0 = splitMix64(&state)
 	r.s1 = splitMix64(&state)
 	r.s2 = splitMix64(&state)
 	r.s3 = splitMix64(&state)
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

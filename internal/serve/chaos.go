@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"container/heap"
-
 	"repro/internal/chaos"
 	"repro/internal/expertmem"
 	"repro/internal/obs"
@@ -56,7 +54,7 @@ func (s *server) scheduleChaos() {
 	ch := s.ch
 	ch.crashes = ch.sched.Crashes()
 	for i, f := range ch.crashes {
-		heap.Push(&s.events, event{t: f.At, kind: evCrash, seq: i})
+		s.events.push(event{t: f.At, kind: evCrash, seq: i})
 	}
 	for _, f := range ch.sched.Faults {
 		if f.Kind != chaos.FaultLinkDegrade {
@@ -156,7 +154,7 @@ func (s *server) onCrash(now float64, idx int) {
 		r.crashed = true
 		r.crashedAt = now
 		s.seq++
-		heap.Push(&s.events, event{t: now + f.RecoverAfter + ch.warmup, kind: evRecover,
+		s.events.push(event{t: now + f.RecoverAfter + ch.warmup, kind: evRecover,
 			rep: r.id, seq: s.seq, gen: r.gen})
 	}
 	if s.fl != nil {
@@ -190,7 +188,7 @@ func (s *server) onRecover(now float64, r *replica) {
 		s.mems[r.id] = mem
 		if extra > 0 {
 			s.seq++
-			heap.Push(&s.events, event{t: now + extra, kind: evRecover, rep: r.id, seq: s.seq, gen: r.gen})
+			s.events.push(event{t: now + extra, kind: evRecover, rep: r.id, seq: s.seq, gen: r.gen})
 			return
 		}
 	} else if s.mems == nil {

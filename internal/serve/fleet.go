@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"container/heap"
-
 	"repro/internal/expertmem"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -238,7 +236,7 @@ func (s *server) fleetAdmit(now float64, rq *request) bool {
 		}
 		s.opts.Decisions.Logf(now, "admission-defer req=%d queued=%d backlog=%d-tokens wait-est=%.3fs slo=%.3fs stall-est=%.6fs/token defers=%d retry=%.2fs",
 			rq.seq, queued, backlog, waitEst, fl.spec.SLOSeconds, fl.stallEst, rq.defers, fl.spec.DeferSeconds)
-		heap.Push(&s.events, event{t: now + fl.spec.DeferSeconds, kind: evArrival, seq: rq.seq})
+		s.events.push(event{t: now + fl.spec.DeferSeconds, kind: evArrival, seq: rq.seq})
 		return false
 	case fleet.Shed:
 		rq.shed = true
@@ -317,7 +315,7 @@ func (s *server) scaleUp(now float64, dec fleet.Decision) {
 	s.opts.Decisions.Logf(now, "scale-up replica=%d rate=%.2freq/s desired=%d warmup=%.3fs",
 		slot.id, dec.Rate, dec.Desired, s.fl.warmup)
 	s.seq++
-	heap.Push(&s.events, event{t: now + s.fl.warmup, kind: evScaleUp, rep: slot.id, seq: s.seq, gen: slot.gen})
+	s.events.push(event{t: now + s.fl.warmup, kind: evScaleUp, rep: slot.id, seq: s.seq, gen: slot.gen})
 	s.sampleFleet(now)
 }
 

@@ -1,0 +1,136 @@
+package serve
+
+import (
+	"container/heap"
+	"runtime"
+	"testing"
+
+	"repro/internal/expertmem"
+	"repro/internal/rng"
+	"repro/internal/synth"
+)
+
+// boxedHeap drives eventHeap's ordering through container/heap, the
+// interface-boxed heap the typed push/pop replaced: the reference for
+// their pop order.
+type boxedHeap []event
+
+func (h boxedHeap) Len() int           { return len(h) }
+func (h boxedHeap) Less(i, j int) bool { return eventHeap(h).less(i, j) }
+func (h boxedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *boxedHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	// Few distinct keys, so many events compare equal and differ only in
+	// gen, which the order ignores: both heaps must still pop them in the
+	// same sequence.
+	r := rng.New(0xEE)
+	var typed eventHeap
+	var boxed boxedHeap
+	randEvent := func(gen int) event {
+		return event{t: float64(r.Intn(4)), kind: r.Intn(3), rep: r.Intn(2), seq: r.Intn(3), gen: gen}
+	}
+	for i := 0; i < 5000; i++ {
+		if r.Intn(3) > 0 || len(typed) == 0 {
+			e := randEvent(i)
+			typed.push(e)
+			heap.Push(&boxed, e)
+			continue
+		}
+		if got, want := typed.pop(), heap.Pop(&boxed).(event); got != want {
+			t.Fatalf("op %d: typed heap popped %+v, container/heap %+v", i, got, want)
+		}
+	}
+	for len(typed) > 0 {
+		if got, want := typed.pop(), heap.Pop(&boxed).(event); got != want {
+			t.Fatalf("drain: typed heap popped %+v, container/heap %+v", got, want)
+		}
+	}
+}
+
+// BenchmarkEventHeap is one pop and one push on a 1,024-event heap, the
+// serve loop's per-event queue traffic.
+func BenchmarkEventHeap(b *testing.B) {
+	r := rng.New(5)
+	var h eventHeap
+	for i := 0; i < 1024; i++ {
+		h.push(event{t: r.Float64(), kind: evArrival, seq: i})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := h.pop()
+		e.t += r.Float64()
+		h.push(e)
+	}
+}
+
+// BenchmarkLayerStallTimeline walks one 32-token decode iteration through
+// the golden fixture's 1.5x affinity memory, cycling over eight batches of
+// routed paths so residency keeps churning.
+func BenchmarkLayerStallTimeline(b *testing.B) {
+	opts, _ := goldenSystem()
+	pl, k := opts.Placement, opts.Kernel
+	mem := expertmem.New(expertmem.ConfigFor(opts.Topo, pl.Layers, pl.Experts, opts.ExpertBytes,
+		1.5, expertmem.AffinityPrefetch(), 4, 0, opts.BaselineCounts))
+	mem.Warm(pl.Assign)
+	const batch, batches = 32, 8
+	pile := synth.Pile()
+	paths := make([][]int, batch*batches)
+	for i := range paths {
+		id := pile.TokenID(uint64(i))
+		paths[i] = k.Path(id, pile.TokenDomain(id))
+	}
+	compute := opts.Cost.Time(batch, 0.2, 0.5)
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i % batches) * batch
+		now += compute + LayerStallTimeline(mem, pl, paths[off:off+batch], batch, now, compute)
+	}
+}
+
+func TestServeIterationAllocBudget(t *testing.T) {
+	// Mallocs per decode iteration over a whole tiny run (set-up and report
+	// amortized in). Routing used to allocate a slice, a generator and a
+	// tilted row per token per layer, the stall walk a map per iteration,
+	// every fetch a residency entry, and every event push an interface box:
+	// 865 objects per iteration with memory off and 1078 at 1.5x before the
+	// loop went allocation-free, 3.2 and 2.4 after. The budgets sit between,
+	// so a reintroduced per-token or per-fetch allocation fails loudly.
+	base, _ := goldenSystem()
+	rate := nearKneeRate(base, 0.9, 0.2, 0.5)
+	for _, c := range []struct {
+		name   string
+		ratio  float64
+		budget float64
+	}{
+		{"memory-off", 0, 16},
+		{"1.5x", 1.5, 16},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := base
+			opts.Oversubscription = c.ratio
+			opts.Phases = []Phase{{Name: "steady", Duration: 4, Rate: rate, Dataset: synth.Pile()}}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := Run(opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := float64(after.Mallocs-before.Mallocs) / float64(rep.Iterations)
+			t.Logf("%.1f allocations per iteration over %d iterations", per, rep.Iterations)
+			if per > c.budget {
+				t.Fatalf("%.1f allocations per decode iteration, budget %.0f", per, c.budget)
+			}
+		})
+	}
+}

@@ -15,13 +15,11 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/chaos"
 	"repro/internal/expertmem"
 	"repro/internal/fleet"
-	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rng"
@@ -36,9 +34,9 @@ import (
 type Options struct {
 	// Topo is the per-replica hardware topology.
 	Topo *topo.Topology
-	// Kernel is the model's routing behaviour; TopK the gating fan-out.
+	// Kernel is the model's routing behaviour. Serving reads each token's
+	// primary expert only, so the gating fan-out does not enter the model.
 	Kernel *synth.Kernel
-	TopK   int
 	// Placement is the initial expert placement every replica starts from.
 	Placement *placement.Placement
 	// BaselineCounts are the offline profiling-trace transition counts: the
@@ -221,9 +219,6 @@ func (o Options) withDefaults() Options {
 	if o.MinGain == 0 {
 		o.MinGain = 0.01
 	}
-	if o.TopK == 0 {
-		o.TopK = 1
-	}
 	if o.PrefetchK == 0 {
 		o.PrefetchK = 4
 	}
@@ -327,6 +322,12 @@ func (o *Options) Validate() error {
 		if err := p.validate(); err != nil {
 			return err
 		}
+		if len(p.Dataset.Mix) != o.Kernel.Domains {
+			// The kernel would alias the extra domains onto its own tilts
+			// (or never route the missing ones) without complaint.
+			return fmt.Errorf("serve: phase %q dataset %q mixes %d domains, kernel routes %d",
+				p.Name, p.Dataset.Name, len(p.Dataset.Mix), o.Kernel.Domains)
+		}
 	}
 	return nil
 }
@@ -406,10 +407,13 @@ type event struct {
 	gen int
 }
 
+// eventHeap is the simulation's binary min-heap of pending events. push and
+// pop run container/heap's sift loops step for step, so the array evolves
+// exactly as under container/heap and events that compare equal (they can
+// differ only in gen) pop in the same order; being typed, they box nothing.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
@@ -421,21 +425,65 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// push adds e (container/heap.Push).
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event (container/heap.Pop).
+func (h *eventHeap) pop() event {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	e := old[n]
+	*h = old[:n]
+	return e
+}
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 // server is the run state.
 type server struct {
 	opts     Options
-	routers  []moe.Router // per phase
 	replicas []*replica
 	window   *TraceWindow
 	ctrl     *controller
 	// mems[r] is replica r's tiered expert-weight memory (nil slices when
-	// Oversubscription is zero). paths is the per-iteration routing scratch.
+	// Oversubscription is zero). paths is the per-iteration routing scratch
+	// and stall the stall timeline's.
 	mems  []*expertmem.Manager
 	paths [][]int
+	stall stallScratch
 
 	// fl is the fleet tier (nil when Options.Fleet is nil — every fleet
 	// branch below is gated on it so the nil path stays bit-identical).
@@ -513,9 +561,6 @@ func Run(opts Options) (*Report, error) {
 	}
 	s.ctrl = newController(&s.opts, s.window, poolCounts(opts.BaselineCounts, opts.Placement.Experts))
 	s.curPl = opts.Placement
-	for _, p := range opts.Phases {
-		s.routers = append(s.routers, synth.NewKernelRouter(opts.Kernel, p.Dataset, opts.TopK))
-	}
 	// With an autoscaling fleet the replica slice holds every slot the spec
 	// could ever commit; slots beyond the initial Replicas start dark.
 	slots := opts.Replicas
@@ -597,13 +642,12 @@ func Run(opts Options) (*Report, error) {
 	if len(s.arrivals) == 0 {
 		return nil, fmt.Errorf("serve: traffic program produced no arrivals")
 	}
-	heap.Init(&s.events)
 	for i := range s.arrivals {
-		heap.Push(&s.events, event{t: s.arrivals[i].arrival, kind: evArrival, seq: i})
+		s.events.push(event{t: s.arrivals[i].arrival, kind: evArrival, seq: i})
 	}
 
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(event)
+	for len(s.events) > 0 {
+		e := s.events.pop()
 		// Replica-targeted events from a crashed incarnation are stale: the
 		// generation check drops an iteration, stall, warm-up, or recovery
 		// the fault aborted.
@@ -776,7 +820,7 @@ func (s *server) beginStall(now float64, r *replica) {
 			T: now, Dur: s.pending.event.Seconds})
 	}
 	s.seq++
-	heap.Push(&s.events, event{t: now + s.pending.event.Seconds, kind: evStallEnd, rep: r.id, seq: s.seq, gen: r.gen})
+	s.events.push(event{t: now + s.pending.event.Seconds, kind: evStallEnd, rep: r.id, seq: s.seq, gen: r.gen})
 }
 
 // maybeCheckDrift runs the periodic drift observation and, when the
@@ -825,7 +869,7 @@ func (s *server) maybeCheckDrift(now float64) {
 	}
 	s.solving = solve
 	s.seq++
-	heap.Push(&s.events, event{t: now + s.solveLatency(), kind: evSolveEnd, seq: s.seq})
+	s.events.push(event{t: now + s.solveLatency(), kind: evSolveEnd, seq: s.seq})
 }
 
 // solveLatency is the simulated seconds one background re-solve charges to
@@ -881,16 +925,11 @@ func (s *server) start(now float64, r *replica) {
 	}
 	same, node, cross := 0, 0, 0
 	for i, rq := range r.active {
-		router := s.routers[rq.phase]
-		id := s.opts.Phases[rq.phase].Dataset.TokenID(tokenOrdinalBase + s.ordinal)
+		ds := s.opts.Phases[rq.phase].Dataset
+		id := ds.TokenID(tokenOrdinalBase + s.ordinal)
 		s.ordinal++
 		path := s.paths[i]
-		prev := -1
-		for j := 0; j < layers; j++ {
-			experts := router.Route(j, id, prev, nil)
-			path[j] = experts[0]
-			prev = experts[0]
-		}
+		s.opts.Kernel.PathInto(id, ds.TokenDomain(id), path)
 		s.window.Push(path)
 		at := rq.home
 		for j := 0; j < layers; j++ {
@@ -936,7 +975,7 @@ func (s *server) start(now float64, r *replica) {
 	}
 	r.running = true
 	s.seq++
-	heap.Push(&s.events, event{t: now + dt, kind: evIterEnd, rep: r.id, seq: s.seq, gen: r.gen})
+	s.events.push(event{t: now + dt, kind: evIterEnd, rep: r.id, seq: s.seq, gen: r.gen})
 	if len(failedRows) > 0 {
 		// Retry-exhausted fetches stranded these tokens' iterations: shed
 		// them now (the batch accounting above already counted the launch)
@@ -952,8 +991,6 @@ func (s *server) start(now float64, r *replica) {
 // fetch-timeout model is armed — the batch rows whose tokens hit a
 // retry-exhausted fetch and must be shed.
 func (s *server) memoryStalls(r *replica, batch int, now, computeDur float64) (float64, []int) {
-	if s.ch != nil && s.ch.sched.FetchTimeout > 0 {
-		return LayerStallTimelineChecked(s.mems[r.id], r.pl, s.paths, batch, now, computeDur, s.tr, r.id)
-	}
-	return LayerStallTimelineTraced(s.mems[r.id], r.pl, s.paths, batch, now, computeDur, s.tr, r.id), nil
+	checked := s.ch != nil && s.ch.sched.FetchTimeout > 0
+	return layerStallCore(&s.stall, s.mems[r.id], r.pl, s.paths, batch, now, computeDur, s.tr, r.id, checked)
 }

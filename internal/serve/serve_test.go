@@ -174,18 +174,27 @@ func TestServeValidation(t *testing.T) {
 	}
 	// NaN and +Inf slip past ordered comparisons and would spin the arrival
 	// generator forever, so they are rejected alongside non-positive values.
+	// A dataset whose mix length differs from the kernel's domain count
+	// would alias domains onto the wrong tilts (or never route some).
 	for _, c := range []struct {
 		name           string
 		duration, rate float64
+		mix            []float64 // nil: the 6-domain Pile mix
 	}{
-		{"zero rate", 1, 0},
-		{"NaN rate", 1, math.NaN()},
-		{"infinite rate", 1, math.Inf(1)},
-		{"NaN duration", math.NaN(), 10},
-		{"infinite duration", math.Inf(1), 10},
+		{"zero rate", 1, 0, nil},
+		{"NaN rate", 1, math.NaN(), nil},
+		{"infinite rate", 1, math.Inf(1), nil},
+		{"NaN duration", math.NaN(), 10, nil},
+		{"infinite duration", math.Inf(1), 10, nil},
+		{"8-domain mix on a 6-domain kernel", 1, 10, []float64{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"5-domain mix on a 6-domain kernel", 1, 10, []float64{1, 1, 1, 1, 1}},
 	} {
 		opts, _ := testSystem(t)
-		opts.Phases = []Phase{{Name: "bad", Duration: c.duration, Rate: c.rate, Dataset: synth.Pile()}}
+		ds := synth.Pile()
+		if c.mix != nil {
+			ds = synth.Custom("mismatched", c.mix, 0xBAD)
+		}
+		opts.Phases = []Phase{{Name: "bad", Duration: c.duration, Rate: c.rate, Dataset: ds}}
 		if _, err := Run(opts); err == nil {
 			t.Fatalf("%s phase must fail", c.name)
 		}

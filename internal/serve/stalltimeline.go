@@ -36,30 +36,37 @@ import (
 // conformance suite (TestStallModelConformance in the root package), which
 // replays identical routing through both.
 func LayerStallTimeline(mem *expertmem.Manager, pl *placement.Placement, paths [][]int, batch int, now, computeDur float64) float64 {
-	return LayerStallTimelineTraced(mem, pl, paths, batch, now, computeDur, nil, 0)
-}
-
-// LayerStallTimelineTraced is LayerStallTimeline with span emission: each
-// (GPU, layer) demand stall greater than zero becomes an EvExpertStall span
-// on the GPU's track, starting at the layer's post-compute instant for that
-// GPU. A nil tracer is the zero-overhead path (bit-identical stalls).
-func LayerStallTimelineTraced(mem *expertmem.Manager, pl *placement.Placement, paths [][]int, batch int, now, computeDur float64, tr *obs.Tracer, rep int) float64 {
-	st, _ := layerStallCore(mem, pl, paths, batch, now, computeDur, tr, rep, false)
+	st, _ := layerStallCore(&stallScratch{}, mem, pl, paths, batch, now, computeDur, nil, 0, false)
 	return st
 }
 
-// LayerStallTimelineChecked is LayerStallTimelineTraced under the chaos
-// fetch-timeout model: demand accesses may exhaust their retries and fail.
-// A failed (GPU, expert) fetch poisons every batch row routed through it
-// this layer — those rows' weights will never arrive, so they drop out of
-// the walk (no further demand, no prefetch hints) and their indices are
-// returned for the caller to shed. With no timeout armed, failures are
-// impossible and the stall is bit-identical to the unchecked walk.
-func LayerStallTimelineChecked(mem *expertmem.Manager, pl *placement.Placement, paths [][]int, batch int, now, computeDur float64, tr *obs.Tracer, rep int) (float64, []int) {
-	return layerStallCore(mem, pl, paths, batch, now, computeDur, tr, rep, true)
+// stallScratch is layerStallCore's per-layer working state, kept by the
+// server so a serve iteration's walk allocates nothing. seen and failedKeys
+// are indexed by expert id: within one layer every expert has exactly one
+// owner GPU, so the expert alone identifies its (GPU, expert) demand. Both
+// are all false between layers.
+type stallScratch struct {
+	gpuStall   []float64
+	seen       []bool // expert already demanded this layer
+	failedKeys []bool // expert's fetch exhausted its retries this layer
 }
 
-func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]int, batch int, now, computeDur float64, tr *obs.Tracer, rep int, checked bool) (float64, []int) {
+// layerStallCore is LayerStallTimeline as the serve loop runs it: on the
+// server's reused scratch sc, with span emission, and optionally under the
+// chaos fetch-timeout model.
+//
+// With a tracer, each (GPU, layer) demand stall greater than zero becomes an
+// EvExpertStall span on the GPU's track, starting at the layer's
+// post-compute instant for that GPU. A nil tracer is the zero-overhead path
+// (bit-identical stalls).
+//
+// When checked, demand accesses may exhaust their retries and fail. A failed
+// (GPU, expert) fetch poisons every batch row routed through it this layer —
+// those rows' weights will never arrive, so they drop out of the walk (no
+// further demand, no prefetch hints) and their indices are returned for the
+// caller to shed. With no timeout armed, failures are impossible and the
+// stall is bit-identical to the unchecked walk.
+func layerStallCore(sc *stallScratch, mem *expertmem.Manager, pl *placement.Placement, paths [][]int, batch int, now, computeDur float64, tr *obs.Tracer, rep int, checked bool) (float64, []int) {
 	if !mem.Oversubscribed() {
 		return 0, nil
 	}
@@ -68,16 +75,20 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 	prefetch := mem.Prefetching()
 	t := now
 	total := 0.0
-	seen := make(map[[2]int]bool, batch)
-	gpuStall := make([]float64, pl.GPUs)
-	var failed []bool              // lazily allocated: rows dropped by a failed fetch
-	var failedRows []int           // their indices, in discovery order
-	var failedKeys map[[2]int]bool // this layer's exhausted (GPU, expert) fetches
+	if len(sc.gpuStall) != pl.GPUs || len(sc.seen) != pl.Experts {
+		*sc = stallScratch{
+			gpuStall:   make([]float64, pl.GPUs),
+			seen:       make([]bool, pl.Experts),
+			failedKeys: make([]bool, pl.Experts),
+		}
+	}
+	seen, gpuStall, failedKeys := sc.seen, sc.gpuStall, sc.failedKeys
+	var failed []bool    // lazily allocated: rows dropped by a failed fetch
+	var failedRows []int // their indices, in discovery order
 	for j := 0; j < layers; j++ {
 		clear(seen)
-		for g := range gpuStall {
-			gpuStall[g] = 0
-		}
+		clear(gpuStall)
+		anyFailed := false
 		stall := 0.0
 		// Demand accesses first: same-instant speculation must never delay
 		// them (Prefetch only uses idle link bandwidth anyway). A GPU's
@@ -90,20 +101,17 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 				continue
 			}
 			e := paths[i][j]
-			gpu := pl.GPUOf(j, e)
-			k := [2]int{gpu, e}
-			if seen[k] {
+			if seen[e] {
 				continue
 			}
-			seen[k] = true
+			seen[e] = true
+			gpu := pl.GPUOf(j, e)
 			if checked {
 				st, ok := mem.AccessChecked(gpu, j, e, t+gpuStall[gpu])
 				gpuStall[gpu] += st
 				if !ok {
-					if failedKeys == nil {
-						failedKeys = make(map[[2]int]bool)
-					}
-					failedKeys[k] = true
+					failedKeys[e] = true
+					anyFailed = true
 				}
 			} else {
 				gpuStall[gpu] += mem.Access(gpu, j, e, t+gpuStall[gpu])
@@ -112,16 +120,12 @@ func layerStallCore(mem *expertmem.Manager, pl *placement.Placement, paths [][]i
 				stall = gpuStall[gpu]
 			}
 		}
-		if len(failedKeys) > 0 {
+		if anyFailed {
 			if failed == nil {
 				failed = make([]bool, batch)
 			}
 			for i := 0; i < batch; i++ {
-				if failed[i] {
-					continue
-				}
-				e := paths[i][j]
-				if failedKeys[[2]int{pl.GPUOf(j, e), e}] {
+				if !failed[i] && failedKeys[paths[i][j]] {
 					failed[i] = true
 					failedRows = append(failedRows, i)
 				}

@@ -34,6 +34,13 @@ type Kernel struct {
 	initDist []float64     // layer-0 expert distribution
 	trans    [][][]float64 // [layer][from][to], layer in [0, Layers-2]
 	domPref  [][]float64   // [domain][expert] multiplicative tilt
+
+	// cum holds the running sums of every domain-tilted routing row, the
+	// sampling table First and Next bisect: row 0 is initDist and row
+	// 1+l*Experts+from is trans[l][from], each stored once per domain, so
+	// cum[((row*Domains)+domain)*Experts+i] is tilted(row, domain)[0..i]
+	// summed left to right. Read-only once NewKernel returns.
+	cum []float64
 }
 
 // KernelParams configures NewKernel.
@@ -125,7 +132,55 @@ func NewKernel(p KernelParams) *Kernel {
 		}
 		k.domPref[d] = pref
 	}
+	k.buildCum()
 	return k
+}
+
+// buildCum fills the sampling table. The running sums add in the same
+// left-to-right order rng.Categorical accumulates its weights, so a draw
+// from the table is bit-identical to Categorical over the tilted row.
+func (k *Kernel) buildCum() {
+	rows := 1 + (k.Layers-1)*k.Experts
+	k.cum = make([]float64, rows*k.Domains*k.Experts)
+	for row := 0; row < rows; row++ {
+		base := k.initDist
+		if row > 0 {
+			base = k.trans[(row-1)/k.Experts][(row-1)%k.Experts]
+		}
+		for d := 0; d < k.Domains; d++ {
+			acc := 0.0
+			c := k.cum[(row*k.Domains+d)*k.Experts:][:k.Experts]
+			for i, w := range k.tilted(base, d) {
+				acc += w
+				c[i] = acc
+			}
+		}
+	}
+}
+
+// draw samples an expert from the tilted routing row with seed seed. It is
+// rng.Categorical over tilted(row, domain) without rebuilding the row: u is
+// scaled by the same total, and on the non-decreasing running sums the
+// first index with u < sum is found by bisection instead of a linear scan,
+// falling back to the last index exactly as Categorical's floating-point
+// slack does.
+func (k *Kernel) draw(seed uint64, row, domain int) int {
+	d := domain % k.Domains
+	if d < 0 {
+		panic(fmt.Sprintf("synth: negative domain %d", domain))
+	}
+	c := k.cum[(row*k.Domains+d)*k.Experts:][:k.Experts]
+	u := rng.New(seed).Float64() * c[len(c)-1]
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < c[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // tilted returns base element-wise multiplied by the domain preference,
@@ -152,8 +207,7 @@ func (k *Kernel) tilted(base []float64, domain int) []float64 {
 // the shared-gating-function invariant hold in the engine: any GPU asking
 // "where does token t go at layer 0" gets the same answer.
 func (k *Kernel) First(tokenID uint64, domain int) int {
-	r := rng.New(rng.Mix64(k.Seed, tokenID, 0))
-	return r.Categorical(k.tilted(k.initDist, domain))
+	return k.draw(rng.Mix64(k.Seed, tokenID, 0), 0, domain)
 }
 
 // Next samples the expert at layer given the expert chosen at layer-1.
@@ -166,18 +220,25 @@ func (k *Kernel) Next(tokenID uint64, layer, prev, domain int) int {
 	if prev < 0 || prev >= k.Experts {
 		panic(fmt.Sprintf("synth: invalid prev expert %d", prev))
 	}
-	r := rng.New(rng.Mix64(k.Seed, tokenID, uint64(layer)))
-	return r.Categorical(k.tilted(k.trans[layer-1][prev], domain))
+	return k.draw(rng.Mix64(k.Seed, tokenID, uint64(layer)), 1+(layer-1)*k.Experts+prev, domain)
 }
 
 // Path returns the full per-layer expert path of a token.
 func (k *Kernel) Path(tokenID uint64, domain int) []int {
 	path := make([]int, k.Layers)
+	k.PathInto(tokenID, domain, path)
+	return path
+}
+
+// PathInto writes a token's per-layer expert path into path, which must
+// hold at least Layers entries: the First/Next walk of Path without the
+// allocation, for callers that route every token of a batch.
+func (k *Kernel) PathInto(tokenID uint64, domain int, path []int) {
+	path = path[:k.Layers]
 	path[0] = k.First(tokenID, domain)
 	for l := 1; l < k.Layers; l++ {
 		path[l] = k.Next(tokenID, l, path[l-1], domain)
 	}
-	return path
 }
 
 // Transition returns the ground-truth row P(.|from) between layer and

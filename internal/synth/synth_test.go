@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -239,6 +240,101 @@ func TestKernelRouterMatchesKernel(t *testing.T) {
 		if next[0] != k.Next(tok, 1, want, dom) {
 			t.Fatal("layer-1 route mismatch")
 		}
+	}
+	// PathInto is the per-layer primary-expert walk through Route, whatever
+	// the gating fan-out: the secondary draw never feeds the next layer.
+	path := make([]int, k.Layers)
+	for _, topK := range []int{1, 2} {
+		kr := NewKernelRouter(k, p, topK)
+		for tok := uint64(0); tok < 200; tok++ {
+			k.PathInto(tok, p.TokenDomain(tok), path)
+			prev := -1
+			for j := 0; j < k.Layers; j++ {
+				prev = kr.Route(j, tok, prev, nil)[0]
+				if path[j] != prev {
+					t.Fatalf("top-%d token %d layer %d: PathInto %d, Route walk %d", topK, tok, j, path[j], prev)
+				}
+			}
+		}
+	}
+}
+
+// categoricalDraw is the kernel's original sampler, kept as the reference
+// for the cumulative table: a fresh generator per (token, layer) and
+// rng.Categorical over the row tilted on the fly.
+func categoricalDraw(k *Kernel, tokenID uint64, layer, prev, domain int) int {
+	row := k.initDist
+	if layer > 0 {
+		row = k.trans[layer-1][prev]
+	}
+	return rng.New(rng.Mix64(k.Seed, tokenID, uint64(layer))).Categorical(k.tilted(row, domain))
+}
+
+func TestKernelDrawMatchesCategorical(t *testing.T) {
+	kernels := map[string]*Kernel{
+		// The serving benchmark's shape and tilt.
+		"bench": NewKernel(KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8}),
+		// A zero-mass tail: the running sums end in a flat run the bisection
+		// must never land on.
+		"active3":    NewKernel(KernelParams{Seed: 3, Layers: 4, Experts: 16, Strength: 0.8, ActiveExperts: 3}),
+		"one-domain": NewKernel(KernelParams{Seed: 2, Layers: 3, Experts: 8, Strength: 0.7, Domains: 1}),
+	}
+	for name, k := range kernels {
+		r := rng.New(rng.Mix64(k.Seed, 0x7E57))
+		for n := 0; n < 10000; n++ {
+			tok := r.Uint64()
+			layer := r.Intn(k.Layers)
+			prev := r.Intn(k.Experts)
+			// Domains past the kernel's count alias modulo Domains, as the
+			// tilt always has.
+			domain := r.Intn(2 * k.Domains)
+			var got int
+			if layer == 0 {
+				got = k.First(tok, domain)
+			} else {
+				got = k.Next(tok, layer, prev, domain)
+			}
+			if want := categoricalDraw(k, tok, layer, prev, domain); got != want {
+				t.Fatalf("%s: token %#x layer %d prev %d domain %d: table draw %d, Categorical %d",
+					name, tok, layer, prev, domain, got, want)
+			}
+		}
+	}
+}
+
+func TestKernelDrawAllocs(t *testing.T) {
+	k := NewKernel(KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8})
+	p := Pile()
+	path := make([]int, k.Layers)
+	tok := uint64(0)
+	if a := testing.AllocsPerRun(200, func() {
+		tok++
+		k.PathInto(tok, p.TokenDomain(tok), path)
+	}); a != 0 {
+		t.Fatalf("PathInto+TokenDomain allocates %v objects per token, want 0", a)
+	}
+	// Route keeps exactly one allocation: the expert slice it returns.
+	kr := NewKernelRouter(k, p, 1)
+	if a := testing.AllocsPerRun(200, func() {
+		tok++
+		_ = kr.Route(3, tok, 5, nil)
+	}); a != 1 {
+		t.Fatalf("Route allocates %v objects per call, want 1", a)
+	}
+}
+
+// BenchmarkKernelPathInto routes one token through every layer of the
+// serving benchmark's kernel shape, domain draw included — one token of a
+// serve iteration.
+func BenchmarkKernelPathInto(b *testing.B) {
+	k := NewKernel(KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8})
+	p := Pile()
+	path := make([]int, k.Layers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := uint64(i)
+		k.PathInto(id, p.TokenDomain(id), path)
 	}
 }
 

@@ -405,7 +405,6 @@ func Serve(sys *System, opts ServeOptions) (*ServeReport, *ServeMetrics, error) 
 	rep, err := serve.Run(serve.Options{
 		Topo:               sys.Topo,
 		Kernel:             sys.Kernel,
-		TopK:               sys.Model.Cfg.TopK,
 		Placement:          cal.Placement,
 		BaselineCounts:     cal.Trace.AllTransitionCounts(),
 		Cost:               met.Cost,
