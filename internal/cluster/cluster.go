@@ -27,10 +27,16 @@ type message struct {
 	poison  bool    // set when a peer rank panicked; Recv re-panics
 }
 
-// mailboxDepth bounds the per-(src,dst) channel. Collectives never have more
-// than a handful of outstanding messages per pair; the generous depth means
-// sends never block and the simulation cannot deadlock on buffer space.
-const mailboxDepth = 4096
+// mailboxDepth bounds the per-(src,dst) channel. The collectives run in
+// lockstep (every rank issues the same sequence, and each send to a peer is
+// matched by that peer's receive in the same collective), so at most 2
+// messages are outstanding per pair: one from the current collective and one
+// from a sender already in the next. A sender further ahead only blocks
+// until the receiver catches up, which it does in order, so a full mailbox
+// is back-pressure, never a deadlock. Each slot holds a pointer the GC must
+// zero and scan, and a 16-GPU cluster has 256 mailboxes, so the depth stays
+// small.
+const mailboxDepth = 16
 
 // Cluster owns the topology, the mailboxes, and the shared barrier.
 type Cluster struct {

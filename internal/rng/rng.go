@@ -10,11 +10,14 @@ package rng
 
 import "math"
 
+// gamma is SplitMix64's state increment.
+const gamma = 0x9e3779b97f4a7c15
+
 // splitMix64 advances a SplitMix64 state and returns the next output. It is
 // used both as a standalone mixer (per-token seeding) and to initialize
 // xoshiro256** state from a single seed.
 func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
+	*state += gamma
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -25,12 +28,38 @@ func splitMix64(state *uint64) uint64 {
 // single well-distributed 64-bit value. It is the repository-wide way to
 // derive independent seeds, e.g. Mix64(seed, tokenID, layer).
 func Mix64(vs ...uint64) uint64 {
+	state := uint64(MixPrefix(vs...))
+	return splitMix64(&state)
+}
+
+// Prefix is Mix64's state after folding a fixed list of leading values, for
+// callers that mix many seeds sharing that list: MixPrefix(a, b).Mix64(c)
+// equals Mix64(a, b, c) at the cost of one SplitMix64 output.
+type Prefix uint64
+
+// MixPrefix folds vs into Mix64's state.
+func MixPrefix(vs ...uint64) Prefix {
 	state := uint64(0x243f6a8885a308d3) // pi digits; arbitrary non-zero
 	for _, v := range vs {
 		state ^= v
-		_ = splitMix64(&state)
+		state += gamma // a splitMix64 step whose output is unused
 	}
+	return Prefix(state)
+}
+
+// Mix64 returns Mix64 of the prefix's values followed by v.
+func (p Prefix) Mix64(v uint64) uint64 {
+	state := (uint64(p) ^ v) + gamma
 	return splitMix64(&state)
+}
+
+// FirstFloat64 returns New(seed).Float64() without building the generator:
+// xoshiro256**'s first output reads only s1, the seed's second SplitMix64
+// output.
+func FirstFloat64(seed uint64) float64 {
+	state := seed + gamma // skip s0
+	s1 := splitMix64(&state)
+	return float64((rotl(s1*5, 7)*9)>>11) / (1 << 53)
 }
 
 // RNG is a xoshiro256** generator. The zero value is not valid; use New.

@@ -42,6 +42,22 @@ func TestMix64Deterministic(t *testing.T) {
 	}
 }
 
+func TestPrefixMatchesMix64(t *testing.T) {
+	if err := quick.Check(func(a, b, v uint64) bool {
+		return MixPrefix(a, b).Mix64(v) == Mix64(a, b, v) && MixPrefix().Mix64(v) == Mix64(v)
+	}, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFirstFloat64MatchesNew(t *testing.T) {
+	if err := quick.Check(func(seed uint64) bool {
+		return FirstFloat64(seed) == New(seed).Float64()
+	}, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(7)
 	for i := 0; i < 10000; i++ {

@@ -97,6 +97,49 @@ func BenchmarkLayerStallTimeline(b *testing.B) {
 	}
 }
 
+// benchWindow fills a default-capacity window on the serving benchmark's
+// kernel shape (16 layers, 32 experts) and returns it with twice its
+// capacity of further routed paths from dataset ds.
+func benchWindow(ds *synth.DatasetProfile) (*TraceWindow, [][]int) {
+	k := synth.NewKernel(synth.KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8})
+	w := NewTraceWindow(k.Layers, k.Experts, DefaultWindow)
+	paths := make([][]int, 3*DefaultWindow)
+	for i := range paths {
+		id := ds.TokenID(uint64(i))
+		paths[i] = k.Path(id, ds.TokenDomain(id))
+	}
+	for _, p := range paths[:DefaultWindow] {
+		w.Push(p)
+	}
+	return w, paths[DefaultWindow:]
+}
+
+// BenchmarkTraceWindowPush pushes one routed token path into a full
+// window, evicting the oldest: the per-token window update of a decode
+// iteration.
+func BenchmarkTraceWindowPush(b *testing.B) {
+	w, paths := benchWindow(synth.Pile())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Push(paths[i%len(paths)])
+	}
+}
+
+// BenchmarkDriftCheck is one drift check of the controller: pool a full
+// window's transition counts and score them against a baseline pooled from
+// another dataset.
+func BenchmarkDriftCheck(b *testing.B) {
+	base, _ := benchWindow(synth.Pile())
+	w, _ := benchWindow(synth.Yelp())
+	det := NewDetector(JS, 0.008, 1, base.Pooled())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det.Observe(w.Pooled())
+	}
+}
+
 func TestServeIterationAllocBudget(t *testing.T) {
 	// Mallocs per decode iteration over a whole tiny run (set-up and report
 	// amortized in). Routing used to allocate a slice, a generator and a

@@ -484,6 +484,9 @@ type server struct {
 	mems  []*expertmem.Manager
 	paths [][]int
 	stall stallScratch
+	// hops[src*GPUs+dst] is Topo.Classify(src, dst), built once so the
+	// iteration loop classifies a dispatch hop without dividing.
+	hops []topo.HopClass
 
 	// fl is the fleet tier (nil when Options.Fleet is nil — every fleet
 	// branch below is gated on it so the nil path stays bit-identical).
@@ -560,6 +563,13 @@ func Run(opts Options) (*Report, error) {
 		met:    newServeMetrics(opts.Metrics),
 	}
 	s.ctrl = newController(&s.opts, s.window, poolCounts(opts.BaselineCounts, opts.Placement.Experts))
+	gpus := opts.Topo.TotalGPUs()
+	s.hops = make([]topo.HopClass, gpus*gpus)
+	for src := 0; src < gpus; src++ {
+		for dst := 0; dst < gpus; dst++ {
+			s.hops[src*gpus+dst] = opts.Topo.Classify(src, dst)
+		}
+	}
 	s.curPl = opts.Placement
 	// With an autoscaling fleet the replica slice holds every slot the spec
 	// could ever commit; slots beyond the initial Replicas start dark.
@@ -923,7 +933,7 @@ func (s *server) start(now float64, r *replica) {
 	for len(s.paths) < len(r.active) {
 		s.paths = append(s.paths, make([]int, layers))
 	}
-	same, node, cross := 0, 0, 0
+	var perClass [topo.CrossNode + 1]int // dispatch hops per hop class
 	for i, rq := range r.active {
 		ds := s.opts.Phases[rq.phase].Dataset
 		id := ds.TokenID(tokenOrdinalBase + s.ordinal)
@@ -934,18 +944,12 @@ func (s *server) start(now float64, r *replica) {
 		at := rq.home
 		for j := 0; j < layers; j++ {
 			owner := r.pl.GPUOf(j, path[j])
-			switch s.opts.Topo.Classify(at, owner) {
-			case topo.SameGPU:
-				same++
-			case topo.SameNode:
-				node++
-			default:
-				cross++
-			}
+			perClass[s.hops[at*gpus+owner]]++
 			at = owner
 		}
 	}
-	total := float64(same + node + cross)
+	node, cross := perClass[topo.SameNode], perClass[topo.CrossNode]
+	total := float64(perClass[topo.SameGPU] + node + cross)
 	fn, fc := float64(node)/total, float64(cross)/total
 	dt := s.opts.Cost.Time(len(r.active), fn, fc)
 	var failedRows []int

@@ -36,11 +36,16 @@ type Kernel struct {
 	domPref  [][]float64   // [domain][expert] multiplicative tilt
 
 	// cum holds the running sums of every domain-tilted routing row, the
-	// sampling table First and Next bisect: row 0 is initDist and row
-	// 1+l*Experts+from is trans[l][from], each stored once per domain, so
-	// cum[((row*Domains)+domain)*Experts+i] is tilted(row, domain)[0..i]
-	// summed left to right. Read-only once NewKernel returns.
-	cum []float64
+	// table draws sample from: row 0 is initDist and row 1+l*Experts+from is
+	// trans[l][from], each stored once per domain, so
+	// cum[slot*Experts+i] with slot = row*Domains+domain is
+	// tilted(row, domain)[0..i] summed left to right. guide is its cutpoint
+	// table: guideSize entries per slot, where entry t is the index a draw
+	// with uniform t/guideSize returns, so a draw starts its scan there.
+	// Both are read-only once NewKernel returns.
+	cum       []float64
+	guide     []uint16
+	guideSize int
 }
 
 // KernelParams configures NewKernel.
@@ -72,7 +77,8 @@ type KernelParams struct {
 
 // NewKernel builds a deterministic kernel from the parameters.
 func NewKernel(p KernelParams) *Kernel {
-	if p.Layers < 1 || p.Experts < 1 {
+	// The sampling guide stores expert indices as uint16.
+	if p.Layers < 1 || p.Experts < 1 || p.Experts > 1<<16 {
 		panic(fmt.Sprintf("synth: invalid kernel shape %dx%d", p.Layers, p.Experts))
 	}
 	if p.Strength < 0 || p.Strength > 1 {
@@ -136,51 +142,84 @@ func NewKernel(p KernelParams) *Kernel {
 	return k
 }
 
-// buildCum fills the sampling table. The running sums add in the same
+// buildCum fills the sampling tables. The running sums add in the same
 // left-to-right order rng.Categorical accumulates its weights, so a draw
-// from the table is bit-identical to Categorical over the tilted row.
+// from the table is bit-identical to Categorical over the tilted row. The
+// guide has a power-of-two size of at least Experts per slot, so both t/G
+// and f·G are exact.
 func (k *Kernel) buildCum() {
 	rows := 1 + (k.Layers-1)*k.Experts
+	k.guideSize = 1
+	for k.guideSize < k.Experts {
+		k.guideSize <<= 1
+	}
 	k.cum = make([]float64, rows*k.Domains*k.Experts)
+	k.guide = make([]uint16, rows*k.Domains*k.guideSize)
 	for row := 0; row < rows; row++ {
 		base := k.initDist
 		if row > 0 {
 			base = k.trans[(row-1)/k.Experts][(row-1)%k.Experts]
 		}
 		for d := 0; d < k.Domains; d++ {
+			slot := row*k.Domains + d
 			acc := 0.0
-			c := k.cum[(row*k.Domains+d)*k.Experts:][:k.Experts]
+			c := k.cum[slot*k.Experts:][:k.Experts]
 			for i, w := range k.tilted(base, d) {
 				acc += w
 				c[i] = acc
 			}
+			fillGuide(k.guide[slot*k.guideSize:][:k.guideSize], c)
 		}
 	}
 }
 
-// draw samples an expert from the tilted routing row with seed seed. It is
-// rng.Categorical over tilted(row, domain) without rebuilding the row: u is
-// scaled by the same total, and on the non-decreasing running sums the
-// first index with u < sum is found by bisection instead of a linear scan,
-// falling back to the last index exactly as Categorical's floating-point
-// slack does.
-func (k *Kernel) draw(seed uint64, row, domain int) int {
-	d := domain % k.Domains
-	if d < 0 {
+// fillGuide sets each guide entry g[t] to the index pick returns from the
+// running sums c at uniform t/len(g), in one merge pass.
+func fillGuide(g []uint16, c []float64) {
+	last, i := len(c)-1, 0
+	for t := range g {
+		u := float64(t) / float64(len(g)) * c[last]
+		for i < last && u >= c[i] {
+			i++
+		}
+		g[t] = uint16(i)
+	}
+}
+
+// domain maps a token domain onto the kernel's: domains past the count
+// alias modulo Domains, and negative ones are rejected.
+func (k *Kernel) domain(domain int) int {
+	if domain < 0 {
 		panic(fmt.Sprintf("synth: negative domain %d", domain))
 	}
-	c := k.cum[(row*k.Domains+d)*k.Experts:][:k.Experts]
-	u := rng.New(seed).Float64() * c[len(c)-1]
-	lo, hi := 0, len(c)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if u < c[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	return domain % k.Domains
+}
+
+// draw samples an expert from the tilted routing row with seed seed:
+// rng.Categorical over tilted(row, domain), whose only uniform is
+// New(seed).Float64().
+func (k *Kernel) draw(seed uint64, row, domain int) int {
+	return k.pick(row*k.Domains+k.domain(domain), rng.FirstFloat64(seed))
+}
+
+// pick returns the index rng.Categorical returns over the tilted row of
+// slot when its uniform is f, without rebuilding the row: u is scaled by
+// the same total, and the answer is the first index with u < cum[i],
+// falling back to the last index exactly as Categorical's floating-point
+// slack does. The scan starts at guide entry ⌊f·G⌋, the answer at
+// f' = ⌊f·G⌋/G ≤ f. That is never past the answer at f, because
+// u = f·cum[last] rounds monotonically in f and the answer is monotone in
+// u; and every index before it has cum[i] ≤ u(f') ≤ u. So the forward scan
+// lands on the same index a linear scan from 0 would, in about one step.
+func (k *Kernel) pick(slot int, f float64) int {
+	c := k.cum[slot*k.Experts:][:k.Experts]
+	last := len(c) - 1
+	u := f * c[last]
+	i := int(k.guide[slot*k.guideSize+int(f*float64(k.guideSize))])
+	for i < last && u >= c[i] {
+		i++
 	}
-	return lo
+	return i
 }
 
 // tilted returns base element-wise multiplied by the domain preference,
@@ -232,12 +271,17 @@ func (k *Kernel) Path(tokenID uint64, domain int) []int {
 
 // PathInto writes a token's per-layer expert path into path, which must
 // hold at least Layers entries: the First/Next walk of Path without the
-// allocation, for callers that route every token of a batch.
+// allocation, for callers that route every token of a batch. The token's
+// (seed, tokenID) prefix of every layer's Mix64 seed is folded once.
 func (k *Kernel) PathInto(tokenID uint64, domain int, path []int) {
 	path = path[:k.Layers]
-	path[0] = k.First(tokenID, domain)
-	for l := 1; l < k.Layers; l++ {
-		path[l] = k.Next(tokenID, l, path[l-1], domain)
+	d := k.domain(domain)
+	seeds := rng.MixPrefix(k.Seed, tokenID)
+	prev := k.pick(d, rng.FirstFloat64(seeds.Mix64(0)))
+	path[0] = prev
+	for l := 1; l < len(path); l++ {
+		prev = k.pick((1+(l-1)*k.Experts+prev)*k.Domains+d, rng.FirstFloat64(seeds.Mix64(uint64(l))))
+		path[l] = prev
 	}
 }
 

@@ -157,6 +157,12 @@ func TestNextArgumentValidation(t *testing.T) {
 		func() { k.Next(1, k.Layers, 0, 0) },
 		func() { k.Next(1, 1, -1, 0) },
 		func() { k.Next(1, 1, k.Experts, 0) },
+		// A negative domain is rejected even when it is a multiple of
+		// Domains, which the modulo alias would map onto domain 0.
+		func() { k.Next(1, 1, 0, -1) },
+		func() { k.Next(1, 1, 0, -k.Domains) },
+		func() { k.First(1, -k.Domains) },
+		func() { k.PathInto(1, -k.Domains, make([]int, k.Layers)) },
 	} {
 		func() {
 			defer func() {
@@ -270,14 +276,37 @@ func categoricalDraw(k *Kernel, tokenID uint64, layer, prev, domain int) int {
 	return rng.New(rng.Mix64(k.Seed, tokenID, uint64(layer))).Categorical(k.tilted(row, domain))
 }
 
+// categoricalAt is rng.Categorical's scan with its uniform fixed at f.
+func categoricalAt(weights []float64, f float64) int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	u := f * total
+	acc := 0.0
+	for i, w := range weights {
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
 func TestKernelDrawMatchesCategorical(t *testing.T) {
 	kernels := map[string]*Kernel{
 		// The serving benchmark's shape and tilt.
 		"bench": NewKernel(KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8}),
-		// A zero-mass tail: the running sums end in a flat run the bisection
+		// A zero-mass tail: the running sums end in a flat run the scan
 		// must never land on.
 		"active3":    NewKernel(KernelParams{Seed: 3, Layers: 4, Experts: 16, Strength: 0.8, ActiveExperts: 3}),
 		"one-domain": NewKernel(KernelParams{Seed: 2, Layers: 3, Experts: 8, Strength: 0.7, Domains: 1}),
+		// Expert counts that are not powers of two: the guide has more
+		// entries than the row.
+		"e24": NewKernel(KernelParams{Seed: 5, Layers: 4, Experts: 24, Strength: 0.85, DomainTilt: 8}),
+		"e48": NewKernel(KernelParams{Seed: 6, Layers: 3, Experts: 48, Strength: 0.6}),
+		// One expert: a one-entry guide, and every draw is 0.
+		"e1": NewKernel(KernelParams{Seed: 8, Layers: 3, Experts: 1, Strength: 0.5}),
 	}
 	for name, k := range kernels {
 		r := rng.New(rng.Mix64(k.Seed, 0x7E57))
@@ -297,6 +326,86 @@ func TestKernelDrawMatchesCategorical(t *testing.T) {
 			if want := categoricalDraw(k, tok, layer, prev, domain); got != want {
 				t.Fatalf("%s: token %#x layer %d prev %d domain %d: table draw %d, Categorical %d",
 					name, tok, layer, prev, domain, got, want)
+			}
+		}
+		// On every row, the uniforms where a guide entry changes: each
+		// cutpoint t/G, the uniform just below it, and both ends of
+		// Float64's range.
+		if g := k.guideSize; g&(g-1) != 0 || g < k.Experts {
+			t.Fatalf("%s: guide size %d for %d experts, want a power of two at least as large", name, g, k.Experts)
+		}
+		g := float64(k.guideSize)
+		edges := []float64{0, 1 - 0x1p-53}
+		for cut := 1; cut < k.guideSize; cut++ {
+			edges = append(edges, float64(cut)/g, float64(cut)/g-0x1p-53)
+		}
+		for row := 0; row < 1+(k.Layers-1)*k.Experts; row++ {
+			base := k.initDist
+			if row > 0 {
+				base = k.trans[(row-1)/k.Experts][(row-1)%k.Experts]
+			}
+			for d := 0; d < k.Domains; d++ {
+				weights := k.tilted(base, d)
+				for _, f := range edges {
+					if got, want := k.pick(row*k.Domains+d, f), categoricalAt(weights, f); got != want {
+						t.Fatalf("%s: row %d domain %d uniform %v: table draw %d, Categorical %d",
+							name, row, d, f, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	// A draw whose uniform sits at the top of Float64's range scans from
+	// the guide's last entry up to the last expert, the index Categorical
+	// falls back to when no earlier running sum exceeds u.
+	k := kernels["bench"]
+	for tok := uint64(0); ; tok++ {
+		if rng.FirstFloat64(rng.Mix64(k.Seed, tok, 0)) < 1-0x1p-20 {
+			continue
+		}
+		got, want := k.First(tok, 0), categoricalDraw(k, tok, 0, 0, 0)
+		if got != want || got != k.Experts-1 {
+			t.Fatalf("top-of-range token %d: table draw %d, Categorical %d, want the last expert %d",
+				tok, got, want, k.Experts-1)
+		}
+		break
+	}
+}
+
+// TestKernelPickExactTies draws from hand-built rows whose integer running
+// sums make u equal a running sum exactly, both at guide cutpoints and
+// between them. Such a draw must skip past that sum, as Categorical's
+// u < acc does, and zero-weight experts (leading, inner and trailing) must
+// never be drawn.
+func TestKernelPickExactTies(t *testing.T) {
+	for _, weights := range [][]float64{
+		// Total 32 over a 16-entry guide: odd sums fall between cutpoints.
+		{0, 1, 1, 0, 2, 4, 0, 8, 0, 0, 16, 0},
+		// Total 16 over a 32-entry guide: every sum falls on a cutpoint.
+		{0, 0, 3, 1, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8},
+	} {
+		k := NewKernel(KernelParams{Seed: 1, Layers: 1, Experts: len(weights), Strength: 0.5, Domains: 1})
+		c := k.cum[:k.Experts]
+		acc := 0.0
+		for i, w := range weights {
+			acc += w
+			c[i] = acc
+		}
+		fillGuide(k.guide[:k.guideSize], c)
+		var uniforms []float64
+		for m := 0.0; m < acc; m++ {
+			uniforms = append(uniforms, m/acc, m/acc+0x1p-53) // u = m exactly, and just past it
+		}
+		for cut := 1; cut < k.guideSize; cut++ {
+			f := float64(cut) / float64(k.guideSize)
+			uniforms = append(uniforms, f, f-0x1p-53)
+		}
+		uniforms = append(uniforms, 1-0x1p-53)
+		for _, f := range uniforms {
+			got, want := k.pick(0, f), categoricalAt(weights, f)
+			if got != want || weights[got] == 0 {
+				t.Fatalf("weights %v uniform %v: table draw %d, Categorical %d", weights, f, got, want)
 			}
 		}
 	}
