@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -125,7 +124,6 @@ func main() {
 		scenarios   = flag.Bool("scenarios", false, "run the declarative chaos scenario matrix (crash/recovery, degraded links, retry exhaustion, autoscaler faults) with per-row pass/fail gates; write BENCH_scenarios.json and exit nonzero on any failing row")
 		scale       = flag.String("scale", "bench", "with -scenarios: matrix scale, smoke (short eras, loose recovery gates — the CI quick pass) | bench (the checked-in matrix, tight gates)")
 		memaware    = flag.Bool("memaware", false, "with -oversub: add a memory-aware-placement arm per ratio (expert-stall cost folded into the solver objective) and compare against crossing-only")
-		residency   = flag.String("residency", "static", "residency model for memory-aware placement objectives: static | che; with -oversub, 'che' runs per-ratio adaptive drift arms under both models and records each one's predicted-vs-realized stall gap (the steady -memaware arm always solves with static so its cells stay comparable across runs)")
 		hostSlots   = flag.Int("hostslots", 0, "with -oversub: bound host-DRAM expert master copies per replica; coldest experts fall to NVMe (0 = all fit in DRAM)")
 		memRatio    = flag.Float64("memratio", 0, "serve the steady/-drift program under tiered expert memory at this oversubscription ratio (0 = memory layer off; ignored by -oversub, which sweeps its own ratios) — expert-stall and fetch spans then appear in -traceout")
 		arrival     = flag.String("arrival", "poisson", "arrival process: poisson | bursty | diurnal")
@@ -171,13 +169,9 @@ func main() {
 	if *layers > 0 {
 		cfg.Layers = *layers
 	}
-	if _, err := placement.ParseResidencyModel(*residency); err != nil {
-		fmt.Fprintln(os.Stderr, "exflow-serve:", err)
-		os.Exit(1)
-	}
 	sys := exflow.NewSystem(exflow.SystemOptions{
 		Model: cfg, GPUs: *gpus, AffinityStrength: *strength, DomainTilt: *tilt,
-		SolveWorkers: *workers, ResidencyModel: *residency, Seed: *seed,
+		SolveWorkers: *workers, Seed: *seed,
 	})
 	if *oversub {
 		// Two flags have oversub-specific defaults but honor explicit
@@ -198,7 +192,7 @@ func main() {
 		runOversubSweep(sys, cfg, oversubConfig{
 			gpus: *gpus, replicas: *replicas, decode: *decode, hostSlots: *hostSlots,
 			seed: *seed, dur: *warm + *duration, arrival: *arrival, provision: provision,
-			jsonPath: path, memaware: *memaware, residency: *residency,
+			jsonPath: path, memaware: *memaware,
 			solveWorkers: *workers, solveLat: *solveLat, autoSolve: *autoSolve,
 		})
 		return
@@ -438,11 +432,6 @@ type memSummaryJSON struct {
 	// MemAware compares crossing-only vs memory-aware placement per ratio
 	// (affinity policy, identical offered rate); present with -memaware.
 	MemAware *memAwareJSON `json:"memaware,omitempty"`
-
-	// Residency compares the static and Che residency models' stall
-	// predictions against realized serving stall across live migrations;
-	// present with -residency che.
-	Residency *residencyJSON `json:"residency,omitempty"`
 }
 
 // memAwareJSON summarizes the -memaware arm.
@@ -459,35 +448,6 @@ type memAwareJSON struct {
 	BeatsCrossingOnlyAt2x bool    `json:"beats_crossing_only_at_2x"`
 }
 
-// residencyArmJSON is one adaptive drift run under a residency model: the
-// fleet serves a warm era then a drifted era with memory-aware re-placement
-// on, and every migration's PredictedStallDelta (computed with the arm's
-// model) is scored against the RealizedStallDelta measured from the serve
-// timeline. MeanAbsGap is the model-conformance figure the Che model exists
-// to shrink.
-type residencyArmJSON struct {
-	Ratio         float64 `json:"oversubscription"`
-	Model         string  `json:"residency_model"`
-	OfferedRPS    float64 `json:"offered_req_per_sec"`
-	Migrations    int     `json:"migrations"`
-	MeanPredicted float64 `json:"mean_predicted_stall_delta_s_per_token"`
-	MeanRealized  float64 `json:"mean_realized_stall_delta_s_per_token"`
-	MeanAbsGap    float64 `json:"mean_abs_stall_gap_s_per_token"`
-	HitRate       float64 `json:"hit_rate"`
-	P95           float64 `json:"p95_s"`
-}
-
-// residencyJSON summarizes the -residency che comparison. Both models at a
-// ratio share the arrival stream and the initial placement; only the
-// objective the controller re-solves (and predicts) with differs.
-type residencyJSON struct {
-	Arms []residencyArmJSON `json:"arms"`
-
-	Static2xGap      float64 `json:"static_2x_mean_abs_gap_s"`
-	Che2xGap         float64 `json:"che_2x_mean_abs_gap_s"`
-	CheClosesGapAt2x bool    `json:"che_closes_gap_at_2x"`
-}
-
 // oversubConfig carries the sweep's knobs from the flag set.
 type oversubConfig struct {
 	gpus, replicas, decode, hostSlots int
@@ -495,35 +455,9 @@ type oversubConfig struct {
 	dur, provision                    float64
 	arrival, jsonPath                 string
 	memaware                          bool
-	residency                         string
 	solveWorkers                      int
 	solveLat                          float64
 	autoSolve                         bool
-}
-
-// residencyArm is one finished residency-model conformance arm.
-type residencyArm struct {
-	ratioIdx int
-	ratio    float64
-	model    string
-	rate     float64
-	rep      *exflow.ServeReport
-}
-
-// stallGapStats summarizes a run's migrations: the mean predicted and
-// realized stall-per-token deltas and the mean absolute gap between them —
-// how faithfully the residency model's pricing tracked the serve timeline.
-func stallGapStats(rep *exflow.ServeReport) (n int, pred, realized, gap float64) {
-	for _, m := range rep.Migrations {
-		pred += m.PredictedStallDelta
-		realized += m.RealizedStallDelta
-		gap += math.Abs(m.PredictedStallDelta - m.RealizedStallDelta)
-	}
-	if n = len(rep.Migrations); n > 0 {
-		k := float64(n)
-		pred, realized, gap = pred/k, realized/k, gap/k
-	}
-	return n, pred, realized, gap
 }
 
 // sweepArm is one finished cell of the oversubscription sweep.
@@ -604,10 +538,9 @@ func runOversubSweep(sys *exflow.System, cfg moe.Config, oc oversubConfig) {
 	baseRate := oc.provision * cal.Metrics.RequestCapacity
 
 	var (
-		mu      sync.Mutex
-		arms    []sweepArm
-		resRuns []residencyArm
-		errs    []error
+		mu   sync.Mutex
+		arms []sweepArm
+		errs []error
 	)
 	collect := func(a sweepArm, err error) {
 		mu.Lock()
@@ -617,15 +550,6 @@ func runOversubSweep(sys *exflow.System, cfg moe.Config, oc oversubConfig) {
 			return
 		}
 		arms = append(arms, a)
-	}
-	collectRes := func(a residencyArm, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			errs = append(errs, err)
-			return
-		}
-		resRuns = append(resRuns, a)
 	}
 
 	var wg sync.WaitGroup
@@ -671,53 +595,17 @@ func runOversubSweep(sys *exflow.System, cfg moe.Config, oc oversubConfig) {
 				// The memory-aware arm: same policy, same offered rate, but
 				// the placement was solved with the expert-stall term in
 				// the objective. At 1x the term is inactive and the solve
-				// must be bit-identical to the crossing-only one. The arm is
-				// pinned to the static residency model regardless of
-				// -residency so its cells stay comparable (and bit-identical)
-				// across regenerations; the Che model is measured by the
-				// conformance arms below.
+				// must be bit-identical to the crossing-only one.
 				pwg.Add(1)
 				go func() {
 					defer pwg.Done()
-					sysStatic := *sys
-					sysStatic.ResidencyModel = "static"
-					memPl := sysStatic.SolvePlacementMemoryAware(cal.Trace, ratio, "affinity", 0, oc.hostSlots)
+					memPl := sys.SolvePlacementMemoryAware(cal.Trace, ratio, "affinity", 0, oc.hostSlots)
 					calMem := *cal
 					calMem.Placement = memPl
 					rep, err := runWith(ratio, "affinity", rate, &calMem, true, armSeed(i))
 					collect(sweepArm{ratioIdx: i, ratio: ratio, policy: "affinity", placement: "memory-aware",
 						rate: rate, rep: rep, memPl: memPl}, err)
 				}()
-			}
-			if oc.residency == "che" && ratio > 1 {
-				// Residency-model conformance arms: the fleet serves a warm
-				// era then a drifted one with adaptive memory-aware
-				// re-placement, once per model. Both models share the seed,
-				// rate, and initial placement, so the only difference is the
-				// objective the controller re-solves — and predicts — with;
-				// each migration's PredictedStallDelta is then scored
-				// against the RealizedStallDelta the serve timeline measured.
-				for _, model := range []string{"static", "che"} {
-					pwg.Add(1)
-					go func(model string) {
-						defer pwg.Done()
-						o := base
-						o.Calibration = cal
-						o.Oversubscription = ratio
-						o.CachePolicy = "affinity"
-						o.HostSlots = hostSlots
-						o.MemoryAware = true
-						o.ResidencyModel = model
-						o.Adaptive = true
-						o.Seed = rng.Mix64(seed, 0xD1CE, uint64(i))
-						o.Phases = []exflow.ServePhase{
-							{Name: "warm", Duration: dur / 3, Rate: rate, Arrival: oc.arrival},
-							{Name: "drift", Duration: dur * 2 / 3, Rate: rate, Arrival: oc.arrival, Dataset: exflow.ViralDataset()},
-						}
-						rep, _, err := exflow.Serve(sys, o)
-						collectRes(residencyArm{ratioIdx: i, ratio: ratio, model: model, rate: rate, rep: rep}, err)
-					}(model)
-				}
 			}
 			pwg.Wait()
 		}(i, ratio)
@@ -842,39 +730,6 @@ func runOversubSweep(sys *exflow.System, cfg moe.Config, oc oversubConfig) {
 			ma.HitRateDelta2x*100, ma.P95Delta2xSeconds, ma.BeatsCrossingOnlyAt2x)
 		fmt.Printf("memory-aware vs crossing-only at 4x: hit %+.1fpp, P95 %+.4fs\n",
 			ma.HitRateDelta4x*100, ma.P95Delta4xSeconds)
-	}
-
-	if oc.residency == "che" {
-		sort.Slice(resRuns, func(a, b int) bool {
-			if resRuns[a].ratio != resRuns[b].ratio {
-				return resRuns[a].ratio < resRuns[b].ratio
-			}
-			return resRuns[a].model < resRuns[b].model
-		})
-		res := &residencyJSON{}
-		static2xMigs, che2xMigs := 0, 0
-		fmt.Println("\nresidency-model conformance (adaptive drift arms, memory-aware re-placement):")
-		for _, a := range resRuns {
-			n, pred, realized, gap := stallGapStats(a.rep)
-			res.Arms = append(res.Arms, residencyArmJSON{
-				Ratio: a.ratio, Model: a.model, OfferedRPS: a.rate,
-				Migrations: n, MeanPredicted: pred, MeanRealized: realized, MeanAbsGap: gap,
-				HitRate: a.rep.ExpertMem.EffectiveHitRate(), P95: a.rep.Overall.P95,
-			})
-			fmt.Printf("  %.1fx %-7s %d migrations  stall/token predicted %+.4fms realized %+.4fms  |gap| %.4fms  hit %5.1f%%  P95 %.4fs\n",
-				a.ratio, a.model, n, pred*1e3, realized*1e3, gap*1e3, a.rep.ExpertMem.EffectiveHitRate()*100, a.rep.Overall.P95)
-			if a.ratio == 2 {
-				if a.model == "che" {
-					res.Che2xGap, che2xMigs = gap, n
-				} else {
-					res.Static2xGap, static2xMigs = gap, n
-				}
-			}
-		}
-		res.CheClosesGapAt2x = static2xMigs > 0 && che2xMigs > 0 && res.Che2xGap < res.Static2xGap
-		sum.Residency = res
-		fmt.Printf("residency acceptance at 2x: che |gap| %.4fms vs static %.4fms -> che closes the gap: %v\n",
-			res.Che2xGap*1e3, res.Static2xGap*1e3, res.CheClosesGapAt2x)
 	}
 
 	if jsonPath != "-" {

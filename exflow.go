@@ -63,13 +63,6 @@ type SystemOptions struct {
 	// Any fixed value is deterministic; 0 or 1 is the serial solve,
 	// bit-identical to previous releases.
 	SolveWorkers int
-	// ResidencyModel selects how memory-aware placement solves model expert
-	// residency: "static" (or empty — the top-Slots warm set, bit-identical
-	// to previous releases) or "che" (Che-approximation fractional occupancy
-	// with prefetch-coverage discount; prices LRU/LFU churn the static warm
-	// set cannot). Read by SolvePlacementMemoryAware; invalid names panic
-	// there.
-	ResidencyModel string
 	// Seed makes the whole system deterministic.
 	Seed uint64
 }
@@ -85,10 +78,7 @@ type System struct {
 	// SolveWorkers is the placement-solver portfolio width (see
 	// SystemOptions.SolveWorkers); 0 or 1 solves serially.
 	SolveWorkers int
-	// ResidencyModel is the memory-aware solve's residency model (see
-	// SystemOptions.ResidencyModel); empty means static.
-	ResidencyModel string
-	Seed           uint64
+	Seed         uint64
 }
 
 // NewSystem materializes a deterministic system.
@@ -116,14 +106,13 @@ func NewSystem(opts SystemOptions) *System {
 		DomainTilt: opts.DomainTilt,
 	})
 	return &System{
-		Model:          moe.NewModel(cfg, rng.Mix64(opts.Seed, 0x30D)),
-		Router:         synth.NewKernelRouter(kernel, ds, cfg.TopK),
-		Kernel:         kernel,
-		Topo:           topo.ForGPUs(opts.GPUs),
-		Dataset:        ds,
-		SolveWorkers:   opts.SolveWorkers,
-		ResidencyModel: opts.ResidencyModel,
-		Seed:           opts.Seed,
+		Model:        moe.NewModel(cfg, rng.Mix64(opts.Seed, 0x30D)),
+		Router:       synth.NewKernelRouter(kernel, ds, cfg.TopK),
+		Kernel:       kernel,
+		Topo:         topo.ForGPUs(opts.GPUs),
+		Dataset:      ds,
+		SolveWorkers: opts.SolveWorkers,
+		Seed:         opts.Seed,
 	}
 }
 
@@ -163,10 +152,7 @@ func (s *System) SolvePlacement(tr *trace.Trace) *placement.Placement {
 // bit-identical to SolvePlacement), policy names an expertmem cache policy
 // ("" = affinity), prefetchK 0 means the default 4, and hostSlots bounds
 // the DRAM master-copy set (NVMe-resident experts cost more to miss, which
-// the objective prices). The residency model comes from the System
-// (SystemOptions.ResidencyModel): static prices the top-Slots warm set,
-// che prices fractional occupancy under churn with the prefetcher's
-// coverage discounted.
+// the objective prices).
 func (s *System) SolvePlacementMemoryAware(tr *trace.Trace, oversub float64, policy string, prefetchK, hostSlots int) *placement.Placement {
 	cfg := s.Model.Cfg
 	counts := tr.AllTransitionCounts()
@@ -179,17 +165,12 @@ func (s *System) SolvePlacementMemoryAware(tr *trace.Trace, oversub float64, pol
 		if err != nil {
 			panic(err)
 		}
-		model, err := placement.ParseResidencyModel(s.ResidencyModel)
-		if err != nil {
-			panic(err)
-		}
 		if prefetchK == 0 {
 			prefetchK = 4
 		}
 		mcfg := expertmem.ConfigFor(s.Topo, cfg.Layers, cfg.Experts, int(cfg.ExpertParams())*2, // fp16
 			oversub, pol, prefetchK, hostSlots, counts)
 		mo = placement.NewMemoryObjective(mcfg, 0)
-		mo.Model = model
 	}
 	return placement.StagedOpt(counts, cfg.Layers, cfg.Experts, s.Topo, s.Seed,
 		placement.StagedOptions{Memory: mo, Workers: s.SolveWorkers})

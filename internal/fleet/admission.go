@@ -38,8 +38,8 @@ type AdmissionInput struct {
 	BacklogTokens int
 	// TokensPerSec is the fleet's decode capacity estimate including the
 	// residency model's predicted expert-stall seconds per token — the same
-	// oracle (static or Che, per ServeOptions.ResidencyModel) the placement
-	// solver prices re-solves with. Zero means no estimate (admit).
+	// warm-set oracle the placement solver prices re-solves with. Zero means
+	// no estimate (admit).
 	TokensPerSec float64
 	// DecodeSeconds is the request's own pipelined decode stretch: its decode
 	// length times the predicted (stall-inflated) iteration time. A decode

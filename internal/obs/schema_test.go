@@ -25,6 +25,7 @@ const testSchema = `{
     "count": {"type": "integer"},
     "ratio": {"type": ["number", "null"]},
     "kind": {"type": "string", "enum": ["a", "b"]},
+    "ok": {"type": "boolean", "enum": [true]},
     "items": {
       "type": "array",
       "minItems": 1,
@@ -35,7 +36,7 @@ const testSchema = `{
 }`
 
 func TestValidateJSONSchemaAccepts(t *testing.T) {
-	doc := `{"name":"x","count":3,"ratio":null,"kind":"a","items":[{"id":1},{"id":2}],"extra":true}`
+	doc := `{"name":"x","count":3,"ratio":null,"kind":"a","ok":true,"items":[{"id":1},{"id":2}],"extra":true}`
 	if err := ValidateJSONSchema([]byte(testSchema), []byte(doc)); err != nil {
 		t.Fatalf("valid doc rejected: %v", err)
 	}
@@ -50,6 +51,8 @@ func TestValidateJSONSchemaRejects(t *testing.T) {
 		{"non-integer", `{"name":"x","count":1.5,"items":[{"id":1}]}`, "want type integer"},
 		{"bad union", `{"name":"x","ratio":"nope","items":[{"id":1}]}`, "matches none"},
 		{"bad enum", `{"name":"x","kind":"z","items":[{"id":1}]}`, "not in enum"},
+		// Acceptance booleans are gated as enum [true]: a false gate fails.
+		{"false gate", `{"name":"x","ok":false,"items":[{"id":1}]}`, "$.ok: value false not in enum"},
 		{"empty array", `{"name":"x","items":[]}`, "need at least"},
 		{"bad item", `{"name":"x","items":[{"id":"s"}]}`, "$.items[0].id"},
 		{"bad extra", `{"name":"x","items":[{"id":1}],"extra":"s"}`, "want type boolean"},

@@ -19,9 +19,8 @@ type AnnealOptions struct {
 	// Memory, when active (a binding HBM slot budget), folds the expected
 	// expert-stall cost into the objective: the annealer prices both the
 	// crossing change and the hot-set concentration change of every proposed
-	// swap, under the objective's residency model (static warm set or Che
-	// fractional occupancy). Nil or inactive leaves the crossing-only path
-	// bit-identical.
+	// swap under the warm-set residency model. Nil or inactive leaves the
+	// crossing-only path bit-identical.
 	Memory *MemoryObjective
 	// Workers runs a portfolio of independent annealing replicas across
 	// goroutines and returns the best result by blended objective. Replica 0
@@ -105,14 +104,11 @@ func Anneal(counts [][][]float64, init *Placement, opts AnnealOptions) *Placemen
 }
 
 // memPricer is the annealer's incremental view of the memory term: per-GPU
-// cached stall costs re-priced two GPUs at a time per proposal. Three
-// implementations exist — sortedMemState (static production: sorted
-// residency lists, no per-proposal sort), memState (static dense reference:
-// scratch copy + sort per proposal; bit-identical to sortedMemState), and
-// cheMemState (the Che residency model). The annealer always calls apply
-// immediately after the swapCost that priced the same proposal; cheMemState
-// relies on that pairing to carry its warm-started characteristic times
-// from the pricing into the commit.
+// cached stall costs re-priced two GPUs at a time per proposal. Two
+// implementations exist — sortedMemState (production: sorted residency
+// lists, no per-proposal sort) and memState (dense reference: scratch copy +
+// sort per proposal; bit-identical to sortedMemState). The annealer always
+// calls apply immediately after the swapCost that priced the same proposal.
 type memPricer interface {
 	total() float64
 	gpuCost(g int) float64
@@ -145,15 +141,9 @@ func annealRun(counts [][][]float64, init *Placement, opts AnnealOptions, seed u
 	var ms memPricer
 	var invHop float64
 	if memActive {
-		switch {
-		case opts.Memory.Model == ResidencyChe:
-			// The Che model has one incremental pricer; Dense still selects
-			// the dense crossing path below, and the pricer is held to the
-			// from-scratch StallSeconds by TestCheMemStateIncrementalMatchesFullEval.
-			ms = newCheMemState(opts.Memory, p)
-		case opts.Dense:
+		if opts.Dense {
 			ms = newMemState(opts.Memory, p)
-		default:
+		} else {
 			ms = newSortedMemState(opts.Memory, p)
 		}
 		invHop = 1 / opts.Memory.HopSeconds

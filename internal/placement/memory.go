@@ -52,11 +52,6 @@ type MemoryObjective struct {
 	PerGPU int
 	// HopSeconds converts stall seconds into crossing units.
 	HopSeconds float64
-	// Model selects the residency model: ResidencyStatic (the zero value —
-	// the top-Slots warm set above) or ResidencyChe (Che-approximation
-	// fractional occupancy; see che.go). The static path is untouched by the
-	// Che machinery and stays bit-identical across releases.
-	Model ResidencyModel
 	// Batch records the bulk-synchronous batch size the mass oracle was
 	// deflated for (see DeflateBatch); 0 or 1 means the raw per-token
 	// oracle, bit-identical to previous releases.
@@ -65,36 +60,7 @@ type MemoryObjective struct {
 	layers, experts int
 	mass            []float64 // [l*experts+e] affinity demand mass
 	fetch           []float64 // [l*experts+e] fetch seconds from the master tier
-	covered         []float64 // [l*experts+e] prefetch-covered demand fraction (nil: no prefetcher)
 	tokens          float64   // max per-layer demand mass (= profiled token count)
-}
-
-// ResidencyModel names a MemoryObjective residency model.
-type ResidencyModel string
-
-const (
-	// ResidencyStatic is the warm-set model shipped in PR 3: each GPU keeps
-	// its top-Slots assigned experts by demand mass resident, the rest always
-	// pay the full fetch. Optimistic — it cannot price LRU/LFU churn — but
-	// cheap, deterministic, and the bit-identity reference.
-	ResidencyStatic ResidencyModel = "static"
-	// ResidencyChe is the Che-approximation fractional-occupancy model: per
-	// GPU the characteristic time T solves sum(1 - exp(-mass_i*T)) = Slots,
-	// each expert misses with probability exp(-mass_i*T), and misses covered
-	// by the affinity prefetcher are discounted. See che.go.
-	ResidencyChe ResidencyModel = "che"
-)
-
-// ParseResidencyModel resolves a user-facing residency-model name ("" means
-// static).
-func ParseResidencyModel(s string) (ResidencyModel, error) {
-	switch ResidencyModel(s) {
-	case "", ResidencyStatic:
-		return ResidencyStatic, nil
-	case ResidencyChe:
-		return ResidencyChe, nil
-	}
-	return "", fmt.Errorf("placement: unknown residency model %q (want static or che)", s)
 }
 
 // NewMemoryObjective derives the residency model from a tiered-memory
@@ -133,31 +99,6 @@ func NewMemoryObjective(cfg expertmem.Config, hopSeconds float64) *MemoryObjecti
 			mo.tokens = layerMass
 		}
 	}
-	if m.Prefetching() {
-		// Prefetch-coverage oracle for the Che model: covered[(l,e)] is the
-		// fraction of (l, e)'s demand mass arriving from predecessors whose
-		// top-K successor list includes e — exactly the accesses the affinity
-		// prefetcher hints one layer ahead, whose fetch overlaps compute
-		// instead of stalling. Layer 0 has no predecessor and stays at zero.
-		mo.covered = make([]float64, cfg.Layers*cfg.Experts)
-		for l := 0; l+1 < cfg.Layers; l++ {
-			for from := 0; from < cfg.Experts; from++ {
-				for _, to := range m.Successors(l, from) {
-					mo.covered[(l+1)*cfg.Experts+to] += cfg.Affinity[l][from][to]
-				}
-			}
-		}
-		for i, c := range mo.covered {
-			if mo.mass[i] > 0 && c > 0 {
-				mo.covered[i] = c / mo.mass[i]
-				if mo.covered[i] > 1 {
-					mo.covered[i] = 1
-				}
-			} else {
-				mo.covered[i] = 0
-			}
-		}
-	}
 	return mo
 }
 
@@ -179,11 +120,9 @@ func (mo *MemoryObjective) checkShape(layers, experts int) {
 }
 
 // StallSeconds evaluates the expected expert-stall of a placement over the
-// profiled demand window under the selected residency model. Static: for
-// each GPU, every assigned expert outside the GPU's top-Slots by demand mass
-// pays its full fetch per unit of demand. Che: every assigned expert pays
-// its fetch weighted by its Che miss probability, discounted for prefetch
-// coverage (see che.go). Zero when the budget is not binding.
+// profiled demand window: for each GPU, every assigned expert outside the
+// GPU's top-Slots by demand mass pays its full fetch per unit of demand.
+// Zero when the budget is not binding.
 func (mo *MemoryObjective) StallSeconds(p *Placement) float64 {
 	if !mo.Active() {
 		return 0
@@ -200,13 +139,6 @@ func (mo *MemoryObjective) StallSeconds(p *Placement) float64 {
 		}
 	}
 	total := 0.0
-	if mo.Model == ResidencyChe {
-		for g := range items {
-			stall, _ := mo.cheStall(items[g], 0)
-			total += stall
-		}
-		return total
-	}
 	for g := range items {
 		total += mo.gpuStall(items[g])
 	}
@@ -280,8 +212,8 @@ func (mo *MemoryObjective) gpuStall(items []int32) float64 {
 // models overpredict churn stall at high batch. The map p -> (1-(1-p)^B)/B
 // is strictly increasing in p, so the static warm-set order is preserved:
 // deflation never reorders which experts a GPU keeps resident, only how much
-// stall the tail and the Che churn model attribute to them. B <= 1 is a
-// no-op, keeping existing callers bit-identical.
+// stall the tail attributes to them. B <= 1 is a no-op, keeping existing
+// callers bit-identical.
 func (mo *MemoryObjective) DeflateBatch(b int) {
 	if mo == nil || b <= 1 || mo.tokens == 0 {
 		return
@@ -299,13 +231,11 @@ func (mo *MemoryObjective) DeflateBatch(b int) {
 
 // RewarmSeconds prices the post-migration re-warm cost of a move plan
 // (ROADMAP item 3b): an expert arriving on a destination GPU lands cold and
-// must be fetched back into HBM before steady state resumes — but only in
-// proportion to how resident it would actually be there. Re-fetching an
-// expert the destination's residency table would hold anyway is a real,
-// unavoidable cost; a tail expert that would miss regardless adds nothing
-// beyond the stall the steady-state objective already prices. Under the Che
-// model the weight is the steady-state occupancy 1 - exp(-mass*T_dest);
-// under the static model it is the in-warm-set indicator.
+// must be fetched back into HBM before steady state resumes — but only if
+// it would actually be resident there. Re-fetching an expert in the
+// destination's warm set is a real, unavoidable cost; a tail expert that
+// would miss regardless adds nothing beyond the stall the steady-state
+// objective already prices.
 func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 	if !mo.Active() || len(moves) == 0 {
 		return 0
@@ -318,38 +248,17 @@ func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 			items[g] = append(items[g], int32(l*mo.experts+e))
 		}
 	}
-	che := mo.Model == ResidencyChe
-	var t []float64
-	var warm []map[int32]bool
-	if che {
-		t = make([]float64, pl.GPUs)
-		for g := range t {
-			t[g] = math.NaN() // unsolved marker
-		}
-	} else {
-		warm = make([]map[int32]bool, pl.GPUs)
-	}
+	warm := make([]map[int32]bool, pl.GPUs)
 	total := 0.0
 	for _, m := range moves {
 		id := int32(m.Layer*mo.experts + m.Expert)
 		g := m.To
-		occ := 0.0
-		if che {
-			if math.IsNaN(t[g]) {
-				t[g] = mo.cheT(items[g], 0)
-			}
-			if mass := mo.mass[id]; mass > 0 {
-				occ = 1 - expNeg(mass*t[g]) // t = +Inf (non-binding) -> occ = 1
-			}
-		} else {
-			if warm[g] == nil {
-				warm[g] = mo.warmSet(items[g])
-			}
-			if warm[g][id] {
-				occ = 1
-			}
+		if warm[g] == nil {
+			warm[g] = mo.warmSet(items[g])
 		}
-		total += mo.fetch[id] * occ
+		if warm[g][id] {
+			total += mo.fetch[id]
+		}
 	}
 	return total
 }
@@ -395,8 +304,8 @@ func (mo *MemoryObjective) group(gpusPerGroup int) *MemoryObjective {
 // balanced), but restrict does not assume it: an empty subproblem returns
 // nil (no memory term to price), and ragged rows are padded to the widest
 // layer with zero-mass phantom slots — phantoms sort past every real expert
-// in the warm-set order, contribute zero Che occupancy, and pay zero stall,
-// so real entries price exactly as they would in a rectangular subproblem.
+// in the warm-set order and pay zero stall, so real entries price exactly as
+// they would in a rectangular subproblem.
 // Indexing residents[0] directly used to panic on both cases.
 func (mo *MemoryObjective) restrict(residents [][]int) *MemoryObjective {
 	if mo == nil {
@@ -415,15 +324,11 @@ func (mo *MemoryObjective) restrict(residents [][]int) *MemoryObjective {
 		Slots:      mo.Slots,
 		PerGPU:     mo.PerGPU,
 		HopSeconds: mo.HopSeconds,
-		Model:      mo.Model,
 		Batch:      mo.Batch,
 		layers:     len(residents),
 		experts:    perNode,
 		mass:       make([]float64, len(residents)*perNode),
 		fetch:      make([]float64, len(residents)*perNode),
-	}
-	if mo.covered != nil {
-		sub.covered = make([]float64, len(residents)*perNode)
 	}
 	for l, res := range residents {
 		layerMass := 0.0
@@ -431,9 +336,6 @@ func (mo *MemoryObjective) restrict(residents [][]int) *MemoryObjective {
 			src := l*mo.experts + e
 			sub.mass[l*perNode+s] = mo.mass[src]
 			sub.fetch[l*perNode+s] = mo.fetch[src]
-			if sub.covered != nil {
-				sub.covered[l*perNode+s] = mo.covered[src]
-			}
 			layerMass += mo.mass[src]
 		}
 		if layerMass > sub.tokens {

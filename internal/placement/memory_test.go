@@ -117,7 +117,6 @@ func TestMemoryObjectiveShapeMismatchPanics(t *testing.T) {
 		expectPanic("StallSeconds", func() { mo.StallSeconds(p) })
 		expectPanic("newMemState", func() { newMemState(mo, p) })
 		expectPanic("newSortedMemState", func() { newSortedMemState(mo, p) })
-		expectPanic("newCheMemState", func() { newCheMemState(mo, p) })
 	}
 }
 

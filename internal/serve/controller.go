@@ -329,16 +329,13 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 		// full cost of churn.
 		ev.ResidencyChurn, ev.ChurnSeconds = c.churn(plan.Moves)
 		if ps.mo.Active() {
-			// Occupancy-weighted re-warm (ROADMAP 3b): the flat
-			// resident-count hook above charges a full refetch for every
-			// moved expert that happened to be resident, but an expert the
-			// destination's residency table would mostly not hold re-warms
-			// almost for free — its misses are already priced into the
-			// steady-state stall. Weight each arrival's fetch by its
-			// steady-state occupancy at the destination under the selected
-			// residency model (Che fractional occupancy or static warm-set
-			// membership); keep the hook's churn count as the invalidation
-			// tally.
+			// Warm-set re-warm: the flat resident-count hook above charges
+			// a full refetch for every moved expert that happened to be
+			// resident, but an expert outside the destination's warm set
+			// re-warms for free — its misses are already priced into the
+			// steady-state stall. Charge each
+			// arrival's fetch only when it lands in the destination's warm
+			// set; keep the hook's churn count as the invalidation tally.
 			ev.ChurnSeconds = ps.mo.RewarmSeconds(canon, plan.Moves)
 		}
 		ev.Seconds += ev.ChurnSeconds
@@ -359,9 +356,8 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 // memObjective builds the memory-aware placement objective over the live
 // window counts, or nil when memory-aware re-placement is off. At
 // oversubscription 1 the objective is built but inactive, keeping the
-// re-solve bit-identical to the crossing-only path. The objective carries
-// Options.ResidencyModel, so both the solve and the migration's
-// PredictedStallDelta price residency with the selected model.
+// re-solve bit-identical to the crossing-only path. Both the solve and the
+// migration's PredictedStallDelta price residency with this objective.
 func (c *controller) memObjective(cur *placement.Placement, counts [][][]float64) *placement.MemoryObjective {
 	if !c.opts.MemoryAware || c.opts.Oversubscription == 0 {
 		return nil
@@ -370,9 +366,8 @@ func (c *controller) memObjective(cur *placement.Placement, counts [][][]float64
 }
 
 // residencyObjective builds the residency-pricing oracle shared by the
-// controller's memory-aware re-solves and the fleet tier's paging admission:
-// the given transition counts as the demand oracle, Options.ResidencyModel
-// (static or Che) as the occupancy model.
+// controller's memory-aware re-solves and the fleet tier's paging admission,
+// with the given transition counts as the demand oracle.
 func residencyObjective(o *Options, layers, experts int, counts [][][]float64) *placement.MemoryObjective {
 	if o.Oversubscription == 0 {
 		return nil
@@ -381,19 +376,13 @@ func residencyObjective(o *Options, layers, experts int, counts [][][]float64) *
 	if err != nil {
 		return nil // Validate already rejected this; belt and braces
 	}
-	model, err := placement.ParseResidencyModel(o.ResidencyModel)
-	if err != nil {
-		return nil // ditto
-	}
 	cfg := expertmem.ConfigFor(o.Topo, layers, experts, o.ExpertBytes,
 		o.Oversubscription, pol, o.PrefetchK, o.HostSlots, counts)
 	mo := placement.NewMemoryObjective(cfg, o.Cost.PerCrossHop)
-	mo.Model = model
 	// Serving is bulk-synchronous over MaxBatch-token iterations: a batch
 	// demands each expert at most once per layer, so the per-token demand
 	// oracle overstates residency churn by up to the batch size. Deflate it
-	// (ROADMAP 3a) so both residency models price what the residency table
-	// actually sees.
+	// so the objective prices what the residency table actually sees.
 	mo.DeflateBatch(o.MaxBatch)
 	return mo
 }

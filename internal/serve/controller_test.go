@@ -276,35 +276,3 @@ func TestControllerPerTokenCostOrdersPlacements(t *testing.T) {
 		t.Fatalf("staged placement should cost less per token than random: %v vs %v", cs, cr)
 	}
 }
-
-// TestControllerMemObjectiveHonorsResidencyModel: the controller must build
-// its re-solve objective — and hence the migration's PredictedStallDelta —
-// with the configured residency model, and the two models must actually
-// disagree on a binding budget (Che prices churn the static warm set calls
-// free and discounts prefetch-covered misses the static model charges in
-// full, so the predictions genuinely differ).
-func TestControllerMemObjectiveHonorsResidencyModel(t *testing.T) {
-	ctrl, cur, _ := controllerFixture(t, 0.01)
-	ctrl.opts.MemoryAware = true
-	ctrl.opts.Oversubscription = 2
-	ctrl.opts.CachePolicy = "affinity"
-	ctrl.opts.PrefetchK = 4
-	counts := ctrl.window.Snapshot()
-
-	static := ctrl.memObjective(cur, counts)
-	if static == nil || static.Model != placement.ResidencyStatic {
-		t.Fatalf("default residency model: %+v", static)
-	}
-	ctrl.opts.ResidencyModel = "che"
-	che := ctrl.memObjective(cur, counts)
-	if che == nil || che.Model != placement.ResidencyChe {
-		t.Fatalf("che residency model not honored: %+v", che)
-	}
-	if !che.Active() {
-		t.Fatal("fixture budget must bind at 2x")
-	}
-	s, c := static.StallPerToken(cur), che.StallPerToken(cur)
-	if s <= 0 || c <= 0 || s == c {
-		t.Fatalf("models must both price a binding budget and disagree: static %v, che %v", s, c)
-	}
-}

@@ -116,8 +116,8 @@ func (s *server) sampleFleet(now float64) {
 }
 
 // refreshFleetPricing rebuilds the pricing inputs on the drift-check
-// cadence: the selected residency model's predicted stall per token over the
-// live window under the current placement — the same oracle the solver's
+// cadence: the warm-set model's predicted stall per token over the live
+// window under the current placement — the same oracle the solver's
 // memory objective prices re-solves with, here pricing admission and
 // capacity instead — rescaled by the learned predicted-to-realized
 // calibration factor (batch amortization the per-token oracle cannot see).

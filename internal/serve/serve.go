@@ -116,12 +116,6 @@ type Options struct {
 	// inactive by construction and re-solves stay bit-identical to the
 	// crossing-only path.
 	MemoryAware bool
-	// ResidencyModel is the residency model memory-aware re-solves price
-	// with ("" or "static": the top-Slots warm set; "che": Che-approximation
-	// fractional occupancy with prefetch-coverage discount). Each
-	// MigrationEvent's PredictedStallDelta is computed with the selected
-	// model. Only meaningful with MemoryAware.
-	ResidencyModel string
 	// StallTrigger arms the stall-rate migration trigger: the controller also
 	// fires a re-solve when charged expert-stall seconds per token trend up
 	// at a stable routing mix — residency decay the transition-distribution
@@ -231,13 +225,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pagingAdmission reports whether the fleet tier prices admission with the
-// residency oracle — the one configuration where ResidencyModel is
-// meaningful without MemoryAware.
-func (o *Options) pagingAdmission() bool {
-	return o.Fleet != nil && o.Fleet.Admission == fleet.AdmissionPaging
-}
-
 // Validate checks the options.
 func (o *Options) Validate() error {
 	switch {
@@ -253,6 +240,12 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("serve: ExpertBytes must be positive")
 	case o.Replicas <= 0 || o.MaxBatch <= 0 || o.DecodeTokens <= 0:
 		return fmt.Errorf("serve: Replicas, MaxBatch, DecodeTokens must be positive")
+	case o.Window < 0 || o.CheckInterval < 0 || o.DriftThreshold < 0 || o.Patience < 0 ||
+		o.Cooldown < 0 || o.MinGain < 0 || o.LatencyBucket < 0 || o.PrefetchK < 0:
+		// Zero selects the default. A negative Window or DriftThreshold
+		// would panic in the window or detector constructor; the others
+		// would silently misconfigure the run.
+		return fmt.Errorf("serve: Window, CheckInterval, DriftThreshold, Patience, Cooldown, MinGain, LatencyBucket and PrefetchK must be non-negative (zero for the default)")
 	case len(o.Phases) == 0:
 		return fmt.Errorf("serve: at least one traffic phase required")
 	case o.Oversubscription < 0 || (o.Oversubscription > 0 && o.Oversubscription < 1):
@@ -270,8 +263,6 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("serve: CachePolicy %q set but Oversubscription is 0 (memory layer disabled); set Oversubscription >= 1 or drop the policy", o.CachePolicy)
 	case o.Oversubscription == 0 && o.MemoryAware:
 		return fmt.Errorf("serve: MemoryAware requires the tiered memory layer; set Oversubscription >= 1")
-	case o.ResidencyModel != "" && !o.MemoryAware && !o.pagingAdmission():
-		return fmt.Errorf("serve: ResidencyModel %q set but MemoryAware is off; enable MemoryAware or drop the model", o.ResidencyModel)
 	case o.StallTriggerFactor < 0:
 		return fmt.Errorf("serve: StallTriggerFactor must be non-negative, got %v", o.StallTriggerFactor)
 	case o.StallTriggerFactor > 0 && !o.StallTrigger:
@@ -293,9 +284,6 @@ func (o *Options) Validate() error {
 		if _, err := expertmem.ParsePolicy(o.CachePolicy); err != nil {
 			return err
 		}
-	}
-	if _, err := placement.ParseResidencyModel(o.ResidencyModel); err != nil {
-		return err
 	}
 	if err := o.Chaos.Validate(); err != nil {
 		return err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/placement"
@@ -204,6 +205,29 @@ func TestServeValidation(t *testing.T) {
 	opts.ExpertBytes = 0
 	if _, err := Run(opts); err == nil {
 		t.Fatal("missing expert bytes must fail")
+	}
+	// Zero means "use the default" for these tunables. A negative value must
+	// fail validation: past it, the window and detector constructors panic
+	// on one and the rest silently misconfigure the run.
+	for _, c := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"Window", func(o *Options) { o.Window = -1 }},
+		{"CheckInterval", func(o *Options) { o.CheckInterval = -1 }},
+		{"DriftThreshold", func(o *Options) { o.DriftThreshold = -1 }},
+		{"Patience", func(o *Options) { o.Patience = -1 }},
+		{"Cooldown", func(o *Options) { o.Cooldown = -1 }},
+		{"MinGain", func(o *Options) { o.MinGain = -1 }},
+		{"LatencyBucket", func(o *Options) { o.LatencyBucket = -1 }},
+		{"PrefetchK", func(o *Options) { o.PrefetchK = -1 }},
+	} {
+		opts, _ := testSystem(t)
+		opts.Phases = []Phase{{Name: "ok", Duration: 1, Rate: 10, Dataset: synth.Pile()}}
+		c.set(&opts)
+		if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("negative %s: got %v, want a validation error naming it", c.name, err)
+		}
 	}
 }
 

@@ -107,14 +107,6 @@ type ServeOptions struct {
 	// exactly 1 the term is inactive and re-solves stay bit-identical to
 	// the crossing-only path.
 	MemoryAware bool
-	// ResidencyModel selects the residency model memory-aware re-solves
-	// price with: "static" (or empty — the top-Slots warm set) or "che"
-	// (Che-approximation fractional occupancy with prefetch-coverage
-	// discount); each MigrationEvent's PredictedStallDelta is computed with
-	// the selected model. Requires MemoryAware (or a fleet with paging
-	// admission, which prices requests with the same oracle); static keeps
-	// re-solves bit-identical to previous releases.
-	ResidencyModel string
 	// StallTrigger arms the stall-rate migration trigger: the controller
 	// also fires a re-solve when the charged expert-stall seconds per token
 	// trend up at a stable routing mix — residency decay the drift detector
@@ -219,12 +211,6 @@ func (o ServeOptions) Validate() error {
 		return fmt.Errorf("exflow: CachePolicy %q set but Oversubscription is 0 (memory layer disabled); set Oversubscription >= 1 or drop the policy", o.CachePolicy)
 	case o.Oversubscription == 0 && o.MemoryAware:
 		return fmt.Errorf("exflow: MemoryAware requires the tiered memory layer; set Oversubscription >= 1")
-	case o.ResidencyModel != "" && !o.MemoryAware &&
-		!(o.Fleet != nil && o.Fleet.Admission == FleetAdmissionPaging):
-		// A residency model without a consumer prices nothing; rejected so
-		// the caller notices the missing flag. Paging admission is the one
-		// consumer besides MemoryAware.
-		return fmt.Errorf("exflow: ResidencyModel %q set but MemoryAware is off; enable MemoryAware or drop the model", o.ResidencyModel)
 	case o.StallTriggerFactor < 0:
 		return fmt.Errorf("exflow: StallTriggerFactor must be non-negative, got %v", o.StallTriggerFactor)
 	case o.StallTriggerFactor > 0 && !o.StallTrigger:
@@ -264,9 +250,6 @@ func (o ServeOptions) Validate() error {
 		(o.Chaos.FetchTimeout > 0 || o.Chaos.PreemptibleDMA || o.Chaos.Degraded()) {
 		// Mirrors the serve layer's check (both-layer validation convention).
 		return fmt.Errorf("exflow: Chaos memory-path faults (fetch timeout, preemptible DMA, link degrade) touch the tiered memory layer; set Oversubscription >= 1")
-	}
-	if _, err := placement.ParseResidencyModel(o.ResidencyModel); err != nil {
-		return err
 	}
 	for i, p := range o.Phases {
 		name := p.Name
@@ -427,7 +410,6 @@ func Serve(sys *System, opts ServeOptions) (*ServeReport, *ServeMetrics, error) 
 		PrefetchK:          opts.PrefetchK,
 		HostSlots:          opts.HostSlots,
 		MemoryAware:        opts.MemoryAware,
-		ResidencyModel:     opts.ResidencyModel,
 		StallTrigger:       opts.StallTrigger,
 		StallTriggerFactor: opts.StallTriggerFactor,
 		Fleet:              opts.Fleet,

@@ -50,10 +50,6 @@ func TestServeOptionValidation(t *testing.T) {
 		// no-op, which almost always means Oversubscription was forgotten.
 		{"policy without memory layer", ServeOptions{CachePolicy: "affinity"}, "Oversubscription"},
 		{"memory-aware without memory layer", ServeOptions{MemoryAware: true}, "Oversubscription"},
-		// A residency model only steers the memory-aware objective; naming
-		// one without MemoryAware (or naming an unknown model) is rejected.
-		{"residency without memory-aware", ServeOptions{Oversubscription: 2, ResidencyModel: "che"}, "MemoryAware"},
-		{"bad residency model", ServeOptions{Oversubscription: 2, MemoryAware: true, ResidencyModel: "clock"}, "residency"},
 		// HostSlots without the memory layer bounds a tier that doesn't
 		// exist; rejected so the caller notices the missing Oversubscription
 		// (pinned here because an earlier revision silently accepted it).

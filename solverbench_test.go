@@ -52,21 +52,6 @@ func BenchmarkMemoryAwareAnnealDense(b *testing.B) {
 	}
 }
 
-// BenchmarkMemoryAwareAnnealChe is the Che-residency anneal: the same
-// instance and sparse crossing path as BenchmarkMemoryAwareAnneal, but every
-// swap re-prices the two affected GPUs' fractional-occupancy stall with a
-// warm-started Newton solve instead of a warm-set tail sum. The comparison
-// quantifies what the dynamic-residency model costs on the solver hot path.
-func BenchmarkMemoryAwareAnnealChe(b *testing.B) {
-	counts, mo, init, _ := solverBenchFixture(b)
-	che := *mo
-	che.Model = placement.ResidencyChe
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = placement.Anneal(counts, init, placement.AnnealOptions{Seed: uint64(i), Memory: &che})
-	}
-}
-
 // BenchmarkAnnealPortfolio measures the parallel solve portfolio at widths
 // 1/2/4/8: N independently seeded annealing replicas race and the best
 // blended objective wins. Wall-clock per op divided by Workers is the
@@ -106,17 +91,6 @@ type solverBenchJSON struct {
 	// seeds. BitIdentical asserts the two paths returned the same placement.
 	MemoryAwareAnneal  solverCompareJSON `json:"memory_aware_anneal"`
 	CrossingOnlyAnneal solverCompareJSON `json:"crossing_only_anneal"`
-
-	// CheAnneal measures the Che-residency anneal on the same instance:
-	// wall-clock versus the static sparse anneal (VsStaticSlowdown — what the
-	// warm-started Newton occupancy solves cost per swap) and whether the
-	// result, re-priced from scratch, still beats the start (the incremental
-	// pricer did not drift; the placement package pins exact agreement).
-	CheAnneal struct {
-		SparseMS         float64 `json:"sparse_ms"`
-		VsStaticSlowdown float64 `json:"vs_static_slowdown"`
-		NonWorsening     bool    `json:"objective_non_worsening"`
-	} `json:"che_anneal"`
 
 	// Portfolio is the Workers scaling curve (sparse path, memory-aware).
 	// PerReplicaMS = WallMS/Workers: flat means near-linear scaling in
@@ -194,16 +168,6 @@ func TestGenerateSolverBench(t *testing.T) {
 	out.MemoryAwareAnneal = compare(mo)
 	out.CrossingOnlyAnneal = compare(nil)
 
-	che := *mo
-	che.Model = placement.ResidencyChe
-	cheMS, chePl := timeBest(func() *placement.Placement {
-		return placement.Anneal(counts, init, placement.AnnealOptions{Seed: 42, Memory: &che, Index: idx})
-	})
-	out.CheAnneal.SparseMS = cheMS
-	out.CheAnneal.VsStaticSlowdown = cheMS / out.MemoryAwareAnneal.SparseMS
-	out.CheAnneal.NonWorsening = chePl.Validate() == nil &&
-		che.Objective(chePl, counts) <= che.Objective(init, counts)+1e-9
-
 	for _, workers := range []int{1, 2, 4, 8} {
 		ms, pl := timeBest(func() *placement.Placement {
 			return placement.Anneal(counts, init, placement.AnnealOptions{
@@ -225,9 +189,6 @@ func TestGenerateSolverBench(t *testing.T) {
 	if out.MemoryAwareAnneal.Speedup < 3 {
 		t.Fatalf("memory-aware sparse speedup %.2fx below the 3x acceptance floor", out.MemoryAwareAnneal.Speedup)
 	}
-	if !out.CheAnneal.NonWorsening {
-		t.Fatal("che anneal worsened its own objective (incremental pricer drift?)")
-	}
 	for i := 1; i < len(out.Portfolio); i++ {
 		if out.Portfolio[i].Objective > out.Portfolio[0].Objective+1e-9 {
 			t.Fatalf("portfolio Workers=%d objective %v worse than Workers=1 %v",
@@ -245,7 +206,5 @@ func TestGenerateSolverBench(t *testing.T) {
 	t.Logf("memory-aware anneal: dense %.1fms sparse %.1fms -> %.2fx (bit-identical %v)",
 		out.MemoryAwareAnneal.DenseMS, out.MemoryAwareAnneal.SparseMS,
 		out.MemoryAwareAnneal.Speedup, out.MemoryAwareAnneal.BitIdentical)
-	t.Logf("che anneal: %.1fms (%.2fx the static sparse anneal)",
-		out.CheAnneal.SparseMS, out.CheAnneal.VsStaticSlowdown)
 	t.Log("wrote BENCH_solver.json")
 }
