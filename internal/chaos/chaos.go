@@ -149,11 +149,17 @@ func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
 	}
+	// NaN passes every ordered comparison and +Inf every lower bound, so
+	// each float is checked for finiteness explicitly: an infinite degrade
+	// factor stalls a fetch forever.
 	for i, f := range s.Faults {
 		switch f.Kind {
 		case FaultCrash:
-			if f.At < 0 {
-				return fmt.Errorf("chaos: fault %d: crash time must be non-negative, got %v", i, f.At)
+			if !nonNegative(f.At) {
+				return fmt.Errorf("chaos: fault %d: crash time At must be non-negative and finite, got %v", i, f.At)
+			}
+			if math.IsNaN(f.RecoverAfter) || math.IsInf(f.RecoverAfter, 0) {
+				return fmt.Errorf("chaos: fault %d: crash RecoverAfter must be finite (negative for no recovery), got %v", i, f.RecoverAfter)
 			}
 			if f.Replica == 0 {
 				// Replica 0 anchors drift scoring and churn pricing and is
@@ -165,31 +171,34 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("chaos: fault %d: crash replica must be positive, got %d", i, f.Replica)
 			}
 		case FaultLinkDegrade:
-			if f.At < 0 {
-				return fmt.Errorf("chaos: fault %d: degrade start must be non-negative, got %v", i, f.At)
+			if !nonNegative(f.At) {
+				return fmt.Errorf("chaos: fault %d: degrade start At must be non-negative and finite, got %v", i, f.At)
 			}
-			if f.Duration <= 0 {
-				return fmt.Errorf("chaos: fault %d: degrade duration must be positive, got %v", i, f.Duration)
+			if !(f.Duration > 0) || math.IsInf(f.Duration, 1) {
+				return fmt.Errorf("chaos: fault %d: degrade duration must be positive and finite, got %v", i, f.Duration)
 			}
-			if f.Factor < 1 {
-				return fmt.Errorf("chaos: fault %d: degrade factor must be >= 1, got %v", i, f.Factor)
+			if !(f.Factor >= 1) || math.IsInf(f.Factor, 1) {
+				return fmt.Errorf("chaos: fault %d: degrade factor must be >= 1 and finite, got %v", i, f.Factor)
 			}
 		default:
 			return fmt.Errorf("chaos: fault %d: unknown kind %d", i, int(f.Kind))
 		}
 	}
 	switch {
-	case s.FetchTimeout < 0:
-		return fmt.Errorf("chaos: FetchTimeout must be non-negative, got %v", s.FetchTimeout)
+	case !nonNegative(s.FetchTimeout):
+		return fmt.Errorf("chaos: FetchTimeout must be non-negative and finite, got %v", s.FetchTimeout)
 	case s.FetchRetries < 0:
 		return fmt.Errorf("chaos: FetchRetries must be non-negative, got %d", s.FetchRetries)
-	case s.FetchBackoff < 0:
-		return fmt.Errorf("chaos: FetchBackoff must be non-negative, got %v", s.FetchBackoff)
+	case !nonNegative(s.FetchBackoff):
+		return fmt.Errorf("chaos: FetchBackoff must be non-negative and finite, got %v", s.FetchBackoff)
 	case s.FetchTimeout == 0 && (s.FetchRetries > 0 || s.FetchBackoff > 0):
 		return fmt.Errorf("chaos: FetchRetries/FetchBackoff set but FetchTimeout is 0 (retry model disabled); set FetchTimeout or drop them")
 	}
 	return nil
 }
+
+// nonNegative reports whether v is a non-negative finite number.
+func nonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // ValidateReplicas checks crash targets against the serving fleet's slot
 // count (initial replicas plus any autoscaler headroom).

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,15 @@ func TestScheduleValidate(t *testing.T) {
 		{"negative retries", Schedule{FetchTimeout: 1, FetchRetries: -1}, "FetchRetries"},
 		{"negative backoff", Schedule{FetchTimeout: 1, FetchBackoff: -1}, "FetchBackoff"},
 		{"retries without timeout", Schedule{FetchRetries: 2}, "retry model disabled"},
+		// NaN passes every ordered comparison and +Inf every lower bound.
+		{"NaN crash time", Schedule{Faults: []Fault{Crash(math.NaN(), 1, 0)}}, "At"},
+		{"NaN crash recovery", Schedule{Faults: []Fault{Crash(1, 1, math.NaN())}}, "RecoverAfter"},
+		{"NaN degrade start", Schedule{Faults: []Fault{DegradeLink(math.NaN(), 1, 2)}}, "At"},
+		{"NaN degrade duration", Schedule{Faults: []Fault{DegradeLink(1, math.NaN(), 2)}}, "duration"},
+		{"NaN degrade factor", Schedule{Faults: []Fault{DegradeLink(1, 1, math.NaN())}}, "factor"},
+		{"infinite degrade factor", Schedule{Faults: []Fault{DegradeLink(0.5, 1, math.Inf(1))}}, "factor"},
+		{"NaN timeout", Schedule{FetchTimeout: math.NaN()}, "FetchTimeout"},
+		{"NaN backoff", Schedule{FetchTimeout: 1, FetchBackoff: math.NaN()}, "FetchBackoff"},
 	}
 	for _, tc := range bad {
 		err := tc.s.Validate()

@@ -29,6 +29,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -150,13 +151,25 @@ func (s *Spec) Validate(replicas int) error {
 		return fmt.Errorf("fleet: MinReplicas %d exceeds MaxReplicas %d", s.MinReplicas, s.MaxReplicas)
 	case s.MaxReplicas > 0 && (replicas < s.MinReplicas || replicas > s.MaxReplicas):
 		return fmt.Errorf("fleet: initial replica count %d outside autoscaler bounds [%d, %d]", replicas, s.MinReplicas, s.MaxReplicas)
-	case s.TargetUtilization < 0 || s.TargetUtilization > 1:
+	case !(s.TargetUtilization >= 0 && s.TargetUtilization <= 1):
+		// Written so NaN fails it too.
 		return fmt.Errorf("fleet: TargetUtilization must be in (0, 1] (zero for the default 0.75), got %v", s.TargetUtilization)
-	case s.ForecastHalfLife < 0 || s.ScaleUpCooldown < 0 || s.ScaleDownCooldown < 0 ||
-		s.ReconcileInterval < 0 || s.DeferSeconds < 0 || s.SLOSeconds < 0:
-		return fmt.Errorf("fleet: time tunables must be non-negative")
 	case s.DownscaleStreak < 0 || s.MaxQueuePerReplica < 0 || s.MaxDefers < 0:
 		return fmt.Errorf("fleet: count tunables must be non-negative")
+	}
+	// NaN passes every ordered comparison and +Inf every lower bound, so
+	// each time tunable is checked for finiteness explicitly.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ForecastHalfLife", s.ForecastHalfLife}, {"ScaleUpCooldown", s.ScaleUpCooldown},
+		{"ScaleDownCooldown", s.ScaleDownCooldown}, {"ReconcileInterval", s.ReconcileInterval},
+		{"DeferSeconds", s.DeferSeconds}, {"SLOSeconds", s.SLOSeconds},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("fleet: time tunables must be non-negative and finite, got %s = %v", f.name, f.v)
+		}
 	}
 	switch s.Admission {
 	case "", AdmissionQueue, AdmissionPaging:

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,14 @@ func TestSpecValidate(t *testing.T) {
 		{"paging without SLO", Spec{Admission: AdmissionPaging}, 2, "SLOSeconds"},
 		{"paging with SLO ok", Spec{Admission: AdmissionPaging, SLOSeconds: 2}, 2, ""},
 		{"queue ok", Spec{Admission: AdmissionQueue}, 2, ""},
+		// NaN passes every ordered comparison; each field must name itself.
+		{"NaN utilization", Spec{TargetUtilization: math.NaN()}, 2, "TargetUtilization"},
+		{"NaN half-life", Spec{ForecastHalfLife: math.NaN()}, 2, "ForecastHalfLife"},
+		{"NaN scale-up cooldown", Spec{ScaleUpCooldown: math.NaN()}, 2, "ScaleUpCooldown"},
+		{"NaN scale-down cooldown", Spec{ScaleDownCooldown: math.NaN()}, 2, "ScaleDownCooldown"},
+		{"NaN reconcile interval", Spec{ReconcileInterval: math.NaN()}, 2, "ReconcileInterval"},
+		{"NaN defer", Spec{DeferSeconds: math.NaN()}, 2, "DeferSeconds"},
+		{"NaN SLO", Spec{SLOSeconds: math.NaN()}, 2, "SLOSeconds"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate(c.replicas)

@@ -96,8 +96,9 @@ func (s *Summary) Marshal() ([]byte, error) {
 
 // system is the shared serving fixture every row copies from. serve.Run
 // treats its inputs as read-only (the replay tests depend on it), so the
-// placement and baseline counts are safe to share across concurrent rows.
+// deployment and calibration are safe to share across concurrent rows.
 type system struct {
+	dep     serve.Deployment
 	opts    serve.Options
 	drifted *synth.DatasetProfile
 }
@@ -109,22 +110,18 @@ func buildSystem() system {
 	})
 	pile := synth.Pile()
 	tr := trace.Collect(synth.NewKernelRouter(k, pile, 1), k.Layers, trace.SequentialIDs(2500, pile.TokenID))
-	counts := tr.AllTransitionCounts()
-	pl := placement.Staged(counts, k.Layers, k.Experts, tp, 5)
+	pl := placement.Staged(tr.AllTransitionCounts(), k.Layers, k.Experts, tp, 5)
 	cost := workload.LocalityModel{Fixed: 500e-6, PerToken: 5e-6, PerNodeHop: 1e-6, PerCrossHop: 4e-6}
 	return system{
+		dep: serve.Deployment{Topo: tp, Kernel: k, ExpertBytes: 16 << 20, Dataset: pile},
 		opts: serve.Options{
-			Topo:           tp,
-			Kernel:         k,
-			Placement:      pl,
-			BaselineCounts: counts,
-			Cost:           cost,
-			ExpertBytes:    16 << 20,
-			Replicas:       2,
-			MaxBatch:       32,
-			DecodeTokens:   16,
-			Window:         2048,
-			DriftThreshold: 0.02,
+			Replicas:     2,
+			MaxBatch:     32,
+			DecodeTokens: 16,
+			Window:       2048,
+			Calibration: &serve.Calibration{
+				Trace: tr, Placement: pl, Metrics: serve.Metrics{Cost: cost}, DriftThreshold: 0.02,
+			},
 		},
 		drifted: synth.Custom("drifted", []float64{0, 0, 0, 0, 1, 0}, 0xD81F),
 	}
@@ -133,7 +130,8 @@ func buildSystem() system {
 // knee returns a request rate at the given fraction of the fleet's modeled
 // capacity (cost evaluated at typical dispatch locality).
 func knee(o serve.Options, frac float64) float64 {
-	perReplica := float64(o.MaxBatch) / o.Cost.Time(o.MaxBatch, 0.2, 0.5)
+	cost := o.Calibration.Metrics.Cost
+	perReplica := float64(o.MaxBatch) / cost.Time(o.MaxBatch, 0.2, 0.5)
 	return frac * perReplica * float64(o.Replicas) / float64(o.DecodeTokens)
 }
 
@@ -257,11 +255,10 @@ func RunAll(cfg Config) (*Summary, error) {
 	for _, r := range results {
 		all = all && r.Pass
 	}
-	o := sys.opts
 	return &Summary{
 		Seed: cfg.Seed, Scale: cfg.Scale,
-		GPUs: o.Topo.TotalGPUs(), Replicas: o.Replicas,
-		Layers: o.Kernel.Layers, Experts: o.Kernel.Experts,
+		GPUs: sys.dep.Topo.TotalGPUs(), Replicas: sys.opts.Replicas,
+		Layers: sys.dep.Kernel.Layers, Experts: sys.dep.Kernel.Experts,
 		MainEraSeconds: sp.dur, RecoveryGate: sp.recoveryGate,
 		Scenarios: results, AllPass: all,
 	}, nil
@@ -271,12 +268,12 @@ func runControl(sys system, sp scaleParams, seed uint64) (bool, map[string]float
 	o := sys.opts
 	o.Seed = seed
 	o.Phases = steady(o, 0.8, sp.dur)
-	off, err := serve.Run(o)
+	off, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
 	o.Chaos = &chaos.Schedule{}
-	on, err := serve.Run(o)
+	on, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -305,14 +302,14 @@ func runCrashRecoveryMidDrift(sys system, sp scaleParams, seed uint64) (bool, ma
 		{Name: "warm", Duration: sp.warm, Rate: rate, Dataset: synth.Pile()},
 		{Name: "drift", Duration: sp.dur, Rate: rate, Dataset: sys.drifted},
 	}
-	base, err := serve.Run(o)
+	base, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
 	crashAt := sp.warm + 0.25*sp.dur
 	const recoverAfter = 1.0
 	o.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.Crash(crashAt, 1, recoverAfter)}}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -351,7 +348,7 @@ func runCrashDuringMigration(sys system, sp scaleParams, seed uint64) (bool, map
 		{Name: "warm", Duration: sp.warm, Rate: rate, Dataset: synth.Pile()},
 		{Name: "drift", Duration: sp.dur, Rate: rate, Dataset: sys.drifted},
 	}
-	probe, err := serve.Run(o)
+	probe, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -368,7 +365,7 @@ func runCrashDuringMigration(sys system, sp scaleParams, seed uint64) (bool, map
 		crashAt = m.Time + 0.01
 	}
 	o.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.Crash(crashAt, 1, 1)}}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -397,12 +394,12 @@ func runDegradedLink(sys system, sp scaleParams, seed uint64) (bool, map[string]
 	o.Oversubscription = 2
 	o.CachePolicy = "affinity"
 	o.Phases = steady(o, 0.7, sp.dur)
-	base, err := serve.Run(o)
+	base, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
 	o.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.DegradeLink(0.25*sp.dur, 0.5*sp.dur, 3)}}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -431,12 +428,12 @@ func runPreemptVsFIFO(sys system, sp scaleParams, seed uint64) (bool, map[string
 	o.Oversubscription = 2
 	o.CachePolicy = "affinity"
 	o.Phases = steady(o, 0.75, sp.dur)
-	fifo, err := serve.Run(o)
+	fifo, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
 	o.Chaos = &chaos.Schedule{PreemptibleDMA: true}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -474,7 +471,7 @@ func runFlashCrowdCrash(sys system, sp scaleParams, seed uint64) (bool, map[stri
 	o.Fleet = autoscaled(2)
 	crashAt := sp.warm + 0.2*sp.dur // inside the spike
 	o.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.Crash(crashAt, 1, 1)}}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -504,7 +501,7 @@ func runAutoscalerReplacesCrash(sys system, sp scaleParams, seed uint64) (bool, 
 	o.Phases = steady(o, 0.5, sp.warm+sp.dur)
 	o.Fleet = autoscaled(2)
 	o.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.CrashForever(sp.warm, 1)}}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -533,7 +530,7 @@ func runRetryExhaustionShed(sys system, sp scaleParams, seed uint64) (bool, map[
 	o.Oversubscription = 2
 	o.CachePolicy = "lru"
 	o.Phases = steady(o, 0.7, sp.dur)
-	base, err := serve.Run(o)
+	base, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -543,7 +540,7 @@ func runRetryExhaustionShed(sys system, sp scaleParams, seed uint64) (bool, map[
 		Faults:       []chaos.Fault{chaos.DegradeLink(0.5, sp.dur, 50)},
 		FetchTimeout: 0.002, FetchRetries: 1, FetchBackoff: 0.001,
 	}
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}
@@ -576,7 +573,7 @@ func runDrainConservation(sys system, sp scaleParams, seed uint64) (bool, map[st
 		{Name: "calm", Duration: sp.warm + 0.7*sp.dur, Rate: warm / 2, Dataset: synth.Pile()},
 	}
 	o.Fleet = autoscaled(1)
-	rep, err := serve.Run(o)
+	rep, err := serve.Run(sys.dep, o)
 	if err != nil {
 		return false, nil, "", err
 	}

@@ -1,79 +1,10 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/rng"
-	"repro/internal/synth"
 )
-
-// ArrivalKind selects the request arrival process of a traffic phase.
-type ArrivalKind int
-
-const (
-	// Poisson arrivals: exponential inter-arrival gaps at the phase rate.
-	Poisson ArrivalKind = iota
-	// Bursty arrivals: a Markov-modulated on/off process. The long-run rate
-	// equals the phase rate, but arrivals cluster in bursts at burstFactor
-	// times that rate, stressing the queue's tail.
-	Bursty
-	// Diurnal arrivals: a sinusoidally modulated Poisson process (one full
-	// cycle per phase), modeling daily traffic swing.
-	Diurnal
-)
-
-// String implements fmt.Stringer.
-func (k ArrivalKind) String() string {
-	switch k {
-	case Poisson:
-		return "poisson"
-	case Bursty:
-		return "bursty"
-	case Diurnal:
-		return "diurnal"
-	default:
-		return fmt.Sprintf("ArrivalKind(%d)", int(k))
-	}
-}
-
-// ParseArrivalKind maps a CLI string to an ArrivalKind.
-func ParseArrivalKind(s string) (ArrivalKind, error) {
-	switch s {
-	case "", "poisson":
-		return Poisson, nil
-	case "bursty":
-		return Bursty, nil
-	case "diurnal":
-		return Diurnal, nil
-	default:
-		return Poisson, fmt.Errorf("serve: unknown arrival kind %q", s)
-	}
-}
-
-// Phase is one era of offered traffic: requests arrive for Duration seconds
-// at mean Rate requests/second under the given process, drawing their token
-// content from Dataset.
-type Phase struct {
-	Name     string
-	Duration float64
-	Rate     float64
-	Kind     ArrivalKind
-	Dataset  *synth.DatasetProfile
-}
-
-// validate checks one phase.
-func (p Phase) validate() error {
-	// NaN passes every ordered comparison and +Inf never ends the arrival
-	// loop, so both are rejected explicitly.
-	if !(p.Duration > 0) || math.IsInf(p.Duration, 1) || !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
-		return fmt.Errorf("serve: phase %q needs positive finite duration and rate, got %v and %v", p.Name, p.Duration, p.Rate)
-	}
-	if p.Dataset == nil {
-		return fmt.Errorf("serve: phase %q has no dataset", p.Name)
-	}
-	return p.Dataset.Validate()
-}
 
 const (
 	burstFactor  = 3.0 // on-period rate multiple
@@ -85,7 +16,7 @@ const (
 // phase, offset by start.
 func generateArrivals(r *rng.RNG, p Phase, start float64) []float64 {
 	var out []float64
-	switch p.Kind {
+	switch p.Arrival {
 	case Bursty:
 		// On/off modulation: arrivals only during on-periods, at
 		// burstFactor*Rate; duty cycle 1/burstFactor preserves the mean rate.

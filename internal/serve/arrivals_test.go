@@ -11,8 +11,8 @@ import (
 // every process kind, and different seeds diverge. This is what makes whole
 // serving runs replayable.
 func TestArrivalsDeterministicPerSeed(t *testing.T) {
-	for _, kind := range []ArrivalKind{Poisson, Bursty, Diurnal} {
-		p := Phase{Name: kind.String(), Duration: 20, Rate: 150, Kind: kind, Dataset: synth.Pile()}
+	for _, kind := range []string{Poisson, Bursty, Diurnal} {
+		p := Phase{Name: kind, Duration: 20, Rate: 150, Arrival: kind, Dataset: synth.Pile()}
 		a := generateArrivals(rngFor(42), p, 0)
 		b := generateArrivals(rngFor(42), p, 0)
 		if len(a) == 0 {

@@ -39,7 +39,7 @@ type chaosState struct {
 	retiredStats expertmem.Stats
 }
 
-func newChaosState(o *Options) *chaosState {
+func newChaosState(o *runConfig) *chaosState {
 	return &chaosState{
 		sched:      o.Chaos.WithDefaults(),
 		met:        newChaosMetrics(o.Metrics),

@@ -13,15 +13,15 @@ import (
 // layer (degraded links, retry exhaustion, shedding), and the report ledger.
 
 func TestServeChaosEmptyScheduleBitIdentical(t *testing.T) {
-	base, _ := testSystem(t)
+	dep, base, _ := testSystem(t)
 	base.Phases = steadyProgram(base, 0.8, 4)
-	off, err := Run(base)
+	off, err := Run(dep, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	on := base
 	on.Chaos = &chaos.Schedule{}
-	got, err := Run(on)
+	got, err := Run(dep, on)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +36,16 @@ func TestServeChaosEmptyScheduleBitIdentical(t *testing.T) {
 }
 
 func TestServeChaosCrashRecoversTail(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = steadyProgram(opts, 0.7, 10)
-	base, err := Run(opts)
+	base, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const crashAt, recoverAfter = 3.0, 1.0
 	opts.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.Crash(crashAt, 1, recoverAfter)}}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestServeChaosCrashRecoversTail(t *testing.T) {
 }
 
 func TestServeChaosCrashForeverLosesCapacity(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = steadyProgram(opts, 0.6, 6)
-	base, err := Run(opts)
+	base, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.CrashForever(2, 1)}}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +123,16 @@ func TestServeChaosCrashForeverLosesCapacity(t *testing.T) {
 }
 
 func TestServeChaosDegradedLinkStretchesStalls(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
 	opts.Phases = steadyProgram(opts, 0.7, 4)
-	base, err := Run(opts)
+	base, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.DegradeLink(1, 2.5, 4)}}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestServeChaosDegradedLinkStretchesStalls(t *testing.T) {
 }
 
 func TestServeChaosRetryExhaustionShedsGracefully(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "lru"
 	opts.Phases = steadyProgram(opts, 0.7, 4)
-	base, err := Run(opts)
+	base, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestServeChaosRetryExhaustionShedsGracefully(t *testing.T) {
 		Faults:       []chaos.Fault{chaos.DegradeLink(0.5, 3.5, 50)},
 		FetchTimeout: 0.002, FetchRetries: 1, FetchBackoff: 0.001,
 	}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +182,16 @@ func TestServeChaosRetryExhaustionShedsGracefully(t *testing.T) {
 }
 
 func TestServeChaosPreemptibleDMA(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
 	opts.Phases = steadyProgram(opts, 0.7, 4)
-	fifo, err := Run(opts)
+	fifo, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Chaos = &chaos.Schedule{PreemptibleDMA: true}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestServeChaosPreemptibleDMA(t *testing.T) {
 }
 
 func TestServeChaosCrashDuringAutoscale(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	warm := nearKneeRate(opts, 0.5, 0.2, 0.5)
 	opts.Phases = []Phase{
 		{Name: "warm", Duration: 3, Rate: warm, Dataset: synth.Pile()},
@@ -225,7 +225,7 @@ func TestServeChaosCrashDuringAutoscale(t *testing.T) {
 	// loss shows up in the reconciler's committed count, and the autoscaler
 	// is free to re-commission a different slot.
 	opts.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.CrashForever(3, 1)}}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestServeChaosCrashDuringAutoscale(t *testing.T) {
 func TestServeChaosDrainConservation(t *testing.T) {
 	// Scale-down with a queued backlog: the drained replica's queue moves to
 	// the survivors immediately and every admitted request still finishes.
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	warm := nearKneeRate(opts, 0.4, 0.2, 0.5)
 	opts.Phases = []Phase{
 		{Name: "spike", Duration: 2, Rate: 4 * warm, Dataset: synth.Pile()},
@@ -261,7 +261,7 @@ func TestServeChaosDrainConservation(t *testing.T) {
 		DownscaleStreak:   2,
 		ForecastHalfLife:  0.5,
 	}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,38 +279,38 @@ func TestServeChaosDrainConservation(t *testing.T) {
 }
 
 func TestServeChaosValidation(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = steadyProgram(opts, 0.5, 2)
 
 	bad := opts
 	bad.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.Crash(1, 0, 1)}}
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(dep, bad); err == nil {
 		t.Fatal("crashing replica 0 must be rejected")
 	}
 	bad = opts
 	bad.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.Crash(1, 7, 1)}}
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(dep, bad); err == nil {
 		t.Fatal("crashing a replica beyond the slot count must be rejected")
 	}
 	bad = opts
 	bad.Chaos = &chaos.Schedule{FetchTimeout: 0.01}
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(dep, bad); err == nil {
 		t.Fatal("memory-path fault without Oversubscription must be rejected")
 	}
 	bad = opts
 	bad.Chaos = &chaos.Schedule{PreemptibleDMA: true}
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(dep, bad); err == nil {
 		t.Fatal("preemptible DMA without Oversubscription must be rejected")
 	}
 	bad = opts
 	bad.Chaos = &chaos.Schedule{Faults: []chaos.Fault{chaos.DegradeLink(1, 1, 0.5)}}
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(dep, bad); err == nil {
 		t.Fatal("degrade factor below 1 must be rejected")
 	}
 }
 
 func TestServeChaosDeterministicReplay(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
 	opts.Phases = steadyProgram(opts, 0.7, 5)
@@ -321,11 +321,11 @@ func TestServeChaosDeterministicReplay(t *testing.T) {
 		},
 		FetchTimeout: 0.05, FetchRetries: 2,
 	}
-	a, err := Run(opts)
+	a, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(opts)
+	b, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

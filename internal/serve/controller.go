@@ -108,7 +108,7 @@ type pendingSolve struct {
 // near-minimal and MinGain rejects re-solves that would churn parameters
 // for marginal benefit.
 type controller struct {
-	opts   *Options
+	opts   *runConfig
 	window *TraceWindow
 	det    *Detector
 
@@ -153,11 +153,11 @@ func (c *controller) noteStall(rate float64) {
 	c.stallRate = rate
 }
 
-func newController(opts *Options, window *TraceWindow, baseline [][]float64) *controller {
+func newController(opts *runConfig, window *TraceWindow, baseline [][]float64) *controller {
 	return &controller{
 		opts:   opts,
 		window: window,
-		det:    NewDetector(opts.Metric, opts.DriftThreshold, opts.Patience, baseline),
+		det:    NewDetector(JS, opts.threshold, opts.Patience, baseline),
 		met:    newServeMetrics(opts.Metrics),
 	}
 }
@@ -209,11 +209,11 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 		dl.Logf(now, "skip-busy drift=%.4f (solve or migration in flight)", score)
 		return score, nil
 	case !fired:
-		dl.Logf(now, "observe drift=%.4f threshold=%.4f fired=false", score, c.opts.DriftThreshold)
+		dl.Logf(now, "observe drift=%.4f threshold=%.4f fired=false", score, c.opts.threshold)
 		return score, nil
 	}
-	if fill := c.window.Fill(); fill < c.opts.MinFill {
-		dl.Logf(now, "skip-fill drift=%.4f fill=%.2f<%.2f", score, fill, c.opts.MinFill)
+	if fill := c.window.Fill(); fill < minFill {
+		dl.Logf(now, "skip-fill drift=%.4f fill=%.2f<%.2f", score, fill, minFill)
 		return score, nil
 	}
 	if now < c.cooldownUntil {
@@ -239,7 +239,7 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 	}
 	seed := c.opts.Seed + uint64(c.solves)*0x51ED
 	layers, experts := cur.Layers, cur.Experts
-	tp, workers := c.opts.Topo, c.opts.SolveWorkers
+	tp, workers := c.opts.topo, c.opts.SolveWorkers
 	reg := c.opts.Metrics
 	if tr := c.opts.Trace; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvSolveStart, Rep: -1, GPU: -1, Layer: -1, Expert: -1, T: now, Value: score})
@@ -271,17 +271,17 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 	// while the solve ran, the solution optimizes a distribution that no
 	// longer exists. Discard it — the detector streak is still hot, so the
 	// next drift check launches a new solve on the fresher window.
-	if div := Divergence(c.opts.Metric, ps.pooled, c.window.Pooled()); div > c.opts.DriftThreshold {
+	if div := Divergence(JS, ps.pooled, c.window.Pooled()); div > c.opts.threshold {
 		c.discards++
 		c.met.discards.Inc()
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.EvSolveDiscard, Rep: -1, GPU: -1, Layer: -1, Expert: -1, T: now, Value: div})
 		}
 		dl.Logf(now, "solve-discard staleness=%.4f>threshold=%.4f (window moved while solving; overlap=%.3fs)",
-			div, c.opts.DriftThreshold, now-ps.started)
+			div, c.opts.threshold, now-ps.started)
 		return nil
 	}
-	canon := placement.CanonicalizeTopo(cur, fresh, c.opts.Topo.GPUsPerNode)
+	canon := placement.CanonicalizeTopo(cur, fresh, c.opts.topo.GPUsPerNode)
 	// Gain is measured in modeled per-token service time, the quantity the
 	// queue actually feels — not raw crossings, which weight an NVLink hop
 	// the same as an IB hop. The memory-aware term adds each placement's
@@ -308,7 +308,7 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 	}
 	// Price exactly the placement being installed (PriceMigration would
 	// re-canonicalize and could plan for a different relabeling).
-	plan := placement.PriceMoves(placement.Diff(cur, canon), c.opts.Topo, c.opts.ExpertBytes)
+	plan := placement.PriceMoves(placement.Diff(cur, canon), c.opts.topo, c.opts.expertBytes)
 	ev := &MigrationEvent{
 		SolveStarted:        ps.started,
 		SolveSeconds:        now - ps.started,
@@ -368,7 +368,7 @@ func (c *controller) memObjective(cur *placement.Placement, counts [][][]float64
 // residencyObjective builds the residency-pricing oracle shared by the
 // controller's memory-aware re-solves and the fleet tier's paging admission,
 // with the given transition counts as the demand oracle.
-func residencyObjective(o *Options, layers, experts int, counts [][][]float64) *placement.MemoryObjective {
+func residencyObjective(o *runConfig, layers, experts int, counts [][][]float64) *placement.MemoryObjective {
 	if o.Oversubscription == 0 {
 		return nil
 	}
@@ -376,9 +376,9 @@ func residencyObjective(o *Options, layers, experts int, counts [][][]float64) *
 	if err != nil {
 		return nil // Validate already rejected this; belt and braces
 	}
-	cfg := expertmem.ConfigFor(o.Topo, layers, experts, o.ExpertBytes,
+	cfg := expertmem.ConfigFor(o.topo, layers, experts, o.expertBytes,
 		o.Oversubscription, pol, o.PrefetchK, o.HostSlots, counts)
-	mo := placement.NewMemoryObjective(cfg, o.Cost.PerCrossHop)
+	mo := placement.NewMemoryObjective(cfg, o.cost.PerCrossHop)
 	// Serving is bulk-synchronous over MaxBatch-token iterations: a batch
 	// demands each expert at most once per layer, so the per-token demand
 	// oracle overstates residency churn by up to the batch size. Deflate it
@@ -400,7 +400,7 @@ func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement)
 					continue
 				}
 				total += w
-				switch c.opts.Topo.Classify(gFrom, pl.GPUOf(j+1, to)) {
+				switch c.opts.topo.Classify(gFrom, pl.GPUOf(j+1, to)) {
 				case topo.SameNode:
 					node += w
 				case topo.CrossNode:
@@ -412,7 +412,7 @@ func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement)
 	if total == 0 {
 		return 0
 	}
-	m := c.opts.Cost
+	m := c.opts.cost
 	return m.PerToken + m.PerNodeHop*node/total + m.PerCrossHop*cross/total
 }
 

@@ -12,17 +12,21 @@ import (
 // controllerFixture builds a controller over a window filled with drifted
 // traffic, so the detector is hot and only the gating logic decides whether
 // a plan is returned.
-func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.Placement, Options) {
+func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.Placement, runConfig) {
 	t.Helper()
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.MinGain = minGain
-	opts = opts.withDefaults()
+	opts.Phases = driftProgram(opts, drifted)
+	cfg, err := resolve(dep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	window := NewTraceWindow(opts.Kernel.Layers, opts.Kernel.Experts, opts.Window)
-	router := synth.NewKernelRouter(opts.Kernel, drifted, 1)
-	ids := trace.SequentialIDs(opts.Window, drifted.TokenID)
-	tr := trace.Collect(router, opts.Kernel.Layers, ids)
+	window := NewTraceWindow(cfg.kernel.Layers, cfg.kernel.Experts, cfg.Window)
+	router := synth.NewKernelRouter(cfg.kernel, drifted, 1)
+	ids := trace.SequentialIDs(cfg.Window, drifted.TokenID)
+	tr := trace.Collect(router, cfg.kernel.Layers, ids)
 	for _, path := range tr.Paths {
 		p := make([]int, len(path))
 		for i, e := range path {
@@ -30,8 +34,8 @@ func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.P
 		}
 		window.Push(p)
 	}
-	ctrl := newController(&opts, window, poolCounts(opts.BaselineCounts, opts.Kernel.Experts))
-	return ctrl, opts.Placement.Clone(), opts
+	ctrl := newController(&cfg, window, poolCounts(cfg.baseline, cfg.kernel.Experts))
+	return ctrl, cfg.placement.Clone(), cfg
 }
 
 // solveAndComplete drives the two-phase observe/complete flow until the
@@ -125,10 +129,10 @@ func TestRollingMigrationPauseAccounting(t *testing.T) {
 	// End to end: during a rolling migration only one replica stalls at a
 	// time, so the fleet-wide completion spans at least Replicas stalls and
 	// every replica keeps its own pause.
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Phases = driftProgram(opts, drifted)
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +164,8 @@ func TestControllerStalenessGuardDiscardsDriftedSolve(t *testing.T) {
 	// While the solve "runs", the live mixture shifts again: overwrite the
 	// window with traffic from a different domain than the snapshot saw.
 	shifted := synth.Custom("shifted-again", []float64{1, 0, 0, 0, 0, 0}, 0x517)
-	router := synth.NewKernelRouter(opts.Kernel, shifted, 1)
-	tr := trace.Collect(router, opts.Kernel.Layers, trace.SequentialIDs(ctrl.window.Capacity(), shifted.TokenID))
+	router := synth.NewKernelRouter(opts.kernel, shifted, 1)
+	tr := trace.Collect(router, opts.kernel.Layers, trace.SequentialIDs(ctrl.window.Capacity(), shifted.TokenID))
 	for _, path := range tr.Paths {
 		p := make([]int, len(path))
 		for i, e := range path {
@@ -211,7 +215,7 @@ func TestControllerSolveOverlapNotChargedToPause(t *testing.T) {
 	// Re-price the installed move set independently: the pause must equal
 	// the parameter-copy cost alone (no churn hook in this fixture), with
 	// no trace of the 3-second solve.
-	want := placement.PriceMoves(placement.Diff(cur, plan.newPl), opts.Topo, opts.ExpertBytes).Seconds
+	want := placement.PriceMoves(placement.Diff(cur, plan.newPl), opts.topo, opts.expertBytes).Seconds
 	if ev.Seconds != want {
 		t.Fatalf("pause %v != priced parameter copy %v (solve overlap double-charged?)", ev.Seconds, want)
 	}
@@ -227,11 +231,11 @@ func TestServeNonBlockingSolveEndToEnd(t *testing.T) {
 	// Full run with a non-zero solve latency: migrations must record the
 	// overlap, the pause accounting must be unchanged, and the run must
 	// stay deterministic.
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.SolveSeconds = 0.4
 	opts.Phases = driftProgram(opts, drifted)
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestServeNonBlockingSolveEndToEnd(t *testing.T) {
 			t.Fatalf("rolling migration too fast: decided %v, done %v", m.Time, m.Completed)
 		}
 	}
-	again, err := Run(opts)
+	again, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +270,8 @@ func TestServeNonBlockingSolveEndToEnd(t *testing.T) {
 func TestControllerPerTokenCostOrdersPlacements(t *testing.T) {
 	ctrl, _, opts := controllerFixture(t, 0.01)
 	counts := ctrl.window.Snapshot()
-	staged := placement.Staged(counts, opts.Kernel.Layers, opts.Kernel.Experts, opts.Topo, 77)
-	random := placement.Random(opts.Kernel.Layers, opts.Kernel.Experts, opts.Topo.TotalGPUs(), 77)
+	staged := placement.Staged(counts, opts.kernel.Layers, opts.kernel.Experts, opts.topo, 77)
+	random := placement.Random(opts.kernel.Layers, opts.kernel.Experts, opts.topo.TotalGPUs(), 77)
 	cs, cr := ctrl.perTokenCost(counts, staged), ctrl.perTokenCost(counts, random)
 	if cs <= 0 || cr <= 0 {
 		t.Fatalf("degenerate costs %v %v", cs, cr)

@@ -6,34 +6,25 @@ import (
 )
 
 // DriftMetric selects the divergence the detector computes between the
-// baseline and live routing transition distributions.
+// baseline and live routing transition distributions. JS is the only one.
 type DriftMetric int
 
-const (
-	// JS is the Jensen-Shannon divergence (nats, bounded by ln 2) between
-	// row-conditional transition distributions, mass-weighted across rows.
-	JS DriftMetric = iota
-	// L1 is the total-variation-style L1 distance (bounded by 2) between
-	// row-conditional transition distributions, mass-weighted across rows.
-	L1
-)
+// JS is the Jensen-Shannon divergence (nats, bounded by ln 2) between
+// row-conditional transition distributions, mass-weighted across rows.
+const JS DriftMetric = 0
 
 // String implements fmt.Stringer.
 func (m DriftMetric) String() string {
-	switch m {
-	case JS:
+	if m == JS {
 		return "js"
-	case L1:
-		return "l1"
-	default:
-		return fmt.Sprintf("DriftMetric(%d)", int(m))
 	}
+	return fmt.Sprintf("DriftMetric(%d)", int(m))
 }
 
-// rowDivergence computes the chosen divergence between two unnormalized
-// count rows. Rows are normalized internally; an empty base row is treated
-// as uniform (no evidence = no preference).
-func rowDivergence(metric DriftMetric, base, live []float64) float64 {
+// rowDivergence computes the JS divergence between two unnormalized count
+// rows. Rows are normalized internally; an empty base row is treated as
+// uniform (no evidence = no preference).
+func rowDivergence(base, live []float64) float64 {
 	bSum, lSum := 0.0, 0.0
 	for i := range base {
 		bSum += base[i]
@@ -43,34 +34,22 @@ func rowDivergence(metric DriftMetric, base, live []float64) float64 {
 		return 0
 	}
 	n := float64(len(base))
-	p := func(i int) float64 { // baseline
-		if bSum == 0 {
-			return 1 / n
+	d := 0.0
+	for i := range base {
+		pi := 1 / n // baseline
+		if bSum != 0 {
+			pi = base[i] / bSum
 		}
-		return base[i] / bSum
+		qi := live[i] / lSum
+		m := (pi + qi) / 2
+		if pi > 0 {
+			d += 0.5 * pi * math.Log(pi/m)
+		}
+		if qi > 0 {
+			d += 0.5 * qi * math.Log(qi/m)
+		}
 	}
-	q := func(i int) float64 { return live[i] / lSum }
-	switch metric {
-	case L1:
-		d := 0.0
-		for i := range base {
-			d += math.Abs(p(i) - q(i))
-		}
-		return d
-	default: // JS
-		d := 0.0
-		for i := range base {
-			pi, qi := p(i), q(i)
-			m := (pi + qi) / 2
-			if pi > 0 {
-				d += 0.5 * pi * math.Log(pi/m)
-			}
-			if qi > 0 {
-				d += 0.5 * qi * math.Log(qi/m)
-			}
-		}
-		return d
-	}
+	return d
 }
 
 // Divergence compares two transition-count matrices row by row, weighting
@@ -95,7 +74,7 @@ func Divergence(metric DriftMetric, base, live [][]float64) float64 {
 		if mass == 0 {
 			continue
 		}
-		d += mass / total * rowDivergence(metric, base[from], live[from])
+		d += mass / total * rowDivergence(base[from], live[from])
 	}
 	return d
 }
@@ -105,7 +84,7 @@ func Divergence(metric DriftMetric, base, live [][]float64) float64 {
 // detector has fired: the score must exceed Threshold for Patience
 // consecutive observations, debouncing transient bursts.
 type Detector struct {
-	// Metric selects JS (default) or L1.
+	// Metric is the divergence (JS).
 	Metric DriftMetric
 	// Threshold is the divergence above which an observation counts as hot.
 	Threshold float64

@@ -13,17 +13,17 @@ func steadyProgram(o Options, frac, dur float64) []Phase {
 }
 
 func TestServeOversubscription1xAddsNoOverhead(t *testing.T) {
-	base, _ := testSystem(t)
+	dep, base, _ := testSystem(t)
 	base.Phases = steadyProgram(base, 0.8, 4)
 
-	off, err := Run(base)
+	off, err := Run(dep, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	at1x := base
 	at1x.Oversubscription = 1
 	at1x.CachePolicy = "affinity"
-	on, err := Run(at1x)
+	on, err := Run(dep, at1x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +42,14 @@ func TestServeOversubscription1xAddsNoOverhead(t *testing.T) {
 }
 
 func TestServeAffinityPrefetchBeatsLRUAt2x(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = steadyProgram(opts, 0.6, 5)
 	opts.Oversubscription = 2
 
 	run := func(policy string) *Report {
 		o := opts
 		o.CachePolicy = policy
-		rep, err := Run(o)
+		rep, err := Run(dep, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,15 +74,15 @@ func TestServeAffinityPrefetchBeatsLRUAt2x(t *testing.T) {
 }
 
 func TestServeOversubscribedDeterministicReplay(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = steadyProgram(opts, 0.6, 3)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
-	a, err := Run(opts)
+	a, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(opts)
+	b, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestServeOversubscribedDeterministicReplay(t *testing.T) {
 }
 
 func TestServeMigrationPricesResidencyChurn(t *testing.T) {
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
@@ -101,7 +101,7 @@ func TestServeMigrationPricesResidencyChurn(t *testing.T) {
 		{Name: "warm", Duration: 3, Rate: rate, Dataset: synth.Pile()},
 		{Name: "drift", Duration: 6, Rate: rate, Dataset: drifted},
 	}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestServeMigrationAt1xChurnsNothing(t *testing.T) {
 	// At 1x every expert fits: migrations must not be charged any
 	// residency-churn refetch (the 1x-adds-no-overhead guarantee extends
 	// to the controller's pricing).
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Oversubscription = 1
 	opts.CachePolicy = "affinity"
 	opts.Phases = driftProgram(opts, drifted)
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,38 +141,38 @@ func TestServeMigrationAt1xChurnsNothing(t *testing.T) {
 }
 
 func TestServeValidatesMemoryOptions(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = steadyProgram(opts, 0.5, 1)
 	opts.Oversubscription = 0.5
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(dep, opts); err == nil {
 		t.Fatal("fractional oversubscription below 1 accepted")
 	}
 	opts.Oversubscription = 2
 	opts.CachePolicy = "bogus"
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(dep, opts); err == nil {
 		t.Fatal("unknown cache policy accepted")
 	}
 	opts.Oversubscription = 0
 	opts.CachePolicy = "affinity"
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(dep, opts); err == nil {
 		t.Fatal("cache policy without the memory layer accepted")
 	}
 	opts.CachePolicy = ""
 	opts.MemoryAware = true
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(dep, opts); err == nil {
 		t.Fatal("memory-aware re-placement without the memory layer accepted")
 	}
 	opts.MemoryAware = false
 	opts.HostSlots = 32
 	// Pinned: an earlier revision silently accepted a HostSlots bound with
 	// the memory layer off, leaving the option a no-op.
-	if _, err := Run(opts); err == nil {
+	if _, err := Run(dep, opts); err == nil {
 		t.Fatal("HostSlots without the memory layer accepted")
 	}
 }
 
 func TestServeMemoryAwareMigrationReportsStallDeltas(t *testing.T) {
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
@@ -182,7 +182,7 @@ func TestServeMemoryAwareMigrationReportsStallDeltas(t *testing.T) {
 		{Name: "warm", Duration: 3, Rate: rate, Dataset: synth.Pile()},
 		{Name: "drift", Duration: 6, Rate: rate, Dataset: drifted},
 	}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +201,17 @@ func TestServeMemoryAwareMigrationReportsStallDeltas(t *testing.T) {
 func TestServeMemoryAwareAt1xMatchesCrossingOnly(t *testing.T) {
 	// At 1x the memory objective is inactive by construction, so the
 	// memory-aware controller must reproduce the crossing-only run exactly.
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Oversubscription = 1
 	opts.CachePolicy = "affinity"
 	opts.Phases = driftProgram(opts, drifted)
-	plain, err := Run(opts)
+	plain, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.MemoryAware = true
-	aware, err := Run(opts)
+	aware, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ type fleetState struct {
 	retiredStats expertmem.Stats
 }
 
-func newFleetState(o *Options) *fleetState {
+func newFleetState(o *runConfig) *fleetState {
 	spec := o.Fleet.WithDefaults()
 	return &fleetState{
 		spec:   spec,
@@ -130,7 +130,7 @@ func (s *server) refreshFleetPricing(now float64) {
 	if s.mems == nil || !s.mems[0].Oversubscribed() {
 		return
 	}
-	mo := residencyObjective(&s.opts, s.opts.Placement.Layers, s.opts.Placement.Experts, s.window.Snapshot())
+	mo := residencyObjective(&s.opts, s.opts.placement.Layers, s.opts.placement.Experts, s.window.Snapshot())
 	if mo == nil {
 		return
 	}
@@ -170,7 +170,7 @@ func (s *server) iterStallWindow(t0 float64) (sum float64, n int) {
 // observed dispatch fractions, inflated by the calibrated paging stall.
 func (s *server) fleetIterSeconds() float64 {
 	b := s.opts.MaxBatch
-	return s.opts.Cost.Time(b, s.fl.fn, s.fl.fc) + float64(b)*s.fl.stallEst
+	return s.opts.cost.Time(b, s.fl.fn, s.fl.fc) + float64(b)*s.fl.stallEst
 }
 
 // fleetTokensPerSec estimates decode capacity for live replicas at full

@@ -11,16 +11,16 @@ import (
 // single number relative to no fleet tier at all — the tier's hooks are pure
 // bookkeeping until a policy is enabled.
 func TestServeFleetInertSpecBitIdentical(t *testing.T) {
-	base, _ := testSystem(t)
+	dep, base, _ := testSystem(t)
 	base.Phases = steadyProgram(base, 0.8, 4)
 
-	off, err := Run(base)
+	off, err := Run(dep, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	on := base
 	on.Fleet = &fleet.Spec{}
-	got, err := Run(on)
+	got, err := Run(dep, on)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,10 @@ func TestServeFleetInertSpecBitIdentical(t *testing.T) {
 // TestServeFleetAdmissionAccounting: every offered request is either admitted
 // or shed, and only admitted ones reach the latency report.
 func TestServeFleetAdmissionAccounting(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = []Phase{{Name: "crush", Duration: 4, Rate: nearKneeRate(opts, 2.0, 0.2, 0.5), Dataset: synth.Pile()}}
 	opts.Fleet = &fleet.Spec{Admission: fleet.AdmissionQueue, MaxQueuePerReplica: 8}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestServeFleetAdmissionAccounting(t *testing.T) {
 // sustained overload through the priced backlog, with the same accounting
 // invariant.
 func TestServeFleetPagingAdmissionSheds(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
 	opts.Phases = []Phase{{Name: "crush", Duration: 4, Rate: nearKneeRate(opts, 2.0, 0.2, 0.5), Dataset: synth.Pile()}}
 	opts.Fleet = &fleet.Spec{Admission: fleet.AdmissionPaging, SLOSeconds: 1}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +91,19 @@ func TestServeFleetPagingAdmissionSheds(t *testing.T) {
 // tier must fetch strictly less from NVMe than replicas with independent
 // tiers — the second replica's cold fetch becomes a DRAM hit.
 func TestServeFleetSharedHostCache(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Oversubscription = 2
 	opts.CachePolicy = "affinity"
-	opts.HostSlots = opts.Kernel.Layers * opts.Kernel.Experts / 4
+	opts.HostSlots = dep.Kernel.Layers * dep.Kernel.Experts / 4
 	opts.Phases = steadyProgram(opts, 0.8, 4)
 
-	indep, err := Run(opts)
+	indep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := opts
 	shared.Fleet = &fleet.Spec{SharedHostCache: true}
-	rep, err := Run(shared)
+	rep, err := Run(dep, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestServeFleetSharedHostCache(t *testing.T) {
 // TestServeFleetAutoscalerSpike: a flash crowd scales the fleet up within the
 // spec's bounds and the recovery drains it back down.
 func TestServeFleetAutoscalerSpike(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	warm := nearKneeRate(opts, 0.4, 0.2, 0.5)
 	opts.Phases = []Phase{
 		{Name: "warm", Duration: 3, Rate: warm, Dataset: synth.Pile()},
@@ -138,7 +138,7 @@ func TestServeFleetAutoscalerSpike(t *testing.T) {
 		DownscaleStreak:   2,
 		ForecastHalfLife:  0.5,
 	}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestServeFleetAutoscalerSpike(t *testing.T) {
 	// recover-phase arrival.)
 	fixed := opts
 	fixed.Fleet = nil
-	base, err := Run(fixed)
+	base, err := Run(dep, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,30 +15,29 @@ import (
 
 // goldenSystem is a tiny 8-GPU x 8-layer serving fixture for the
 // cross-commit digest pin.
-func goldenSystem() (Options, *synth.DatasetProfile) {
+func goldenSystem() (Deployment, Options, *synth.DatasetProfile) {
 	tp := topo.ForGPUs(8)
 	k := synth.NewKernel(synth.KernelParams{
 		Seed: 0x601D, Layers: 8, Experts: 16, Strength: 0.85, DomainTilt: 8,
 	})
 	pile := synth.Pile()
 	tr := trace.Collect(synth.NewKernelRouter(k, pile, 1), k.Layers, trace.SequentialIDs(1500, pile.TokenID))
-	counts := tr.AllTransitionCounts()
+	dep := Deployment{Topo: tp, Kernel: k, ExpertBytes: 16 << 20, Dataset: pile}
 	opts := Options{
-		Topo:           tp,
-		Kernel:         k,
-		Placement:      placement.Staged(counts, k.Layers, k.Experts, tp, 3),
-		BaselineCounts: counts,
-		Cost:           workload.LocalityModel{Fixed: 500e-6, PerToken: 5e-6, PerNodeHop: 1e-6, PerCrossHop: 4e-6},
-		ExpertBytes:    16 << 20,
-		Replicas:       2,
-		MaxBatch:       32,
-		DecodeTokens:   16,
-		Window:         1024,
-		DriftThreshold: 0.02,
-		Cooldown:       2,
-		Seed:           21,
+		Replicas:     2,
+		MaxBatch:     32,
+		DecodeTokens: 16,
+		Window:       1024,
+		Cooldown:     2,
+		Calibration: &Calibration{
+			Trace:          tr,
+			Placement:      placement.Staged(tr.AllTransitionCounts(), k.Layers, k.Experts, tp, 3),
+			Metrics:        Metrics{Cost: workload.LocalityModel{Fixed: 500e-6, PerToken: 5e-6, PerNodeHop: 1e-6, PerCrossHop: 4e-6}},
+			DriftThreshold: 0.02,
+		},
+		Seed: 21,
 	}
-	return opts, synth.Custom("golden-drift", []float64{0, 0, 0, 0, 1, 0}, 0x601E)
+	return dep, opts, synth.Custom("golden-drift", []float64{0, 0, 0, 0, 1, 0}, 0x601E)
 }
 
 // reportDigest hashes the float bits of the overall percentiles, throughput
@@ -75,7 +74,7 @@ func TestServeGoldenDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; FMA fusion elsewhere changes float bits")
 	}
-	base, drifted := goldenSystem()
+	dep, base, drifted := goldenSystem()
 	rate := nearKneeRate(base, 0.9, 0.2, 0.5)
 	drift := []Phase{
 		{Name: "warm", Duration: 2, Rate: rate, Dataset: synth.Pile()},
@@ -105,7 +104,7 @@ func TestServeGoldenDigest(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			opts := base
 			c.tweak(&opts)
-			rep, err := Run(opts)
+			rep, err := Run(dep, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,10 +75,11 @@ func BenchmarkEventHeap(b *testing.B) {
 // the golden fixture's 1.5x affinity memory, cycling over eight batches of
 // routed paths so residency keeps churning.
 func BenchmarkLayerStallTimeline(b *testing.B) {
-	opts, _ := goldenSystem()
-	pl, k := opts.Placement, opts.Kernel
-	mem := expertmem.New(expertmem.ConfigFor(opts.Topo, pl.Layers, pl.Experts, opts.ExpertBytes,
-		1.5, expertmem.AffinityPrefetch(), 4, 0, opts.BaselineCounts))
+	dep, opts, _ := goldenSystem()
+	cal := opts.Calibration
+	pl, k := cal.Placement, dep.Kernel
+	mem := expertmem.New(expertmem.ConfigFor(dep.Topo, pl.Layers, pl.Experts, dep.ExpertBytes,
+		1.5, expertmem.AffinityPrefetch(), 4, 0, cal.Trace.AllTransitionCounts()))
 	mem.Warm(pl.Assign)
 	const batch, batches = 32, 8
 	pile := synth.Pile()
@@ -87,7 +88,7 @@ func BenchmarkLayerStallTimeline(b *testing.B) {
 		id := pile.TokenID(uint64(i))
 		paths[i] = k.Path(id, pile.TokenDomain(id))
 	}
-	compute := opts.Cost.Time(batch, 0.2, 0.5)
+	compute := cal.Metrics.Cost.Time(batch, 0.2, 0.5)
 	now := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -148,7 +149,7 @@ func TestServeIterationAllocBudget(t *testing.T) {
 	// 865 objects per iteration with memory off and 1078 at 1.5x before the
 	// loop went allocation-free, 3.2 and 2.4 after. The budgets sit between,
 	// so a reintroduced per-token or per-fetch allocation fails loudly.
-	base, _ := goldenSystem()
+	dep, base, _ := goldenSystem()
 	rate := nearKneeRate(base, 0.9, 0.2, 0.5)
 	for _, c := range []struct {
 		name   string
@@ -164,7 +165,7 @@ func TestServeIterationAllocBudget(t *testing.T) {
 			opts.Phases = []Phase{{Name: "steady", Duration: 4, Rate: rate, Dataset: synth.Pile()}}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			rep, err := Run(opts)
+			rep, err := Run(dep, opts)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // exported bytes a pure function of the seed.
 func obsRun(t *testing.T) (*Report, *obs.Tracer, *obs.Registry, *obs.DecisionLog) {
 	t.Helper()
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Phases = driftProgram(opts, drifted)
 	opts.Oversubscription = 2
@@ -29,7 +29,7 @@ func obsRun(t *testing.T) (*Report, *obs.Tracer, *obs.Registry, *obs.DecisionLog
 	opts.Trace = tr
 	opts.Metrics = reg
 	opts.Decisions = dl
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,7 @@ func TestServeTraceCoversLifecycle(t *testing.T) {
 // latency source: the configured prior before any solve completed, then the
 // running mean of measured walls.
 func TestSolveEstimateUsesPriorThenRunningMean(t *testing.T) {
-	opts := Options{SolveSecondsPrior: 0.25}
-	c := &controller{opts: &opts}
+	c := &controller{opts: &runConfig{Options: Options{SolveSecondsPrior: 0.25}}}
 	if got := c.solveEstimate(); got != 0.25 {
 		t.Fatalf("estimate before any solve = %v, want the 0.25 prior", got)
 	}
@@ -167,7 +166,7 @@ func TestSolveEstimateUsesPriorThenRunningMean(t *testing.T) {
 // migration's solve overlap window reflects a measured (nonzero) latency
 // even though Options.SolveSeconds is zero.
 func TestServeAutoSolveLatencyFeedsSimulatedClock(t *testing.T) {
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Phases = driftProgram(opts, drifted)
 	opts.AutoSolveSeconds = true
@@ -175,7 +174,7 @@ func TestServeAutoSolveLatencyFeedsSimulatedClock(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetNow(func() float64 { return 0 }) // measured walls are zero...
 	opts.Metrics = reg
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestServeAutoSolveLatencyFeedsSimulatedClock(t *testing.T) {
 
 // TestOptionsValidateObservability covers the new option cross-checks.
 func TestOptionsValidateObservability(t *testing.T) {
-	opts, drifted := testSystem(t)
+	_, opts, drifted := testSystem(t)
 	opts.Phases = driftProgram(opts, drifted)
 	opts.SolveSecondsPrior = -1
 	if err := opts.Validate(); err == nil {

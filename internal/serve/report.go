@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -230,12 +231,9 @@ func (s *server) buildReport() *Report {
 
 	// Per-phase and overall stats.
 	start := 0.0
-	for i, p := range s.opts.Phases {
+	for _, p := range s.opts.Phases {
 		ps := rep.WindowStats(start, start+p.Duration)
-		ps.Name = p.Name
-		if ps.Name == "" {
-			ps.Name = fmt.Sprintf("phase%d", i)
-		}
+		ps.Name = p.Name // WithDefaults named every phase
 		ps.Throughput = s.tokensIn(start, start+p.Duration) / p.Duration
 		rep.Phases = append(rep.Phases, ps)
 		start += p.Duration
@@ -247,10 +245,7 @@ func (s *server) buildReport() *Report {
 	}
 
 	// Time-bucketed series.
-	bucket := s.opts.LatencyBucket
-	if bucket <= 0 {
-		bucket = rep.Makespan / 80
-	}
+	bucket := s.reportBucket(rep.Makespan)
 	if bucket > 0 {
 		rep.LatencyP95 = bucketedP95(rep.finishTimes, rep.latencies, bucket)
 		rep.LatencyP95.Name = "p95-latency"
@@ -272,6 +267,43 @@ func (s *server) buildReport() *Report {
 		rep.Metrics = s.opts.Metrics.Snapshot()
 	}
 	return rep
+}
+
+// maxReportBuckets caps how many buckets a time-bucketed report series may
+// hold. The series loops step once per bucket, so their cost grows with the
+// span over the bucket width; a width that would exceed the cap is widened
+// instead. Checked-in runs ask for at most a few hundred buckets.
+const maxReportBuckets = 1 << 16
+
+// reportBucket is the series bucket width: LatencyBucket, or the makespan
+// over 80 by default, widened so no series spans more than maxReportBuckets
+// buckets. Zero (no bucketing) when either is zero or the run's time span
+// is not finite.
+func (s *server) reportBucket(makespan float64) float64 {
+	bucket := s.opts.LatencyBucket
+	if bucket <= 0 {
+		bucket = makespan / 80
+	}
+	if !(bucket > 0) {
+		return 0
+	}
+	// Iteration starts and ends can outlast the last finished request (an
+	// iteration whose requests were all shed still runs), so the span
+	// covers every bucketed series.
+	span := makespan
+	if n := len(s.decoded); n > 0 {
+		span = max(span, s.decoded[n-1].t)
+	}
+	if n := len(s.fracT); n > 0 {
+		span = max(span, s.fracT[n-1])
+	}
+	if math.IsInf(span, 0) || math.IsNaN(span) {
+		return 0
+	}
+	if span/bucket > maxReportBuckets {
+		bucket = span / maxReportBuckets
+	}
+	return bucket
 }
 
 // stallPerToken is the charged expert-stall per decoded token over the

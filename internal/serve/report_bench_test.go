@@ -14,14 +14,14 @@ func reportServerFixture(n int) *server {
 	r := rng.New(41)
 	dur := 40.0
 	s := &server{
-		opts: Options{
+		opts: runConfig{Options: Options{
 			DecodeTokens:  16,
 			LatencyBucket: dur / 80,
 			Phases: []Phase{
 				{Name: "warm", Duration: dur / 2},
 				{Name: "steady", Duration: dur / 2},
 			},
-		},
+		}},
 		ctrl: &controller{},
 	}
 	for i := 0; i < n; i++ {

@@ -116,7 +116,7 @@ func TestBucketedP95Math(t *testing.T) {
 }
 
 func TestThroughputSeriesAndTokensIn(t *testing.T) {
-	s := &server{opts: Options{DecodeTokens: 4}}
+	s := &server{opts: runConfig{Options: Options{DecodeTokens: 4}}}
 	s.decoded = []tick{{t: 0.5, n: 10}, {t: 1.5, n: 20}, {t: 1.9, n: 30}}
 	if got := s.tokensIn(1, 2); got != 50 {
 		t.Fatalf("tokensIn [1,2) = %v", got)

@@ -15,310 +15,19 @@
 package serve
 
 import (
-	"fmt"
+	"errors"
 
-	"repro/internal/chaos"
 	"repro/internal/expertmem"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rng"
-	"repro/internal/synth"
 	"repro/internal/topo"
-	"repro/internal/workload"
 )
 
-// Options configures a serving run. The first block wires the system under
-// test (all required); the rest tune the workload and the adaptive
-// controller and have serviceable defaults.
-type Options struct {
-	// Topo is the per-replica hardware topology.
-	Topo *topo.Topology
-	// Kernel is the model's routing behaviour. Serving reads each token's
-	// primary expert only, so the gating fan-out does not enter the model.
-	Kernel *synth.Kernel
-	// Placement is the initial expert placement every replica starts from.
-	Placement *placement.Placement
-	// BaselineCounts are the offline profiling-trace transition counts: the
-	// drift detector's reference distribution.
-	BaselineCounts [][][]float64
-	// Cost converts (batch, dispatch locality) into iteration seconds.
-	Cost workload.LocalityModel
-	// ExpertBytes is the parameter size of one expert (prices migrations).
-	ExpertBytes int
-
-	// Replicas is the number of independent expert-parallel replicas behind
-	// the front-end (default 2).
-	Replicas int
-	// MaxBatch is each replica's continuous-batching slot limit (default
-	// 4 GPUs' worth: 4 * Topo.TotalGPUs()).
-	MaxBatch int
-	// DecodeTokens is the per-request decode length (default 32).
-	DecodeTokens int
-	// Phases is the traffic program; at least one phase is required.
-	Phases []Phase
-
-	// Adaptive enables the re-placement controller; when false the server
-	// still tracks drift (the series appears in the report) but never
-	// migrates — the static-ExFlow baseline.
-	Adaptive bool
-	// Window is the TraceWindow capacity in token paths (default 4096).
-	Window int
-	// CheckInterval is the drift-check cadence in simulated seconds
-	// (default 0.5).
-	CheckInterval float64
-	// Metric, DriftThreshold, Patience parameterize the Detector (defaults:
-	// JS, 0.008, 2).
-	Metric         DriftMetric
-	DriftThreshold float64
-	Patience       int
-	// Cooldown is the minimum simulated seconds between re-solves
-	// (default 5).
-	Cooldown float64
-	// MinFill is the window fill fraction required before a re-solve
-	// (default 0.5).
-	MinFill float64
-	// MinGain is the minimum fractional crossing reduction worth migrating
-	// for (default 0.01).
-	MinGain float64
-	// SolveSeconds is the simulated latency of one background re-solve: the
-	// controller solves on a window snapshot in a goroutine while the fleet
-	// keeps serving, and the result lands SolveSeconds later on the
-	// simulated clock — overlap, not pause. A finished solve is discarded
-	// if routing drifted past the detector threshold again while it ran
-	// (the staleness guard). Zero models an instantaneous solve.
-	SolveSeconds float64
-	// SolveWorkers is the annealing portfolio width of controller re-solves
-	// (placement.StagedOptions.Workers); any fixed value is deterministic
-	// and 0/1 reproduces the single-replica solve bit-identically.
-	SolveWorkers int
-	// Oversubscription enables tiered expert-weight memory: each replica
-	// GPU's HBM holds assigned-expert-weights/ratio expert slots, the rest
-	// page from host DRAM (expertmem). Zero disables the memory layer
-	// entirely; 1 builds it but every expert fits (no stalls, by
-	// construction); values in (0, 1) are rejected.
-	Oversubscription float64
-	// CachePolicy selects the residency policy under oversubscription:
-	// lru, lfu, pin, or affinity (the default — affinity-mass eviction
-	// plus affinity-guided prefetching).
-	CachePolicy string
-	// PrefetchK is how many affinity successors the prefetcher chases per
-	// routed expert (default 4; affinity policy only).
-	PrefetchK int
-	// HostSlots bounds the host-DRAM master-copy working set; the coldest
-	// experts fall through to NVMe (0 = everything fits in DRAM).
-	HostSlots int
-	// MemoryAware folds the expected expert-stall cost into the background
-	// re-placement objective (placement.MemoryObjective over the live
-	// window counts): re-solves then price hot-set concentration alongside
-	// crossings, and MigrationEvent reports predicted vs realized stall
-	// deltas. Requires Oversubscription > 0; at exactly 1 the term is
-	// inactive by construction and re-solves stay bit-identical to the
-	// crossing-only path.
-	MemoryAware bool
-	// StallTrigger arms the stall-rate migration trigger: the controller also
-	// fires a re-solve when charged expert-stall seconds per token trend up
-	// at a stable routing mix — residency decay the transition-distribution
-	// drift detector cannot see. Requires Adaptive and Oversubscription > 0.
-	StallTrigger bool
-	// StallTriggerFactor is how far above its observed minimum the smoothed
-	// stall rate must rise before the trigger fires (default 1.5).
-	StallTriggerFactor float64
-	// Fleet enables the node-level fleet tier (internal/fleet): a shared
-	// host-DRAM master-copy cache across co-located replicas, a
-	// reconciliation-loop autoscaler on the simulated clock, and paging-aware
-	// admission control. Nil disables the tier entirely — the serve path is
-	// then bit-identical to a build without it.
-	Fleet *fleet.Spec
-	// Chaos injects deterministic faults on the simulated clock
-	// (internal/chaos): replica crashes with timed recovery, degraded
-	// host/NVMe link windows, fetch stall-timeouts with bounded retry, and
-	// preemptible DMA. Nil (or an empty schedule) disables the layer — the
-	// run is then bit-identical to a build without it. The memory-path knobs
-	// (link degrade, fetch timeout, preemptible DMA) require the tiered
-	// memory layer (Oversubscription >= 1); crash faults work with or
-	// without a fleet, and their outcomes land in Report.Faults.
-	Chaos *chaos.Schedule
-	// LatencyBucket is the report's time-bucket width in seconds for the
-	// P95/throughput series (0 = makespan/80).
-	LatencyBucket float64
-	// Seed makes the whole run deterministic.
-	Seed uint64
-
-	// Trace optionally records typed events on the simulated clock (request
-	// admits/finishes, iterations, expert stalls, fetch/prefetch traffic,
-	// solves, migrations, drift scores); export with obs.WritePerfetto.
-	// Metrics optionally receives the run's counters, gauges, and histograms
-	// (mem_stall_seconds, expertmem_fetch_seconds, solver_wall_seconds, ...),
-	// snapshotable mid-run and surfaced as Report.Metrics. Decisions
-	// optionally records the controller's human-readable decision log. All
-	// three nil by default: the instrumented paths then cost nothing
-	// measurable (the obs nil fast path).
-	Trace     *obs.Tracer
-	Metrics   *obs.Registry
-	Decisions *obs.DecisionLog
-	// AutoSolveSeconds derives the simulated re-solve latency from measured
-	// solver wall clock instead of the SolveSeconds guess: the first solve
-	// uses SolveSecondsPrior and each completed solve's wall time (as
-	// measured by Metrics.Now around the actual StagedOpt call) refines a
-	// running mean used for subsequent solves. An explicit SolveSeconds > 0
-	// always overrides auto-calibration. Note the simulated timeline then
-	// depends on host solver speed — leave this off for byte-reproducible
-	// benchmark runs.
-	AutoSolveSeconds bool
-	// SolveSecondsPrior seeds the auto-calibrated estimate before any solve
-	// has been measured (e.g. CalibrateServe's measured initial-solve wall).
-	SolveSecondsPrior float64
-}
-
-// DefaultReplicas and DefaultWindow are the fleet-size and trace-window
-// defaults, exported so callers resolving their own defaults (the root
-// package's Serve) stay in sync.
-const (
-	DefaultReplicas = 2
-	DefaultWindow   = 4096
-)
-
-func (o Options) withDefaults() Options {
-	if o.Replicas == 0 {
-		o.Replicas = DefaultReplicas
-	}
-	if o.MaxBatch == 0 && o.Topo != nil {
-		o.MaxBatch = 4 * o.Topo.TotalGPUs()
-	}
-	if o.DecodeTokens == 0 {
-		o.DecodeTokens = 32
-	}
-	if o.Window == 0 {
-		o.Window = DefaultWindow
-	}
-	if o.CheckInterval == 0 {
-		o.CheckInterval = 0.5
-	}
-	if o.DriftThreshold == 0 {
-		// JS sampling noise on a full default window sits near 0.005 and a
-		// clear mixture shift near 0.02+ (see the drift detector tests);
-		// 0.008 separates them with margin on both sides.
-		o.DriftThreshold = 0.008
-	}
-	if o.Patience == 0 {
-		o.Patience = 2
-	}
-	if o.Cooldown == 0 {
-		o.Cooldown = 5
-	}
-	if o.MinFill == 0 {
-		o.MinFill = 0.5
-	}
-	if o.MinGain == 0 {
-		o.MinGain = 0.01
-	}
-	if o.PrefetchK == 0 {
-		o.PrefetchK = 4
-	}
-	if o.SolveWorkers == 0 {
-		o.SolveWorkers = 1
-	}
-	if o.StallTrigger && o.StallTriggerFactor == 0 {
-		o.StallTriggerFactor = 1.5
-	}
-	return o
-}
-
-// Validate checks the options.
-func (o *Options) Validate() error {
-	switch {
-	case o.Topo == nil || o.Kernel == nil || o.Placement == nil:
-		return fmt.Errorf("serve: Topo, Kernel and Placement are required")
-	case o.BaselineCounts == nil:
-		return fmt.Errorf("serve: BaselineCounts required (profile the system first)")
-	case o.Cost.Fixed <= 0 && o.Cost.PerToken <= 0 && o.Cost.PerNodeHop <= 0 && o.Cost.PerCrossHop <= 0:
-		// Mirrors FitLocalityModel's degeneracy criterion: any single
-		// positive coefficient is a usable (if lopsided) cost model.
-		return fmt.Errorf("serve: Cost model is empty (fit it from engine runs)")
-	case o.ExpertBytes <= 0:
-		return fmt.Errorf("serve: ExpertBytes must be positive")
-	case o.Replicas <= 0 || o.MaxBatch <= 0 || o.DecodeTokens <= 0:
-		return fmt.Errorf("serve: Replicas, MaxBatch, DecodeTokens must be positive")
-	case o.Window < 0 || o.CheckInterval < 0 || o.DriftThreshold < 0 || o.Patience < 0 ||
-		o.Cooldown < 0 || o.MinGain < 0 || o.LatencyBucket < 0 || o.PrefetchK < 0:
-		// Zero selects the default. A negative Window or DriftThreshold
-		// would panic in the window or detector constructor; the others
-		// would silently misconfigure the run.
-		return fmt.Errorf("serve: Window, CheckInterval, DriftThreshold, Patience, Cooldown, MinGain, LatencyBucket and PrefetchK must be non-negative (zero for the default)")
-	case len(o.Phases) == 0:
-		return fmt.Errorf("serve: at least one traffic phase required")
-	case o.Oversubscription < 0 || (o.Oversubscription > 0 && o.Oversubscription < 1):
-		return fmt.Errorf("serve: Oversubscription must be 0 (off) or >= 1, got %v", o.Oversubscription)
-	case o.HostSlots < 0:
-		return fmt.Errorf("serve: HostSlots must be non-negative")
-	case o.Oversubscription == 0 && o.HostSlots > 0:
-		// HostSlots bounds the host-DRAM tier of the memory layer; without
-		// Oversubscription there is no memory layer and the bound would
-		// silently do nothing.
-		return fmt.Errorf("serve: HostSlots %d set but Oversubscription is 0 (memory layer disabled); set Oversubscription >= 1 or drop HostSlots", o.HostSlots)
-	case o.Oversubscription == 0 && o.CachePolicy != "":
-		// A policy without the memory layer would silently do nothing; that
-		// almost always means the caller forgot Oversubscription.
-		return fmt.Errorf("serve: CachePolicy %q set but Oversubscription is 0 (memory layer disabled); set Oversubscription >= 1 or drop the policy", o.CachePolicy)
-	case o.Oversubscription == 0 && o.MemoryAware:
-		return fmt.Errorf("serve: MemoryAware requires the tiered memory layer; set Oversubscription >= 1")
-	case o.StallTriggerFactor < 0:
-		return fmt.Errorf("serve: StallTriggerFactor must be non-negative, got %v", o.StallTriggerFactor)
-	case o.StallTriggerFactor > 0 && !o.StallTrigger:
-		return fmt.Errorf("serve: StallTriggerFactor set but StallTrigger is off; enable it or drop the factor")
-	case o.StallTrigger && o.Oversubscription == 0:
-		return fmt.Errorf("serve: StallTrigger watches tiered-memory stalls; set Oversubscription >= 1")
-	case o.StallTrigger && !o.Adaptive:
-		return fmt.Errorf("serve: StallTrigger requires the adaptive controller; enable Adaptive")
-	case o.SolveSeconds < 0:
-		return fmt.Errorf("serve: SolveSeconds must be non-negative, got %v", o.SolveSeconds)
-	case o.SolveSecondsPrior < 0:
-		return fmt.Errorf("serve: SolveSecondsPrior must be non-negative, got %v", o.SolveSecondsPrior)
-	case o.SolveSecondsPrior > 0 && !o.AutoSolveSeconds:
-		return fmt.Errorf("serve: SolveSecondsPrior set but AutoSolveSeconds is off; enable it or drop the prior")
-	case o.SolveWorkers < 0:
-		return fmt.Errorf("serve: SolveWorkers must be non-negative (zero for the default 1), got %d", o.SolveWorkers)
-	}
-	if o.Oversubscription > 0 {
-		if _, err := expertmem.ParsePolicy(o.CachePolicy); err != nil {
-			return err
-		}
-	}
-	if err := o.Chaos.Validate(); err != nil {
-		return err
-	}
-	if o.Oversubscription == 0 && o.Chaos != nil &&
-		(o.Chaos.FetchTimeout > 0 || o.Chaos.PreemptibleDMA || o.Chaos.Degraded()) {
-		return fmt.Errorf("serve: Chaos memory-path faults (fetch timeout, preemptible DMA, link degrade) touch the tiered memory layer; set Oversubscription >= 1")
-	}
-	if o.Fleet != nil {
-		if err := o.Fleet.Validate(o.Replicas); err != nil {
-			return err
-		}
-		if o.Fleet.SharedHostCache && o.Oversubscription == 0 {
-			return fmt.Errorf("serve: Fleet.SharedHostCache requires the tiered memory layer; set Oversubscription >= 1")
-		}
-		if o.Fleet.SharedHostCache && o.HostSlots == 0 {
-			return fmt.Errorf("serve: Fleet.SharedHostCache without HostSlots is inert (every master fits in DRAM); set HostSlots or drop the shared cache")
-		}
-		if o.Fleet.Admission == fleet.AdmissionPaging && o.Oversubscription == 0 {
-			return fmt.Errorf("serve: Fleet paging admission prices tiered-memory stalls; set Oversubscription >= 1")
-		}
-	}
-	for _, p := range o.Phases {
-		if err := p.validate(); err != nil {
-			return err
-		}
-		if len(p.Dataset.Mix) != o.Kernel.Domains {
-			// The kernel would alias the extra domains onto its own tilts
-			// (or never route the missing ones) without complaint.
-			return fmt.Errorf("serve: phase %q dataset %q mixes %d domains, kernel routes %d",
-				p.Name, p.Dataset.Name, len(p.Dataset.Mix), o.Kernel.Domains)
-		}
-	}
-	return nil
-}
+// errNoArrivals reports a traffic program too short or too slow to draw a
+// single request.
+var errNoArrivals = errors.New("serve: traffic program produced no arrivals")
 
 // tokenOrdinalBase offsets serving token ordinals past both the profiling
 // stream ([0, profileTokens)) and the engine's evaluation stream (1<<20 + …)
@@ -462,7 +171,7 @@ func (h eventHeap) down(i, n int) {
 
 // server is the run state.
 type server struct {
-	opts     Options
+	opts     runConfig
 	replicas []*replica
 	window   *TraceWindow
 	ctrl     *controller
@@ -529,72 +238,63 @@ type memSample struct {
 	tokens int
 }
 
-// Run executes the serving simulation and returns its report.
-func Run(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
+// Run executes the serving simulation of the options on the deployment and
+// returns its report. opts.Calibration supplies the initial placement, the
+// drift baseline, the cost model and the drift threshold.
+func Run(d Deployment, opts Options) (*Report, error) {
+	cfg, err := resolve(d, opts)
+	if err != nil {
 		return nil, err
 	}
-	layers := opts.Placement.Layers
-	if opts.Kernel.Layers != layers || opts.Kernel.Experts != opts.Placement.Experts {
-		return nil, fmt.Errorf("serve: kernel %dx%d does not match placement %dx%d",
-			opts.Kernel.Layers, opts.Kernel.Experts, layers, opts.Placement.Experts)
-	}
-	if opts.Topo.TotalGPUs() != opts.Placement.GPUs {
-		return nil, fmt.Errorf("serve: topology %d gpus, placement %d", opts.Topo.TotalGPUs(), opts.Placement.GPUs)
-	}
-
+	layers, experts := cfg.placement.Layers, cfg.placement.Experts
 	s := &server{
-		opts:   opts,
-		window: NewTraceWindow(layers, opts.Placement.Experts, opts.Window),
-		tr:     opts.Trace,
-		met:    newServeMetrics(opts.Metrics),
+		opts:   cfg,
+		window: NewTraceWindow(layers, experts, cfg.Window),
+		tr:     cfg.Trace,
+		met:    newServeMetrics(cfg.Metrics),
 	}
-	s.ctrl = newController(&s.opts, s.window, poolCounts(opts.BaselineCounts, opts.Placement.Experts))
-	gpus := opts.Topo.TotalGPUs()
+	s.ctrl = newController(&s.opts, s.window, poolCounts(cfg.baseline, experts))
+	gpus := cfg.topo.TotalGPUs()
 	s.hops = make([]topo.HopClass, gpus*gpus)
 	for src := 0; src < gpus; src++ {
 		for dst := 0; dst < gpus; dst++ {
-			s.hops[src*gpus+dst] = opts.Topo.Classify(src, dst)
+			s.hops[src*gpus+dst] = cfg.topo.Classify(src, dst)
 		}
 	}
-	s.curPl = opts.Placement
+	s.curPl = cfg.placement
 	// With an autoscaling fleet the replica slice holds every slot the spec
 	// could ever commit; slots beyond the initial Replicas start dark.
-	slots := opts.Replicas
-	if opts.Fleet != nil {
+	slots := cfg.Replicas
+	if cfg.Fleet != nil {
 		s.fl = newFleetState(&s.opts)
 		if s.fl.spec.Autoscaling() && s.fl.spec.MaxReplicas > slots {
 			slots = s.fl.spec.MaxReplicas
 		}
 	}
 	for r := 0; r < slots; r++ {
-		s.replicas = append(s.replicas, &replica{id: r, pl: opts.Placement.Clone(), live: r < opts.Replicas})
+		s.replicas = append(s.replicas, &replica{id: r, pl: cfg.placement.Clone(), live: r < cfg.Replicas})
 	}
-	if opts.Chaos.Enabled() {
-		if err := opts.Chaos.ValidateReplicas(slots); err != nil {
-			return nil, err
-		}
+	if cfg.Chaos.Enabled() {
 		s.ch = newChaosState(&s.opts)
 	}
-	if opts.Oversubscription > 0 {
-		pol, err := expertmem.ParsePolicy(opts.CachePolicy)
+	if cfg.Oversubscription > 0 {
+		pol, err := expertmem.ParsePolicy(cfg.CachePolicy)
 		if err != nil {
 			return nil, err
 		}
-		s.memCfg = expertmem.ConfigFor(opts.Topo, layers, opts.Placement.Experts, opts.ExpertBytes,
-			opts.Oversubscription, pol, opts.PrefetchK, opts.HostSlots, opts.BaselineCounts)
+		s.memCfg = expertmem.ConfigFor(cfg.topo, layers, experts, cfg.expertBytes,
+			cfg.Oversubscription, pol, cfg.PrefetchK, cfg.HostSlots, cfg.baseline)
 		if s.fl != nil && s.fl.spec.SharedHostCache {
 			// The shared node tier replaces each replica's private static
 			// DRAM/NVMe split: one popularity-ranked master working set for
 			// the whole node, seeded from the same affinity oracle.
 			oracle := expertmem.New(s.memCfg)
-			s.fl.cache = fleet.NewHostCache(layers, opts.Placement.Experts, opts.HostSlots,
-				opts.Topo.NVMePath().Time(opts.ExpertBytes), oracle.Popularity)
+			s.fl.cache = fleet.NewHostCache(layers, experts, cfg.HostSlots,
+				cfg.topo.NVMePath().Time(cfg.expertBytes), oracle.Popularity)
 		}
 		s.mems = make([]*expertmem.Manager, len(s.replicas))
-		for r := 0; r < opts.Replicas; r++ {
-			s.mems[r] = s.newMem(r, opts.Placement.Assign)
+		for r := 0; r < cfg.Replicas; r++ {
+			s.mems[r] = s.newMem(r, cfg.placement.Assign)
 		}
 		// The controller must price residency churn, not just parameter
 		// copies: a migration invalidates the HBM copies of every moved
@@ -629,16 +329,16 @@ func Run(opts Options) (*Report, error) {
 	}
 
 	// Pre-draw every arrival: phase by phase, deterministic in the seed.
-	ar := rng.New(rng.Mix64(opts.Seed, 0xA881))
+	ar := rng.New(rng.Mix64(cfg.Seed, 0xA881))
 	start := 0.0
-	for pi, p := range opts.Phases {
+	for pi, p := range cfg.Phases {
 		for _, t := range generateArrivals(ar, p, start) {
-			s.arrivals = append(s.arrivals, &request{arrival: t, phase: pi, remaining: opts.DecodeTokens, seq: len(s.arrivals)})
+			s.arrivals = append(s.arrivals, &request{arrival: t, phase: pi, remaining: cfg.DecodeTokens, seq: len(s.arrivals)})
 		}
 		start += p.Duration
 	}
 	if len(s.arrivals) == 0 {
-		return nil, fmt.Errorf("serve: traffic program produced no arrivals")
+		return nil, errNoArrivals
 	}
 	for i := range s.arrivals {
 		s.events.push(event{t: s.arrivals[i].arrival, kind: evArrival, seq: i})
@@ -681,11 +381,11 @@ func Run(opts Options) (*Report, error) {
 // working set over the host link (GPUs fill in parallel; the links are
 // per-GPU) — the warm-up a scale-up or crash recovery charges.
 func (s *server) paramCopySeconds() float64 {
-	perGPU := s.opts.Placement.Layers * s.opts.Placement.Experts / s.opts.Topo.TotalGPUs()
+	perGPU := s.opts.placement.Layers * s.opts.placement.Experts / s.opts.topo.TotalGPUs()
 	if s.opts.Oversubscription > 0 && s.memCfg.SlotsPerGPU < perGPU {
 		perGPU = s.memCfg.SlotsPerGPU
 	}
-	return s.opts.Topo.HostPath().Time(perGPU * s.opts.ExpertBytes)
+	return s.opts.topo.HostPath().Time(perGPU * s.opts.expertBytes)
 }
 
 // onArrival admits a request to the least-loaded serving replica's queue,
@@ -906,7 +606,7 @@ func (s *server) start(now float64, r *replica) {
 	if r.stalled || r.running {
 		return
 	}
-	gpus := s.opts.Topo.TotalGPUs()
+	gpus := s.opts.topo.TotalGPUs()
 	for len(r.active) < s.opts.MaxBatch && len(r.queue) > 0 {
 		rq := r.queue[0]
 		r.queue = r.queue[1:]
@@ -917,7 +617,7 @@ func (s *server) start(now float64, r *replica) {
 	if len(r.active) == 0 {
 		return
 	}
-	layers := s.opts.Kernel.Layers
+	layers := s.opts.kernel.Layers
 	for len(s.paths) < len(r.active) {
 		s.paths = append(s.paths, make([]int, layers))
 	}
@@ -927,7 +627,7 @@ func (s *server) start(now float64, r *replica) {
 		id := ds.TokenID(tokenOrdinalBase + s.ordinal)
 		s.ordinal++
 		path := s.paths[i]
-		s.opts.Kernel.PathInto(id, ds.TokenDomain(id), path)
+		s.opts.kernel.PathInto(id, ds.TokenDomain(id), path)
 		s.window.Push(path)
 		at := rq.home
 		for j := 0; j < layers; j++ {
@@ -939,7 +639,7 @@ func (s *server) start(now float64, r *replica) {
 	node, cross := perClass[topo.SameNode], perClass[topo.CrossNode]
 	total := float64(perClass[topo.SameGPU] + node + cross)
 	fn, fc := float64(node)/total, float64(cross)/total
-	dt := s.opts.Cost.Time(len(r.active), fn, fc)
+	dt := s.opts.cost.Time(len(r.active), fn, fc)
 	var failedRows []int
 	if s.mems != nil {
 		st, failed := s.memoryStalls(r, len(r.active), now, dt)

@@ -17,7 +17,7 @@ import (
 // testSystem builds a serving system without the engine: kernel, staged
 // placement from a pile profile, and a hand-set locality cost model of
 // engine-like magnitude.
-func testSystem(t *testing.T) (Options, *synth.DatasetProfile) {
+func testSystem(t *testing.T) (Deployment, Options, *synth.DatasetProfile) {
 	t.Helper()
 	tp := topo.ForGPUs(8) // 2 nodes x 4 GPUs
 	k := synth.NewKernel(synth.KernelParams{
@@ -25,33 +25,31 @@ func testSystem(t *testing.T) (Options, *synth.DatasetProfile) {
 	})
 	pile := synth.Pile()
 	tr := trace.Collect(synth.NewKernelRouter(k, pile, 1), k.Layers, trace.SequentialIDs(2500, pile.TokenID))
-	counts := tr.AllTransitionCounts()
-	pl := placement.Staged(counts, k.Layers, k.Experts, tp, 5)
+	pl := placement.Staged(tr.AllTransitionCounts(), k.Layers, k.Experts, tp, 5)
 	cost := workload.LocalityModel{Fixed: 500e-6, PerToken: 5e-6, PerNodeHop: 1e-6, PerCrossHop: 4e-6}
+	dep := Deployment{Topo: tp, Kernel: k, ExpertBytes: 16 << 20, Dataset: pile}
 	opts := Options{
-		Topo:           tp,
-		Kernel:         k,
-		Placement:      pl,
-		BaselineCounts: counts,
-		Cost:           cost,
-		ExpertBytes:    16 << 20,
-		Replicas:       2,
-		MaxBatch:       32,
-		DecodeTokens:   16,
-		Window:         2048,
-		// The fixture's pooled sample mass (2048 paths x 11 layer pairs) puts
-		// the JS noise floor near 0.011 and the drifted signal near 0.05.
-		DriftThreshold: 0.02,
-		Seed:           9,
+		Replicas:     2,
+		MaxBatch:     32,
+		DecodeTokens: 16,
+		Window:       2048,
+		Calibration: &Calibration{
+			Trace: tr, Placement: pl, Metrics: Metrics{Cost: cost},
+			// The fixture's pooled sample mass (2048 paths x 11 layer pairs)
+			// puts the JS noise floor near 0.011 and the drifted signal near
+			// 0.05.
+			DriftThreshold: 0.02,
+		},
+		Seed: 9,
 	}
 	drifted := synth.Custom("drifted", []float64{0, 0, 0, 0, 1, 0}, 0xD81F)
-	return opts, drifted
+	return dep, opts, drifted
 }
 
 // nearKneeRate returns a request rate at the given fraction of the fleet's
 // modeled capacity.
 func nearKneeRate(o Options, frac, fracNode, fracCross float64) float64 {
-	perReplica := float64(o.MaxBatch) / o.Cost.Time(o.MaxBatch, fracNode, fracCross)
+	perReplica := float64(o.MaxBatch) / o.Calibration.Metrics.Cost.Time(o.MaxBatch, fracNode, fracCross)
 	return frac * perReplica * float64(o.Replicas) / float64(o.DecodeTokens)
 }
 
@@ -65,14 +63,14 @@ func driftProgram(o Options, drifted *synth.DatasetProfile) []Phase {
 }
 
 func TestServeDeterministicReplay(t *testing.T) {
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Phases = driftProgram(opts, drifted)
-	a, err := Run(opts)
+	a, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(opts)
+	b, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +94,11 @@ func TestServeDeterministicReplay(t *testing.T) {
 }
 
 func TestServeQuietInDistribution(t *testing.T) {
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Adaptive = true
 	rate := nearKneeRate(opts, 0.8, 0.2, 0.5)
 	opts.Phases = []Phase{{Name: "steady", Duration: 6, Rate: rate, Dataset: synth.Pile()}}
-	rep, err := Run(opts)
+	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,16 +117,16 @@ func TestServeQuietInDistribution(t *testing.T) {
 }
 
 func TestServeAdaptiveRecoversUnderDrift(t *testing.T) {
-	opts, drifted := testSystem(t)
+	dep, opts, drifted := testSystem(t)
 	opts.Phases = driftProgram(opts, drifted)
 
 	opts.Adaptive = false
-	static, err := Run(opts)
+	static, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Adaptive = true
-	adaptive, err := Run(opts)
+	adaptive, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,45 +168,52 @@ func TestServeAdaptiveRecoversUnderDrift(t *testing.T) {
 }
 
 func TestServeValidation(t *testing.T) {
-	if _, err := Run(Options{}); err == nil {
+	if _, err := Run(Deployment{}, Options{}); err == nil {
 		t.Fatal("empty options must fail")
 	}
 	// NaN and +Inf slip past ordered comparisons and would spin the arrival
-	// generator forever, so they are rejected alongside non-positive values.
-	// A dataset whose mix length differs from the kernel's domain count
-	// would alias domains onto the wrong tilts (or never route some).
+	// generator forever, so they are rejected alongside non-positive values,
+	// as is a finite rate that would offer more requests than fit in memory.
+	// A zero rate resolves to LoadFrac of the calibrated request capacity,
+	// which the fixture's hand-built calibration leaves at zero: the phase
+	// would offer no traffic. A dataset whose mix length differs from the
+	// kernel's domain count would alias domains onto the wrong tilts (or
+	// never route some).
 	for _, c := range []struct {
 		name           string
 		duration, rate float64
 		mix            []float64 // nil: the 6-domain Pile mix
 	}{
-		{"zero rate", 1, 0, nil},
+		{"zero rate without a calibrated capacity", 1, 0, nil},
 		{"NaN rate", 1, math.NaN(), nil},
 		{"infinite rate", 1, math.Inf(1), nil},
+		// Finite, but a run pre-draws every arrival before simulating.
+		{"1e300 rate", 1, 1e300, nil},
 		{"NaN duration", math.NaN(), 10, nil},
 		{"infinite duration", math.Inf(1), 10, nil},
 		{"8-domain mix on a 6-domain kernel", 1, 10, []float64{1, 1, 1, 1, 1, 1, 1, 1}},
 		{"5-domain mix on a 6-domain kernel", 1, 10, []float64{1, 1, 1, 1, 1}},
 	} {
-		opts, _ := testSystem(t)
+		dep, opts, _ := testSystem(t)
 		ds := synth.Pile()
 		if c.mix != nil {
 			ds = synth.Custom("mismatched", c.mix, 0xBAD)
 		}
 		opts.Phases = []Phase{{Name: "bad", Duration: c.duration, Rate: c.rate, Dataset: ds}}
-		if _, err := Run(opts); err == nil {
+		if _, err := Run(dep, opts); err == nil {
 			t.Fatalf("%s phase must fail", c.name)
 		}
 	}
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Phases = []Phase{{Name: "ok", Duration: 1, Rate: 10, Dataset: synth.Pile()}}
-	opts.ExpertBytes = 0
-	if _, err := Run(opts); err == nil {
+	dep.ExpertBytes = 0
+	if _, err := Run(dep, opts); err == nil {
 		t.Fatal("missing expert bytes must fail")
 	}
 	// Zero means "use the default" for these tunables. A negative value must
 	// fail validation: past it, the window and detector constructors panic
-	// on one and the rest silently misconfigure the run.
+	// on one and the rest silently misconfigure the run. The last two rows
+	// are out of range the other way.
 	for _, c := range []struct {
 		name string
 		set  func(*Options)
@@ -221,19 +226,55 @@ func TestServeValidation(t *testing.T) {
 		{"MinGain", func(o *Options) { o.MinGain = -1 }},
 		{"LatencyBucket", func(o *Options) { o.LatencyBucket = -1 }},
 		{"PrefetchK", func(o *Options) { o.PrefetchK = -1 }},
+		// A gain above 1 is unreachable: every re-solve would be rejected
+		// and re-launched after each cooldown.
+		{"MinGain", func(o *Options) { o.Adaptive, o.MinGain = true, 2 }},
+		// A sub-iteration cadence relaunches every discarded solve at the
+		// next iteration.
+		{"CheckInterval", func(o *Options) { o.Adaptive, o.CheckInterval = true, 1e-3 }},
 	} {
-		opts, _ := testSystem(t)
+		dep, opts, _ := testSystem(t)
 		opts.Phases = []Phase{{Name: "ok", Duration: 1, Rate: 10, Dataset: synth.Pile()}}
 		c.set(&opts)
-		if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), c.name) {
-			t.Errorf("negative %s: got %v, want a validation error naming it", c.name, err)
+		if _, err := Run(dep, opts); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("out-of-range %s: got %v, want a validation error naming it", c.name, err)
+		}
+	}
+	// NaN passes every "< 0" check and +Inf every lower bound. Both used to
+	// get through and silently misconfigure the run: a NaN Oversubscription
+	// dropped the memory layer, +Inf raised P95 a thousandfold, and a NaN
+	// DriftThreshold never migrated. Each setter satisfies the field's
+	// prerequisites, so the non-finite value is the only fault.
+	for _, c := range []struct {
+		name string
+		set  func(*Options, float64)
+	}{
+		{"CheckInterval", func(o *Options, v float64) { o.CheckInterval = v }},
+		{"DriftThreshold", func(o *Options, v float64) { o.Adaptive, o.DriftThreshold = true, v }},
+		{"Cooldown", func(o *Options, v float64) { o.Cooldown = v }},
+		{"MinGain", func(o *Options, v float64) { o.MinGain = v }},
+		{"SolveSeconds", func(o *Options, v float64) { o.SolveSeconds = v }},
+		{"SolveSecondsPrior", func(o *Options, v float64) { o.AutoSolveSeconds, o.SolveSecondsPrior = true, v }},
+		{"StallTriggerFactor", func(o *Options, v float64) {
+			o.Adaptive, o.StallTrigger, o.Oversubscription, o.StallTriggerFactor = true, true, 2, v
+		}},
+		{"LatencyBucket", func(o *Options, v float64) { o.LatencyBucket = v }},
+		{"Oversubscription", func(o *Options, v float64) { o.Oversubscription = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			dep, opts, _ := testSystem(t)
+			opts.Phases = []Phase{{Name: "ok", Duration: 1, Rate: 10, Dataset: synth.Pile()}}
+			c.set(&opts, v)
+			if _, err := Run(dep, opts); err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("%s = %v: got %v, want a validation error naming it", c.name, v, err)
+			}
 		}
 	}
 }
 
 func TestArrivalProcessesMeanRate(t *testing.T) {
-	for _, kind := range []ArrivalKind{Poisson, Bursty, Diurnal} {
-		p := Phase{Name: kind.String(), Duration: 50, Rate: 200, Kind: kind, Dataset: synth.Pile()}
+	for _, kind := range []string{Poisson, Bursty, Diurnal} {
+		p := Phase{Name: kind, Duration: 50, Rate: 200, Arrival: kind, Dataset: synth.Pile()}
 		// The on/off process has heavy per-seed variance; average a few
 		// independent streams to test the long-run rate.
 		total := 0

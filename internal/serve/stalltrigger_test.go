@@ -23,11 +23,11 @@ import (
 // makes the delta clear the trigger's absolute noise floor.
 func TestServeStallTriggerFiresWithoutDrift(t *testing.T) {
 	viral := synth.Custom("viral", []float64{0, 0, 0, 0, 1, 0}, 0xD81F)
-	opts, _ := testSystem(t)
+	dep, opts, _ := testSystem(t)
 	opts.Adaptive = true
 	opts.Oversubscription = 4
 	opts.CachePolicy = "pin"
-	opts.ExpertBytes = 64 << 20
+	dep.ExpertBytes = 64 << 20
 	opts.MemoryAware = true
 	opts.DriftThreshold = 10 // unattainable: the detector never fires
 	rate := nearKneeRate(opts, 0.05, 0.2, 0.5)
@@ -37,7 +37,7 @@ func TestServeStallTriggerFiresWithoutDrift(t *testing.T) {
 	}
 
 	off := opts
-	rep, err := Run(off)
+	rep, err := Run(dep, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestServeStallTriggerFiresWithoutDrift(t *testing.T) {
 
 	opts.StallTrigger = true
 	opts.StallTriggerFactor = 1.03
-	rep, err = Run(opts)
+	rep, err = Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
