@@ -13,7 +13,13 @@ type memMetrics struct {
 
 	hits, lateHits, misses, bypasses *obs.Counter
 
-	evictions, prefetches, prefetchHits, wastedPrefetches, prefetchDrops *obs.Counter
+	evictions, prefetches, prefetchHits, wastedPrefetches *obs.Counter
+
+	// prefetchDrops (expertmem_prefetch_drops_total) counts declined
+	// Prefetch calls, one per call, as does EvPrefetchDrop. The serve stall
+	// walk makes one call per distinct (layer, successor) hint, so there it
+	// counts distinct declined hints per layer, not routed tokens.
+	prefetchDrops *obs.Counter
 
 	// Chaos fetch-model counters; registered only when a chaos hook is
 	// installed (SetLinkScale / SetFetchRetry / SetPreemptibleDMA), so

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/expertmem"
+	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/synth"
+	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // boxedHeap drives eventHeap's ordering through container/heap, the
@@ -71,30 +74,49 @@ func BenchmarkEventHeap(b *testing.B) {
 	}
 }
 
-// BenchmarkLayerStallTimeline walks one 32-token decode iteration through
-// the golden fixture's 1.5x affinity memory, cycling over eight batches of
-// routed paths so residency keeps churning.
+// BenchmarkLayerStallTimeline walks one decode iteration through a 1.5x
+// affinity memory (K=4), cycling over eight batches of routed paths so
+// residency keeps churning. It runs at two shapes: the golden fixture (8
+// GPUs, 8 layers x 16 experts, 32 tokens) and the serving benchmark's (16
+// GPUs, 16 layers x 32 experts, 42 tokens — its oversub mean batch).
 func BenchmarkLayerStallTimeline(b *testing.B) {
 	dep, opts, _ := goldenSystem()
-	cal := opts.Calibration
-	pl, k := cal.Placement, dep.Kernel
-	mem := expertmem.New(expertmem.ConfigFor(dep.Topo, pl.Layers, pl.Experts, dep.ExpertBytes,
-		1.5, expertmem.AffinityPrefetch(), 4, 0, cal.Trace.AllTransitionCounts()))
-	mem.Warm(pl.Assign)
-	const batch, batches = 32, 8
+	golden := opts.Calibration
+	tp := topo.ForGPUs(16)
+	k := synth.NewKernel(synth.KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8})
 	pile := synth.Pile()
-	paths := make([][]int, batch*batches)
-	for i := range paths {
-		id := pile.TokenID(uint64(i))
-		paths[i] = k.Path(id, pile.TokenDomain(id))
-	}
-	compute := cal.Metrics.Cost.Time(batch, 0.2, 0.5)
-	now := 0.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (i % batches) * batch
-		now += compute + LayerStallTimeline(mem, pl, paths[off:off+batch], batch, now, compute)
+	tr := trace.Collect(synth.NewKernelRouter(k, pile, 1), k.Layers, trace.SequentialIDs(4000, pile.TokenID))
+	for _, c := range []struct {
+		name  string
+		tp    *topo.Topology
+		k     *synth.Kernel
+		tr    *trace.Trace
+		pl    *placement.Placement
+		batch int
+	}{
+		{"golden-8x16", dep.Topo, dep.Kernel, golden.Trace, golden.Placement, 32},
+		{"serve-16x32", tp, k, tr, placement.Staged(tr.AllTransitionCounts(), k.Layers, k.Experts, tp, 3), 42},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			pl := c.pl
+			mem := expertmem.New(expertmem.ConfigFor(c.tp, pl.Layers, pl.Experts, dep.ExpertBytes,
+				1.5, expertmem.AffinityPrefetch(), 4, 0, c.tr.AllTransitionCounts()))
+			mem.Warm(pl.Assign)
+			const batches = 8
+			paths := make([][]int, c.batch*batches)
+			for i := range paths {
+				id := pile.TokenID(uint64(i))
+				paths[i] = c.k.Path(id, pile.TokenDomain(id))
+			}
+			compute := golden.Metrics.Cost.Time(c.batch, 0.2, 0.5)
+			now := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := (i % batches) * c.batch
+				now += compute + LayerStallTimeline(mem, pl, paths[off:off+c.batch], c.batch, now, compute)
+			}
+		})
 	}
 }
 

@@ -14,22 +14,31 @@ import (
 // spread uniformly across layers — the overlap budget prefetches hide
 // behind.
 //
-// Per layer, every distinct (owner GPU, expert) pair among the batch is
-// demanded once and the layer stalls for the slowest access (the iteration
-// is bulk-synchronous); then — under a prefetching policy — each routed
-// expert's affinity successors are hinted to their layer-(j+1) owners, so
+// The walk is set-granular. Per layer, every distinct (owner GPU, expert)
+// pair among the batch is demanded once and the layer stalls for the
+// slowest access (the iteration is bulk-synchronous); then — under a
+// prefetching policy — each distinct routed expert's affinity successors
+// are hinted to their layer-(j+1) owners, each distinct successor once, so
 // their transfers overlap the remaining layer-j compute exactly as the
-// engine overlaps them across its hint Alltoall. A hint lands on its owner
-// GPU at that GPU's *own* post-stall instant (t plus the GPU's own demand
-// stall this layer, not the fleet-wide maximum): in the engine each rank
-// processes received hints right after its own demand fetches complete, so
-// an unstalled owner starts speculating while the slowest rank is still
-// fetching. Issuing at the shared layer start would drop hints against the
-// owner's in-flight demand transfer (speculation never queues); issuing at
-// the fleet-wide post-stall point would rob unstalled owners of overlap.
-// Both mistimings were caught — as systematic hit-rate undershoot — when
-// this model was first validated against engine runs by the conformance
-// suite.
+// engine overlaps them across its hint Alltoall (which exchanges hints as a
+// per-rank set too). A hint lands on its owner GPU at that GPU's *own*
+// post-stall instant (t plus the GPU's own demand stall this layer, not the
+// fleet-wide maximum): in the engine each rank processes received hints
+// right after its own demand fetches complete, so an unstalled owner starts
+// speculating while the slowest rank is still fetching. Issuing at the
+// shared layer start would drop hints against the owner's in-flight demand
+// transfer (speculation never queues); issuing at the fleet-wide post-stall
+// point would rob unstalled owners of overlap. Both mistimings were caught —
+// as systematic hit-rate undershoot — when this model was first validated
+// against engine runs by the conformance suite.
+//
+// Hinting each successor once per layer changes no simulated number against
+// hinting it once per routed token. No demand access runs during a layer's
+// hint phase, every hint to owner g carries the same instant, and g's link
+// only frees later; so after (g, successor) has been hinted once, a repeat
+// is declined as link-busy (g issued a fetch since), as present, or as
+// no-slot (nothing on g changed) — before any residency, link, host-tier or
+// Stats write. Only the declined-hint counter and trace events saw repeats.
 //
 // The engine charges the same misses per rank on per-rank clocks instead;
 // the two models are held to agree by the cross-layer stall-model
@@ -41,14 +50,19 @@ func LayerStallTimeline(mem *expertmem.Manager, pl *placement.Placement, paths [
 }
 
 // stallScratch is layerStallCore's per-layer working state, kept by the
-// server so a serve iteration's walk allocates nothing. seen and failedKeys
-// are indexed by expert id: within one layer every expert has exactly one
-// owner GPU, so the expert alone identifies its (GPU, expert) demand. Both
-// are all false between layers.
+// server so a serve iteration's walk allocates nothing. seen, failedKeys and
+// hinted are indexed by expert id: within one layer every expert has exactly
+// one owner GPU, so the expert alone identifies its (GPU, expert) demand or
+// its next-layer hint. seen and hinted are cleared before their pass;
+// failedKeys is all false between layers. demanded is the layer's distinct
+// demanded experts in first-occurrence order — the set the hint pass walks
+// instead of the batch rows.
 type stallScratch struct {
 	gpuStall   []float64
 	seen       []bool // expert already demanded this layer
 	failedKeys []bool // expert's fetch exhausted its retries this layer
+	hinted     []bool // next-layer expert already hinted this layer
+	demanded   []int  // distinct demanded experts, first occurrence first
 }
 
 // layerStallCore is LayerStallTimeline as the serve loop runs it: on the
@@ -80,14 +94,18 @@ func layerStallCore(sc *stallScratch, mem *expertmem.Manager, pl *placement.Plac
 			gpuStall:   make([]float64, pl.GPUs),
 			seen:       make([]bool, pl.Experts),
 			failedKeys: make([]bool, pl.Experts),
+			hinted:     make([]bool, pl.Experts),
+			demanded:   make([]int, 0, pl.Experts),
 		}
 	}
-	seen, gpuStall, failedKeys := sc.seen, sc.gpuStall, sc.failedKeys
+	seen, gpuStall, failedKeys, hinted := sc.seen, sc.gpuStall, sc.failedKeys, sc.hinted
 	var failed []bool    // lazily allocated: rows dropped by a failed fetch
 	var failedRows []int // their indices, in discovery order
 	for j := 0; j < layers; j++ {
 		clear(seen)
 		clear(gpuStall)
+		demanded := sc.demanded[:0]
+		owners := pl.Assign[j]
 		anyFailed := false
 		stall := 0.0
 		// Demand accesses first: same-instant speculation must never delay
@@ -105,7 +123,8 @@ func layerStallCore(sc *stallScratch, mem *expertmem.Manager, pl *placement.Plac
 				continue
 			}
 			seen[e] = true
-			gpu := pl.GPUOf(j, e)
+			demanded = append(demanded, e)
+			gpu := owners[e]
 			if checked {
 				st, ok := mem.AccessChecked(gpu, j, e, t+gpuStall[gpu])
 				gpuStall[gpu] += st
@@ -120,6 +139,7 @@ func layerStallCore(sc *stallScratch, mem *expertmem.Manager, pl *placement.Plac
 				stall = gpuStall[gpu]
 			}
 		}
+		sc.demanded = demanded
 		if anyFailed {
 			if failed == nil {
 				failed = make([]bool, batch)
@@ -130,18 +150,31 @@ func layerStallCore(sc *stallScratch, mem *expertmem.Manager, pl *placement.Plac
 					failedRows = append(failedRows, i)
 				}
 			}
-			clear(failedKeys)
 		}
+		// Hints walk the layer's expert set, not its rows: an expert with a
+		// surviving row is exactly a demanded expert whose fetch did not
+		// fail, and first-occurrence order issues every first hint in the
+		// order a row-by-row walk would. Repeats are skipped (see
+		// LayerStallTimeline for why they could only be declined).
 		if prefetch && j+1 < layers {
-			for i := 0; i < batch; i++ {
-				if failed != nil && failed[i] {
+			clear(hinted)
+			next := pl.Assign[j+1]
+			for _, e := range demanded {
+				if failedKeys[e] {
 					continue
 				}
-				for _, sc := range mem.Successors(j, paths[i][j]) {
-					owner := pl.GPUOf(j+1, sc)
-					mem.Prefetch(owner, j+1, sc, t+gpuStall[owner])
+				for _, s := range mem.Successors(j, e) {
+					if hinted[s] {
+						continue
+					}
+					hinted[s] = true
+					owner := next[s]
+					mem.Prefetch(owner, j+1, s, t+gpuStall[owner])
 				}
 			}
+		}
+		if anyFailed {
+			clear(failedKeys)
 		}
 		if tr != nil {
 			for g, st := range gpuStall {
