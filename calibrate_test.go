@@ -1,0 +1,141 @@
+package exflow
+
+import (
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/moe"
+)
+
+// calibSystem is the 8-GPU x 8-layer GPT-M/32E serving system that the
+// calibration and engine-output pins and the set-up allocation gate share.
+func calibSystem() *System {
+	cfg := moe.GPTM(32)
+	cfg.Layers = 8
+	return NewSystem(SystemOptions{Model: cfg, GPUs: 8, AffinityStrength: 0.85, DomainTilt: 8, Seed: 7})
+}
+
+// calibOptions are the serving options calibSystem is calibrated under.
+func calibOptions() ServeOptions { return ServeOptions{Replicas: 2, DecodeTokens: 32} }
+
+// digest feeds float bits and integers, in order, into an FNV-1a hash.
+type digest struct{ h hash.Hash64 }
+
+func newDigest() *digest { return &digest{fnv.New64a()} }
+
+func (d *digest) u64(v uint64) {
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = byte(v >> (8 * i))
+	}
+	d.h.Write(buf[:])
+}
+
+func (d *digest) f64(v float64) { d.u64(math.Float64bits(v)) }
+
+func (d *digest) ints(vs []int) {
+	for _, v := range vs {
+		d.u64(uint64(v))
+	}
+}
+
+// TestCalibrateServeGoldenDigest pins CalibrateServe's outputs to a digest
+// recorded on an earlier build: the fitted cost coefficients, the staged
+// placement's dispatch fractions, both capacities, the drift threshold and
+// the placement itself. A change to how calibration runs the engine must
+// keep it green. amd64 only, like the serve digest: other architectures may
+// fuse multiply-adds and round differently.
+func TestCalibrateServeGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; FMA fusion elsewhere changes float bits")
+	}
+	const want = 0xe84952b903e58dd7
+	cal, err := CalibrateServe(calibSystem(), calibOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cal.Metrics
+	d := newDigest()
+	for _, f := range []float64{m.Cost.Fixed, m.Cost.PerToken, m.Cost.PerNodeHop, m.Cost.PerCrossHop,
+		m.FracNode, m.FracCross, m.TokenCapacity, m.RequestCapacity, cal.DriftThreshold} {
+		d.f64(f)
+	}
+	for _, row := range cal.Placement.Assign {
+		d.ints(row)
+	}
+	if got := d.h.Sum64(); got != want {
+		t.Errorf("digest %#x, want %#x (cost %+v, capacity %v, threshold %v)",
+			got, uint64(want), m.Cost, m.TokenCapacity, cal.DriftThreshold)
+	}
+}
+
+// TestEngineOutputsGoldenDigest pins the public System.Run's generated
+// tokens and simulated makespan under Vanilla (contiguous placement) and
+// ExFlow (staged placement) to a digest recorded on an earlier build, so the
+// full forward math is checked across commits, not only between modes.
+func TestEngineOutputsGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; FMA fusion elsewhere changes float bits")
+	}
+	const want = 0x0d0d639a0ed42e5d
+	sys := calibSystem()
+	w := Workload{RequestsPerGPU: 4, PromptLen: 8, GenerateTokens: 4}
+	d := newDigest()
+	for _, rep := range []*engine.Report{
+		sys.Run(engine.Vanilla, sys.Baseline(), w),
+		sys.Run(engine.ExFlow, sys.SolvePlacement(sys.Profile(1500)), w),
+	} {
+		if len(rep.Outputs) == 0 {
+			t.Fatalf("%s run returned no outputs", rep.Mode)
+		}
+		for _, out := range rep.Outputs {
+			d.ints(out)
+		}
+		d.f64(rep.SimSeconds)
+	}
+	if got := d.h.Sum64(); got != want {
+		t.Errorf("digest %#x, want %#x", got, uint64(want))
+	}
+}
+
+// setupAllocBudget bounds the heap bytes one NewSystem + CalibrateServe
+// allocates at the calibSystem shape. On amd64 a set-up that runs the
+// forward math allocates 37.5 MB there and a timing-only one 14.6 MB; the
+// budget sits between them, with room for ordinary growth.
+const setupAllocBudget = 24 << 20
+
+// TestSetupAllocBudget gates set-up's allocation volume. Calibration reads
+// only simulated seconds and dispatch counts from its engine runs, so it
+// must not pay for the forward math or build the model's weights.
+func TestSetupAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := CalibrateServe(calibSystem(), calibOptions()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("set-up allocated %.1f MB (budget %.1f MB)", float64(got)/(1<<20), float64(setupAllocBudget)/(1<<20))
+	if got > setupAllocBudget {
+		t.Errorf("set-up allocated %.1f MB, over its %.1f MB budget", float64(got)/(1<<20), float64(setupAllocBudget)/(1<<20))
+	}
+}
+
+// BenchmarkCalibrateServe times one fresh set-up at the repository
+// benchmark's shape (GPT-M/32E cut to 16 layers, 16 GPUs): NewSystem plus
+// CalibrateServe, the work behind the benchmark's setup_s.
+func BenchmarkCalibrateServe(b *testing.B) {
+	cfg := moe.GPTM(32)
+	cfg.Layers = 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := NewSystem(SystemOptions{Model: cfg, GPUs: 16, AffinityStrength: 0.85, DomainTilt: 8, SolveWorkers: 1, Seed: 7})
+		if _, err := CalibrateServe(sys, ServeOptions{Replicas: 2, DecodeTokens: 32, SolveWorkers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -16,9 +16,9 @@
 //	rep := sys.Run(engine.ExFlow, pl, exflow.Workload{})
 //	fmt.Println(rep)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every table and figure, each regenerable via
-// `go test -bench <Figure>` or `cmd/exflow-bench`.
+// See DESIGN.md for the system inventory, and its "Experiments" section for
+// the experiment registry that reproduces every table and figure, each
+// regenerable via `go test -bench <Figure>` or `cmd/exflow-bench`.
 package exflow
 
 import (
@@ -260,8 +260,14 @@ func (s *System) memoryConfigFor(w Workload) *expertmem.Config {
 }
 
 // Run executes distributed inference in the given mode under the given
-// placement and returns the measurement report.
+// placement and returns the measurement report, generated tokens included.
 func (s *System) Run(mode engine.Mode, pl *placement.Placement, w Workload) *engine.Report {
+	return s.run(mode, pl, w, false)
+}
+
+// run is Run, optionally timing-only (engine.Config.TimingOnly): the same
+// report without the forward math, and without outputs.
+func (s *System) run(mode engine.Mode, pl *placement.Placement, w Workload, timingOnly bool) *engine.Report {
 	w = w.withDefaults()
 	ds := s.Dataset
 	memCfg := s.memoryConfigFor(w)
@@ -280,8 +286,9 @@ func (s *System) Run(mode engine.Mode, pl *placement.Placement, w Workload) *eng
 		TokenID: func(req, iter int) uint64 {
 			return ds.TokenID(uint64(w.EvalOffset + req*4096 + iter))
 		},
-		Seed:   s.Seed,
-		Memory: memCfg,
+		Seed:       s.Seed,
+		Memory:     memCfg,
+		TimingOnly: timingOnly,
 	})
 }
 

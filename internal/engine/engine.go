@@ -18,6 +18,8 @@
 // three modes provably generate identical tokens (the paper's "no accuracy
 // degradation"), while the simulated clock is charged with paper-scale
 // compute costs (moe.CostModel) and topology-aware communication costs.
+// Nothing the clock, the collectives or the counters see depends on that
+// math, so a run that needs only timing (Config.TimingOnly) skips it.
 package engine
 
 import (
@@ -118,6 +120,12 @@ type Config struct {
 	// the single-threaded serve path. Nil disables with zero overhead.
 	Trace   *obs.Tracer
 	Metrics *obs.Registry
+	// TimingOnly skips the forward math: no embeddings, KV projections,
+	// attention, expert FFNs, combine mixture or decode. The simulated
+	// clock, the collectives and every counter are unchanged, because the
+	// cost model charges them from shapes and routing alone; the report's
+	// Outputs is nil. The router must ignore the hidden state.
+	TimingOnly bool
 }
 
 // validate panics on inconsistent configuration (programmer error).
@@ -136,6 +144,11 @@ func (c *Config) validate() {
 	}
 	if c.RequestsPerGPU <= 0 || c.GenerateTokens <= 0 || c.PromptLen < 0 {
 		panic("engine: invalid workload")
+	}
+	// A timing-only run never computes hidden states, so its router must not
+	// read them; the learned gate is the one router that does.
+	if _, gated := c.Router.(*moe.WeightRouter); gated && c.TimingOnly {
+		panic("engine: TimingOnly needs a router that ignores the hidden state")
 	}
 	if c.Memory != nil {
 		if c.Memory.Layers != c.Model.Cfg.Layers || c.Memory.Experts != c.Model.Cfg.Experts ||
@@ -206,14 +219,19 @@ func enforceCapacity(jobs []*expertJob, capacity int, m *rankMetrics) {
 // combineJobs applies the weighted expert mixture plus residual and norm
 // for every token whose jobs have arrived at this rank, returning the
 // tokens now resident here (sorted by request for determinism). Dropped
-// jobs contribute nothing: the token passes through on its residual.
-func combineJobs(mdl *moe.Model, jobs []*expertJob) []*token {
+// jobs contribute nothing: the token passes through on its residual. A
+// timing-only run only gathers the tokens.
+func combineJobs(cfg *Config, jobs []*expertJob) []*token {
 	byTok := map[*token][]*expertJob{}
 	for _, j := range jobs {
 		byTok[j.tok] = append(byTok[j.tok], j)
 	}
 	out := make([]*token, 0, len(byTok))
 	for t, js := range byTok {
+		out = append(out, t)
+		if cfg.TimingOnly {
+			continue
+		}
 		sort.Slice(js, func(a, b int) bool { return js[a].kIdx < js[b].kIdx })
 		for _, j := range js {
 			if j.dropped || j.out == nil {
@@ -224,8 +242,7 @@ func combineJobs(mdl *moe.Model, jobs []*expertJob) []*token {
 				t.hidden[i] += w * j.out[i]
 			}
 		}
-		mdl.LayerNorm(t.hidden)
-		out = append(out, t)
+		cfg.Model.LayerNorm(t.hidden)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].req < out[b].req })
 	return out
@@ -239,6 +256,18 @@ type request struct {
 	caches []*moe.KVCache // per layer
 	prompt []int
 	output []int
+}
+
+// lastToken is the request's latest token, the next decode step's input:
+// its last generated token, else its last prompt token, else 0.
+func (r *request) lastToken() int {
+	if n := len(r.output); n > 0 {
+		return r.output[n-1]
+	}
+	if n := len(r.prompt); n > 0 {
+		return r.prompt[n-1]
+	}
+	return 0
 }
 
 // Run executes the configured inference and returns the measurement report.
@@ -302,7 +331,7 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 	// per-layer cost is a KV projection; the math is shared Go memory, but
 	// only the home rank writes a request's caches here.
 	for _, req := range reqs {
-		if req.home != rk.ID {
+		if req.home != rk.ID || cfg.TimingOnly {
 			continue
 		}
 		for _, tok := range req.prompt {
@@ -339,19 +368,11 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			if req.home != rk.ID {
 				continue
 			}
-			var inputTok int
-			if len(req.output) > 0 {
-				inputTok = req.output[len(req.output)-1]
-			} else if len(req.prompt) > 0 {
-				inputTok = req.prompt[len(req.prompt)-1]
+			t := &token{req: r, id: cfg.tokenID(r, iter), home: rk.ID, prev: -1}
+			if !cfg.TimingOnly {
+				t.hidden = mdl.Embed(req.lastToken())
 			}
-			resident = append(resident, &token{
-				req:    r,
-				id:     cfg.tokenID(r, iter),
-				home:   rk.ID,
-				hidden: mdl.Embed(inputTok),
-				prev:   -1,
-			})
+			resident = append(resident, t)
 		}
 
 		topK := mcfg.TopK
@@ -365,12 +386,19 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			}
 		}
 
+		// Every token attends once per layer per iteration, so each cache
+		// holds the prompt plus one position per earlier iteration.
+		ctxLen := cfg.PromptLen + iter
 		for layer := 0; layer < mcfg.Layers; layer++ {
 			// 1. Attention in place for resident tokens.
 			for _, t := range resident {
-				ctxLen := reqs[t.req].caches[layer].Len()
-				out := mdl.Attention(layer).Forward(t.hidden, reqs[t.req].caches[layer])
-				addResidualNorm(mdl, t.hidden, out)
+				if !cfg.TimingOnly {
+					cache := reqs[t.req].caches[layer]
+					if cache.Len() != ctxLen {
+						panic(fmt.Sprintf("engine: request %d layer %d caches %d positions, want %d", t.req, layer, cache.Len(), ctxLen))
+					}
+					addResidualNorm(mdl, t.hidden, mdl.Attention(layer).Forward(t.hidden, cache))
+				}
 				rk.Advance("attention", cfg.Cost.AttentionTime(mcfg, ctxLen+1))
 			}
 			// 2. Gating: top-k experts and mixture weights per token.
@@ -450,11 +478,13 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 				}
 			}
 			for _, job := range working {
-				if !job.dropped {
-					e := mdl.Expert(layer, job.expert)
-					job.out = e.Forward(job.hidden)
-					rk.Advance("expert", cfg.Cost.ExpertTime(mcfg))
+				if job.dropped {
+					continue
 				}
+				if !cfg.TimingOnly {
+					job.out = mdl.Expert(layer, job.expert).Forward(job.hidden)
+				}
+				rk.Advance("expert", cfg.Cost.ExpertTime(mcfg))
 			}
 			// 5. Route outputs to their combine sites. Coherent top-1 skips
 			// the collective entirely: every job is already at its combine
@@ -485,19 +515,23 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			// 6. Weighted combine + residual + norm per token; the tokens
 			// whose combine happened here are resident for the next layer
 			// (coherent) or remain the home batch (vanilla).
-			resident = combineJobs(mdl, combineInput)
+			resident = combineJobs(cfg, combineInput)
 		}
 
 		// Decode next token wherever each token ended up; the LM head is
-		// replicated (it is part of the dense backbone).
+		// replicated (it is part of the dense backbone). A timing-only run
+		// still sends one message per token but records token 0.
 		type genMsg struct {
 			req int
 			tok int
 		}
 		var gen []genMsg
 		for _, t := range resident {
-			next := mdl.NextToken(t.hidden)
-			gen = append(gen, genMsg{req: t.req, tok: next})
+			g := genMsg{req: t.req}
+			if !cfg.TimingOnly {
+				g.tok = mdl.NextToken(t.hidden)
+			}
+			gen = append(gen, g)
 		}
 		if cfg.Mode.coherent() {
 			// Allgather newly generated tokens so every rank's context stays

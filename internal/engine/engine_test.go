@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/expertmem"
@@ -189,12 +191,19 @@ func TestValidationPanics(t *testing.T) {
 		func(c Config) Config { c.RequestsPerGPU = 0; return c },
 		func(c Config) Config { c.Placement = placement.Contiguous(3, 16, 4); return c },
 		func(c Config) Config { c.Topo = topo.ForGPUs(8); return c },
+		func(c Config) Config {
+			c.Router = moe.NewWeightRouter(c.Model.Cfg, 3)
+			c.TimingOnly = true
+			return c
+		},
 	}
 	for i, mut := range mutations {
 		func() {
+			// Each must fail validation up front, not panic deep in the run.
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("mutation %d: expected panic", i)
+				r := recover()
+				if msg, _ := r.(string); !strings.HasPrefix(msg, "engine: ") {
+					t.Fatalf("mutation %d: want a validation panic, got %v", i, r)
 				}
 			}()
 			Run(mut(base))
@@ -312,5 +321,63 @@ func TestMemoryDeterministicReplay(t *testing.T) {
 	a, b := mk(), mk()
 	if a.SimSeconds != b.SimSeconds || *a.ExpertMem != *b.ExpertMem {
 		t.Fatalf("memory replay diverged:\n%+v\n%+v", a.ExpertMem, b.ExpertMem)
+	}
+}
+
+// TestTimingOnlyMatchesFullMath runs each configuration twice, with and
+// without the forward math, and requires identical reports apart from
+// Outputs, which a timing-only run leaves nil. The cases span every mode
+// and every path the clock or the counters can take: the combine-back
+// Alltoall (top-2 under Vanilla), capacity drops, hierarchical dispatch,
+// and oversubscribed memory with affinity-prefetch hints.
+func TestTimingOnlyMatchesFullMath(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func() Config
+		check func(t *testing.T, r *Report)
+	}{
+		{"vanilla", func() Config { return testSetup(t, Vanilla, 8, false) }, nil},
+		{"context-coherent", func() Config { return testSetup(t, ContextCoherent, 8, false) }, nil},
+		{"exflow", func() Config { return testSetup(t, ExFlow, 8, true) }, nil},
+		{"top2-vanilla", func() Config { return top2Setup(t, Vanilla, 8, 0) }, nil},
+		{"top2-coherent-capacity", func() Config { return top2Setup(t, ContextCoherent, 8, 0.5) },
+			func(t *testing.T, r *Report) {
+				if r.DroppedJobs == 0 {
+					t.Fatal("capacity factor 0.5 dropped no jobs")
+				}
+			}},
+		{"exflow-hierarchical", func() Config {
+			c := testSetup(t, ExFlow, 16, true)
+			c.HierarchicalA2A = true
+			return c
+		}, nil},
+		{"exflow-memory-1.5x-affinity", func() Config {
+			c := testSetup(t, ExFlow, 8, true)
+			memConfig(t, &c, 1.5, expertmem.AffinityPrefetch())
+			return c
+		}, func(t *testing.T, r *Report) {
+			if r.ExpertMem.Prefetches == 0 || r.ExpertMem.Misses == 0 {
+				t.Fatalf("1.5x run neither prefetched nor missed: %+v", r.ExpertMem)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			full := Run(c.setup())
+			cfg := c.setup()
+			cfg.TimingOnly = true
+			timing := Run(cfg)
+			if len(full.Outputs) == 0 || timing.Outputs != nil {
+				t.Fatalf("outputs: full-math %d requests, timing-only %v (want nil)", len(full.Outputs), timing.Outputs)
+			}
+			if c.check != nil {
+				c.check(t, full)
+			}
+			want := *full
+			want.Outputs = nil
+			if !reflect.DeepEqual(&want, timing) {
+				t.Fatalf("timing-only report differs from full math:\nfull   %+v\ntiming %+v", want, *timing)
+			}
+		})
 	}
 }

@@ -63,7 +63,8 @@ type Report struct {
 	// The stall time also appears as the "expert-stall" breakdown category.
 	ExpertMem *expertmem.Stats
 	// Outputs[r] is request r's generated token ids — identical across
-	// modes for identical seeds (the no-accuracy-change invariant).
+	// modes for identical seeds (the no-accuracy-change invariant). Nil for
+	// a timing-only run (Config.TimingOnly).
 	Outputs [][]int
 }
 
@@ -149,10 +150,14 @@ func buildReport(cfg *Config, reqs []*request, ranks []*cluster.Rank, perRank []
 		rep.DispatchCrossNode += m.dispatchCross
 		rep.DroppedJobs += m.droppedJobs
 	}
-	rep.Outputs = make([][]int, len(reqs))
-	for i, rq := range reqs {
-		rep.Outputs[i] = rq.output
+	for _, rq := range reqs {
 		rep.GeneratedTokens += len(rq.output)
+	}
+	if !cfg.TimingOnly {
+		rep.Outputs = make([][]int, len(reqs))
+		for i, rq := range reqs {
+			rep.Outputs[i] = rq.output
+		}
 	}
 	if rep.SimSeconds > 0 {
 		rep.Throughput = float64(rep.GeneratedTokens) / rep.SimSeconds

@@ -9,7 +9,8 @@
 // the width at which the *actual* tensor math runs on the CPU, so that the
 // engine performs a real forward pass (real routing inputs, real expert
 // FFNs, real attention) at laptop speed while the simulated clock reflects
-// A100-scale arithmetic.
+// A100-scale arithmetic. The clock never depends on that math, so a run
+// that needs only timing skips it and the model never builds its weights.
 package moe
 
 import "fmt"

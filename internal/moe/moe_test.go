@@ -2,6 +2,9 @@ package moe
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -262,6 +265,69 @@ func TestModelEmbedAndNextTokenDeterministic(t *testing.T) {
 	}
 	if tok != m.NextToken(h) {
 		t.Fatal("NextToken not deterministic")
+	}
+}
+
+// TestLazyWeightsConcurrentFirstUse races many goroutines to a fresh
+// model's first Expert, Attention, Embed and NextToken calls, as the
+// engine's rank goroutines do. Every module must then equal a freshly built
+// one, and a second model accessed in reverse order must agree with the
+// first on every weight and every decode. Run it under -race to check the
+// one-time build.
+func TestLazyWeightsConcurrentFirstUse(t *testing.T) {
+	cfg := GPTM(8)
+	cfg.Layers = 3
+	const seed = 5
+	dim := cfg.ActualComputeDim()
+	m := NewModel(cfg, seed)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 32 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			switch g % 4 {
+			case 0:
+				m.Expert(g%cfg.Layers, g%cfg.Experts)
+			case 1:
+				m.Attention(g % cfg.Layers)
+			case 2:
+				m.Embed(g)
+			default:
+				m.NextToken(make([]float32, dim))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for l := range cfg.Layers {
+		if !reflect.DeepEqual(m.Attention(l), NewAttention(seed, l, dim)) {
+			t.Fatalf("layer %d attention differs from NewAttention", l)
+		}
+		for e := range cfg.Experts {
+			if !reflect.DeepEqual(m.Expert(l, e), NewExpert(seed, l, e, dim)) {
+				t.Fatalf("expert (%d,%d) differs from NewExpert", l, e)
+			}
+		}
+	}
+
+	rev := NewModel(cfg, seed)
+	for l := cfg.Layers - 1; l >= 0; l-- {
+		for e := cfg.Experts - 1; e >= 0; e-- {
+			if !reflect.DeepEqual(rev.Expert(l, e), m.Expert(l, e)) {
+				t.Fatalf("expert (%d,%d) differs between access orders", l, e)
+			}
+		}
+		if !reflect.DeepEqual(rev.Attention(l), m.Attention(l)) {
+			t.Fatalf("layer %d attention differs between access orders", l)
+		}
+	}
+	for tok := vocabComputeDim - 1; tok >= 0; tok-- {
+		h := rev.Embed(tok)
+		if !slices.Equal(h, m.Embed(tok)) || rev.NextToken(h) != m.NextToken(h) {
+			t.Fatalf("token %d embeds or decodes differently between access orders", tok)
+		}
 	}
 }
 

@@ -4,9 +4,11 @@
 // block needs.
 //
 // The package exists so that the inference engine performs *real* attention
-// and expert-FFN computation on the CPU. The paper's Fig 9 compares the time
-// spent on computation (attention, expert FFN, gating) against Alltoall
-// communication; reproducing that ratio requires genuine FLOPs, not a stub.
+// and expert-FFN computation on the CPU, which is what lets the tests show
+// that every expert-parallel mode generates identical tokens. No simulated
+// time depends on it: moe.CostModel charges the clock for attention, expert
+// FFNs and gating from shapes alone, so the compute-versus-Alltoall split
+// of the paper's Fig 9 comes out the same with or without the math.
 package tensor
 
 import (

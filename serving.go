@@ -97,7 +97,7 @@ func (s *System) serveDeployment() serve.Deployment {
 }
 
 // CalibrateServe profiles the system, solves the initial placement, fits
-// the locality-aware iteration-cost model from real engine runs, and
+// the locality-aware iteration-cost model from timing-only engine runs, and
 // resolves the drift threshold.
 func CalibrateServe(sys *System, opts ServeOptions) (*ServeCalibration, error) {
 	if err := opts.Validate(); err != nil {
@@ -149,6 +149,8 @@ func calibrateDriftThreshold(sys *System, tr *trace.Trace, window int) float64 {
 // dispatch locality (contiguous, random, affinity-staged), two batch sizes
 // each, and least-squares fits the locality-aware iteration-cost model. It
 // returns the model plus the staged placement's measured dispatch fractions.
+// It reads only simulated seconds and dispatch counts, so the engine runs
+// are timing-only.
 func fitLocalityModel(sys *System, staged *placement.Placement, iters int) (workload.LocalityModel, float64, float64, error) {
 	cfg := sys.Model.Cfg
 	gpus := sys.Topo.TotalGPUs()
@@ -164,7 +166,7 @@ func fitLocalityModel(sys *System, staged *placement.Placement, iters int) (work
 	var fracNode, fracCross float64
 	for pi, p := range placements {
 		for _, perGPU := range []int{2, 8} {
-			rep := sys.Run(p.mode, p.pl, Workload{RequestsPerGPU: perGPU, PromptLen: 8, GenerateTokens: iters})
+			rep := sys.run(p.mode, p.pl, Workload{RequestsPerGPU: perGPU, PromptLen: 8, GenerateTokens: iters}, true)
 			total := rep.DispatchSameGPU + rep.DispatchSameNode + rep.DispatchCrossNode
 			if total == 0 {
 				return workload.LocalityModel{}, 0, 0, fmt.Errorf("calibration run produced no dispatches")
