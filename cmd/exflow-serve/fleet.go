@@ -43,8 +43,6 @@ type fleetArmJSON struct {
 	FinalLive   int `json:"final_live"`
 	NVMeFetches int `json:"nvme_fetches"`
 	DRAMHits    int `json:"dram_hits"`
-	// QueueBound is the matched MaxQueuePerReplica (queue-admission arm only).
-	QueueBound int `json:"queue_bound,omitempty"`
 }
 
 // fleetSummaryJSON is the BENCH_fleet.json shape (schema/fleet.schema.json).
@@ -57,7 +55,6 @@ type fleetSummaryJSON struct {
 	Seed             uint64  `json:"seed"`
 	Oversubscription float64 `json:"oversubscription"`
 	HostSlots        int     `json:"host_slots"`
-	SLOSeconds       float64 `json:"slo_s"`
 	WarmRPS          float64 `json:"warm_req_per_sec"`
 	SpikeRPS         float64 `json:"spike_req_per_sec"`
 	WarmSeconds      float64 `json:"warm_s"`
@@ -75,14 +72,6 @@ type fleetSummaryJSON struct {
 		SharedCacheReducesNVMe bool `json:"shared_cache_reduces_nvme_fetches"`
 		NVMeIndependent        int  `json:"nvme_fetches_independent"`
 		NVMeShared             int  `json:"nvme_fetches_shared"`
-		// PagingBeatsQueueP99: at a queue bound matched to shed the same
-		// number of requests, paging-aware admission yields a lower
-		// flash-crowd P99 than the queue-depth baseline.
-		PagingBeatsQueueP99 bool    `json:"paging_beats_queue_p99_at_equal_shed"`
-		PagingShed          int     `json:"paging_shed"`
-		QueueShed           int     `json:"queue_shed"`
-		PagingSpikeP99      float64 `json:"paging_spike_p99_s"`
-		QueueSpikeP99       float64 `json:"queue_spike_p99_s"`
 		// AutoscalerRecoversP95: scaling up within MaxReplicas beats the
 		// fixed fleet's flash-crowd P95. AutoscalerScalesBackDown: the fleet
 		// returns toward MinReplicas once the crowd passes.
@@ -119,10 +108,9 @@ func toFleetArm(name string, rep *exflow.ServeReport, warm, spike float64) fleet
 // runFleetBench drives the fleet tier through a flash crowd: a warm era at
 // comfortable load, a 2.5x spike on a shifted token mixture, and a recovery
 // era — once per fleet configuration over the identical arrival stream. The
-// arms establish the tier's three claims (shared host cache cuts NVMe
-// traffic, paging-aware admission beats queue depth at equal shed, the
-// autoscaler recovers the spike and stands back down) plus the inert-spec
-// bit-identity guarantee.
+// arms establish the tier's two claims (shared host cache cuts NVMe traffic,
+// the autoscaler recovers the spike and stands back down) plus the
+// inert-spec bit-identity guarantee.
 func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 	const ratio = 2.0
 	spikeDur, recoverDur := fc.duration/2, fc.duration/2
@@ -157,15 +145,12 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 		{Name: "recover", Duration: recoverDur, Rate: warmRate, Arrival: fc.arrival},
 	}
 
-	run := func(spec *exflow.FleetSpec, slo float64) *exflow.ServeReport {
+	run := func(spec *exflow.FleetSpec) *exflow.ServeReport {
 		o := base
 		o.Oversubscription = ratio
 		o.HostSlots = hostSlots
 		o.Phases = phases
 		o.Fleet = spec
-		if spec != nil && spec.Admission == exflow.FleetAdmissionPaging {
-			spec.SLOSeconds = slo
-		}
 		rep, _, err := exflow.Serve(sys, o)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "exflow-serve:", err)
@@ -189,74 +174,38 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 		}
 	}
 
-	// The fleet-nil baseline first: its warm-era P95 sets the paging SLO.
-	nilRun := run(nil, 0)
-	warmP95 := nilRun.Phases[0].P95
-	slo := 1.5 * warmP95
-	fmt.Printf("warm P95 %.4fs -> admission SLO %.4fs (%.1f req/s warm, %.1f req/s spike)\n",
-		warmP95, slo, warmRate, spikeRate)
+	fmt.Printf("%.1f req/s warm, %.1f req/s spike\n", warmRate, spikeRate)
 
-	// Independent arms share the arrival stream (same seed, same phases) and
-	// only read shared state, so they fan out; results land in named slots.
+	// The arms share the arrival stream (same seed, same phases) and only
+	// read shared state, so they fan out; results land in named slots.
 	var (
-		wg                  sync.WaitGroup
-		inertRun, sharedRun *exflow.ServeReport
-		pagingRun, autoRun  *exflow.ServeReport
+		wg                                   sync.WaitGroup
+		nilRun, inertRun, sharedRun, autoRun *exflow.ServeReport
 	)
 	launch := func(dst **exflow.ServeReport, spec *exflow.FleetSpec) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			*dst = run(spec, slo)
+			*dst = run(spec)
 		}()
 	}
+	launch(&nilRun, nil)
 	launch(&inertRun, &exflow.FleetSpec{})
 	launch(&sharedRun, &exflow.FleetSpec{SharedHostCache: true})
-	launch(&pagingRun, &exflow.FleetSpec{Admission: exflow.FleetAdmissionPaging})
 	launch(&autoRun, autoSpec())
 	wg.Wait()
-
-	// Queue-depth baseline at matched shed volume: integer bisection on the
-	// per-replica queue bound (shedding falls as the bound rises).
-	target := pagingRun.Fleet.Shed
-	lo, hi := 1, 512
-	bestK, bestDiff := 0, math.MaxInt32
-	var queueRun *exflow.ServeReport
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		rep := run(&exflow.FleetSpec{Admission: exflow.FleetAdmissionQueue, MaxQueuePerReplica: mid}, 0)
-		diff := rep.Fleet.Shed - target
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff < bestDiff {
-			queueRun, bestK, bestDiff = rep, mid, diff
-		}
-		switch {
-		case rep.Fleet.Shed > target:
-			lo = mid + 1
-		case rep.Fleet.Shed < target:
-			hi = mid - 1
-		default:
-			lo = hi + 1 // exact match
-		}
-	}
 
 	sum := fleetSummaryJSON{
 		Model: cfg.Name, Layers: cfg.Layers, GPUs: fc.gpus,
 		Replicas: fc.replicas, MaxReplicas: 3 * fc.replicas, Seed: fc.seed,
-		Oversubscription: ratio, HostSlots: hostSlots, SLOSeconds: slo,
+		Oversubscription: ratio, HostSlots: hostSlots,
 		WarmRPS: warmRate, SpikeRPS: spikeRate,
 		WarmSeconds: fc.warm, SpikeSeconds: spikeDur, RecoverSeconds: recoverDur,
 	}
-	queueArm := toFleetArm("queue-admission", queueRun, fc.warm, spikeDur)
-	queueArm.QueueBound = bestK
 	sum.Arms = []fleetArmJSON{
 		toFleetArm("fleet-nil", nilRun, fc.warm, spikeDur),
 		toFleetArm("inert-spec", inertRun, fc.warm, spikeDur),
 		toFleetArm("shared-cache", sharedRun, fc.warm, spikeDur),
-		toFleetArm("paging-admission", pagingRun, fc.warm, spikeDur),
-		queueArm,
 		toFleetArm("autoscaler", autoRun, fc.warm, spikeDur),
 	}
 
@@ -266,10 +215,6 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 	a.NVMeIndependent = nilRun.ExpertMem.NVMeFetches
 	a.NVMeShared = sharedRun.ExpertMem.NVMeFetches
 	a.SharedCacheReducesNVMe = a.NVMeShared < a.NVMeIndependent
-	a.PagingShed, a.QueueShed = pagingRun.Fleet.Shed, queueRun.Fleet.Shed
-	a.PagingSpikeP99 = pagingRun.WindowStats(fc.warm, fc.warm+spikeDur).P99
-	a.QueueSpikeP99 = queueRun.WindowStats(fc.warm, fc.warm+spikeDur).P99
-	a.PagingBeatsQueueP99 = a.PagingSpikeP99 < a.QueueSpikeP99
 	nilSpikeP95 := nilRun.WindowStats(fc.warm, fc.warm+spikeDur).P95
 	autoSpikeP95 := autoRun.WindowStats(fc.warm, fc.warm+spikeDur).P95
 	a.AutoscalerRecoversP95 = autoRun.Fleet.ScaleUps > 0 &&
@@ -285,8 +230,6 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 	fmt.Printf("\ninert spec bit-identical to fleet-nil: %v\n", a.FleetDisabledBitIdentical)
 	fmt.Printf("shared host tier NVMe fetches %d vs independent %d -> reduces: %v\n",
 		a.NVMeShared, a.NVMeIndependent, a.SharedCacheReducesNVMe)
-	fmt.Printf("paging admission spike P99 %.4fs (shed %d) vs queue-depth %.4fs (shed %d, bound %d) -> paging wins: %v\n",
-		a.PagingSpikeP99, a.PagingShed, a.QueueSpikeP99, a.QueueShed, bestK, a.PagingBeatsQueueP99)
 	fmt.Printf("autoscaler spike P95 %.4fs vs fixed %.4fs, live max %d final %d -> recovers: %v, scales back down: %v\n",
 		autoSpikeP95, nilSpikeP95, autoRun.Fleet.MaxLive, autoRun.Fleet.FinalLive,
 		a.AutoscalerRecoversP95, a.AutoscalerScalesBackDown)

@@ -7,6 +7,7 @@
 //	exflow-serve -drift             # mid-run dataset drift: static vs adaptive
 //	exflow-serve -drift -arrival bursty -load 0.95 -gpus 32
 //	exflow-serve -oversub           # tiered expert memory: policy x ratio sweep
+//	exflow-serve -fleet             # fleet tier under a flash crowd
 //	exflow-serve -scenarios         # chaos scenario matrix with pass/fail gates
 //
 // With -drift the command serves the same two-phase traffic program twice —
@@ -24,6 +25,11 @@
 // per arm, each with a deterministic per-ratio seed) and the results are
 // sorted before writing, so the JSON is byte-identical regardless of which
 // arm finishes first. The summary lands in BENCH_expertmem.json.
+//
+// With -fleet the command serves a warm / flash-crowd / recovery program
+// under 2x oversubscription four times — no fleet tier, an inert fleet
+// spec, a shared host-DRAM cache, and the autoscaler — and writes
+// BENCH_fleet.json (schema/fleet.schema.json).
 package main
 
 import (
@@ -120,7 +126,7 @@ func main() {
 		replicas    = flag.Int("replicas", 2, "replica count behind the front-end")
 		drift       = flag.Bool("drift", false, "inject a mid-run dataset drift and compare static vs adaptive")
 		oversub     = flag.Bool("oversub", false, "sweep tiered expert-weight memory: cache policies x oversubscription ratios, write BENCH_expertmem.json")
-		fleetBench  = flag.Bool("fleet", false, "drive the fleet tier through a flash crowd: shared host cache vs independent, paging vs queue-depth admission, autoscaler on/off; write BENCH_fleet.json")
+		fleetBench  = flag.Bool("fleet", false, "drive the fleet tier through a flash crowd: shared host cache vs independent, autoscaler on/off; write BENCH_fleet.json")
 		scenarios   = flag.Bool("scenarios", false, "run the declarative chaos scenario matrix (crash/recovery, degraded links, retry exhaustion, autoscaler faults) with per-row pass/fail gates; write BENCH_scenarios.json and exit nonzero on any failing row")
 		scale       = flag.String("scale", "bench", "with -scenarios: matrix scale, smoke (short eras, loose recovery gates — the CI quick pass) | bench (the checked-in matrix, tight gates)")
 		memaware    = flag.Bool("memaware", false, "with -oversub: add a memory-aware-placement arm per ratio (expert-stall cost folded into the solver objective) and compare against crossing-only")

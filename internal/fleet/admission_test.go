@@ -4,7 +4,7 @@ import "testing"
 
 func TestAdmissionDefaultAdmitsEverything(t *testing.T) {
 	s := Spec{}.WithDefaults()
-	in := AdmissionInput{Queued: 1 << 20, Live: 1, BacklogTokens: 1 << 30, TokensPerSec: 1, DecodeSeconds: 1e9}
+	in := AdmissionInput{Queued: 1 << 20, Live: 1}
 	if d := s.Admit(in); d != Admit {
 		t.Errorf("inert spec admitted %v, want Admit regardless of load", d)
 	}
@@ -28,31 +28,6 @@ func TestAdmissionQueuePolicy(t *testing.T) {
 		if d != c.want {
 			t.Errorf("queue admit(queued=%d live=%d defers=%d) = %v, want %v",
 				c.queued, c.live, c.defers, d, c.want)
-		}
-	}
-}
-
-func TestAdmissionPagingPolicy(t *testing.T) {
-	s := Spec{Admission: AdmissionPaging, SLOSeconds: 2}.WithDefaults()
-	cases := []struct {
-		name string
-		in   AdmissionInput
-		want AdmissionDecision
-	}{
-		// wait = 100/100 + 0.5 = 1.5 <= 2
-		{"under SLO", AdmissionInput{BacklogTokens: 100, TokensPerSec: 100, DecodeSeconds: 0.5}, Admit},
-		// wait = 180/100 + 0.5 = 2.3 > 2
-		{"backlog over SLO", AdmissionInput{BacklogTokens: 180, TokensPerSec: 100, DecodeSeconds: 0.5}, Defer},
-		// The request's own pipelined decode stretch alone can break the SLO
-		// even with an empty backlog.
-		{"decode stretch over SLO", AdmissionInput{TokensPerSec: 100, DecodeSeconds: 2.5}, Defer},
-		{"defers exhausted", AdmissionInput{BacklogTokens: 1000, TokensPerSec: 100, DecodeSeconds: 0.5, Defers: 2}, Shed},
-		// No capacity estimate yet: optimistic admit.
-		{"no estimate", AdmissionInput{BacklogTokens: 1 << 30}, Admit},
-	}
-	for _, c := range cases {
-		if d := s.Admit(c.in); d != c.want {
-			t.Errorf("%s: paging admit = %v, want %v", c.name, d, c.want)
 		}
 	}
 }

@@ -17,11 +17,9 @@
 //     declaratively-specified elastic resource pools is the architectural
 //     exemplar;
 //
-//   - admission control (Spec.Admit) that prices each arriving request's
-//     expected time-to-complete — backlog tokens over a decode capacity that
-//     includes the predicted expert-paging stall per token, from the same
-//     residency oracles the placement solver uses — and defers or sheds when
-//     that price, not raw queue depth, threatens the SLO.
+//   - queue-depth admission control (Spec.Admit): an arriving request is
+//     deferred, then shed, while the fleet already holds MaxQueuePerReplica
+//     queued+active requests per live replica.
 //
 // The package is pure policy plus bookkeeping: internal/serve owns the event
 // loop and calls in; nothing here touches a clock or a goroutine.
@@ -34,19 +32,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Admission policy names for Spec.Admission.
-const (
-	// AdmissionQueue sheds by fleet-wide queue depth (requests), the classic
-	// front-end guard: cheap, but blind to how expensive each queued request
-	// is under expert paging.
-	AdmissionQueue = "queue"
-	// AdmissionPaging sheds by predicted completion time: backlog tokens over
-	// a capacity estimate that folds in the residency model's predicted
-	// expert-stall seconds per token. Under oversubscription a short queue of
-	// paging-heavy requests can cost more than a long queue of warm ones;
-	// this policy sees that, queue depth cannot.
-	AdmissionPaging = "paging"
-)
+// AdmissionQueue is Spec.Admission's one policy name: shed by fleet-wide
+// queue depth (requests), the classic front-end guard.
+const AdmissionQueue = "queue"
 
 // Spec declares the fleet tier's desired state. The zero value is inert:
 // every request admitted, no autoscaling, no shared cache — a serving run
@@ -85,12 +73,9 @@ type Spec struct {
 	// (default 1).
 	ReconcileInterval float64
 
-	// Admission selects the admission-control policy: "" (admit everything),
-	// AdmissionQueue, or AdmissionPaging.
+	// Admission selects the admission-control policy: "" (admit everything)
+	// or AdmissionQueue.
 	Admission string
-	// SLOSeconds is the target request completion time the paging policy
-	// defends (required > 0 with AdmissionPaging).
-	SLOSeconds float64
 	// MaxQueuePerReplica is the queue policy's shed threshold in queued+active
 	// requests per live replica (default 64).
 	MaxQueuePerReplica int
@@ -165,19 +150,14 @@ func (s *Spec) Validate(replicas int) error {
 	}{
 		{"ForecastHalfLife", s.ForecastHalfLife}, {"ScaleUpCooldown", s.ScaleUpCooldown},
 		{"ScaleDownCooldown", s.ScaleDownCooldown}, {"ReconcileInterval", s.ReconcileInterval},
-		{"DeferSeconds", s.DeferSeconds}, {"SLOSeconds", s.SLOSeconds},
+		{"DeferSeconds", s.DeferSeconds},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("fleet: time tunables must be non-negative and finite, got %s = %v", f.name, f.v)
 		}
 	}
-	switch s.Admission {
-	case "", AdmissionQueue, AdmissionPaging:
-	default:
-		return fmt.Errorf("fleet: unknown admission policy %q (want %q or %q)", s.Admission, AdmissionQueue, AdmissionPaging)
-	}
-	if s.Admission == AdmissionPaging && s.SLOSeconds == 0 {
-		return fmt.Errorf("fleet: paging admission defends an SLO; set SLOSeconds > 0")
+	if s.Admission != "" && s.Admission != AdmissionQueue {
+		return fmt.Errorf("fleet: unknown admission policy %q (want %q or empty)", s.Admission, AdmissionQueue)
 	}
 	return nil
 }

@@ -53,8 +53,8 @@ func TestSpecValidate(t *testing.T) {
 		{"negative time", Spec{DeferSeconds: -1}, 2, "time tunables"},
 		{"negative count", Spec{MaxDefers: -1}, 2, "count tunables"},
 		{"unknown admission", Spec{Admission: "vibes"}, 2, "unknown admission policy"},
-		{"paging without SLO", Spec{Admission: AdmissionPaging}, 2, "SLOSeconds"},
-		{"paging with SLO ok", Spec{Admission: AdmissionPaging, SLOSeconds: 2}, 2, ""},
+		// The retired paging policy's name is no longer a policy.
+		{"paging admission retired", Spec{Admission: "paging"}, 2, "unknown admission policy"},
 		{"queue ok", Spec{Admission: AdmissionQueue}, 2, ""},
 		// NaN passes every ordered comparison; each field must name itself.
 		{"NaN utilization", Spec{TargetUtilization: math.NaN()}, 2, "TargetUtilization"},
@@ -63,7 +63,6 @@ func TestSpecValidate(t *testing.T) {
 		{"NaN scale-down cooldown", Spec{ScaleDownCooldown: math.NaN()}, 2, "ScaleDownCooldown"},
 		{"NaN reconcile interval", Spec{ReconcileInterval: math.NaN()}, 2, "ReconcileInterval"},
 		{"NaN defer", Spec{DeferSeconds: math.NaN()}, 2, "DeferSeconds"},
-		{"NaN SLO", Spec{SLOSeconds: math.NaN()}, 2, "SLOSeconds"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate(c.replicas)

@@ -22,9 +22,9 @@ type chaosState struct {
 	outcomes   []chaos.CrashOutcome
 	outcomeIdx map[int]int
 
-	// quietUntil suppresses solve launches and stall-trigger samples while
-	// the fleet absorbs a crash or recovery transient — redispatch spikes
-	// are capacity loss, not routing drift.
+	// quietUntil suppresses solve launches while the fleet absorbs a crash
+	// or recovery transient — redispatch spikes are capacity loss, not
+	// routing drift.
 	quietUntil float64
 
 	recoveries   int

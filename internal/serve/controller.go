@@ -50,10 +50,6 @@ type MigrationEvent struct {
 	// the memory layer is off.
 	ResidencyChurn int
 	ChurnSeconds   float64
-	// Trigger records what fired the re-solve: "drift" (the transition
-	// distribution moved) or "stall" (Options.StallTrigger saw the charged
-	// stall rate trend up at a stable routing mix).
-	Trigger string
 }
 
 // pendingMigration sequences a rolling re-placement across replicas: only
@@ -85,8 +81,6 @@ type pendingSolve struct {
 	pooled [][]float64
 	// counts is the deep-copied window snapshot the solve runs on.
 	counts [][][]float64
-	// trigger is what launched the solve ("drift" or "stall").
-	trigger string
 	// mo is the memory objective priced into the solve (nil when off).
 	mo *placement.MemoryObjective
 	// wall is the host wall-clock seconds the solve actually took, measured
@@ -126,31 +120,6 @@ type controller struct {
 	cooldownUntil float64
 	solves        int
 	discards      int
-
-	// Stall-rate trigger state (Options.StallTrigger): the latest charged
-	// stall rate handed in by noteStall, the minimum observed since the last
-	// migration/reject (the healthy reference), and how many samples that
-	// minimum rests on (warm-up guard against firing off the first noisy
-	// observations).
-	stallPending bool
-	stallRate    float64
-	stallMin     float64
-	stallSamples int
-}
-
-// stallTriggerWarm is how many stall-rate samples must back the observed
-// minimum before the trigger may fire; stallTriggerFloor is the absolute
-// rise (seconds per token) below which ratios are considered noise.
-const (
-	stallTriggerWarm  = 3
-	stallTriggerFloor = 1e-4
-)
-
-// noteStall feeds the controller one observation of the charged expert-stall
-// seconds per token; the next observe consumes it.
-func (c *controller) noteStall(rate float64) {
-	c.stallPending = true
-	c.stallRate = rate
 }
 
 func newController(opts *runConfig, window *TraceWindow, baseline [][]float64) *controller {
@@ -184,26 +153,6 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 	if !c.opts.Adaptive {
 		return score, nil
 	}
-	trigger := "drift"
-	if c.stallPending {
-		// Stall-rate trigger (ROADMAP 3d): residency decay raises the charged
-		// stall per token even when the transition distribution — all the
-		// drift detector can see — stays put. Track the healthy minimum and
-		// fire a re-solve when the live rate rises well clear of it.
-		rate := c.stallRate
-		c.stallPending = false
-		c.stallSamples++
-		if c.stallMin == 0 || rate < c.stallMin {
-			c.stallMin = rate
-		}
-		if !fired && c.stallSamples > stallTriggerWarm &&
-			rate > c.opts.StallTriggerFactor*c.stallMin && rate-c.stallMin > stallTriggerFloor {
-			fired = true
-			trigger = "stall"
-			dl.Logf(now, "stall-trigger rate=%.6fs/token min=%.6fs/token factor=%.2f",
-				rate, c.stallMin, c.opts.StallTriggerFactor)
-		}
-	}
 	switch {
 	case busy:
 		dl.Logf(now, "skip-busy drift=%.4f (solve or migration in flight)", score)
@@ -234,7 +183,6 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 		pooled:  pooled,
 		counts:  counts,
 		mo:      mo,
-		trigger: trigger,
 		result:  make(chan *placement.Placement, 1),
 	}
 	seed := c.opts.Seed + uint64(c.solves)*0x51ED
@@ -244,8 +192,8 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 	if tr := c.opts.Trace; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvSolveStart, Rep: -1, GPU: -1, Layer: -1, Expert: -1, T: now, Value: score})
 	}
-	dl.Logf(now, "solve-launch drift=%.4f window-fill=%.2f workers=%d memory-aware=%v trigger=%s",
-		score, c.window.Fill(), workers, mo.Active(), trigger)
+	dl.Logf(now, "solve-launch drift=%.4f window-fill=%.2f workers=%d memory-aware=%v",
+		score, c.window.Fill(), workers, mo.Active())
 	go func() {
 		t0 := reg.Now()
 		pl := placement.StagedOpt(counts, layers, experts, tp, seed,
@@ -297,7 +245,6 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 		// Not worth the parameter traffic; back off before re-solving again.
 		c.cooldownUntil = now + c.opts.Cooldown
 		c.det.Rebase(c.det.baseline) // clear the hot streak, keep the baseline
-		c.stallMin, c.stallSamples = 0, 0
 		c.met.rejects.Inc()
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.EvSolveReject, Rep: -1, GPU: -1, Layer: -1, Expert: -1, T: now, Value: gain})
@@ -319,7 +266,6 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 		Seconds:             plan.Seconds,
 		PredictedGain:       gain,
 		PredictedStallDelta: staleStall - freshStall,
-		Trigger:             ps.trigger,
 	}
 	if c.churn != nil {
 		// Under oversubscription the migration does not just copy
@@ -366,8 +312,9 @@ func (c *controller) memObjective(cur *placement.Placement, counts [][][]float64
 }
 
 // residencyObjective builds the residency-pricing oracle shared by the
-// controller's memory-aware re-solves and the fleet tier's paging admission,
-// with the given transition counts as the demand oracle.
+// controller's memory-aware re-solves and the fleet tier's stall estimate
+// (the autoscaler's capacity input), with the given transition counts as
+// the demand oracle.
 func residencyObjective(o *runConfig, layers, experts int, counts [][][]float64) *placement.MemoryObjective {
 	if o.Oversubscription == 0 {
 		return nil
@@ -421,7 +368,4 @@ func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement)
 func (c *controller) finish(now float64) {
 	c.det.Rebase(c.window.Pooled())
 	c.cooldownUntil = now + c.opts.Cooldown
-	// The migrated placement resets the stall reference: the post-migration
-	// rate is the new healthy minimum.
-	c.stallMin, c.stallSamples = 0, 0
 }

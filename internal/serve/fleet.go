@@ -9,8 +9,9 @@ import (
 
 // fleetState is the server's fleet-tier bookkeeping (nil when Options.Fleet
 // is nil): the normalized spec, the shared host cache and autoscaler, the
-// admission pricing inputs, and the run counters behind fleet.Report. The
-// serve event loop drives everything; the fleet package holds only policy.
+// autoscaler's capacity inputs, and the run counters behind fleet.Report.
+// The serve event loop drives everything; the fleet package holds only
+// policy.
 type fleetState struct {
 	spec   fleet.Spec
 	cache  *fleet.HostCache
@@ -23,7 +24,7 @@ type fleetState struct {
 	// stallEst is the predicted expert-stall seconds per full-batch-token
 	// under the current placement (refreshed on the drift-check cadence);
 	// fn/fc are the last iteration's dispatch fractions. Together they price
-	// the fleet's decode capacity for admission and scaling.
+	// the fleet's decode capacity for the autoscaler.
 	//
 	// The raw oracle prices each token's expected miss independently, but an
 	// iteration fetches each missing expert once for the whole batch, so
@@ -115,15 +116,15 @@ func (s *server) sampleFleet(now float64) {
 	}
 }
 
-// refreshFleetPricing rebuilds the pricing inputs on the drift-check
-// cadence: the warm-set model's predicted stall per token over the live
-// window under the current placement — the same oracle the solver's
-// memory objective prices re-solves with, here pricing admission and
-// capacity instead — rescaled by the learned predicted-to-realized
-// calibration factor (batch amortization the per-token oracle cannot see).
+// refreshFleetPricing rebuilds the autoscaler's capacity inputs on the
+// drift-check cadence: the warm-set model's predicted stall per token over
+// the live window under the current placement — the same oracle the
+// solver's memory objective prices re-solves with, here pricing capacity
+// instead — rescaled by the learned predicted-to-realized calibration
+// factor (batch amortization the per-token oracle cannot see).
 func (s *server) refreshFleetPricing(now float64) {
 	fl := s.fl
-	if fl.spec.Admission != fleet.AdmissionPaging && !fl.spec.Autoscaling() {
+	if !fl.spec.Autoscaling() {
 		return
 	}
 	fl.stallEst = 0
@@ -166,23 +167,16 @@ func (s *server) iterStallWindow(t0 float64) (sum float64, n int) {
 	return sum, n
 }
 
-// fleetIterSeconds is the predicted full-batch iteration time at the last
-// observed dispatch fractions, inflated by the calibrated paging stall.
-func (s *server) fleetIterSeconds() float64 {
-	b := s.opts.MaxBatch
-	return s.opts.cost.Time(b, s.fl.fn, s.fl.fc) + float64(b)*s.fl.stallEst
-}
-
-// fleetTokensPerSec estimates decode capacity for live replicas at full
+// replicaTokensPerSec estimates one replica's decode capacity at full
 // batch: the locality model's iteration time at the last observed dispatch
-// fractions, inflated by the predicted paging stall per token.
-func (s *server) fleetTokensPerSec(live int) float64 {
+// fractions, inflated by the calibrated paging stall per token.
+func (s *server) replicaTokensPerSec() float64 {
 	b := s.opts.MaxBatch
-	iter := s.fleetIterSeconds()
+	iter := s.opts.cost.Time(b, s.fl.fn, s.fl.fc) + float64(b)*s.fl.stallEst
 	if iter <= 0 {
 		return 0
 	}
-	return float64(live) * float64(b) / iter
+	return float64(b) / iter
 }
 
 // fleetAdmit runs admission control on one offered request; false means the
@@ -200,32 +194,17 @@ func (s *server) fleetAdmit(now float64, rq *request) bool {
 		return true
 	}
 	live, _ := s.liveCounts()
-	queued, backlog := 0, 0
+	queued := 0
 	for _, r := range s.replicas {
-		if !r.live {
-			continue
-		}
-		queued += r.load()
-		backlog += len(r.queue) * s.opts.DecodeTokens
-		for _, a := range r.active {
-			backlog += a.remaining
+		if r.live {
+			queued += r.load()
 		}
 	}
-	in := fleet.AdmissionInput{
-		Queued: queued, Live: live,
-		BacklogTokens: backlog,
-		TokensPerSec:  s.fleetTokensPerSec(live),
-		DecodeSeconds: float64(s.opts.DecodeTokens) * s.fleetIterSeconds(),
-		Defers:        rq.defers,
-	}
-	// The priced wait the paging policy weighs against the SLO (zero for the
-	// queue policy, whose threshold is a depth) — narrated on every defer and
-	// shed so the decision log shows the arithmetic, not just the verdict.
-	waitEst := 0.0
-	if in.TokensPerSec > 0 {
-		waitEst = float64(in.BacklogTokens)/in.TokensPerSec + in.DecodeSeconds
-	}
-	switch fl.spec.Admit(in) {
+	// The depth bound the queue policy compares against — narrated on every
+	// defer and shed so the decision log shows the arithmetic, not just the
+	// verdict.
+	bound := fl.spec.MaxQueuePerReplica * live
+	switch fl.spec.Admit(fleet.AdmissionInput{Queued: queued, Live: live, Defers: rq.defers}) {
 	case fleet.Defer:
 		rq.defers++
 		fl.deferred++
@@ -234,8 +213,8 @@ func (s *server) fleetAdmit(now float64, rq *request) bool {
 			s.tr.Emit(obs.Event{Kind: obs.EvDefer, Rep: -1, GPU: -1, Layer: -1, Expert: -1,
 				T: now, Aux: int64(rq.seq)})
 		}
-		s.opts.Decisions.Logf(now, "admission-defer req=%d queued=%d backlog=%d-tokens wait-est=%.3fs slo=%.3fs stall-est=%.6fs/token defers=%d retry=%.2fs",
-			rq.seq, queued, backlog, waitEst, fl.spec.SLOSeconds, fl.stallEst, rq.defers, fl.spec.DeferSeconds)
+		s.opts.Decisions.Logf(now, "admission-defer req=%d queued=%d bound=%d defers=%d retry=%.2fs",
+			rq.seq, queued, bound, rq.defers, fl.spec.DeferSeconds)
 		s.events.push(event{t: now + fl.spec.DeferSeconds, kind: evArrival, seq: rq.seq})
 		return false
 	case fleet.Shed:
@@ -246,8 +225,8 @@ func (s *server) fleetAdmit(now float64, rq *request) bool {
 			s.tr.Emit(obs.Event{Kind: obs.EvShed, Rep: -1, GPU: -1, Layer: -1, Expert: -1,
 				T: now, Aux: int64(rq.seq)})
 		}
-		s.opts.Decisions.Logf(now, "admission-shed req=%d queued=%d backlog=%d-tokens wait-est=%.3fs slo=%.3fs stall-est=%.6fs/token defers=%d",
-			rq.seq, queued, backlog, waitEst, fl.spec.SLOSeconds, fl.stallEst, rq.defers)
+		s.opts.Decisions.Logf(now, "admission-shed req=%d queued=%d bound=%d defers=%d",
+			rq.seq, queued, bound, rq.defers)
 		return false
 	}
 	fl.admitted++
@@ -275,7 +254,7 @@ func (s *server) maybeReconcile(now float64) {
 		return
 	}
 	_, committed := s.liveCounts()
-	dec, ok := fl.scaler.Reconcile(now, committed, s.fleetTokensPerSec(1), s.opts.DecodeTokens)
+	dec, ok := fl.scaler.Reconcile(now, committed, s.replicaTokensPerSec(), s.opts.DecodeTokens)
 	if !ok {
 		return
 	}

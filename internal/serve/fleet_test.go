@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -44,11 +47,15 @@ func TestServeFleetInertSpecBitIdentical(t *testing.T) {
 }
 
 // TestServeFleetAdmissionAccounting: every offered request is either admitted
-// or shed, and only admitted ones reach the latency report.
+// or shed, and only admitted ones reach the latency report. Every defer and
+// shed line in the decision log names the depth bound the request was
+// compared against.
 func TestServeFleetAdmissionAccounting(t *testing.T) {
 	dep, opts, _ := testSystem(t)
 	opts.Phases = []Phase{{Name: "crush", Duration: 4, Rate: nearKneeRate(opts, 2.0, 0.2, 0.5), Dataset: synth.Pile()}}
 	opts.Fleet = &fleet.Spec{Admission: fleet.AdmissionQueue, MaxQueuePerReplica: 8}
+	dl := obs.NewDecisionLog(1 << 16)
+	opts.Decisions = dl
 	rep, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -63,27 +70,23 @@ func TestServeFleetAdmissionAccounting(t *testing.T) {
 	if rep.Requests != fl.Admitted {
 		t.Fatalf("report has %d requests, admission admitted %d", rep.Requests, fl.Admitted)
 	}
-}
-
-// TestServeFleetPagingAdmissionSheds: the paging policy defends its SLO under
-// sustained overload through the priced backlog, with the same accounting
-// invariant.
-func TestServeFleetPagingAdmissionSheds(t *testing.T) {
-	dep, opts, _ := testSystem(t)
-	opts.Oversubscription = 2
-	opts.CachePolicy = "affinity"
-	opts.Phases = []Phase{{Name: "crush", Duration: 4, Rate: nearKneeRate(opts, 2.0, 0.2, 0.5), Dataset: synth.Pile()}}
-	opts.Fleet = &fleet.Spec{Admission: fleet.AdmissionPaging, SLOSeconds: 1}
-	rep, err := Run(dep, opts)
-	if err != nil {
-		t.Fatal(err)
+	// Two replicas stay live throughout, so the bound is 8 x 2.
+	seen := map[string]int{}
+	for _, line := range dl.Lines() {
+		for _, kind := range []string{"admission-defer ", "admission-shed "} {
+			if !strings.Contains(line, kind) {
+				continue
+			}
+			seen[kind]++
+			var queued, bound int
+			i := strings.Index(line, "queued=")
+			if _, err := fmt.Sscanf(line[max(i, 0):], "queued=%d bound=%d", &queued, &bound); err != nil || bound != 16 || queued < bound {
+				t.Fatalf("%q: want queued=N bound=16 with N >= 16 (err %v)", line, err)
+			}
+		}
 	}
-	fl := rep.Fleet
-	if fl.Shed == 0 {
-		t.Fatalf("paging admission never shed under 2x overload against a 1s SLO: %+v", fl)
-	}
-	if fl.Arrivals != fl.Admitted+fl.Shed || rep.Requests != fl.Admitted {
-		t.Fatalf("accounting broke: %+v vs %d requests", fl, rep.Requests)
+	if seen["admission-defer "] == 0 || seen["admission-shed "] == 0 {
+		t.Fatalf("decision log lines by kind %v, want both defers and sheds", seen)
 	}
 }
 

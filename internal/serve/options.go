@@ -174,19 +174,11 @@ type Options struct {
 	// >= 1; at exactly 1 the term is inactive and re-solves stay
 	// bit-identical to the crossing-only path.
 	MemoryAware bool
-	// StallTrigger arms the stall-rate migration trigger: the controller
-	// also fires a re-solve when the charged expert-stall seconds per token
-	// trend up at a stable routing mix — residency decay the drift detector
-	// cannot see. Requires Adaptive and Oversubscription >= 1.
-	StallTrigger bool
-	// StallTriggerFactor is how far above its observed minimum the stall
-	// rate must rise before the trigger fires (default 1.5).
-	StallTriggerFactor float64
 	// Fleet enables the node-level fleet tier (internal/fleet): a shared
 	// host-DRAM master-copy cache across co-located replicas, a declarative
-	// reconciliation-loop autoscaler on the simulated clock, and admission
-	// control priced on predicted paging cost. Nil disables the tier; the
-	// serve path is then bit-identical to a build without it.
+	// reconciliation-loop autoscaler on the simulated clock, and queue-depth
+	// admission control. Nil disables the tier; the serve path is then
+	// bit-identical to a build without it.
 	Fleet *fleet.Spec
 	// Chaos declares a fault-injection schedule for the run
 	// (internal/chaos): replica crashes with timed recoveries, degraded-link
@@ -284,8 +276,7 @@ func (o Options) Validate() error {
 		{"LoadFrac", o.LoadFrac}, {"CheckInterval", o.CheckInterval},
 		{"DriftThreshold", o.DriftThreshold}, {"Cooldown", o.Cooldown}, {"MinGain", o.MinGain},
 		{"SolveSeconds", o.SolveSeconds}, {"SolveSecondsPrior", o.SolveSecondsPrior},
-		{"Oversubscription", o.Oversubscription}, {"StallTriggerFactor", o.StallTriggerFactor},
-		{"LatencyBucket", o.LatencyBucket},
+		{"Oversubscription", o.Oversubscription}, {"LatencyBucket", o.LatencyBucket},
 	} {
 		if !nonNegative(f.v) {
 			return fmt.Errorf("serve: %s must be non-negative and finite (zero for the default), got %v", f.name, f.v)
@@ -317,12 +308,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("serve: CachePolicy %q set but Oversubscription is 0 (memory layer disabled); set Oversubscription >= 1 or drop the policy", o.CachePolicy)
 	case o.Oversubscription == 0 && o.MemoryAware:
 		return fmt.Errorf("serve: MemoryAware requires the tiered memory layer; set Oversubscription >= 1")
-	case o.StallTriggerFactor > 0 && !o.StallTrigger:
-		return fmt.Errorf("serve: StallTriggerFactor set but StallTrigger is off; enable it or drop the factor")
-	case o.StallTrigger && o.Oversubscription == 0:
-		return fmt.Errorf("serve: StallTrigger watches tiered-memory stalls; set Oversubscription >= 1")
-	case o.StallTrigger && !o.Adaptive:
-		return fmt.Errorf("serve: StallTrigger requires the adaptive controller; enable Adaptive")
 	}
 	if o.Oversubscription > 0 {
 		if _, err := expertmem.ParsePolicy(o.CachePolicy); err != nil {
@@ -343,8 +328,6 @@ func (o Options) Validate() error {
 			return fmt.Errorf("serve: Fleet.SharedHostCache requires the tiered memory layer; set Oversubscription >= 1")
 		case o.Fleet.SharedHostCache && o.HostSlots == 0:
 			return fmt.Errorf("serve: Fleet.SharedHostCache without HostSlots is inert (every master fits in DRAM); set HostSlots or drop the shared cache")
-		case o.Fleet.Admission == fleet.AdmissionPaging && o.Oversubscription == 0:
-			return fmt.Errorf("serve: Fleet paging admission prices tiered-memory stalls; set Oversubscription >= 1")
 		}
 		// An autoscaling fleet owns every slot its spec could ever commit.
 		if o.Fleet.Autoscaling() && o.Fleet.MaxReplicas > slots {
@@ -455,9 +438,6 @@ func (o Options) WithDefaults(d Deployment) Options {
 	}
 	if o.SolveWorkers == 0 {
 		o.SolveWorkers = 1
-	}
-	if o.StallTrigger && o.StallTriggerFactor == 0 {
-		o.StallTriggerFactor = 1.5
 	}
 	if o.Seed == 0 {
 		o.Seed = d.Seed

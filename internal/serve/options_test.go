@@ -140,21 +140,26 @@ func TestServeResolvesPhaseDefaults(t *testing.T) {
 // low five and SolveWorkers its low two: host work grows with their product
 // (a 255-wide portfolio solves 255 anneals per re-solve), and a legal but
 // heavy run is not a finding.
+//
+// The layout is frozen at 242 bytes so the checked-in corpus replays the
+// inputs it was found with: the two blank float64 fields held retired
+// options, and encoding/binary skips them on read.
 type fuzzKnobs struct {
 	Replicas, MaxBatch, DecodeTokens, Window, Patience, PrefetchK, HostSlots, SolveWorkers uint8
-	// Flags: Adaptive, MemoryAware, StallTrigger, AutoSolveSeconds, a second
-	// phase, a drifted first phase, and the cache policy (top two bits).
+	// Flags: Adaptive, MemoryAware, an unused bit, AutoSolveSeconds, a
+	// second phase, a drifted first phase, and the cache policy (top two
+	// bits).
 	Flags uint8
 
 	CheckInterval, DriftThreshold, Cooldown, MinGain, SolveSeconds, SolveSecondsPrior float64
-	Oversubscription, StallTriggerFactor, LatencyBucket, LoadFrac                     float64
+	Oversubscription, _, LatencyBucket, LoadFrac                                      float64
 	Dur0, Rate0, Dur1, Rate1                                                          float64
 
 	// FleetFlags: a fleet spec at all, SharedHostCache, and the admission
 	// policy (next two bits).
 	FleetFlags, MinReplicas, MaxReplicas, MaxQueuePerReplica, MaxDefers, DownscaleStreak uint8
 	TargetUtilization, ForecastHalfLife, ScaleUpCooldown, ScaleDownCooldown              float64
-	ReconcileInterval, SLOSeconds, DeferSeconds                                          float64
+	ReconcileInterval, _, DeferSeconds                                                   float64
 
 	// ChaosFlags: a schedule at all, a crash, a degraded link,
 	// PreemptibleDMA.
@@ -187,13 +192,11 @@ func (k fuzzKnobs) options(base Options, knee float64, drifted *synth.DatasetPro
 	o.HostSlots, o.SolveWorkers = int(k.HostSlots), int(k.SolveWorkers&3)
 	o.Adaptive = k.Flags&1 != 0
 	o.MemoryAware = k.Flags&2 != 0
-	o.StallTrigger = k.Flags&4 != 0
 	o.AutoSolveSeconds = k.Flags&8 != 0
 	o.CachePolicy = []string{"", "lru", "pin", "affinity"}[k.Flags>>6]
 	o.CheckInterval, o.DriftThreshold, o.Cooldown, o.MinGain = k.CheckInterval, k.DriftThreshold, k.Cooldown, k.MinGain
 	o.SolveSeconds, o.SolveSecondsPrior = k.SolveSeconds, k.SolveSecondsPrior
-	o.Oversubscription, o.StallTriggerFactor = k.Oversubscription, k.StallTriggerFactor
-	o.LatencyBucket, o.LoadFrac = k.LatencyBucket, k.LoadFrac
+	o.Oversubscription, o.LatencyBucket, o.LoadFrac = k.Oversubscription, k.LatencyBucket, k.LoadFrac
 
 	first := Phase{Name: "first", Duration: clampPhase(k.Dur0, 1), Rate: clampPhase(k.Rate0, 2*knee)}
 	if k.Flags&32 != 0 {
@@ -212,9 +215,11 @@ func (k fuzzKnobs) options(base Options, knee float64, drifted *synth.DatasetPro
 			ScaleUpCooldown: k.ScaleUpCooldown, ScaleDownCooldown: k.ScaleDownCooldown,
 			DownscaleStreak: int(k.DownscaleStreak), ReconcileInterval: k.ReconcileInterval,
 			SharedHostCache: k.FleetFlags&2 != 0,
-			Admission:       []string{"", fleet.AdmissionQueue, fleet.AdmissionPaging, "bogus"}[k.FleetFlags>>2&3],
-			SLOSeconds:      k.SLOSeconds, MaxQueuePerReplica: int(k.MaxQueuePerReplica),
-			DeferSeconds: k.DeferSeconds, MaxDefers: int(k.MaxDefers & 7),
+			// Slot 2 is the retired paging policy's name, which Validate
+			// must reject like any unknown one.
+			Admission:          []string{"", fleet.AdmissionQueue, "paging", "bogus"}[k.FleetFlags>>2&3],
+			MaxQueuePerReplica: int(k.MaxQueuePerReplica),
+			DeferSeconds:       k.DeferSeconds, MaxDefers: int(k.MaxDefers & 7),
 		}
 	}
 	if k.ChaosFlags&1 != 0 {
@@ -260,6 +265,9 @@ func FuzzServeOptions(f *testing.F) {
 		CheckInterval: 1e-300, Cooldown: 1e-300, MinGain: 1e300, Patience: 1}
 	f.Add(storm.bytes())
 	size := binary.Size(fuzzKnobs{})
+	if size != 242 {
+		f.Fatalf("fuzzKnobs encodes to %d bytes, want 242: the corpus would replay different inputs", size)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var k fuzzKnobs

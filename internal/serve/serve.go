@@ -534,18 +534,10 @@ func (s *server) maybeCheckDrift(now float64) {
 		s.refreshFleetPricing(now)
 	}
 	// Crash transients pollute the drift signal: redispatch spikes the queue
-	// and the stall rate while the fleet absorbs the lost capacity, none of
-	// which is routing drift. Inside the quiet window the controller still
-	// scores (the series stays continuous) but launches no solve and sees no
-	// stall-trigger samples.
+	// while the fleet absorbs the lost capacity, none of which is routing
+	// drift. Inside the quiet window the controller still scores (the series
+	// stays continuous) but launches no solve.
 	quiet := s.ch != nil && now < s.ch.quietUntil
-	if s.opts.StallTrigger && !quiet {
-		// Feed the controller the recent charged stall rate so residency
-		// decay can fire a re-solve even when the routing mix looks stable.
-		if rate, ok := s.stallPerToken(now-4*s.opts.CheckInterval, now); ok {
-			s.ctrl.noteStall(rate)
-		}
-	}
 	// All replicas share placement lineage; score drift against replica 0's.
 	score, solve := s.ctrl.observe(now, s.replicas[0].pl, s.pending != nil || s.solving != nil || quiet)
 	s.driftT = append(s.driftT, now)

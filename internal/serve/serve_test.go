@@ -255,9 +255,6 @@ func TestServeValidation(t *testing.T) {
 		{"MinGain", func(o *Options, v float64) { o.MinGain = v }},
 		{"SolveSeconds", func(o *Options, v float64) { o.SolveSeconds = v }},
 		{"SolveSecondsPrior", func(o *Options, v float64) { o.AutoSolveSeconds, o.SolveSecondsPrior = true, v }},
-		{"StallTriggerFactor", func(o *Options, v float64) {
-			o.Adaptive, o.StallTrigger, o.Oversubscription, o.StallTriggerFactor = true, true, 2, v
-		}},
 		{"LatencyBucket", func(o *Options, v float64) { o.LatencyBucket = v }},
 		{"Oversubscription", func(o *Options, v float64) { o.Oversubscription = v }},
 	} {

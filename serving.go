@@ -37,12 +37,9 @@ type (
 	FleetReport = fleet.Report
 )
 
-// FleetAdmissionQueue and FleetAdmissionPaging name the fleet tier's
-// admission policies: the queue-depth baseline and the paging-cost pricer.
-const (
-	FleetAdmissionQueue  = fleet.AdmissionQueue
-	FleetAdmissionPaging = fleet.AdmissionPaging
-)
+// FleetAdmissionQueue names the fleet tier's admission policy: shed by
+// queue depth.
+const FleetAdmissionQueue = fleet.AdmissionQueue
 
 // ChaosSchedule declares a fault-injection program for Serve (see
 // internal/chaos): build one from ChaosCrash / ChaosCrashForever /

@@ -54,18 +54,12 @@ func TestServeOptionValidation(t *testing.T) {
 		// exist; rejected so the caller notices the missing Oversubscription
 		// (pinned here because an earlier revision silently accepted it).
 		{"host slots without memory layer", ServeOptions{HostSlots: 32}, "Oversubscription"},
-		// The stall trigger watches tiered-memory stalls through the adaptive
-		// controller: both prerequisites are named when missing.
-		{"stall trigger without memory layer", ServeOptions{StallTrigger: true, Adaptive: true}, "Oversubscription"},
-		{"stall trigger without adaptive", ServeOptions{StallTrigger: true, Oversubscription: 2}, "Adaptive"},
-		{"stall factor without trigger", ServeOptions{StallTriggerFactor: 2}, "StallTrigger"},
-		{"negative stall factor", ServeOptions{StallTriggerFactor: -1}, "StallTriggerFactor"},
 		// Fleet specs are validated at the public boundary too.
 		{"fleet min over max", ServeOptions{Fleet: &FleetSpec{MinReplicas: 5, MaxReplicas: 2}}, "MaxReplicas"},
 		{"fleet replicas outside bounds", ServeOptions{Replicas: 1, Fleet: &FleetSpec{MinReplicas: 2, MaxReplicas: 4}}, "bounds"},
 		{"fleet bad admission", ServeOptions{Fleet: &FleetSpec{Admission: "vibes"}}, "admission"},
-		{"fleet paging without SLO", ServeOptions{Oversubscription: 2, Fleet: &FleetSpec{Admission: FleetAdmissionPaging}}, "SLOSeconds"},
-		{"fleet paging without memory layer", ServeOptions{Fleet: &FleetSpec{Admission: FleetAdmissionPaging, SLOSeconds: 1}}, "Oversubscription"},
+		// The retired paging policy's name is rejected like any unknown one.
+		{"fleet paging admission retired", ServeOptions{Oversubscription: 2, Fleet: &FleetSpec{Admission: "paging"}}, "unknown admission policy"},
 		{"fleet shared cache without memory layer", ServeOptions{Fleet: &FleetSpec{SharedHostCache: true}}, "Oversubscription"},
 		{"fleet shared cache without host slots", ServeOptions{Oversubscription: 2, Fleet: &FleetSpec{SharedHostCache: true}}, "HostSlots"},
 	}
