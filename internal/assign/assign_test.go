@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -151,6 +152,10 @@ func TestBalancedErrors(t *testing.T) {
 	if _, _, err := Balanced([][]float64{{1}}, []int{-1, 2}); err == nil {
 		t.Fatal("expected error for negative capacity")
 	}
+	var s Solver
+	if _, err := s.Balanced(make([]int, 1), [][]float64{{1}, {2}}, []int{2}); err == nil {
+		t.Fatal("expected error for a destination shorter than the items")
+	}
 }
 
 func TestBalancedEmptyItems(t *testing.T) {
@@ -191,16 +196,264 @@ func TestNegativeCostsHandled(t *testing.T) {
 	}
 }
 
-func BenchmarkBalanced64x16(b *testing.B) {
-	r := rng.New(1)
-	cost := randomCost(r, 64, 16)
+// graph, newGraph, addEdge, minCostFlow, referenceBalanced and
+// referenceMaximizeBalanced are the allocate-per-call solver that Solver
+// replaced, kept verbatim as the oracle a reused workspace must match bit
+// for bit.
+type graph struct {
+	adj [][]edge
+}
+
+func newGraph(n int) *graph {
+	return &graph{adj: make([][]edge, n)}
+}
+
+func (g *graph) addEdge(from, to, capacity int, cost float64) {
+	g.adj[from] = append(g.adj[from], edge{to: to, cap: capacity, cost: cost, rev: len(g.adj[to])})
+	g.adj[to] = append(g.adj[to], edge{to: from, cap: 0, cost: -cost, rev: len(g.adj[from]) - 1})
+}
+
+func (g *graph) minCostFlow(s, t, maxFlow int) (int, float64) {
+	n := len(g.adj)
+	totalFlow := 0
+	totalCost := 0.0
+	for totalFlow < maxFlow {
+		dist := make([]float64, n)
+		inQueue := make([]bool, n)
+		prevV := make([]int, n)
+		prevE := make([]int, n)
+		for i := range dist {
+			dist[i] = math.Inf(1)
+			prevV[i] = -1
+		}
+		dist[s] = 0
+		queue := []int{s}
+		inQueue[s] = true
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			inQueue[v] = false
+			for ei, e := range g.adj[v] {
+				if e.cap > 0 && dist[v]+e.cost < dist[e.to]-1e-12 {
+					dist[e.to] = dist[v] + e.cost
+					prevV[e.to] = v
+					prevE[e.to] = ei
+					if !inQueue[e.to] {
+						queue = append(queue, e.to)
+						inQueue[e.to] = true
+					}
+				}
+			}
+		}
+		if math.IsInf(dist[t], 1) {
+			break // no augmenting path
+		}
+		// Find bottleneck along the path.
+		push := maxFlow - totalFlow
+		for v := t; v != s; v = prevV[v] {
+			if c := g.adj[prevV[v]][prevE[v]].cap; c < push {
+				push = c
+			}
+		}
+		// Apply.
+		for v := t; v != s; v = prevV[v] {
+			e := &g.adj[prevV[v]][prevE[v]]
+			e.cap -= push
+			g.adj[e.to][e.rev].cap += push
+		}
+		totalFlow += push
+		totalCost += float64(push) * dist[t]
+	}
+	return totalFlow, totalCost
+}
+
+func referenceBalanced(cost [][]float64, caps []int) ([]int, float64, error) {
+	items := len(cost)
+	groups := len(caps)
+	if items == 0 {
+		return nil, 0, nil
+	}
+	if groups == 0 {
+		return nil, 0, fmt.Errorf("assign: no groups")
+	}
+	totalCap := 0
+	for g, c := range caps {
+		if c < 0 {
+			return nil, 0, fmt.Errorf("assign: negative capacity for group %d", g)
+		}
+		totalCap += c
+	}
+	if totalCap < items {
+		return nil, 0, fmt.Errorf("assign: capacity %d < items %d", totalCap, items)
+	}
+	for i, row := range cost {
+		if len(row) != groups {
+			return nil, 0, fmt.Errorf("assign: cost row %d has %d entries, want %d", i, len(row), groups)
+		}
+	}
+
+	// Node layout: 0 = source, 1..items = items, items+1..items+groups =
+	// groups, last = sink.
+	n := items + groups + 2
+	src, sink := 0, n-1
+	g := newGraph(n)
+	for i := 0; i < items; i++ {
+		g.addEdge(src, 1+i, 1, 0)
+		for p := 0; p < groups; p++ {
+			g.addEdge(1+i, 1+items+p, 1, cost[i][p])
+		}
+	}
+	for p := 0; p < groups; p++ {
+		g.addEdge(1+items+p, sink, caps[p], 0)
+	}
+	flow, total := g.minCostFlow(src, sink, items)
+	if flow < items {
+		return nil, 0, fmt.Errorf("assign: only placed %d of %d items", flow, items)
+	}
+	// Read the assignment off the saturated item->group arcs.
+	out := make([]int, items)
+	for i := 0; i < items; i++ {
+		out[i] = -1
+		for _, e := range g.adj[1+i] {
+			if e.to >= 1+items && e.to < 1+items+groups && e.cap == 0 {
+				out[i] = e.to - 1 - items
+				break
+			}
+		}
+		if out[i] == -1 {
+			return nil, 0, fmt.Errorf("assign: item %d unassigned after flow", i)
+		}
+	}
+	return out, total, nil
+}
+
+func referenceMaximizeBalanced(benefit [][]float64, caps []int) ([]int, float64, error) {
+	cost := make([][]float64, len(benefit))
+	for i, row := range benefit {
+		cost[i] = make([]float64, len(row))
+		for p, b := range row {
+			cost[i][p] = -b
+		}
+	}
+	a, total, err := referenceBalanced(cost, caps)
+	return a, -total, err
+}
+
+// TestSolverMatchesReference drives one reused Solver through random
+// instances whose shapes grow and shrink between calls, with tie-heavy
+// small-integer costs, some negative and some maximized, and requires the
+// reference's assignment and the same bits of its total on every one.
+func TestSolverMatchesReference(t *testing.T) {
+	r := rng.New(20)
+	var s Solver
+	dst := make([]int, 40)
+	for trial := 0; trial < 600; trial++ {
+		items := 1 + r.Intn(40)
+		groups := 1 + r.Intn(16)
+		// Uneven capacities that hold every item, with one group in eight
+		// left empty.
+		caps := make([]int, groups)
+		for left := items; left > 0; {
+			g := r.Intn(groups)
+			if g%8 == 7 && groups > 1 {
+				continue
+			}
+			add := 1 + r.Intn(left)
+			caps[g] += add
+			left -= add
+		}
+		caps[r.Intn(groups)] += r.Intn(3)
+		negative := trial%3 == 1
+		cost := make([][]float64, items)
+		for i := range cost {
+			cost[i] = make([]float64, groups)
+			for g := range cost[i] {
+				c := float64(r.Intn(4))
+				if negative {
+					c -= 2
+				}
+				cost[i][g] = c
+			}
+		}
+		maximize := trial%4 == 3
+		var want []int
+		var wantTotal, gotTotal float64
+		var wantErr, gotErr error
+		for i := range dst {
+			dst[i] = -7 // the solve must overwrite every item's entry
+		}
+		if maximize {
+			want, wantTotal, wantErr = referenceMaximizeBalanced(cost, caps)
+			gotTotal, gotErr = s.MaximizeBalanced(dst, cost, caps)
+		} else {
+			want, wantTotal, wantErr = referenceBalanced(cost, caps)
+			gotTotal, gotErr = s.Balanced(dst, cost, caps)
+		}
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("trial %d (%dx%d caps %v): reference error %v, solver error %v", trial, items, groups, caps, wantErr, gotErr)
+		}
+		for i, g := range want {
+			if dst[i] != g {
+				t.Fatalf("trial %d (%dx%d caps %v maximize %v): item %d on group %d, reference %d",
+					trial, items, groups, caps, maximize, i, dst[i], g)
+			}
+		}
+		if math.Float64bits(gotTotal) != math.Float64bits(wantTotal) {
+			t.Fatalf("trial %d: total %v, reference %v", trial, gotTotal, wantTotal)
+		}
+	}
+}
+
+// TestSolverWarmAllocsZero pins that a warmed Solver allocates nothing at the
+// layer sweep's stage-1 shape (32 experts onto 4 nodes).
+func TestSolverWarmAllocsZero(t *testing.T) {
+	r := rng.New(3)
+	benefit := randomCost(r, 32, 4)
+	caps := []int{8, 8, 8, 8}
+	dst := make([]int, 32)
+	var s Solver
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.MaximizeBalanced(dst, benefit, caps); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warmed Solver allocated %v objects per solve, want 0", allocs)
+	}
+}
+
+// balanced64x16 is the benchmarks' instance: 64 items, 16 groups of 4.
+func balanced64x16() ([][]float64, []int) {
 	caps := make([]int, 16)
 	for i := range caps {
 		caps[i] = 4
 	}
+	return randomCost(rng.New(1), 64, 16), caps
+}
+
+// BenchmarkBalanced64x16 solves on a fresh workspace per call, as the
+// package-level Balanced does; BenchmarkBalanced64x16Reused reuses one.
+func BenchmarkBalanced64x16(b *testing.B) {
+	cost, caps := balanced64x16()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Balanced(cost, caps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBalanced64x16Reused(b *testing.B) {
+	cost, caps := balanced64x16()
+	dst := make([]int, 64)
+	var s Solver
+	if _, err := s.Balanced(dst, cost, caps); err != nil { // size the workspace
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Balanced(dst, cost, caps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,155 +14,242 @@ type edge struct {
 	to   int
 	cap  int
 	cost float64
-	rev  int // index of reverse edge in graph[to]
+	rev  int // index of reverse edge in adj[to]
 }
 
-// graph is an adjacency-list flow network.
-type graph struct {
-	adj [][]edge
+// Solver is a reusable workspace for the balanced assignment: the flow
+// network's arc lists, the shortest-path labels and the FIFO queue. A sweep
+// that solves one transportation problem per layer keeps one Solver and
+// allocates nothing after the first solve at its largest shape. A Solver
+// reused on a smaller instance truncates its arc lists and re-initialises
+// every label before each augmentation, so each solve is a pure function of
+// its inputs. A Solver must not be used by two goroutines at once; the zero
+// value is ready to use.
+type Solver struct {
+	arcs    []edge   // backing store of every node's arc list
+	adj     [][]edge // adj[v] is node v's arc list, carved from arcs
+	dist    []float64
+	inQueue []bool
+	prevV   []int
+	prevE   []int
+	queue   []int // FIFO ring; the inQueue guard bounds it to one slot per node
 }
 
-func newGraph(n int) *graph {
-	return &graph{adj: make([][]edge, n)}
+// reset sizes the workspace for the items x groups network and gives every
+// node an empty arc list with room for exactly its degree, so building the
+// network never reallocates.
+func (s *Solver) reset(items, groups int) {
+	n := items + groups + 2
+	if arcs := 2 * (items + items*groups + groups); cap(s.arcs) < arcs {
+		s.arcs = make([]edge, arcs)
+	}
+	if cap(s.adj) < n {
+		s.adj = make([][]edge, n)
+		s.dist = make([]float64, n)
+		s.inQueue = make([]bool, n)
+		s.prevV = make([]int, n)
+		s.prevE = make([]int, n)
+		s.queue = make([]int, n)
+	}
+	s.adj = s.adj[:n]
+	off := 0
+	for v := range s.adj {
+		deg := groups // the sink: one reverse arc per group
+		switch {
+		case v == 0:
+			deg = items // the source: one arc per item
+		case v <= items:
+			deg = 1 + groups // an item: its source arc's reverse, then its groups
+		case v <= items+groups:
+			deg = items + 1 // a group: one reverse arc per item, then the sink
+		}
+		s.adj[v] = s.arcs[off : off : off+deg]
+		off += deg
+	}
+	s.dist = s.dist[:n]
+	s.inQueue = s.inQueue[:n]
+	s.prevV = s.prevV[:n]
+	s.prevE = s.prevE[:n]
+	s.queue = s.queue[:n]
 }
 
-func (g *graph) addEdge(from, to, capacity int, cost float64) {
-	g.adj[from] = append(g.adj[from], edge{to: to, cap: capacity, cost: cost, rev: len(g.adj[to])})
-	g.adj[to] = append(g.adj[to], edge{to: from, cap: 0, cost: -cost, rev: len(g.adj[from]) - 1})
+func (s *Solver) addEdge(from, to, capacity int, cost float64) {
+	s.adj[from] = append(s.adj[from], edge{to: to, cap: capacity, cost: cost, rev: len(s.adj[to])})
+	s.adj[to] = append(s.adj[to], edge{to: from, cap: 0, cost: -cost, rev: len(s.adj[from]) - 1})
 }
 
-// minCostFlow pushes up to maxFlow units from s to t using successive
-// shortest paths (Bellman-Ford, which tolerates the negative reverse arcs).
-// It returns the flow achieved and its total cost.
-func (g *graph) minCostFlow(s, t, maxFlow int) (int, float64) {
-	n := len(g.adj)
+// minCostFlow pushes up to maxFlow units from src to sink using successive
+// shortest paths (SPFA, a FIFO Bellman-Ford, which tolerates the negative
+// reverse arcs). It returns the flow achieved and its total cost.
+func (s *Solver) minCostFlow(src, sink, maxFlow int) (int, float64) {
+	n := len(s.adj)
+	dist, inQueue, prevV, prevE, queue := s.dist, s.inQueue, s.prevV, s.prevE, s.queue
 	totalFlow := 0
 	totalCost := 0.0
 	for totalFlow < maxFlow {
-		dist := make([]float64, n)
-		inQueue := make([]bool, n)
-		prevV := make([]int, n)
-		prevE := make([]int, n)
 		for i := range dist {
 			dist[i] = math.Inf(1)
+			inQueue[i] = false
 			prevV[i] = -1
+			prevE[i] = 0
 		}
-		dist[s] = 0
-		queue := []int{s}
-		inQueue[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		dist[src] = 0
+		queue[0] = src
+		head, size := 0, 1
+		inQueue[src] = true
+		for size > 0 {
+			v := queue[head]
+			head++
+			if head == n {
+				head = 0
+			}
+			size--
 			inQueue[v] = false
-			for ei, e := range g.adj[v] {
+			for ei, e := range s.adj[v] {
 				if e.cap > 0 && dist[v]+e.cost < dist[e.to]-1e-12 {
 					dist[e.to] = dist[v] + e.cost
 					prevV[e.to] = v
 					prevE[e.to] = ei
 					if !inQueue[e.to] {
-						queue = append(queue, e.to)
+						tail := head + size
+						if tail >= n {
+							tail -= n
+						}
+						queue[tail] = e.to
+						size++
 						inQueue[e.to] = true
 					}
 				}
 			}
 		}
-		if math.IsInf(dist[t], 1) {
+		if math.IsInf(dist[sink], 1) {
 			break // no augmenting path
 		}
 		// Find bottleneck along the path.
 		push := maxFlow - totalFlow
-		for v := t; v != s; v = prevV[v] {
-			if c := g.adj[prevV[v]][prevE[v]].cap; c < push {
+		for v := sink; v != src; v = prevV[v] {
+			if c := s.adj[prevV[v]][prevE[v]].cap; c < push {
 				push = c
 			}
 		}
 		// Apply.
-		for v := t; v != s; v = prevV[v] {
-			e := &g.adj[prevV[v]][prevE[v]]
+		for v := sink; v != src; v = prevV[v] {
+			e := &s.adj[prevV[v]][prevE[v]]
 			e.cap -= push
-			g.adj[e.to][e.rev].cap += push
+			s.adj[e.to][e.rev].cap += push
 		}
 		totalFlow += push
-		totalCost += float64(push) * dist[t]
+		totalCost += float64(push) * dist[sink]
 	}
 	return totalFlow, totalCost
 }
 
 // Balanced assigns each of len(cost) items to one of len(caps) groups,
 // minimizing the total cost[item][group], subject to group g receiving at
-// most caps[g] items. It returns the assignment (group per item) and the
-// optimal total cost. It returns an error if the capacities cannot hold all
-// items.
-func Balanced(cost [][]float64, caps []int) ([]int, float64, error) {
+// most caps[g] items. It writes the group of item i to dst[i] (dst must hold
+// at least len(cost) entries) and returns the optimal total cost. It returns
+// an error if the capacities cannot hold all items, leaving dst unspecified.
+func (s *Solver) Balanced(dst []int, cost [][]float64, caps []int) (float64, error) {
+	return s.solve(dst, cost, caps, false)
+}
+
+// MaximizeBalanced is Balanced over a *benefit* matrix: it maximizes total
+// benefit[item][group] under the same capacity constraints and returns the
+// optimal total benefit.
+func (s *Solver) MaximizeBalanced(dst []int, benefit [][]float64, caps []int) (float64, error) {
+	total, err := s.solve(dst, benefit, caps, true)
+	return -total, err
+}
+
+// solve runs Balanced on cost, or on -cost when negate is set. Negating
+// while building the arcs gives the same arc costs, bit for bit, as negating
+// into a separate matrix first.
+func (s *Solver) solve(dst []int, cost [][]float64, caps []int, negate bool) (float64, error) {
 	items := len(cost)
 	groups := len(caps)
 	if items == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
 	if groups == 0 {
-		return nil, 0, fmt.Errorf("assign: no groups")
+		return 0, fmt.Errorf("assign: no groups")
 	}
 	totalCap := 0
 	for g, c := range caps {
 		if c < 0 {
-			return nil, 0, fmt.Errorf("assign: negative capacity for group %d", g)
+			return 0, fmt.Errorf("assign: negative capacity for group %d", g)
 		}
 		totalCap += c
 	}
 	if totalCap < items {
-		return nil, 0, fmt.Errorf("assign: capacity %d < items %d", totalCap, items)
+		return 0, fmt.Errorf("assign: capacity %d < items %d", totalCap, items)
 	}
 	for i, row := range cost {
 		if len(row) != groups {
-			return nil, 0, fmt.Errorf("assign: cost row %d has %d entries, want %d", i, len(row), groups)
+			return 0, fmt.Errorf("assign: cost row %d has %d entries, want %d", i, len(row), groups)
 		}
+	}
+	if len(dst) < items {
+		return 0, fmt.Errorf("assign: destination holds %d entries, want %d", len(dst), items)
 	}
 
 	// Node layout: 0 = source, 1..items = items, items+1..items+groups =
 	// groups, last = sink.
 	n := items + groups + 2
 	src, sink := 0, n-1
-	g := newGraph(n)
+	s.reset(items, groups)
 	for i := 0; i < items; i++ {
-		g.addEdge(src, 1+i, 1, 0)
+		s.addEdge(src, 1+i, 1, 0)
 		for p := 0; p < groups; p++ {
-			g.addEdge(1+i, 1+items+p, 1, cost[i][p])
+			c := cost[i][p]
+			if negate {
+				c = -c
+			}
+			s.addEdge(1+i, 1+items+p, 1, c)
 		}
 	}
 	for p := 0; p < groups; p++ {
-		g.addEdge(1+items+p, sink, caps[p], 0)
+		s.addEdge(1+items+p, sink, caps[p], 0)
 	}
-	flow, total := g.minCostFlow(src, sink, items)
+	flow, total := s.minCostFlow(src, sink, items)
 	if flow < items {
-		return nil, 0, fmt.Errorf("assign: only placed %d of %d items", flow, items)
+		return 0, fmt.Errorf("assign: only placed %d of %d items", flow, items)
 	}
 	// Read the assignment off the saturated item->group arcs.
-	out := make([]int, items)
 	for i := 0; i < items; i++ {
-		out[i] = -1
-		for _, e := range g.adj[1+i] {
+		dst[i] = -1
+		for _, e := range s.adj[1+i] {
 			if e.to >= 1+items && e.to < 1+items+groups && e.cap == 0 {
-				out[i] = e.to - 1 - items
+				dst[i] = e.to - 1 - items
 				break
 			}
 		}
-		if out[i] == -1 {
-			return nil, 0, fmt.Errorf("assign: item %d unassigned after flow", i)
+		if dst[i] == -1 {
+			return 0, fmt.Errorf("assign: item %d unassigned after flow", i)
 		}
 	}
-	return out, total, nil
+	return total, nil
 }
 
-// MaximizeBalanced is Balanced over a *benefit* matrix: it maximizes total
-// benefit[item][group] under the same capacity constraints.
+// Balanced is Solver.Balanced on a fresh workspace, returning a newly
+// allocated assignment (nil for no items).
+func Balanced(cost [][]float64, caps []int) ([]int, float64, error) {
+	return fresh(cost, caps, (*Solver).Balanced)
+}
+
+// MaximizeBalanced is Solver.MaximizeBalanced on a fresh workspace,
+// returning a newly allocated assignment (nil for no items).
 func MaximizeBalanced(benefit [][]float64, caps []int) ([]int, float64, error) {
-	cost := make([][]float64, len(benefit))
-	for i, row := range benefit {
-		cost[i] = make([]float64, len(row))
-		for p, b := range row {
-			cost[i][p] = -b
-		}
+	return fresh(benefit, caps, (*Solver).MaximizeBalanced)
+}
+
+func fresh(m [][]float64, caps []int, solve func(*Solver, []int, [][]float64, []int) (float64, error)) ([]int, float64, error) {
+	var out []int
+	if len(m) > 0 {
+		out = make([]int, len(m))
 	}
-	a, total, err := Balanced(cost, caps)
-	return a, -total, err
+	total, err := solve(new(Solver), out, m, caps)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, total, nil
 }

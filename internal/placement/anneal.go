@@ -162,17 +162,14 @@ func annealRun(counts [][][]float64, init *Placement, opts AnnealOptions, seed u
 	cool := math.Pow(endT/startT, 1/float64(iters))
 	temp := startT * scale
 
-	// layerDelta computes the change in crossings if experts a and b of
-	// layer j swapped GPUs.
-	var layerDelta func(j, a, b int) float64
+	// The change in crossings if experts a and b of layer j swapped GPUs is
+	// priced by idx.swapDelta, or by the dense reference closure.
+	var idx *TransIndex
+	var denseDelta func(j, a, b int) float64
 	if opts.Dense {
-		layerDelta = denseLayerDelta(counts, p)
-	} else {
-		idx := opts.Index
-		if idx == nil {
-			idx = NewTransIndex(counts, p.Layers, p.Experts)
-		}
-		layerDelta = idx.layerDelta(p)
+		denseDelta = denseLayerDelta(counts, p)
+	} else if idx = opts.Index; idx == nil {
+		idx = NewTransIndex(counts, p.Layers, p.Experts)
 	}
 
 	for it := 0; it < iters; it++ {
@@ -184,7 +181,12 @@ func annealRun(counts [][][]float64, init *Placement, opts AnnealOptions, seed u
 			continue
 		}
 		proposed++
-		delta := layerDelta(j, a, b)
+		var delta float64
+		if idx != nil {
+			delta = idx.swapDelta(p, j, a, b)
+		} else {
+			delta = denseDelta(j, a, b)
+		}
 		ga, gb := p.Assign[j][a], p.Assign[j][b]
 		var memGa, memGb float64
 		if memActive {
@@ -200,7 +202,9 @@ func annealRun(counts [][][]float64, init *Placement, opts AnnealOptions, seed u
 			cur += delta
 			if cur < bestObj {
 				bestObj = cur
-				best = p.Clone()
+				for l, row := range p.Assign {
+					copy(best.Assign[l], row)
+				}
 			}
 		}
 		temp *= cool

@@ -1,5 +1,7 @@
 package placement
 
+import "math"
+
 // TransIndex is a CSR/CSC view of the nonzero inter-layer expert
 // transitions of a counts tensor. At realistic top-k routing the dense
 // [E][E] transition matrices are overwhelmingly zero (each expert hands
@@ -15,7 +17,7 @@ package placement
 //
 // Entry order matters beyond cache friendliness: it is exactly the order
 // the dense scans visit nonzeros, so every floating-point accumulation the
-// index drives (Crossings, the annealer's layerDelta) reproduces the dense
+// index drives (Crossings, the annealer's swapDelta) reproduces the dense
 // result bit for bit — sparse and dense solves walk identical trajectories.
 //
 // The index is immutable after construction and safe for concurrent use by
@@ -130,52 +132,60 @@ func (ix *TransIndex) Crossings(p *Placement) float64 {
 	return total
 }
 
-// layerDelta returns the annealer's incremental move-pricing closure over
-// the index: the change in crossings if experts a and b of layer j swapped
-// GPUs under p. Each call is O(deg(a) + deg(b)) — the two experts' actual
-// predecessor and successor counts — instead of the dense O(E) column scan.
-// The accumulation order matches the dense reference exactly (predecessors
-// in ascending `from`, successors in ascending `to`, a before b), so sparse
-// and dense anneals accept identical move sequences.
-func (ix *TransIndex) layerDelta(p *Placement) func(j, a, b int) float64 {
-	return func(j, a, b int) float64 {
-		ga, gb := p.Assign[j][a], p.Assign[j][b]
-		if ga == gb {
-			return 0
-		}
-		delta := 0.0
-		contrib := func(e, gOld, gNew int) {
-			if j > 0 && j-1 < len(ix.pairs) {
-				pair := &ix.pairs[j-1]
-				prev := p.Assign[j-1]
-				for i := pair.predStart[e]; i < pair.predStart[e+1]; i++ {
-					w := pair.predW[i]
-					gFrom := prev[pair.predFrom[i]]
-					if gFrom != gOld {
-						delta -= w
-					}
-					if gFrom != gNew {
-						delta += w
-					}
-				}
-			}
-			if j < p.Layers-1 && j < len(ix.pairs) {
-				pair := &ix.pairs[j]
-				next := p.Assign[j+1]
-				for i := pair.succStart[e]; i < pair.succStart[e+1]; i++ {
-					w := pair.succW[i]
-					gTo := next[pair.succTo[i]]
-					if gOld != gTo {
-						delta -= w
-					}
-					if gNew != gTo {
-						delta += w
-					}
-				}
-			}
-		}
-		contrib(a, ga, gb)
-		contrib(b, gb, ga)
-		return delta
+// swapDelta is the annealer's incremental move pricer over the index: the
+// change in crossings if experts a and b of layer j swapped GPUs under p.
+// Each call is O(deg(a) + deg(b)) — the two experts' actual predecessor and
+// successor counts — instead of the dense O(E) column scan. The
+// accumulation order matches the dense reference exactly (predecessors in
+// ascending `from`, successors in ascending `to`, a before b), so sparse and
+// dense anneals accept identical move sequences.
+func (ix *TransIndex) swapDelta(p *Placement, j, a, b int) float64 {
+	ga, gb := p.Assign[j][a], p.Assign[j][b]
+	if ga == gb {
+		return 0
 	}
+	delta := ix.moveDelta(p, 0, j, a, ga, gb)
+	return ix.moveDelta(p, delta, j, b, gb, ga)
+}
+
+// moveDelta adds to delta the change in crossings on the transitions
+// incident to expert e of layer j if it moved from GPU gOld to gNew, with
+// every other expert held in place.
+func (ix *TransIndex) moveDelta(p *Placement, delta float64, j, e, gOld, gNew int) float64 {
+	if j > 0 && j-1 < len(ix.pairs) {
+		pair := &ix.pairs[j-1]
+		prev := p.Assign[j-1]
+		for i := pair.predStart[e]; i < pair.predStart[e+1]; i++ {
+			delta = crossStep(delta, pair.predW[i], prev[pair.predFrom[i]], gOld, gNew)
+		}
+	}
+	if j < p.Layers-1 && j < len(ix.pairs) {
+		pair := &ix.pairs[j]
+		next := p.Assign[j+1]
+		for i := pair.succStart[e]; i < pair.succStart[e+1]; i++ {
+			delta = crossStep(delta, pair.succW[i], next[pair.succTo[i]], gOld, gNew)
+		}
+	}
+	return delta
+}
+
+// crossStep prices one transition of weight w whose other end sits on GPU
+// g: it subtracts w unless g is gOld (the transition crossed before the
+// move), then adds w unless g is gNew (it crosses after). The dense
+// reference branches on both tests; crossStep selects w or +0 on the
+// weight's bits instead, because the tests are unpredictable and the
+// mispredictions cost more than the float operations. The result is the
+// same bits: subtracting +0 changes no value, and adding +0 changes only
+// -0, which a delta that starts at +0 and moves by nonzero weights (the
+// index stores no zeros) never reaches.
+func crossStep(delta, w float64, g, gOld, gNew int) float64 {
+	bits := math.Float64bits(w)
+	sub, add := bits, bits
+	if g == gOld {
+		sub = 0
+	}
+	if g == gNew {
+		add = 0
+	}
+	return delta - math.Float64frombits(sub) + math.Float64frombits(add)
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -162,5 +163,68 @@ func TestStagedPortfolioDeterministicAndValid(t *testing.T) {
 	if p1.NodeCrossings(counts, tp.GPUsPerNode) > serial.NodeCrossings(counts, tp.GPUsPerNode)+1e-9 {
 		t.Fatalf("portfolio staged solve worse at the node stage: %v vs %v",
 			p1.NodeCrossings(counts, tp.GPUsPerNode), serial.NodeCrossings(counts, tp.GPUsPerNode))
+	}
+}
+
+func TestSwapDeltaMatchesDenseBitsOnFractionalWeights(t *testing.T) {
+	// Profiled counts are whole numbers, whose sums are exact in any order;
+	// fractional weights round, so only the dense accumulation order gives
+	// the dense pricer's bits. The sparse pricer must give them on every
+	// proposal along a random walk of swaps.
+	const layers, experts, gpus = 5, 12, 4
+	r := rng.New(77)
+	counts := make([][][]float64, layers-1)
+	for j := range counts {
+		counts[j] = make([][]float64, experts)
+		for e := range counts[j] {
+			counts[j][e] = make([]float64, experts)
+			for k := range counts[j][e] {
+				if r.Intn(2) == 0 {
+					counts[j][e][k] = r.Float64() * 10
+				}
+			}
+		}
+	}
+	p := Random(layers, experts, gpus, 5)
+	ix := NewTransIndex(counts, layers, experts)
+	dense := denseLayerDelta(counts, p)
+	for step := 0; step < 20000; step++ {
+		j, a, b := r.Intn(layers), r.Intn(experts), r.Intn(experts)
+		sparse, ref := ix.swapDelta(p, j, a, b), dense(j, a, b)
+		if math.Float64bits(sparse) != math.Float64bits(ref) {
+			t.Fatalf("step %d: swap (%d, %d, %d) sparse delta %v, dense %v", step, j, a, b, sparse, ref)
+		}
+		p.Assign[j][a], p.Assign[j][b] = p.Assign[j][b], p.Assign[j][a]
+	}
+}
+
+// BenchmarkAnnealSwapDelta prices one annealing proposal with the sparse
+// index: the crossing delta of swapping two experts of one layer, at the
+// solver benchmarks' shape (16 layers, 32 experts, 8 GPUs, 3,000 profiled
+// tokens) on a swept placement. Proposals are drawn the way the annealer
+// draws them, skipping same-GPU pairs.
+func BenchmarkAnnealSwapDelta(b *testing.B) {
+	const layers, experts, gpus = 16, 32, 8
+	counts := makeTrace(1, layers, experts, 3000, 0.85).AllTransitionCounts()
+	p := LayerSweep(counts, layers, experts, gpus, LayerSweepOptions{})
+	ix := NewTransIndex(counts, layers, experts)
+	type proposal struct{ j, a, b int }
+	props := make([]proposal, 0, 4096)
+	r := rng.New(2)
+	for len(props) < cap(props) {
+		j, a, b := r.Intn(layers), r.Intn(experts), r.Intn(experts)
+		if p.Assign[j][a] != p.Assign[j][b] {
+			props = append(props, proposal{j, a, b})
+		}
+	}
+	sink := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := props[i%len(props)]
+		sink += ix.swapDelta(p, pr.j, pr.a, pr.b)
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN crossing delta")
 	}
 }

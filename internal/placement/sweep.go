@@ -37,19 +37,16 @@ func LayerSweep(counts [][][]float64, layers, experts, gpus int, opts LayerSweep
 	} else {
 		p = Contiguous(layers, experts, gpus)
 	}
-	cap := experts / gpus
-	caps := make([]int, gpus)
-	for g := range caps {
-		caps[g] = cap
-	}
+	caps := balancedCaps(experts, gpus)
+	// One flow workspace and one benefit matrix serve every layer of the
+	// sweep; each layer's assignment is written straight into p.
+	var solver assign.Solver
+	benefit, cells := newBenefit(experts, gpus)
 
 	resolveLayer := func(j int) {
 		// benefit[e][g]: transition weight kept local if expert e of layer j
 		// sits on GPU g, given the fixed neighbor layers.
-		benefit := make([][]float64, experts)
-		for e := range benefit {
-			benefit[e] = make([]float64, gpus)
-		}
+		clear(cells)
 		if j > 0 {
 			for from := 0; from < experts; from++ {
 				g := p.Assign[j-1][from]
@@ -69,12 +66,10 @@ func LayerSweep(counts [][][]float64, layers, experts, gpus int, opts LayerSweep
 				}
 			}
 		}
-		assignment, _, err := assign.MaximizeBalanced(benefit, caps)
-		if err != nil {
+		if _, err := solver.MaximizeBalanced(p.Assign[j], benefit, caps); err != nil {
 			// Capacities always suffice by construction; this is a bug trap.
 			panic(err)
 		}
-		copy(p.Assign[j], assignment)
 	}
 
 	prev := p.Crossings(counts)
@@ -92,4 +87,25 @@ func LayerSweep(counts [][][]float64, layers, experts, gpus int, opts LayerSweep
 		prev = cur
 	}
 	return p
+}
+
+// balancedCaps returns the per-GPU capacities of one layer's balanced
+// assignment: experts/gpus each.
+func balancedCaps(experts, gpus int) []int {
+	caps := make([]int, gpus)
+	for g := range caps {
+		caps[g] = experts / gpus
+	}
+	return caps
+}
+
+// newBenefit allocates a rows x cols benefit matrix whose rows share one
+// backing array, returned as cells so a sweep can zero it in one call.
+func newBenefit(rows, cols int) (m [][]float64, cells []float64) {
+	cells = make([]float64, rows*cols)
+	m = make([][]float64, rows)
+	for r := range m {
+		m[r] = cells[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return m, cells
 }

@@ -28,11 +28,7 @@ func WeightedSweep(counts [][][]float64, layers, experts int, tp *topo.Topology,
 		panic("placement: negative node penalty")
 	}
 	p := Contiguous(layers, experts, gpus)
-	cap := experts / gpus
-	caps := make([]int, gpus)
-	for g := range caps {
-		caps[g] = cap
-	}
+	caps := balancedCaps(experts, gpus)
 
 	// tierBenefit[gHere][gThere] is the benefit weight of keeping a unit of
 	// transition between GPUs gHere and gThere: full (1 + nodePenalty) when
@@ -49,11 +45,12 @@ func WeightedSweep(counts [][][]float64, layers, experts int, tp *topo.Topology,
 		}
 	}
 
+	// As in LayerSweep, one flow workspace and one benefit matrix serve the
+	// whole sweep.
+	var solver assign.Solver
+	benefit, cells := newBenefit(experts, gpus)
 	resolveLayer := func(j int) {
-		benefit := make([][]float64, experts)
-		for e := range benefit {
-			benefit[e] = make([]float64, gpus)
-		}
+		clear(cells)
 		for g := 0; g < gpus; g++ {
 			if j > 0 {
 				for from := 0; from < experts; from++ {
@@ -84,11 +81,9 @@ func WeightedSweep(counts [][][]float64, layers, experts int, tp *topo.Topology,
 				}
 			}
 		}
-		a, _, err := assign.MaximizeBalanced(benefit, caps)
-		if err != nil {
+		if _, err := solver.MaximizeBalanced(p.Assign[j], benefit, caps); err != nil {
 			panic(err)
 		}
-		copy(p.Assign[j], a)
 	}
 
 	blended := func() float64 {

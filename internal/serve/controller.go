@@ -117,6 +117,12 @@ type controller struct {
 	wallSum   float64
 	wallCount int
 
+	// pooled is the drift checks' scratch: observe scores the pooled window
+	// in it and complete's staleness check reuses it. A launched solve takes
+	// the matrix over as its staleness reference, and the next check pools
+	// into a new one.
+	pooled [][]float64
+
 	cooldownUntil float64
 	solves        int
 	discards      int
@@ -145,10 +151,10 @@ func (c *controller) solveEstimate() float64 {
 // background re-solve, returning its handle (nil otherwise). busy indicates
 // a migration or another solve is already in flight.
 func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (float64, *pendingSolve) {
-	// Pooled allocates a fresh matrix; one call serves both the detector
-	// score and (below) the staleness snapshot — Observe does not retain it.
-	pooled := c.window.Pooled()
-	score, fired := c.det.Observe(pooled)
+	// One pooling serves both the detector score and (below) the staleness
+	// snapshot; Observe does not retain the matrix.
+	c.pooled = c.window.PooledInto(c.pooled)
+	score, fired := c.det.Observe(c.pooled)
 	dl := c.opts.Decisions
 	if !c.opts.Adaptive {
 		return score, nil
@@ -180,11 +186,12 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 	ps := &pendingSolve{
 		started: now,
 		score:   score,
-		pooled:  pooled,
+		pooled:  c.pooled,
 		counts:  counts,
 		mo:      mo,
 		result:  make(chan *placement.Placement, 1),
 	}
+	c.pooled = nil // the pending solve keeps the matrix
 	seed := c.opts.Seed + uint64(c.solves)*0x51ED
 	layers, experts := cur.Layers, cur.Experts
 	tp, workers := c.opts.topo, c.opts.SolveWorkers
@@ -219,7 +226,8 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 	// while the solve ran, the solution optimizes a distribution that no
 	// longer exists. Discard it — the detector streak is still hot, so the
 	// next drift check launches a new solve on the fresher window.
-	if div := Divergence(JS, ps.pooled, c.window.Pooled()); div > c.opts.threshold {
+	c.pooled = c.window.PooledInto(c.pooled)
+	if div := Divergence(JS, ps.pooled, c.pooled); div > c.opts.threshold {
 		c.discards++
 		c.met.discards.Inc()
 		if tr != nil {
@@ -366,6 +374,7 @@ func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement)
 // finish is called when the last replica adopted the new placement: the live
 // distribution becomes the new baseline and the cooldown window opens.
 func (c *controller) finish(now float64) {
+	// The detector retains its baseline, so it gets a fresh matrix.
 	c.det.Rebase(c.window.Pooled())
 	c.cooldownUntil = now + c.opts.Cooldown
 }

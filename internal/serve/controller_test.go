@@ -34,7 +34,7 @@ func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.P
 		}
 		window.Push(p)
 	}
-	ctrl := newController(&cfg, window, poolCounts(cfg.baseline, cfg.kernel.Experts))
+	ctrl := newController(&cfg, window, Pool(cfg.baseline, cfg.kernel.Experts))
 	return ctrl, cfg.placement.Clone(), cfg
 }
 

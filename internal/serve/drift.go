@@ -97,7 +97,7 @@ type Detector struct {
 }
 
 // NewDetector builds a detector against a pooled baseline transition matrix
-// (see TraceWindow.Pooled / poolCounts).
+// (see TraceWindow.Pooled / Pool).
 func NewDetector(metric DriftMetric, threshold float64, patience int, baseline [][]float64) *Detector {
 	if threshold <= 0 {
 		panic("serve: detector threshold must be positive")

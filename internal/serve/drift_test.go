@@ -16,7 +16,7 @@ func driftKernel(t *testing.T, tilt float64) (*synth.Kernel, [][]float64) {
 	})
 	pile := synth.Pile()
 	tr := trace.Collect(synth.NewKernelRouter(k, pile, 1), k.Layers, trace.SequentialIDs(3000, pile.TokenID))
-	return k, poolCounts(tr.AllTransitionCounts(), k.Experts)
+	return k, Pool(tr.AllTransitionCounts(), k.Experts)
 }
 
 func TestDetectorQuietInDistribution(t *testing.T) {

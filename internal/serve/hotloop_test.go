@@ -150,16 +150,17 @@ func BenchmarkTraceWindowPush(b *testing.B) {
 }
 
 // BenchmarkDriftCheck is one drift check of the controller: pool a full
-// window's transition counts and score them against a baseline pooled from
-// another dataset.
+// window's transition counts into the controller's reused scratch matrix
+// and score them against a baseline pooled from another dataset.
 func BenchmarkDriftCheck(b *testing.B) {
 	base, _ := benchWindow(synth.Pile())
 	w, _ := benchWindow(synth.Yelp())
 	det := NewDetector(JS, 0.008, 1, base.Pooled())
+	scratch := w.PooledInto(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Observe(w.Pooled())
+		det.Observe(w.PooledInto(scratch))
 	}
 }
 

@@ -253,7 +253,7 @@ func Run(d Deployment, opts Options) (*Report, error) {
 		tr:     cfg.Trace,
 		met:    newServeMetrics(cfg.Metrics),
 	}
-	s.ctrl = newController(&s.opts, s.window, poolCounts(cfg.baseline, experts))
+	s.ctrl = newController(&s.opts, s.window, Pool(cfg.baseline, experts))
 	gpus := cfg.topo.TotalGPUs()
 	s.hops = make([]topo.HopClass, gpus*gpus)
 	for src := 0; src < gpus; src++ {

@@ -105,35 +105,50 @@ func (w *TraceWindow) Snapshot() [][][]float64 {
 }
 
 // Pooled sums the window's transition counts over all layer pairs into one
-// E x E matrix. Pooling multiplies the per-row sample mass by (layers-1),
-// which is what makes the drift detector's divergence estimate low-variance
-// enough to separate real distribution shift from sampling noise.
+// fresh E x E matrix. Pooling multiplies the per-row sample mass by
+// (layers-1), which is what makes the drift detector's divergence estimate
+// low-variance enough to separate real distribution shift from sampling
+// noise.
 func (w *TraceWindow) Pooled() [][]float64 {
-	return poolCounts(w.counts, w.experts)
+	return poolCounts(nil, w.counts, w.experts)
+}
+
+// PooledInto is Pooled into a caller's buffer: it overwrites dst with the
+// pooled matrix and returns it, allocating only when dst is not E x E. A
+// drift check that keeps one buffer across checks allocates nothing.
+func (w *TraceWindow) PooledInto(dst [][]float64) [][]float64 {
+	return poolCounts(dst, w.counts, w.experts)
 }
 
 // Pool sums an arbitrary transition tensor across layers — the form the
 // drift Detector consumes (see TraceWindow.Pooled).
 func Pool(counts [][][]float64, experts int) [][]float64 {
-	return poolCounts(counts, experts)
+	return poolCounts(nil, counts, experts)
 }
 
-// poolCounts sums a transition tensor across layers.
-func poolCounts(counts [][][]float64, experts int) [][]float64 {
-	out := make([][]float64, experts)
-	for e := range out {
-		out[e] = make([]float64, experts)
+// poolCounts sums a transition tensor across layers into dst, zeroed first,
+// or into a fresh matrix when dst is not experts x experts.
+func poolCounts(dst [][]float64, counts [][][]float64, experts int) [][]float64 {
+	if len(dst) != experts {
+		dst = make([][]float64, experts)
+	}
+	for e, row := range dst {
+		if len(row) != experts {
+			dst[e] = make([]float64, experts)
+		} else {
+			clear(row)
+		}
 	}
 	for j := range counts {
 		for from := range counts[j] {
 			row := counts[j][from]
-			dst := out[from]
+			out := dst[from]
 			for to, v := range row {
 				if v != 0 {
-					dst[to] += v
+					out[to] += v
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -68,6 +68,25 @@ func TestWindowCountsTotalInvariant(t *testing.T) {
 	if pooledTotal != total {
 		t.Fatalf("pooled mass %v != %v", pooledTotal, total)
 	}
+	// PooledInto must overwrite a reused buffer's stale values and replace a
+	// buffer or row of the wrong shape.
+	want := w.Pooled()
+	stale := w.Pooled()
+	for _, row := range stale {
+		for i := range row {
+			row[i] = -1
+		}
+	}
+	for _, buf := range [][][]float64{stale, nil, make([][]float64, experts-1), make([][]float64, experts)} {
+		got := w.PooledInto(buf)
+		for e := range want {
+			for k := range want[e] {
+				if got[e][k] != want[e][k] {
+					t.Fatalf("PooledInto[%d][%d] = %v, Pooled %v", e, k, got[e][k], want[e][k])
+				}
+			}
+		}
+	}
 }
 
 func TestWindowSnapshotIsolated(t *testing.T) {

@@ -1,7 +1,8 @@
 package exflow
 
 // Solver benchmarks: the sparse-vs-dense annealing hot path and the
-// parallel solve portfolio, at the same scale as BenchmarkMemoryAwareAnneal.
+// parallel solve portfolio, at the same scale as BenchmarkMemoryAwareAnneal,
+// and the whole staged solve at the repository benchmark's set-up shape.
 // TestGenerateSolverBench (gated on SOLVER_BENCH=1) measures them with its
 // own timer and writes BENCH_solver.json — the machine-readable record CI
 // uploads as an artifact.
@@ -38,6 +39,61 @@ func solverBenchFixture(tb testing.TB) (counts [][][]float64, mo *placement.Memo
 	mo = placement.NewMemoryObjective(mcfg, 0)
 	init = placement.Contiguous(cfg.Layers, cfg.Experts, 8)
 	return counts, mo, init, cfg
+}
+
+// stagedSolveFixture is the staged solve that set-up runs at the repository
+// benchmark's shape: GPT-M/32E cut to 16 layers on 16 GPUs in 4-GPU nodes,
+// a domain-specialized checkpoint (tilt 8, affinity 0.85), system seed 7 and
+// CalibrateServe's default profile of stagedSolveProfileTokens tokens. solve
+// runs it once.
+func stagedSolveFixture(tb testing.TB) (sys *System, counts [][][]float64, solve func() *placement.Placement) {
+	tb.Helper()
+	cfg := moe.GPTM(32)
+	cfg.Layers = 16
+	sys = NewSystem(SystemOptions{Model: cfg, GPUs: 16, AffinityStrength: 0.85, DomainTilt: 8, SolveWorkers: 1, Seed: 7})
+	counts = sys.Profile(stagedSolveProfileTokens).AllTransitionCounts()
+	return sys, counts, func() *placement.Placement {
+		return placement.StagedOpt(counts, cfg.Layers, cfg.Experts, sys.Topo, sys.Seed, placement.StagedOptions{Workers: 1})
+	}
+}
+
+const stagedSolveProfileTokens = 3000
+
+// stagedSolveCrossings is the crossing count of stagedSolveFixture's
+// placement, the repository benchmark's placement.crossings.
+const stagedSolveCrossings = 32699
+
+// stagedSolveAllocBudget bounds the heap objects one stagedSolveFixture
+// solve allocates. A solve that rebuilt the flow network for every layer and
+// cloned the placement on every annealing improvement allocated 195,559; one
+// flow workspace per sweep and one preallocated best placement per anneal
+// allocate about 1,800. The budget sits between, so a reintroduced
+// per-layer network or per-improvement clone fails loudly.
+const stagedSolveAllocBudget = 10000
+
+// TestStagedSolveAllocBudget gates the staged solve's allocation count and
+// checks it still returns the benchmark's placement.
+func TestStagedSolveAllocBudget(t *testing.T) {
+	_, counts, solve := stagedSolveFixture(t)
+	if got := solve().Crossings(counts); got != stagedSolveCrossings {
+		t.Fatalf("staged solve crossings %v, want %v", got, stagedSolveCrossings)
+	}
+	allocs := testing.AllocsPerRun(2, func() { solve() })
+	t.Logf("staged solve allocated %.0f objects (budget %d)", allocs, stagedSolveAllocBudget)
+	if allocs > stagedSolveAllocBudget {
+		t.Errorf("staged solve allocated %.0f objects, over its budget of %d", allocs, stagedSolveAllocBudget)
+	}
+}
+
+// BenchmarkStagedSolve times one stagedSolveFixture solve: the placement
+// half of set-up, and of every live re-solve at the benchmark's shape.
+func BenchmarkStagedSolve(b *testing.B) {
+	_, _, solve := stagedSolveFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
 }
 
 // BenchmarkMemoryAwareAnnealDense is the dense reference path: O(E) column
@@ -97,6 +153,27 @@ type solverBenchJSON struct {
 	// total replicas solved per second; on fewer cores than Workers the
 	// wall-clock grows toward Workers x the serial time instead.
 	Portfolio []portfolioPointJSON `json:"portfolio"`
+
+	// StagedSolve is one whole staged solve (sweep, anneal, both stages) at
+	// the repository benchmark's set-up shape, stagedSolveFixture, which
+	// differs from Scale above. The generator fails if it allocates more
+	// than stagedSolveAllocBudget objects or its crossings differ from the
+	// benchmark's placement.crossings.
+	StagedSolve stagedSolveJSON `json:"staged_solve"`
+}
+
+type stagedSolveJSON struct {
+	Layers         int     `json:"layers"`
+	Experts        int     `json:"experts"`
+	GPUs           int     `json:"gpus"`
+	Nodes          int     `json:"nodes"`
+	ProfileTokens  int     `json:"profile_tokens"`
+	SystemSeed     int     `json:"system_seed"`
+	WallMS         float64 `json:"wall_ms"`
+	AllocsPerSolve uint64  `json:"allocs_per_solve"`
+	BytesPerSolve  uint64  `json:"bytes_per_solve"`
+	AllocBudget    int     `json:"alloc_budget"`
+	Crossings      float64 `json:"crossings"`
 }
 
 type solverCompareJSON struct {
@@ -182,6 +259,22 @@ func TestGenerateSolverBench(t *testing.T) {
 		})
 	}
 
+	stagedSys, stagedCounts, stagedSolve := stagedSolveFixture(t)
+	st := &out.StagedSolve
+	st.Layers, st.Experts = stagedSys.Model.Cfg.Layers, stagedSys.Model.Cfg.Experts
+	st.GPUs, st.Nodes = stagedSys.Topo.TotalGPUs(), stagedSys.Topo.Nodes
+	st.ProfileTokens, st.SystemSeed = stagedSolveProfileTokens, int(stagedSys.Seed)
+	st.AllocBudget = stagedSolveAllocBudget
+	var stagedPl *placement.Placement
+	st.WallMS, stagedPl = timeBest(stagedSolve)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stagedSolve()
+	runtime.ReadMemStats(&after)
+	st.AllocsPerSolve = after.Mallocs - before.Mallocs
+	st.BytesPerSolve = after.TotalAlloc - before.TotalAlloc
+	st.Crossings = stagedPl.Crossings(stagedCounts)
+
 	// The acceptance gates: the sparse path must be a pure speedup.
 	if !out.MemoryAwareAnneal.BitIdentical || !out.CrossingOnlyAnneal.BitIdentical {
 		t.Fatal("sparse anneal not bit-identical to dense reference")
@@ -196,6 +289,15 @@ func TestGenerateSolverBench(t *testing.T) {
 		}
 	}
 
+	// The staged solve must stay within its allocation budget and return
+	// the benchmark's placement.
+	if st.AllocsPerSolve > stagedSolveAllocBudget {
+		t.Fatalf("staged solve allocated %d objects, over its budget of %d", st.AllocsPerSolve, stagedSolveAllocBudget)
+	}
+	if st.Crossings != stagedSolveCrossings {
+		t.Fatalf("staged solve crossings %v, want %v", st.Crossings, stagedSolveCrossings)
+	}
+
 	blob, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -206,5 +308,7 @@ func TestGenerateSolverBench(t *testing.T) {
 	t.Logf("memory-aware anneal: dense %.1fms sparse %.1fms -> %.2fx (bit-identical %v)",
 		out.MemoryAwareAnneal.DenseMS, out.MemoryAwareAnneal.SparseMS,
 		out.MemoryAwareAnneal.Speedup, out.MemoryAwareAnneal.BitIdentical)
+	t.Logf("staged solve: %.1fms, %d allocs, %d bytes, crossings %v",
+		st.WallMS, st.AllocsPerSolve, st.BytesPerSolve, st.Crossings)
 	t.Log("wrote BENCH_solver.json")
 }
