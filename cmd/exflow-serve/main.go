@@ -14,7 +14,9 @@
 // once with the static offline ExFlow placement and once with the adaptive
 // controller — and reports how much of the static fleet's P95 regression the
 // adaptive fleet recovers. A machine-readable summary is written to the
-// -json path (default BENCH_serve.json, "-" for stdout only).
+// -json path (default BENCH_serve.json, "-" for stdout only); the command
+// then exits 1 if the adaptive fleet completed no migration, since a drift
+// run without one exercises no migration pause.
 //
 // With -oversub the command instead serves the same steady traffic under
 // tiered expert-weight memory (internal/expertmem) at oversubscription
@@ -307,7 +309,7 @@ func main() {
 		ad, _ := run(true)
 		fmt.Print(ad.String())
 
-		tb := stats.NewTable("P95 request latency (s) over time — the migration pause is the adaptive spike after drift hits", "sim-seconds")
+		tb := stats.NewTable("P95 request latency (s) over time — the adaptive fleet migrates shortly after drift hits", "sim-seconds")
 		addSeries(tb, st.LatencyP95, "static")
 		addSeries(tb, ad.LatencyP95, "adaptive")
 		fmt.Println()
@@ -370,6 +372,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
+	}
+	if *drift && len(sum.Adaptive.Migrations) == 0 {
+		fmt.Fprintln(os.Stderr, "exflow-serve: the adaptive fleet completed no migration under drift")
+		os.Exit(1)
 	}
 }
 

@@ -9,7 +9,7 @@
 // watches live routing transitions in a sliding window, detects the drift
 // (Jensen-Shannon divergence against the profiled baseline), re-solves the
 // placement on the live window in the background, and migrates experts
-// replica by replica — paying a visible parameter-copy pause, then serving
+// replica by replica — paying a short parameter-copy pause, then serving
 // at a lower cross-node dispatch fraction than the stale placement.
 //
 //	go run ./examples/adaptiveserve

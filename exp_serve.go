@@ -27,7 +27,7 @@ const servingDomainTilt = 8
 // program (broad pile mixture, then a viral single-domain burst) served near
 // the capacity knee by a static-placement fleet and by an adaptive fleet
 // with routing-drift detection and live expert re-placement. Static ExFlow's
-// P95 degrades when the mixture drifts; the adaptive fleet pays a visible
+// P95 degrades when the mixture drifts; the adaptive fleet pays a short
 // migration pause, then recovers.
 func runServingAdaptive(opts ExperimentOptions) *Result {
 	res := &Result{ID: "serving_adaptive", Title: "Online serving: static ExFlow vs adaptive re-placement under dataset drift"}

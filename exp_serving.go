@@ -84,7 +84,7 @@ func runServingLatency(opts ExperimentOptions) *Result {
 
 // runAblationMigration studies online re-placement: how many expert moves a
 // workload-drift re-solve requires after canonicalization, what the
-// parameter traffic costs, and how many iterations amortize it.
+// parameter traffic costs, and how many crossings the re-solve saves.
 func runAblationMigration(opts ExperimentOptions) *Result {
 	res := &Result{ID: "ablation_migration", Title: "Ablation: online re-placement cost vs benefit under workload drift"}
 	cfg := moe.GPTM(32)
@@ -111,8 +111,8 @@ func runAblationMigration(opts ExperimentOptions) *Result {
 	s.Add(3, keepCross)
 	s.Add(4, moveCross)
 	totalSlots := cfg.Layers * cfg.Experts
-	res.AddNote("metrics: 0=expert moves (of %d slots), 1=cross-node moves, 2=migration seconds, 3=crossings if keeping old plan, 4=crossings after re-solve", totalSlots)
-	res.AddNote("drift pile->yelp: %d/%d experts move (%.0f%% of the model stays put), %.1f MB over the wire in %.1f ms",
+	res.AddNote("metrics: 0=expert moves (of %d slots), 1=cross-node moves, 2=migration seconds (busiest GPU port, every GPU copying at once), 3=crossings if keeping old plan, 4=crossings after re-solve", totalSlots)
+	res.AddNote("drift pile->yelp: %d/%d experts move (%.0f%% of the model stays put), %.1f MB over the wire in %.1f ms with every GPU sending and receiving at once",
 		len(plan.Moves), totalSlots, 100*(1-float64(len(plan.Moves))/float64(totalSlots)),
 		float64(plan.Bytes)/1e6, plan.Seconds*1e3)
 	if moveCross < keepCross {

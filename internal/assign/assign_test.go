@@ -3,7 +3,9 @@ package assign
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -418,6 +420,38 @@ func TestSolverWarmAllocsZero(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("warmed Solver allocated %v objects per solve, want 0", allocs)
+	}
+}
+
+// TestSolverNearTieCyclePanics pins an instance found by nudging the
+// TestSolverMatchesReference generator's costs by multiples of 4e-13. Costs
+// that close to a tie let an augmenting path run up to the 1e-12 relaxation
+// tolerance per arc above the shortest one, which leaves a negative cycle in
+// the residual network; the reference solver above relaxes around it
+// forever. The bounded search must panic, naming the tolerance, inside the
+// deadline.
+func TestSolverNearTieCyclePanics(t *testing.T) {
+	nudge := func(c float64, n int) float64 { return c + 4e-13*float64(n) }
+	cost := [][]float64{
+		{nudge(0, 3), nudge(0, 2), nudge(2, 1)},
+		{nudge(2, 2), 2, nudge(3, 2)},
+		{3, nudge(1, 1), nudge(3, 1)},
+		{nudge(2, 1), 0, 2},
+	}
+	caps := []int{1, 4, 1}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		var s Solver
+		s.Balanced(make([]int, len(cost)), cost, caps)
+	}()
+	select {
+	case p := <-done:
+		if msg, _ := p.(string); !strings.Contains(msg, "1e-12") {
+			t.Fatalf("near-tie instance: panic %v, want one naming the 1e-12 tolerance", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("near-tie instance still searching after 10 s")
 	}
 }
 

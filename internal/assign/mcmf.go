@@ -18,13 +18,13 @@ type edge struct {
 }
 
 // Solver is a reusable workspace for the balanced assignment: the flow
-// network's arc lists, the shortest-path labels and the FIFO queue. A sweep
-// that solves one transportation problem per layer keeps one Solver and
-// allocates nothing after the first solve at its largest shape. A Solver
-// reused on a smaller instance truncates its arc lists and re-initialises
-// every label before each augmentation, so each solve is a pure function of
-// its inputs. A Solver must not be used by two goroutines at once; the zero
-// value is ready to use.
+// network's arc lists, the shortest-path labels, the FIFO queue and the
+// per-node enqueue counts. A sweep that solves one transportation problem
+// per layer keeps one Solver and allocates nothing after the first solve at
+// its largest shape. A Solver reused on a smaller instance truncates its arc
+// lists and re-initialises every label before each augmentation, so each
+// solve is a pure function of its inputs. A Solver must not be used by two
+// goroutines at once; the zero value is ready to use.
 type Solver struct {
 	arcs    []edge   // backing store of every node's arc list
 	adj     [][]edge // adj[v] is node v's arc list, carved from arcs
@@ -33,6 +33,10 @@ type Solver struct {
 	prevV   []int
 	prevE   []int
 	queue   []int // FIFO ring; the inQueue guard bounds it to one slot per node
+	// enqueued counts each node's enqueues in one shortest-path search. FIFO
+	// Bellman-Ford enqueues a node at most once per pass and needs at most
+	// |V| passes, so a count past |V| means a negative cycle.
+	enqueued []int
 }
 
 // reset sizes the workspace for the items x groups network and gives every
@@ -50,6 +54,7 @@ func (s *Solver) reset(items, groups int) {
 		s.prevV = make([]int, n)
 		s.prevE = make([]int, n)
 		s.queue = make([]int, n)
+		s.enqueued = make([]int, n)
 	}
 	s.adj = s.adj[:n]
 	off := 0
@@ -71,6 +76,7 @@ func (s *Solver) reset(items, groups int) {
 	s.prevV = s.prevV[:n]
 	s.prevE = s.prevE[:n]
 	s.queue = s.queue[:n]
+	s.enqueued = s.enqueued[:n]
 }
 
 func (s *Solver) addEdge(from, to, capacity int, cost float64) {
@@ -81,9 +87,15 @@ func (s *Solver) addEdge(from, to, capacity int, cost float64) {
 // minCostFlow pushes up to maxFlow units from src to sink using successive
 // shortest paths (SPFA, a FIFO Bellman-Ford, which tolerates the negative
 // reverse arcs). It returns the flow achieved and its total cost.
+//
+// A relaxation must improve a label by more than 1e-12, so an augmenting
+// path may be up to that much per arc longer than the shortest one. When arc
+// costs differ by less than the tolerance, the residual network it leaves
+// can hold a negative cycle, around which the search would relax forever; a
+// node enqueued more than |V| times in one search panics instead.
 func (s *Solver) minCostFlow(src, sink, maxFlow int) (int, float64) {
 	n := len(s.adj)
-	dist, inQueue, prevV, prevE, queue := s.dist, s.inQueue, s.prevV, s.prevE, s.queue
+	dist, inQueue, prevV, prevE, queue, enqueued := s.dist, s.inQueue, s.prevV, s.prevE, s.queue, s.enqueued
 	totalFlow := 0
 	totalCost := 0.0
 	for totalFlow < maxFlow {
@@ -92,11 +104,13 @@ func (s *Solver) minCostFlow(src, sink, maxFlow int) (int, float64) {
 			inQueue[i] = false
 			prevV[i] = -1
 			prevE[i] = 0
+			enqueued[i] = 0
 		}
 		dist[src] = 0
 		queue[0] = src
 		head, size := 0, 1
 		inQueue[src] = true
+		enqueued[src] = 1
 		for size > 0 {
 			v := queue[head]
 			head++
@@ -111,6 +125,10 @@ func (s *Solver) minCostFlow(src, sink, maxFlow int) (int, float64) {
 					prevV[e.to] = v
 					prevE[e.to] = ei
 					if !inQueue[e.to] {
+						if enqueued[e.to]++; enqueued[e.to] > n {
+							panic(fmt.Sprintf("assign: shortest-path search enqueued node %d more than |V| = %d times: "+
+								"arc costs closer than the 1e-12 relaxation tolerance left a negative cycle", e.to, n))
+						}
 						tail := head + size
 						if tail >= n {
 							tail -= n

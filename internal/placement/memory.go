@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/expertmem"
@@ -235,7 +236,9 @@ func (mo *MemoryObjective) DeflateBatch(b int) {
 // it would actually be resident there. Re-fetching an expert in the
 // destination's warm set is a real, unavoidable cost; a tail expert that
 // would miss regardless adds nothing beyond the stall the steady-state
-// objective already prices.
+// objective already prices. Each GPU refetches over its own host link and
+// all GPUs refill at once, so the re-warm lasts as long as the busiest
+// destination's sum of fetches, not the cluster total.
 func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 	if !mo.Active() || len(moves) == 0 {
 		return 0
@@ -249,7 +252,7 @@ func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 		}
 	}
 	warm := make([]map[int32]bool, pl.GPUs)
-	total := 0.0
+	perGPU := make([]float64, pl.GPUs)
 	for _, m := range moves {
 		id := int32(m.Layer*mo.experts + m.Expert)
 		g := m.To
@@ -257,10 +260,10 @@ func (mo *MemoryObjective) RewarmSeconds(pl *Placement, moves []Move) float64 {
 			warm[g] = mo.warmSet(items[g])
 		}
 		if warm[g][id] {
-			total += mo.fetch[id]
+			perGPU[g] += mo.fetch[id]
 		}
 	}
-	return total
+	return slices.Max(perGPU)
 }
 
 // warmSet returns the static-model resident set of one GPU's assigned set:

@@ -113,3 +113,65 @@ func TestPropertyRewarmSecondsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRewarmSecondsIsBusiestDestination: each GPU refetches over its own
+// host link and all GPUs refill at once, so refetches landing on two GPUs
+// cost the larger GPU's sum, not the total.
+func TestRewarmSecondsIsBusiestDestination(t *testing.T) {
+	const layers, experts, gpus = 6, 16, 4
+	_, mo := memFixture(t, layers, experts, gpus, 2, 7)
+	a := Contiguous(layers, experts, gpus)
+	// b swaps GPUs 0 and 1 on every layer, so every expert b places on
+	// either GPU is an arrival.
+	b := a.Clone()
+	for _, row := range b.Assign {
+		for e, g := range row {
+			if g < 2 {
+				row[e] = 1 - g
+			}
+		}
+	}
+	// GPU 0 receives all of its arrivals, GPU 1 only layer 0's.
+	var to0, to1 []Move
+	for _, m := range Diff(a, b) {
+		switch {
+		case m.To == 0:
+			to0 = append(to0, m)
+		case m.Layer == 0:
+			to1 = append(to1, m)
+		}
+	}
+	// refetch sums the fetches of one destination's arrivals that land in
+	// its warm set.
+	refetch := func(g int, moves []Move) float64 {
+		var items []int32
+		for l, row := range b.Assign {
+			for e, owner := range row {
+				if owner == g {
+					items = append(items, int32(l*experts+e))
+				}
+			}
+		}
+		warm := mo.warmSet(items)
+		sum := 0.0
+		for _, m := range moves {
+			if id := int32(m.Layer*experts + m.Expert); warm[id] {
+				sum += mo.fetch[id]
+			}
+		}
+		return sum
+	}
+	want0, want1 := refetch(0, to0), refetch(1, to1)
+	if want0 <= 0 || want1 <= 0 || want0 == want1 {
+		t.Fatalf("degenerate fixture: refetch %v on GPU 0, %v on GPU 1", want0, want1)
+	}
+	if got := mo.RewarmSeconds(b, to0); got != want0 {
+		t.Fatalf("GPU 0 alone re-warms in %v, want its sum %v", got, want0)
+	}
+	if got := mo.RewarmSeconds(b, to1); got != want1 {
+		t.Fatalf("GPU 1 alone re-warms in %v, want its sum %v", got, want1)
+	}
+	if got, want := mo.RewarmSeconds(b, append(to1, to0...)), max(want0, want1); got != want {
+		t.Fatalf("two destinations re-warm in %v, want the larger sum %v (total %v)", got, want, want0+want1)
+	}
+}

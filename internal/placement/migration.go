@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/topo"
@@ -179,9 +180,13 @@ type MigrationPlan struct {
 	Moves []Move
 	// Bytes is the total parameter traffic (expertBytes per move).
 	Bytes int
-	// Seconds is the modeled serial transfer time (moves execute one at a
-	// time on the slowest-involved link; a scheduler could parallelize,
-	// making this an upper bound).
+	// Seconds is the copy phase's makespan when every GPU migrates at once:
+	// each GPU sends one expert at a time on its own port and receives one
+	// at a time, so the exchange finishes when the busiest port does — the
+	// max over GPUs of max(Σ send times, Σ receive times). This is the
+	// optimal makespan of the chunked (preemptive open-shop) schedule, and
+	// any greedy schedule that never idles a free sender/receiver pair
+	// finishes within twice it.
 	Seconds float64
 	// CrossNodeMoves counts moves over the inter-node fabric.
 	CrossNodeMoves int
@@ -200,28 +205,23 @@ func PriceMigration(a, b *Placement, tp *topo.Topology, expertBytes int) *Migrat
 	return PriceMoves(Diff(a, canon), tp, expertBytes)
 }
 
-// PriceMoves prices an explicit move set on a topology.
+// PriceMoves prices an explicit move set on a topology as one concurrent
+// exchange (see MigrationPlan.Seconds).
 func PriceMoves(moves []Move, tp *topo.Topology, expertBytes int) *MigrationPlan {
 	plan := &MigrationPlan{Moves: moves}
+	send := make([]float64, tp.TotalGPUs())
+	recv := make([]float64, tp.TotalGPUs())
 	for i := range plan.Moves {
 		m := &plan.Moves[i]
 		m.Tier = tp.Classify(m.From, m.To)
 		plan.Bytes += expertBytes
-		plan.Seconds += tp.TransferTime(m.From, m.To, expertBytes)
+		t := tp.TransferTime(m.From, m.To, expertBytes)
+		send[m.From] += t
+		recv[m.To] += t
 		if m.Tier == topo.CrossNode {
 			plan.CrossNodeMoves++
 		}
 	}
+	plan.Seconds = max(slices.Max(send), slices.Max(recv))
 	return plan
-}
-
-// BreakEvenIterations estimates how many inference iterations the migration
-// must amortize over: migration seconds divided by the per-iteration time
-// saved. Returns +Inf (as a large number is unhelpful, we use -1) when the
-// new placement saves nothing.
-func (mp *MigrationPlan) BreakEvenIterations(savedPerIteration float64) float64 {
-	if savedPerIteration <= 0 {
-		return -1
-	}
-	return mp.Seconds / savedPerIteration
 }

@@ -1,9 +1,12 @@
 package placement
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/moe"
+	"repro/internal/rng"
 	"repro/internal/topo"
 )
 
@@ -151,16 +154,6 @@ func TestPriceMigrationZeroForRelabeling(t *testing.T) {
 	}
 }
 
-func TestBreakEvenIterations(t *testing.T) {
-	plan := &MigrationPlan{Seconds: 2.0}
-	if got := plan.BreakEvenIterations(0.5); got != 4 {
-		t.Fatalf("break-even %v, want 4", got)
-	}
-	if plan.BreakEvenIterations(0) != -1 {
-		t.Fatal("zero saving should return -1")
-	}
-}
-
 func TestMigrationRealisticDriftScenario(t *testing.T) {
 	// Drift: placement solved on one workload, re-solved on a shifted one.
 	// The migration should touch only part of the cluster, not everything.
@@ -173,5 +166,168 @@ func TestMigrationRealisticDriftScenario(t *testing.T) {
 	total := 5 * 16
 	if len(plan.Moves) == total {
 		t.Fatal("similar workloads should not require moving every expert")
+	}
+}
+
+// randomMoves draws a plan of 1-200 moves between distinct GPUs of a
+// gpus-GPU cluster.
+func randomMoves(r *rng.RNG, gpus int) []Move {
+	moves := make([]Move, 1+r.Intn(200))
+	for i := range moves {
+		from, to := r.Intn(gpus), r.Intn(gpus-1)
+		if to >= from {
+			to++
+		}
+		moves[i] = Move{Layer: r.Intn(16), Expert: r.Intn(64), From: from, To: to}
+	}
+	return moves
+}
+
+// busiestPort is the reference for MigrationPlan.Seconds: the largest
+// per-GPU send or receive load, each summed in plan order.
+func busiestPort(moves []Move, tp *topo.Topology, expertBytes int) float64 {
+	type port struct{ gpu, dir int }
+	load := map[port]float64{}
+	for _, m := range moves {
+		t := tp.TransferTime(m.From, m.To, expertBytes)
+		load[port{m.From, 0}] += t
+		load[port{m.To, 1}] += t
+	}
+	busiest := 0.0
+	for _, l := range load {
+		busiest = math.Max(busiest, l)
+	}
+	return busiest
+}
+
+func serialSeconds(moves []Move, tp *topo.Topology, expertBytes int) float64 {
+	sum := 0.0
+	for _, m := range moves {
+		sum += tp.TransferTime(m.From, m.To, expertBytes)
+	}
+	return sum
+}
+
+// greedyMakespan simulates a list schedule of the plan: at every port
+// release, each pending move whose sender port and receiver port are both
+// idle starts, in plan order, and holds both ports for its transfer time. It
+// returns when the last move finishes.
+func greedyMakespan(moves []Move, tp *topo.Topology, expertBytes int) float64 {
+	gpus := tp.TotalGPUs()
+	sendFree := make([]float64, gpus) // when each port is next idle
+	recvFree := make([]float64, gpus)
+	pending := slices.Clone(moves)
+	now, end := 0.0, 0.0
+	for len(pending) > 0 {
+		waiting := pending[:0]
+		for _, m := range pending {
+			if sendFree[m.From] > now || recvFree[m.To] > now {
+				waiting = append(waiting, m)
+				continue
+			}
+			done := now + tp.TransferTime(m.From, m.To, expertBytes)
+			sendFree[m.From], recvFree[m.To] = done, done
+			end = max(end, done)
+		}
+		pending = waiting
+		next := math.Inf(1)
+		for _, free := range slices.Concat(sendFree, recvFree) {
+			if free > now {
+				next = min(next, free)
+			}
+		}
+		now = next
+	}
+	return end
+}
+
+func relClose(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// TestPriceMovesIsBusiestPort prices random plans on a four-node cluster:
+// the plan costs its busiest port's load, never more than the serial sum,
+// independent of plan order, and a greedy schedule that never idles a free
+// sender/receiver pair achieves it within a factor of two.
+func TestPriceMovesIsBusiestPort(t *testing.T) {
+	tp := topo.Wilkes3(4)
+	r := rng.New(0x9017)
+	for trial := 0; trial < 600; trial++ {
+		moves := randomMoves(r, tp.TotalGPUs())
+		expertBytes := 1 + r.Intn(64<<20)
+		plan := PriceMoves(slices.Clone(moves), tp, expertBytes)
+		if want := busiestPort(moves, tp, expertBytes); plan.Seconds != want {
+			t.Fatalf("trial %d: %d moves cost %v, busiest port %v", trial, len(moves), plan.Seconds, want)
+		}
+		if serial := serialSeconds(moves, tp, expertBytes); plan.Seconds > serial {
+			t.Fatalf("trial %d: %v exceeds the serial sum %v", trial, plan.Seconds, serial)
+		}
+		shuffled := make([]Move, len(moves))
+		for i, j := range r.Perm(len(moves)) {
+			shuffled[i] = moves[j]
+		}
+		if got := PriceMoves(shuffled, tp, expertBytes).Seconds; !relClose(got, plan.Seconds, 1e-12) {
+			t.Fatalf("trial %d: shuffled plan costs %v, original %v", trial, got, plan.Seconds)
+		}
+		greedy := greedyMakespan(moves, tp, expertBytes)
+		if greedy < plan.Seconds*(1-1e-12) || greedy > 2*plan.Seconds*(1+1e-12) {
+			t.Fatalf("trial %d: greedy schedule takes %v, outside [%v, 2x]", trial, greedy, plan.Seconds)
+		}
+		if plan.Bytes != len(moves)*expertBytes {
+			t.Fatalf("trial %d: %d bytes for %d moves", trial, plan.Bytes, len(moves))
+		}
+	}
+}
+
+// TestPriceMovesSingleSenderIsSerial: when every move leaves one GPU, its
+// send port carries the whole plan, so the price is the serial sum, bit for
+// bit.
+func TestPriceMovesSingleSenderIsSerial(t *testing.T) {
+	tp := topo.Wilkes3(4)
+	r := rng.New(0x51)
+	for trial := 0; trial < 200; trial++ {
+		moves := randomMoves(r, tp.TotalGPUs())
+		from := r.Intn(tp.TotalGPUs())
+		for i := range moves {
+			moves[i].From = from
+			for moves[i].To == from {
+				moves[i].To = r.Intn(tp.TotalGPUs())
+			}
+		}
+		expertBytes := 1 + r.Intn(64<<20)
+		got := PriceMoves(moves, tp, expertBytes).Seconds
+		if want := serialSeconds(moves, tp, expertBytes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: one sender's %d moves cost %v, serial sum %v", trial, len(moves), got, want)
+		}
+	}
+}
+
+// TestPriceMovesMatchingIsOneCopy: moves with distinct senders and distinct
+// receivers all run at once, so the plan costs its slowest single copy.
+func TestPriceMovesMatchingIsOneCopy(t *testing.T) {
+	tp := topo.Wilkes3(4)
+	gpus := tp.TotalGPUs()
+	r := rng.New(0x3A7)
+	for trial := 0; trial < 200; trial++ {
+		expertBytes := 1 + r.Intn(64<<20)
+		var moves []Move
+		slowest := 0.0
+		for from, to := range r.Perm(gpus) {
+			if from == to || r.Intn(3) == 0 {
+				continue
+			}
+			moves = append(moves, Move{Layer: r.Intn(16), Expert: r.Intn(64), From: from, To: to})
+			slowest = math.Max(slowest, tp.TransferTime(from, to, expertBytes))
+		}
+		if got := PriceMoves(moves, tp, expertBytes).Seconds; got != slowest {
+			t.Fatalf("trial %d: matching of %d moves costs %v, slowest copy %v", trial, len(moves), got, slowest)
+		}
+	}
+}
+
+func TestPriceMovesEmptyPlanIsFree(t *testing.T) {
+	plan := PriceMoves(nil, topo.Wilkes3(4), 1<<20)
+	if plan.Seconds != 0 || plan.Bytes != 0 || plan.CrossNodeMoves != 0 {
+		t.Fatalf("empty plan priced %+v", plan)
 	}
 }

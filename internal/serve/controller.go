@@ -28,9 +28,11 @@ type MigrationEvent struct {
 	// Moves / CrossNodeMoves count relocated experts (after canonicalization).
 	Moves, CrossNodeMoves int
 	// Seconds is the per-replica serving pause charged to the simulated
-	// clock while that replica's expert parameters are copied (including
-	// ChurnSeconds when tiered expert memory is on). Solve time is never
-	// included — see SolveSeconds.
+	// clock while that replica's expert parameters are copied: the copy
+	// phase, priced as one concurrent exchange in which every GPU sends one
+	// expert at a time and receives one at a time (placement.MigrationPlan.
+	// Seconds), plus the re-warm phase ChurnSeconds when tiered expert
+	// memory is on. Solve time is never included — see SolveSeconds.
 	Seconds float64
 	// PredictedGain is the fractional reduction in live-window crossings the
 	// re-solved placement promises (1 - fresh/stale).
@@ -45,9 +47,11 @@ type MigrationEvent struct {
 	PredictedStallDelta float64
 	RealizedStallDelta  float64
 	// ResidencyChurn counts HBM-resident expert copies the migration
-	// invalidates under tiered expert memory; ChurnSeconds is the host-link
-	// refetch cost of restoring them, priced into Seconds. Both zero when
-	// the memory layer is off.
+	// invalidates under tiered expert memory; ChurnSeconds is the re-warm
+	// that restores them, priced into Seconds. Each destination GPU
+	// refetches its arrivals over its own host link and all GPUs refill at
+	// once, so ChurnSeconds is the busiest GPU's refetch time, not the
+	// cluster total. Both zero when the memory layer is off.
 	ResidencyChurn int
 	ChurnSeconds   float64
 }

@@ -3,7 +3,10 @@ package serve
 import (
 	"testing"
 
+	"repro/internal/expertmem"
+	"repro/internal/placement"
 	"repro/internal/synth"
+	"repro/internal/topo"
 )
 
 // steadyProgram is a single in-distribution phase at the given load
@@ -114,6 +117,51 @@ func TestServeMigrationPricesResidencyChurn(t *testing.T) {
 	}
 	if m.Seconds <= m.ChurnSeconds {
 		t.Fatalf("pause %v should include parameter copies on top of churn %v", m.Seconds, m.ChurnSeconds)
+	}
+}
+
+// TestResidencyChurnIsBusiestDestination: each destination GPU refetches
+// its resident arrivals over its own host link and all GPUs refill at once,
+// so the churn hook prices the larger GPU's refetch time, not the total.
+func TestResidencyChurnIsBusiestDestination(t *testing.T) {
+	const layers, experts, gpus = 4, 16, 8
+	mem := expertmem.New(expertmem.ConfigFor(topo.ForGPUs(gpus), layers, experts, 16<<20, 2, nil, 0, 0, nil))
+	assign := placement.Contiguous(layers, experts, gpus).Assign
+	mem.Warm(assign)
+	// hot[g] and cold[g] list moves off GPU g of its resident and
+	// non-resident experts.
+	var hot, cold [gpus][]placement.Move
+	for l, row := range assign {
+		for e, g := range row {
+			m := placement.Move{Layer: l, Expert: e, From: g}
+			if mem.Resident(g, l, e) {
+				hot[g] = append(hot[g], m)
+			} else {
+				cold[g] = append(cold[g], m)
+			}
+		}
+	}
+	if len(hot[2]) < 3 || len(hot[3]) < 1 || len(cold[2]) < 1 {
+		t.Fatalf("degenerate fixture: %d and %d resident, %d cold", len(hot[2]), len(hot[3]), len(cold[2]))
+	}
+	// Three resident experts leave GPU 2 for GPU 0 and one leaves GPU 3 for
+	// GPU 1; a non-resident expert leaving GPU 2 for GPU 1 churns nothing.
+	moves := []placement.Move{hot[2][0], hot[3][0], cold[2][0], hot[2][1], hot[2][2]}
+	for i, to := range []int{0, 1, 1, 0, 0} {
+		moves[i].To = to
+	}
+	fetch := func(m placement.Move) float64 { return mem.FetchSeconds(m.Layer, m.Expert) }
+	want0 := fetch(moves[0]) + fetch(moves[3]) + fetch(moves[4])
+	want1 := fetch(moves[1])
+	if want0 <= want1 {
+		t.Fatalf("degenerate fixture: GPU 0 refetches %v, GPU 1 %v", want0, want1)
+	}
+	n, sec := residencyChurn(mem, gpus, moves)
+	if n != 4 {
+		t.Fatalf("%d resident copies churned, want 4", n)
+	}
+	if sec != want0 {
+		t.Fatalf("re-warm %v, want GPU 0's %v, not the total %v", sec, want0, want0+want1)
 	}
 }
 

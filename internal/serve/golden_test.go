@@ -89,11 +89,11 @@ func TestServeGoldenDigest(t *testing.T) {
 		{"steady-static", 0x9697b22d49730f9e, false, func(o *Options) {
 			o.Phases = []Phase{{Name: "steady", Duration: 4, Rate: rate, Dataset: synth.Pile()}}
 		}},
-		{"drift-adaptive", 0xd6472fab260d7965, true, func(o *Options) {
+		{"drift-adaptive", 0x312e429c79b2e0e3, true, func(o *Options) {
 			o.Adaptive = true
 			o.Phases = drift
 		}},
-		{"drift-memaware-1.5x", 0xae2da1fe0484d590, true, func(o *Options) {
+		{"drift-memaware-1.5x", 0x12f7637ebcf4c2be, true, func(o *Options) {
 			o.Adaptive = true
 			o.Oversubscription = 1.5
 			o.MemoryAware = true

@@ -16,6 +16,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/expertmem"
 	"repro/internal/fleet"
@@ -297,22 +298,13 @@ func Run(d Deployment, opts Options) (*Report, error) {
 			s.mems[r] = s.newMem(r, cfg.placement.Assign)
 		}
 		// The controller must price residency churn, not just parameter
-		// copies: a migration invalidates the HBM copies of every moved
-		// expert, and under oversubscription each one costs a host-link
-		// refetch before the replica is warm again. Replica 0's residency
-		// stands in for the fleet, mirroring how drift is scored. At 1x
-		// nothing can ever churn (Resident is vacuously true but no refetch
-		// happens), so the pricing hook stays uninstalled.
+		// copies. Replica 0's residency stands in for the fleet, mirroring
+		// how drift is scored. At 1x nothing can ever churn (Resident is
+		// vacuously true but no refetch happens), so the pricing hook stays
+		// uninstalled.
 		if s.mems[0].Oversubscribed() {
 			s.ctrl.churn = func(moves []placement.Move) (int, float64) {
-				n, sec := 0, 0.0
-				for _, mv := range moves {
-					if s.mems[0].Resident(mv.From, mv.Layer, mv.Expert) {
-						n++
-						sec += s.mems[0].FetchSeconds(mv.Layer, mv.Expert)
-					}
-				}
-				return n, sec
+				return residencyChurn(s.mems[0], gpus, moves)
 			}
 		}
 	}
@@ -375,6 +367,23 @@ func Run(d Deployment, opts Options) (*Report, error) {
 		}
 	}
 	return s.buildReport(), nil
+}
+
+// residencyChurn prices a migration's residency churn on one replica's
+// tiered memory: a move invalidates its expert's HBM copy, and a resident
+// copy must be refetched over the destination GPU's host link before the
+// replica is warm again. Every GPU refetches over its own link at once, so
+// the re-warm lasts as long as the busiest destination's refetches. It
+// returns the resident copies invalidated and that re-warm time.
+func residencyChurn(mem *expertmem.Manager, gpus int, moves []placement.Move) (int, float64) {
+	n, perGPU := 0, make([]float64, gpus)
+	for _, mv := range moves {
+		if mem.Resident(mv.From, mv.Layer, mv.Expert) {
+			n++
+			perGPU[mv.To] += mem.FetchSeconds(mv.Layer, mv.Expert)
+		}
+	}
+	return n, slices.Max(perGPU)
 }
 
 // paramCopySeconds is the simulated time to copy one replica's per-GPU HBM
