@@ -104,15 +104,26 @@ func TestEngineOutputsGoldenDigest(t *testing.T) {
 
 // setupAllocBudget bounds the heap bytes one NewSystem + CalibrateServe
 // allocates at the calibSystem shape. On amd64 a set-up that runs the
-// forward math allocates 37.5 MB there, a timing-only one 14.6 MB, and one
-// whose staged solve reuses its flow workspace and best placement 6.0 MB;
-// the budget sits between the last two, with room for ordinary growth.
-const setupAllocBudget = 10 << 20
+// forward math allocates 37.5 MB there, a timing-only one 14.6 MB, one
+// whose staged solve reuses its flow workspace and best placement 6.0 MB,
+// and one that profiles whole paths per call and keeps the engine's jobs
+// and chunks in per-layer slabs 2.8 MB; the budget sits between the last
+// two.
+const setupAllocBudget = 5 << 20
 
-// TestSetupAllocBudget gates set-up's allocation volume. Calibration reads
-// only simulated seconds and dispatch counts from its engine runs, so it
-// must not pay for the forward math or build the model's weights, and the
-// staged solve must not rebuild its flow network for every layer.
+// setupAllocCountBudget bounds the heap objects the same set-up allocates:
+// 121,194 when every dispatched job, every per-layer combine map and every
+// routed token's expert slice was its own allocation, about 19,500 since
+// they share slabs. The budget sits between, so a reintroduced per-job
+// allocation or per-layer map fails loudly.
+const setupAllocCountBudget = 50000
+
+// TestSetupAllocBudget gates set-up's allocation volume and count.
+// Calibration reads only simulated seconds and dispatch counts from its
+// engine runs, so it must not pay for the forward math or build the
+// model's weights; the staged solve must not rebuild its flow network for
+// every layer; and neither profiling nor the engine's dispatch may allocate
+// per token or per job.
 func TestSetupAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -121,23 +132,33 @@ func TestSetupAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("set-up allocated %.1f MB (budget %.1f MB)", float64(got)/(1<<20), float64(setupAllocBudget)/(1<<20))
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("set-up allocated %.1f MB in %d objects (budgets %.1f MB, %d objects)",
+		float64(got)/(1<<20), objects, float64(setupAllocBudget)/(1<<20), setupAllocCountBudget)
 	if got > setupAllocBudget {
 		t.Errorf("set-up allocated %.1f MB, over its %.1f MB budget", float64(got)/(1<<20), float64(setupAllocBudget)/(1<<20))
 	}
+	if objects > setupAllocCountBudget {
+		t.Errorf("set-up allocated %d objects, over its budget of %d", objects, setupAllocCountBudget)
+	}
 }
 
-// BenchmarkCalibrateServe times one fresh set-up at the repository
-// benchmark's shape (GPT-M/32E cut to 16 layers, 16 GPUs): NewSystem plus
+// benchSetup runs one fresh set-up at the repository benchmark's shape
+// (GPT-M/32E cut to 16 layers, 16 GPUs, system seed 7): NewSystem plus
 // CalibrateServe, the work behind the benchmark's setup_s.
-func BenchmarkCalibrateServe(b *testing.B) {
+func benchSetup(tb testing.TB) {
 	cfg := moe.GPTM(32)
 	cfg.Layers = 16
+	sys := NewSystem(SystemOptions{Model: cfg, GPUs: 16, AffinityStrength: 0.85, DomainTilt: 8, SolveWorkers: 1, Seed: 7})
+	if _, err := CalibrateServe(sys, ServeOptions{Replicas: 2, DecodeTokens: 32, SolveWorkers: 1}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkCalibrateServe times one benchSetup.
+func BenchmarkCalibrateServe(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys := NewSystem(SystemOptions{Model: cfg, GPUs: 16, AffinityStrength: 0.85, DomainTilt: 8, SolveWorkers: 1, Seed: 7})
-		if _, err := CalibrateServe(sys, ServeOptions{Replicas: 2, DecodeTokens: 32, SolveWorkers: 1}); err != nil {
-			b.Fatal(err)
-		}
+		benchSetup(b)
 	}
 }

@@ -118,7 +118,9 @@ func NewSystem(opts SystemOptions) *System {
 
 // Profile traces `tokens` sample tokens from the system's dataset through
 // the router, recording the expert chosen at every layer — the offline
-// profiling step of Section V-A.
+// profiling step of Section V-A. A kernel router walks each token's path in
+// one call (trace.PathWalker): one domain draw per token and no
+// allocation per layer.
 func (s *System) Profile(tokens int) *trace.Trace {
 	ids := trace.SequentialIDs(tokens, s.Dataset.TokenID)
 	return trace.Collect(s.Router, s.Model.Cfg.Layers, ids)

@@ -1,11 +1,14 @@
 package exflow
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/moe"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 func smallSystem(gpus int) *System {
@@ -58,6 +61,45 @@ func TestProfileOnDistinctDatasets(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("different datasets should route differently")
+	}
+}
+
+// routeOnly hides the kernel router's whole-path walk, so trace.Collect
+// profiles through Route one layer at a time.
+type routeOnly struct{ moe.Router }
+
+// TestProfileMatchesRouteWalk: Profile and ProfileOn walk each token's path
+// through the kernel router in one call, and must record, path for path,
+// what routing every layer through Route records. It covers top-1 and
+// top-2 systems on two datasets, and ProfileOn's held-out slice on the
+// system's dataset and on the viral mix.
+func TestProfileMatchesRouteWalk(t *testing.T) {
+	cfg := moe.GPTM(16)
+	cfg.Layers = 6
+	same := func(t *testing.T, what string, got, want *trace.Trace) {
+		t.Helper()
+		if got.Tokens() != want.Tokens() {
+			t.Fatalf("%s: %d paths, want %d", what, got.Tokens(), want.Tokens())
+		}
+		for i := range want.Paths {
+			if !slices.Equal(got.Paths[i], want.Paths[i]) {
+				t.Fatalf("%s token %d: profile %v, Route walk %v", what, i, got.Paths[i], want.Paths[i])
+			}
+		}
+	}
+	for _, ds := range []*synth.DatasetProfile{synth.Pile(), synth.C4()} {
+		for _, topK := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/top%d", ds.Name, topK), func(t *testing.T) {
+				sys := NewSystem(SystemOptions{Model: cfg, GPUs: 8, DomainTilt: 8, TopK: topK, Dataset: ds, Seed: 3})
+				same(t, "Profile", sys.Profile(600),
+					trace.Collect(routeOnly{sys.Router}, cfg.Layers, trace.SequentialIDs(600, ds.TokenID)))
+				for _, on := range []*synth.DatasetProfile{ds, ViralDataset()} {
+					ids := trace.SequentialIDs(400, func(i uint64) uint64 { return on.TokenID(1<<21 + i) })
+					same(t, "ProfileOn "+on.Name, sys.ProfileOn(on, 400, 1<<21),
+						trace.Collect(routeOnly{synth.NewKernelRouter(sys.Kernel, on, topK)}, cfg.Layers, ids))
+				}
+			})
+		}
 	}
 }
 

@@ -71,8 +71,17 @@ type Rank struct {
 	ID      int
 	Cluster *Cluster
 
-	clock      float64
-	categories map[string]float64
+	clock float64
+	// categories holds the per-category time totals in first-use order. A
+	// rank charges a handful of categories, so Advance finds one by a short
+	// linear scan instead of hashing its name into a map.
+	categories []categoryTotal
+}
+
+// categoryTotal is one accounting category's running total.
+type categoryTotal struct {
+	name  string
+	total float64
 }
 
 // Now returns the rank's current simulated time in seconds.
@@ -85,10 +94,14 @@ func (r *Rank) Advance(category string, dt float64) {
 		panic(fmt.Sprintf("cluster: negative time advance %v", dt))
 	}
 	r.clock += dt
-	if r.categories == nil {
-		r.categories = make(map[string]float64)
+	i := 0
+	for i < len(r.categories) && r.categories[i].name != category {
+		i++
 	}
-	r.categories[category] += dt
+	if i == len(r.categories) {
+		r.categories = append(r.categories, categoryTotal{name: category})
+	}
+	r.categories[i].total += dt
 }
 
 // advanceTo moves the clock to at least t without attributing the waiting
@@ -102,8 +115,8 @@ func (r *Rank) advanceTo(t float64) {
 // Breakdown returns a copy of the per-category time totals.
 func (r *Rank) Breakdown() map[string]float64 {
 	out := make(map[string]float64, len(r.categories))
-	for k, v := range r.categories {
-		out[k] = v
+	for _, c := range r.categories {
+		out[c.name] = c.total
 	}
 	return out
 }
@@ -229,8 +242,8 @@ func MaxClock(ranks []*Rank) float64 {
 func MergedBreakdown(ranks []*Rank) map[string]float64 {
 	out := map[string]float64{}
 	for _, r := range ranks {
-		for k, v := range r.categories {
-			out[k] += v
+		for _, c := range r.categories {
+			out[c.name] += c.total
 		}
 	}
 	for k := range out {

@@ -23,8 +23,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -218,33 +220,41 @@ func enforceCapacity(jobs []*expertJob, capacity int, m *rankMetrics) {
 
 // combineJobs applies the weighted expert mixture plus residual and norm
 // for every token whose jobs have arrived at this rank, returning the
-// tokens now resident here (sorted by request for determinism). Dropped
-// jobs contribute nothing: the token passes through on its residual. A
+// tokens now resident here, sorted by request for determinism. It sorts
+// jobs in place by (request, kIdx): a layer holds one token per request and
+// a token's jobs have distinct kIdx, so the order is total, and each
+// token's jobs form one run that applies in kIdx order. Dropped jobs
+// contribute nothing: the token passes through on its residual. A
 // timing-only run only gathers the tokens.
 func combineJobs(cfg *Config, jobs []*expertJob) []*token {
-	byTok := map[*token][]*expertJob{}
-	for _, j := range jobs {
-		byTok[j.tok] = append(byTok[j.tok], j)
-	}
-	out := make([]*token, 0, len(byTok))
-	for t, js := range byTok {
+	slices.SortFunc(jobs, func(a, b *expertJob) int {
+		if c := cmp.Compare(a.tok.req, b.tok.req); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.kIdx, b.kIdx)
+	})
+	out := make([]*token, 0, len(jobs))
+	for i := 0; i < len(jobs); {
+		t := jobs[i].tok
+		end := i + 1
+		for end < len(jobs) && jobs[end].tok == t {
+			end++
+		}
 		out = append(out, t)
-		if cfg.TimingOnly {
-			continue
-		}
-		sort.Slice(js, func(a, b int) bool { return js[a].kIdx < js[b].kIdx })
-		for _, j := range js {
-			if j.dropped || j.out == nil {
-				continue
+		if !cfg.TimingOnly {
+			for _, j := range jobs[i:end] {
+				if j.dropped || j.out == nil {
+					continue
+				}
+				w := float32(j.weight)
+				for x := range t.hidden {
+					t.hidden[x] += w * j.out[x]
+				}
 			}
-			w := float32(j.weight)
-			for i := range t.hidden {
-				t.hidden[i] += w * j.out[i]
-			}
+			cfg.Model.LayerNorm(t.hidden)
 		}
-		cfg.Model.LayerNorm(t.hidden)
+		i = end
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].req < out[b].req })
 	return out
 }
 
@@ -253,7 +263,7 @@ func combineJobs(cfg *Config, jobs []*expertJob) []*token {
 // mode only the home rank ever touches it.
 type request struct {
 	home   int
-	caches []*moe.KVCache // per layer
+	caches []moe.KVCache // per layer; nil in a timing-only run
 	prompt []int
 	output []int
 }
@@ -279,19 +289,30 @@ func Run(cfg Config) *Report {
 	gpus := cl.Size()
 	totalReqs := gpus * cfg.RequestsPerGPU
 
-	// Build requests with deterministic prompts.
+	// Build requests with deterministic prompts. Each request's caches,
+	// prompt and output are windows of one slab per kind, each window
+	// capped at its own length so no append can reach a neighbour's.
 	reqs := make([]*request, totalReqs)
+	slab := make([]request, totalReqs)
+	var caches []moe.KVCache
+	if !cfg.TimingOnly {
+		caches = make([]moe.KVCache, totalReqs*mcfg.Layers)
+	}
+	prompts := make([]int, totalReqs*cfg.PromptLen)
+	outputs := make([]int, totalReqs*cfg.GenerateTokens)
 	wr := rng.New(rng.Mix64(cfg.Seed, 0x9E9))
 	for r := range reqs {
-		reqs[r] = &request{home: r / cfg.RequestsPerGPU}
-		reqs[r].caches = make([]*moe.KVCache, mcfg.Layers)
-		for l := range reqs[r].caches {
-			reqs[r].caches[l] = &moe.KVCache{}
+		req := &slab[r]
+		req.home = r / cfg.RequestsPerGPU
+		if caches != nil {
+			req.caches, caches = caches[:mcfg.Layers:mcfg.Layers], caches[mcfg.Layers:]
 		}
-		reqs[r].prompt = make([]int, cfg.PromptLen)
-		for i := range reqs[r].prompt {
-			reqs[r].prompt[i] = wr.Intn(1 << 16)
+		req.prompt, prompts = prompts[:cfg.PromptLen:cfg.PromptLen], prompts[cfg.PromptLen:]
+		for i := range req.prompt {
+			req.prompt[i] = wr.Intn(1 << 16)
 		}
+		req.output, outputs = outputs[:0:cfg.GenerateTokens], outputs[cfg.GenerateTokens:]
+		reqs[r] = req
 	}
 
 	// The tiered expert-weight memory is sharded per GPU; every rank only
@@ -359,16 +380,30 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 	iterSeconds := cfg.Metrics.Histogram("engine_iteration_seconds", obs.SecondsBuckets())
 	iterations := cfg.Metrics.Counter("engine_iterations_total")
 
+	// Chunk tables and per-destination job counts, reused across layers.
+	// No peer ever reads these: a collective copies each chunk's header
+	// into its message. The chunks' backing buffers and the jobs they
+	// point at do cross ranks, and a peer may still read them after this
+	// rank has moved a collective ahead, so those are allocated fresh for
+	// every collective (see carve).
+	send := make([][]*expertJob, gpus)
+	back := make([][]*expertJob, gpus)
+	counts := make([]int, gpus)
+
 	// --- Decode iterations ----------------------------------------------
 	for iter := 0; iter < cfg.GenerateTokens; iter++ {
 		iterStart := rk.Now()
-		// Tokens resident on this rank at the current layer boundary.
-		var resident []*token
+		// Tokens resident on this rank at the current layer boundary: one
+		// per home request, from one slab per iteration (peers hold them
+		// through jobs until the iteration's barrier).
+		toks := make([]token, cfg.RequestsPerGPU)
+		resident := make([]*token, 0, len(toks))
 		for r, req := range reqs {
 			if req.home != rk.ID {
 				continue
 			}
-			t := &token{req: r, id: cfg.tokenID(r, iter), home: rk.ID, prev: -1}
+			t := &toks[len(resident)]
+			*t = token{req: r, id: cfg.tokenID(r, iter), home: rk.ID, prev: -1}
 			if !cfg.TimingOnly {
 				t.hidden = mdl.Embed(req.lastToken())
 			}
@@ -393,7 +428,7 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			// 1. Attention in place for resident tokens.
 			for _, t := range resident {
 				if !cfg.TimingOnly {
-					cache := reqs[t.req].caches[layer]
+					cache := &reqs[t.req].caches[layer]
 					if cache.Len() != ctxLen {
 						panic(fmt.Sprintf("engine: request %d layer %d caches %d positions, want %d", t.req, layer, cache.Len(), ctxLen))
 					}
@@ -401,9 +436,12 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 				}
 				rk.Advance("attention", cfg.Cost.AttentionTime(mcfg, ctxLen+1))
 			}
-			// 2. Gating: top-k experts and mixture weights per token.
+			// 2. Gating: top-k experts and mixture weights per token, one
+			// job per (token, expert) in one slab, with counts tallying the
+			// jobs bound for each owner.
 			rk.Advance("gating", cfg.Cost.GatingTime(mcfg, len(resident)))
-			send := make([][]*expertJob, gpus)
+			jobs := make([]expertJob, 0, len(resident)*topK)
+			clear(counts)
 			// Affinity-prefetch hints for the next layer, keyed by the GPU
 			// that owns the predicted successor expert.
 			var hints [][]int
@@ -434,20 +472,23 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 				for k, e := range experts {
 					owner := cfg.Placement.GPUOf(layer, e)
 					m.recordDispatch(rk, owner)
-					job := &expertJob{
+					counts[owner]++
+					jobs = append(jobs, expertJob{
 						tok: t, kIdx: k, expert: e, weight: weights[k],
 						combineAt: combineAt, hidden: t.hidden,
-					}
-					send[owner] = append(send[owner], job)
+					})
 				}
+			}
+			// Each owner's chunk lists its jobs in routing order.
+			carve(send, counts)
+			for i := range jobs {
+				owner := cfg.Placement.GPUOf(layer, jobs[i].expert)
+				send[owner] = append(send[owner], &jobs[i])
 			}
 			// 3. Alltoall #1: dispatch jobs to expert owners.
 			recvJobs := dispatchAlltoall(rk, cfg, send, wire)
 			m.alltoallBytes += outboundBytes(send, rk.ID, wire)
-			var working []*expertJob
-			for _, chunk := range recvJobs {
-				working = append(working, chunk...)
-			}
+			working := appendChunks(nil, recvJobs, -1)
 			// 3b. Exchange prefetch hints: each rank learns which of its
 			// layer-(l+1) experts the affinity oracle predicts it will need.
 			var hintRecv [][]int
@@ -493,24 +534,21 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			if cfg.Mode.coherent() && topK == 1 {
 				combineInput = working
 			} else {
-				back := make([][]*expertJob, gpus)
-				var local []*expertJob
+				clear(counts)
 				for _, job := range working {
-					if job.combineAt == rk.ID {
-						local = append(local, job)
-						continue
-					}
+					counts[job.combineAt]++
+				}
+				carve(back, counts)
+				for _, job := range working {
 					back[job.combineAt] = append(back[job.combineAt], job)
 				}
+				// Jobs combining here stay local; the collective's own
+				// chunk is an empty placeholder.
+				local := back[rk.ID]
+				back[rk.ID] = nil
 				m.alltoallBytes += outboundBytes(back, rk.ID, wire)
 				ret := dispatchAlltoall(rk, cfg, back, wire)
-				combineInput = local
-				for d, chunk := range ret {
-					if d == rk.ID {
-						continue // local chunk placeholder; already in local
-					}
-					combineInput = append(combineInput, chunk...)
-				}
+				combineInput = appendChunks(local, ret, rk.ID)
 			}
 			// 6. Weighted combine + residual + norm per token; the tokens
 			// whose combine happened here are resident for the next layer
@@ -525,7 +563,7 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 			req int
 			tok int
 		}
-		var gen []genMsg
+		gen := make([]genMsg, 0, len(resident))
 		for _, t := range resident {
 			g := genMsg{req: t.req}
 			if !cfg.TimingOnly {
@@ -589,6 +627,44 @@ func distinctExperts(jobs []*expertJob) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// carve points each chunks[d] at an empty window, with room for exactly
+// counts[d] jobs, of one buffer allocated fresh for the collective that
+// will carry the chunks. Appending each destination's jobs in order then
+// fills its chunk without growing it, and no append can reach a
+// neighbouring chunk. A destination with no jobs gets a nil chunk, which a
+// send boxes without allocating.
+func carve(chunks [][]*expertJob, counts []int) {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	buf := make([]*expertJob, total)
+	for d, n := range counts {
+		chunks[d] = nil
+		if n > 0 {
+			chunks[d], buf = buf[:0:n], buf[n:]
+		}
+	}
+}
+
+// appendChunks appends every chunk except chunks[skip] to dst, in source
+// order, growing dst at most once.
+func appendChunks(dst []*expertJob, chunks [][]*expertJob, skip int) []*expertJob {
+	n := 0
+	for d, c := range chunks {
+		if d != skip {
+			n += len(c)
+		}
+	}
+	dst = slices.Grow(dst, n)
+	for d, c := range chunks {
+		if d != skip {
+			dst = append(dst, c...)
+		}
+	}
+	return dst
 }
 
 // dispatchAlltoall selects the flat or hierarchical token-dispatch

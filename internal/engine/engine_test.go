@@ -3,12 +3,14 @@ package engine
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/expertmem"
 	"repro/internal/moe"
 	"repro/internal/placement"
+	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -379,5 +381,59 @@ func TestTimingOnlyMatchesFullMath(t *testing.T) {
 				t.Fatalf("timing-only report differs from full math:\nfull   %+v\ntiming %+v", want, *timing)
 			}
 		})
+	}
+}
+
+// TestCombineJobsOrder: whatever order a token's jobs arrive in,
+// combineJobs returns the tokens sorted by request and folds each token's
+// expert outputs in kIdx order, skipping dropped jobs — bit for bit what
+// folding them in kIdx order gives. A timing-only combine returns the same
+// tokens and leaves their hidden states alone.
+func TestCombineJobsOrder(t *testing.T) {
+	const dim, topK = 16, 3
+	r := rng.New(11)
+	randVec := func() []float32 {
+		v := make([]float32, dim)
+		for i := range v {
+			v[i] = float32(r.NormFloat64() * math.Pow(10, float64(r.Intn(5))))
+		}
+		return v
+	}
+	mdl := moe.NewModel(moe.GPTM(8), 1)
+	var jobs []*expertJob
+	want := map[int][]float32{}
+	for _, req := range []int{6, 0, 9, 3, 4} {
+		tok := &token{req: req, hidden: randVec()}
+		h := append([]float32(nil), tok.hidden...)
+		for k := 0; k < topK; k++ {
+			j := &expertJob{tok: tok, kIdx: k, weight: r.Float64(), out: randVec(), dropped: (req+k)%4 == 0}
+			jobs = append(jobs, j)
+			if j.dropped {
+				continue
+			}
+			for x := range h {
+				h[x] += float32(j.weight) * j.out[x]
+			}
+		}
+		mdl.LayerNorm(h)
+		want[req] = h
+	}
+	for _, timingOnly := range []bool{true, false} {
+		shuffled := slices.Clone(jobs)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			k := r.Intn(i + 1)
+			shuffled[i], shuffled[k] = shuffled[k], shuffled[i]
+		}
+		got := combineJobs(&Config{Model: mdl, TimingOnly: timingOnly}, shuffled)
+		var reqs []int
+		for _, tok := range got {
+			reqs = append(reqs, tok.req)
+			if !timingOnly && !slices.Equal(tok.hidden, want[tok.req]) {
+				t.Fatalf("request %d: combined %v, want %v", tok.req, tok.hidden, want[tok.req])
+			}
+		}
+		if !slices.Equal(reqs, []int{0, 3, 4, 6, 9}) {
+			t.Fatalf("timing-only %v: tokens in request order %v, want [0 3 4 6 9]", timingOnly, reqs)
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // prev is the expert chosen at layer-1 (-1 at layer 0); h is the token's
 // current hidden activation at ComputeDim width. Implementations may use any
 // subset of these. The returned slice has TopK entries, primary expert
-// first.
+// first. It is read-only: an implementation may return a window of a
+// shared table instead of a fresh slice, so callers must never write to it.
 type Router interface {
 	Route(layer int, tokenID uint64, prev int, h []float32) []int
 	// Experts returns the number of experts per layer this router targets.

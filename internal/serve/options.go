@@ -100,8 +100,9 @@ type Options struct {
 	// DecodeTokens is the per-request decode length (default 32).
 	DecodeTokens int
 	// ProfileTokens sizes the offline profiling trace that seeds both the
-	// initial placement and the drift baseline (default 3000; a calibration
-	// input).
+	// initial placement and the drift baseline (default 3000, at most 1<<20
+	// so the profile's token ordinals stay clear of the later streams'; a
+	// calibration input).
 	ProfileTokens int
 	// LoadFrac sets phase rates left at zero, as a fraction of the
 	// calibrated fleet request capacity (default 0.9 — near the knee, where
@@ -266,6 +267,9 @@ func (o Options) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("serve: %s must be non-negative (zero for the default), got %d", f.name, f.v)
 		}
+	}
+	if o.ProfileTokens > maxProfileTokens {
+		return fmt.Errorf("serve: ProfileTokens must be at most %d (later token streams start there), got %d", maxProfileTokens, o.ProfileTokens)
 	}
 	// NaN passes every ordered comparison and +Inf every lower bound, so
 	// each float is checked for finiteness explicitly.

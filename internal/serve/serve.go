@@ -35,6 +35,13 @@ var errNoArrivals = errors.New("serve: traffic program produced no arrivals")
 // so live traffic never replays profiled tokens.
 const tokenOrdinalBase = 1 << 22
 
+// maxProfileTokens bounds Options.ProfileTokens. The profile's ordinals
+// [0, ProfileTokens) share one namespace with calibration's engine tokens
+// (from 1<<20), the drift threshold's held-out slice (from 1<<21) and live
+// traffic (from tokenOrdinalBase), so a longer profile would measure,
+// score or serve the tokens it was solved on.
+const maxProfileTokens = 1 << 20
+
 // request is one in-flight generation request.
 type request struct {
 	arrival   float64

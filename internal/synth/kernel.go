@@ -46,6 +46,11 @@ type Kernel struct {
 	cum       []float64
 	guide     []uint16
 	guideSize int
+
+	// expertIDs[e] is e: a top-1 route returns the one-entry window
+	// expertIDs[e:e+1], so routing a token allocates nothing. Read-only
+	// once NewKernel returns.
+	expertIDs []int
 }
 
 // KernelParams configures NewKernel.
@@ -139,6 +144,10 @@ func NewKernel(p KernelParams) *Kernel {
 		k.domPref[d] = pref
 	}
 	k.buildCum()
+	k.expertIDs = make([]int, p.Experts)
+	for e := range k.expertIDs {
+		k.expertIDs[e] = e
+	}
 	return k
 }
 
@@ -155,6 +164,7 @@ func (k *Kernel) buildCum() {
 	}
 	k.cum = make([]float64, rows*k.Domains*k.Experts)
 	k.guide = make([]uint16, rows*k.Domains*k.guideSize)
+	scratch := make([]float64, k.Experts)
 	for row := 0; row < rows; row++ {
 		base := k.initDist
 		if row > 0 {
@@ -164,7 +174,7 @@ func (k *Kernel) buildCum() {
 			slot := row*k.Domains + d
 			acc := 0.0
 			c := k.cum[slot*k.Experts:][:k.Experts]
-			for i, w := range k.tilted(base, d) {
+			for i, w := range k.tiltInto(scratch, base, d) {
 				acc += w
 				c[i] = acc
 			}
@@ -225,8 +235,13 @@ func (k *Kernel) pick(slot int, f float64) int {
 // tilted returns base element-wise multiplied by the domain preference,
 // normalized. base entries for inactive experts are zero and stay zero.
 func (k *Kernel) tilted(base []float64, domain int) []float64 {
+	return k.tiltInto(make([]float64, len(base)), base, domain)
+}
+
+// tiltInto is tilted writing the row into out, which must be as long as
+// base, and returning it; a row with no mass returns base, as tilted does.
+func (k *Kernel) tiltInto(out, base []float64, domain int) []float64 {
 	pref := k.domPref[domain%k.Domains]
-	out := make([]float64, len(base))
 	total := 0.0
 	for i, b := range base {
 		out[i] = b * pref[i]

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"fmt"
+
 	"repro/internal/moe"
 	"repro/internal/rng"
 )
@@ -30,7 +32,9 @@ func NewKernelRouter(k *Kernel, p *DatasetProfile, topK int) *KernelRouter {
 // Experts implements moe.Router.
 func (kr *KernelRouter) Experts() int { return kr.Kernel.Experts }
 
-// Route implements moe.Router.
+// Route implements moe.Router. A top-1 route returns a one-entry window of
+// the kernel's read-only expert-id table, so it allocates nothing; a top-2
+// route returns a fresh pair.
 func (kr *KernelRouter) Route(layer int, tokenID uint64, prev int, h []float32) []int {
 	domain := kr.Profile.TokenDomain(tokenID)
 	var primary int
@@ -40,10 +44,23 @@ func (kr *KernelRouter) Route(layer int, tokenID uint64, prev int, h []float32) 
 		primary = kr.Kernel.Next(tokenID, layer, prev, domain)
 	}
 	if kr.TopK == 1 {
-		return []int{primary}
+		return kr.Kernel.expertIDs[primary : primary+1 : primary+1]
 	}
 	secondary := kr.second(layer, tokenID, prev, domain, primary)
 	return []int{primary, secondary}
+}
+
+// PathInto writes a token's primary-expert path into path, which must hold
+// exactly the kernel's Layers entries: the experts Route puts first, layer
+// after layer with each one passed on as prev, whatever the fan-out (the
+// secondary draw never feeds the next layer). It draws the token's domain
+// once and walks Kernel.PathInto, so it allocates nothing. trace.Collect
+// profiles through it (trace.PathWalker).
+func (kr *KernelRouter) PathInto(tokenID uint64, path []int) {
+	if len(path) != kr.Kernel.Layers {
+		panic(fmt.Sprintf("synth: path of %d layers for a %d-layer kernel", len(path), kr.Kernel.Layers))
+	}
+	kr.Kernel.PathInto(tokenID, kr.Profile.TokenDomain(tokenID), path)
 }
 
 // second draws a distinct secondary expert from the same conditional row.
@@ -70,9 +87,14 @@ func (kr *KernelRouter) second(layer int, tokenID uint64, prev, domain, primary 
 }
 
 // RouteWeighted implements moe.WeightedRouter: mixture weights proportional
-// to the kernel's conditional probabilities of the selected experts.
+// to the kernel's conditional probabilities of the selected experts. A
+// top-1 weight is exactly 1 — the expert's probability divided by itself,
+// or 1/1 when it has none — so top-1 skips the tilted row.
 func (kr *KernelRouter) RouteWeighted(layer int, tokenID uint64, prev int, h []float32) ([]int, []float64) {
 	experts := kr.Route(layer, tokenID, prev, h)
+	if kr.TopK == 1 {
+		return experts, []float64{1}
+	}
 	domain := kr.Profile.TokenDomain(tokenID)
 	var row []float64
 	if layer == 0 || prev < 0 {

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +164,9 @@ func TestNextArgumentValidation(t *testing.T) {
 		func() { k.Next(1, 1, 0, -k.Domains) },
 		func() { k.First(1, -k.Domains) },
 		func() { k.PathInto(1, -k.Domains, make([]int, k.Layers)) },
+		// The router's walk writes exactly one entry per kernel layer.
+		func() { NewKernelRouter(k, Pile(), 1).PathInto(1, make([]int, k.Layers-1)) },
+		func() { NewKernelRouter(k, Pile(), 1).PathInto(1, make([]int, k.Layers+1)) },
 	} {
 		func() {
 			defer func() {
@@ -247,21 +251,111 @@ func TestKernelRouterMatchesKernel(t *testing.T) {
 			t.Fatal("layer-1 route mismatch")
 		}
 	}
-	// PathInto is the per-layer primary-expert walk through Route, whatever
-	// the gating fan-out: the secondary draw never feeds the next layer.
+	// PathInto, the kernel's and the router's, is the per-layer
+	// primary-expert walk through Route, whatever the gating fan-out: the
+	// secondary draw never feeds the next layer.
 	path := make([]int, k.Layers)
+	walk := make([]int, k.Layers)
 	for _, topK := range []int{1, 2} {
 		kr := NewKernelRouter(k, p, topK)
 		for tok := uint64(0); tok < 200; tok++ {
 			k.PathInto(tok, p.TokenDomain(tok), path)
+			kr.PathInto(tok, walk)
 			prev := -1
 			for j := 0; j < k.Layers; j++ {
 				prev = kr.Route(j, tok, prev, nil)[0]
-				if path[j] != prev {
-					t.Fatalf("top-%d token %d layer %d: PathInto %d, Route walk %d", topK, tok, j, path[j], prev)
+				if path[j] != prev || walk[j] != prev {
+					t.Fatalf("top-%d token %d layer %d: Kernel.PathInto %d, KernelRouter.PathInto %d, Route walk %d",
+						topK, tok, j, path[j], walk[j], prev)
 				}
 			}
 		}
+	}
+}
+
+// tiltedWeights is RouteWeighted's weighting from before top-1 skipped the
+// tilted row, kept as the reference: each selected expert's probability in
+// the token's domain-tilted row, normalized over the selection, or equal
+// shares when the selection has no mass.
+func tiltedWeights(kr *KernelRouter, layer int, tokenID uint64, prev int, experts []int) []float64 {
+	row := kr.Kernel.initDist
+	if layer > 0 && prev >= 0 {
+		row = kr.Kernel.trans[layer-1][prev]
+	}
+	row = kr.Kernel.tilted(row, kr.Profile.TokenDomain(tokenID))
+	weights := make([]float64, len(experts))
+	total := 0.0
+	for i, e := range experts {
+		weights[i] = row[e]
+		total += row[e]
+	}
+	for i := range weights {
+		if total == 0 {
+			weights[i] = 1 / float64(len(weights))
+		} else {
+			weights[i] /= total
+		}
+	}
+	return weights
+}
+
+// TestRouteWeightedMatchesTiltedRow checks RouteWeighted against the tilted
+// row for every (layer, prev, domain) of a small kernel: the experts are
+// Route's, a top-1 weight is exactly []float64{1}, and a top-2 weighting is
+// the row's. One hand-built row has no mass at all, so its draw lands on an
+// expert of probability 0 and the weight comes from the zero-mass fallback.
+func TestRouteWeightedMatchesTiltedRow(t *testing.T) {
+	k := NewKernel(KernelParams{Seed: 9, Layers: 3, Experts: 8, Strength: 0.8, DomainTilt: 4})
+	const emptyLayer, emptyFrom = 1, 5
+	clear(k.trans[emptyLayer-1][emptyFrom])
+	k.buildCum()
+	p := Pile()
+	// The first few tokens of every domain.
+	byDomain := make([][]uint64, k.Domains)
+	for tok, filled := uint64(0), 0; filled < k.Domains; tok++ {
+		d := p.TokenDomain(tok)
+		if len(byDomain[d]) < 3 {
+			if byDomain[d] = append(byDomain[d], tok); len(byDomain[d]) == 3 {
+				filled++
+			}
+		}
+	}
+	zeroMass := 0
+	for _, topK := range []int{1, 2} {
+		kr := NewKernelRouter(k, p, topK)
+		for layer := 0; layer < k.Layers; layer++ {
+			for prev := -1; prev < k.Experts; prev++ {
+				if (layer == 0) != (prev < 0) {
+					continue
+				}
+				for d, toks := range byDomain {
+					for _, tok := range toks {
+						experts, weights := kr.RouteWeighted(layer, tok, prev, nil)
+						if route := kr.Route(layer, tok, prev, nil); !slices.Equal(experts, route) {
+							t.Fatalf("top-%d layer %d prev %d domain %d: RouteWeighted experts %v, Route %v",
+								topK, layer, prev, d, experts, route)
+						}
+						want := tiltedWeights(kr, layer, tok, prev, experts)
+						if topK == 1 && !slices.Equal(want, []float64{1}) {
+							t.Fatalf("reference top-1 weight %v, want exactly [1]", want)
+						}
+						if !slices.Equal(weights, want) {
+							t.Fatalf("top-%d layer %d prev %d domain %d: weights %v, tilted row gives %v",
+								topK, layer, prev, d, weights, want)
+						}
+						if layer == emptyLayer && prev == emptyFrom && topK == 1 {
+							if row := k.tilted(k.trans[layer-1][prev], d); row[experts[0]] != 0 {
+								t.Fatalf("hand-built row gives expert %d mass %v, want 0", experts[0], row[experts[0]])
+							}
+							zeroMass++
+						}
+					}
+				}
+			}
+		}
+	}
+	if zeroMass == 0 {
+		t.Fatal("no draw landed on the zero-mass row")
 	}
 }
 
@@ -422,13 +516,24 @@ func TestKernelDrawAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("PathInto+TokenDomain allocates %v objects per token, want 0", a)
 	}
-	// Route keeps exactly one allocation: the expert slice it returns.
+	// A top-1 Route returns a one-entry window of the kernel's expert-id
+	// table, capped so an append cannot write into the table, and
+	// allocates nothing; neither does the router's whole-path walk.
 	kr := NewKernelRouter(k, p, 1)
 	if a := testing.AllocsPerRun(200, func() {
 		tok++
 		_ = kr.Route(3, tok, 5, nil)
-	}); a != 1 {
-		t.Fatalf("Route allocates %v objects per call, want 1", a)
+	}); a != 0 {
+		t.Fatalf("top-1 Route allocates %v objects per call, want 0", a)
+	}
+	if es := kr.Route(3, tok, 5, nil); len(es) != 1 || cap(es) != 1 {
+		t.Fatalf("top-1 Route returns len %d cap %d, want 1 and 1", len(es), cap(es))
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		tok++
+		kr.PathInto(tok, path)
+	}); a != 0 {
+		t.Fatalf("KernelRouter.PathInto allocates %v objects per token, want 0", a)
 	}
 }
 

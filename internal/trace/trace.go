@@ -36,10 +36,14 @@ func (t *Trace) Tokens() int { return len(t.Paths) }
 // Append records one token's path. The path length must equal Layers and
 // every expert must be in range.
 func (t *Trace) Append(path []int) {
+	t.appendRow(make([]uint16, t.Layers), path)
+}
+
+// appendRow is Append storing the path in row, which holds Layers entries.
+func (t *Trace) appendRow(row []uint16, path []int) {
 	if len(path) != t.Layers {
 		panic(fmt.Sprintf("trace: path length %d, want %d", len(path), t.Layers))
 	}
-	row := make([]uint16, t.Layers)
 	for j, e := range path {
 		if e < 0 || e >= t.Experts {
 			panic(fmt.Sprintf("trace: expert %d out of range at layer %d", e, j))
@@ -127,20 +131,37 @@ func (t *Trace) LayerLoad(j int) []float64 {
 	return load
 }
 
+// PathWalker is a router that can walk a token's whole primary-expert path
+// in one call. PathInto must write into path (one entry per layer) exactly
+// the experts Route puts first, layer after layer with each passed on as
+// prev; Collect uses it when a router implements it.
+type PathWalker interface {
+	PathInto(tokenID uint64, path []int)
+}
+
 // Collect routes `tokens` token ids through a router and records the primary
 // expert path of each. ids[i] must be globally unique token identities;
-// prev expert state is threaded across layers exactly as the engine does it.
+// prev expert state is threaded across layers exactly as the engine does it,
+// through Route one layer at a time unless the router is a PathWalker.
 func Collect(router moe.Router, layers int, ids []uint64) *Trace {
 	t := New(layers, router.Experts())
+	t.Paths = make([][]uint16, 0, len(ids))
+	// Every token's row is a window of one slab, capped at its length.
+	rows := make([]uint16, len(ids)*layers)
 	path := make([]int, layers)
+	walker, walks := router.(PathWalker)
 	for _, id := range ids {
-		prev := -1
-		for j := 0; j < layers; j++ {
-			experts := router.Route(j, id, prev, nil)
-			path[j] = experts[0]
-			prev = experts[0]
+		if walks {
+			walker.PathInto(id, path)
+		} else {
+			prev := -1
+			for j := 0; j < layers; j++ {
+				prev = router.Route(j, id, prev, nil)[0]
+				path[j] = prev
+			}
 		}
-		t.Append(path)
+		t.appendRow(rows[:layers:layers], path)
+		rows = rows[layers:]
 	}
 	return t
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/moe"
 	"repro/internal/rng"
 	"repro/internal/synth"
 )
@@ -29,6 +31,16 @@ func TestCollectShape(t *testing.T) {
 	}
 }
 
+// routeOnly hides a router's whole-path walk, so Collect routes through it
+// one layer at a time.
+type routeOnly struct{ moe.Router }
+
+var _ PathWalker = (*synth.KernelRouter)(nil)
+
+// TestCollectMatchesRouter: Collect records the primary expert Route picks
+// at every layer, and through a kernel router's whole-path walk it
+// records, path for path, what the per-layer Route walk records, for both
+// gating fan-outs and two datasets.
 func TestCollectMatchesRouter(t *testing.T) {
 	k := synth.NewKernel(synth.KernelParams{Seed: 2, Layers: 4, Experts: 8, Strength: 0.7})
 	kr := synth.NewKernelRouter(k, synth.Pile(), 1)
@@ -40,6 +52,20 @@ func TestCollectMatchesRouter(t *testing.T) {
 			t.Fatalf("layer %d: trace %d vs router %d", j, tr.Paths[0][j], want)
 		}
 		prev = want
+	}
+
+	k = synth.NewKernel(synth.KernelParams{Seed: 3, Layers: 6, Experts: 16, Strength: 0.85, DomainTilt: 8})
+	for _, ds := range []*synth.DatasetProfile{synth.Pile(), synth.C4()} {
+		ids := SequentialIDs(500, ds.TokenID)
+		for _, topK := range []int{1, 2} {
+			kr := synth.NewKernelRouter(k, ds, topK)
+			got, want := Collect(kr, k.Layers, ids), Collect(routeOnly{kr}, k.Layers, ids)
+			for i := range want.Paths {
+				if !slices.Equal(got.Paths[i], want.Paths[i]) {
+					t.Fatalf("%s top-%d token %d: walk %v, Route %v", ds.Name, topK, i, got.Paths[i], want.Paths[i])
+				}
+			}
+		}
 	}
 }
 

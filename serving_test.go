@@ -27,6 +27,9 @@ func TestServeOptionValidation(t *testing.T) {
 		{"negative max batch", ServeOptions{MaxBatch: -8}, "MaxBatch"},
 		{"negative decode", ServeOptions{DecodeTokens: -1}, "DecodeTokens"},
 		{"negative profile", ServeOptions{ProfileTokens: -10}, "ProfileTokens"},
+		// Profile ordinals past 1<<20 would overlap the calibration,
+		// held-out and live token streams.
+		{"profile into calibration tokens", ServeOptions{ProfileTokens: 1<<20 + 1}, "ProfileTokens"},
 		{"negative load", ServeOptions{LoadFrac: -0.5}, "LoadFrac"},
 		// NaN and +Inf slip past ordered comparisons and would spin the
 		// arrival generator forever.

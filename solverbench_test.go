@@ -2,7 +2,8 @@ package exflow
 
 // Solver benchmarks: the sparse-vs-dense annealing hot path and the
 // parallel solve portfolio, at the same scale as BenchmarkMemoryAwareAnneal,
-// and the whole staged solve at the repository benchmark's set-up shape.
+// and the whole staged solve and the whole set-up at the repository
+// benchmark's set-up shape.
 // TestGenerateSolverBench (gated on SOLVER_BENCH=1) measures them with its
 // own timer and writes BENCH_solver.json — the machine-readable record CI
 // uploads as an artifact.
@@ -160,6 +161,31 @@ type solverBenchJSON struct {
 	// than stagedSolveAllocBudget objects or its crossings differ from the
 	// benchmark's placement.crossings.
 	StagedSolve stagedSolveJSON `json:"staged_solve"`
+
+	// CalibrateServe is one whole set-up (NewSystem + CalibrateServe:
+	// profiling, staged solve, drift threshold and the six timing-only
+	// calibration engine runs) at the same shape, benchSetup. The generator
+	// fails if it allocates more than calibrateServeAllocBudget objects.
+	CalibrateServe calibrateServeJSON `json:"calibrate_serve"`
+}
+
+// calibrateServeAllocBudget bounds the heap objects one benchSetup
+// allocates. A set-up that routed every profiled token layer by layer,
+// allocated every dispatched job on its own and grouped each layer's
+// combine through a map allocated 339,243; with whole-path profiling and
+// per-layer slabs it allocates about 74,000. The budget sits between.
+const calibrateServeAllocBudget = 120000
+
+type calibrateServeJSON struct {
+	Layers         int     `json:"layers"`
+	Experts        int     `json:"experts"`
+	GPUs           int     `json:"gpus"`
+	Nodes          int     `json:"nodes"`
+	SystemSeed     int     `json:"system_seed"`
+	WallMS         float64 `json:"wall_ms"`
+	AllocsPerSetup uint64  `json:"allocs_per_setup"`
+	BytesPerSetup  uint64  `json:"bytes_per_setup"`
+	AllocBudget    int     `json:"alloc_budget"`
 }
 
 type stagedSolveJSON struct {
@@ -212,21 +238,33 @@ func TestGenerateSolverBench(t *testing.T) {
 	out.Scale.Density = float64(idx.NNZ()) / float64((cfg.Layers-1)*cfg.Experts*cfg.Experts)
 	out.Scale.CPUs = runtime.NumCPU()
 
-	// timeBest returns the best-of-3 wall-clock of f (after one warmup) and
-	// f's last result — best-of-n damps scheduler noise without needing the
-	// full benchmark harness.
-	timeBest := func(f func() *placement.Placement) (float64, *placement.Placement) {
-		var pl *placement.Placement
+	// bestMS returns the best-of-3 wall-clock of f in milliseconds, after
+	// one warmup — best-of-n damps scheduler noise without needing the full
+	// benchmark harness. timeBest also returns a solve's last placement.
+	bestMS := func(f func()) float64 {
 		f() // warmup
 		best := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {
 			t0 := time.Now()
-			pl = f()
+			f()
 			if d := time.Since(t0); d < best {
 				best = d
 			}
 		}
-		return float64(best.Nanoseconds()) / 1e6, pl
+		return float64(best.Nanoseconds()) / 1e6
+	}
+	timeBest := func(f func() *placement.Placement) (float64, *placement.Placement) {
+		var pl *placement.Placement
+		ms := bestMS(func() { pl = f() })
+		return ms, pl
+	}
+	// allocated returns the heap objects and bytes one call of f allocates.
+	allocated := func(f func()) (objects, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 
 	compare := func(mem *placement.MemoryObjective) solverCompareJSON {
@@ -267,13 +305,15 @@ func TestGenerateSolverBench(t *testing.T) {
 	st.AllocBudget = stagedSolveAllocBudget
 	var stagedPl *placement.Placement
 	st.WallMS, stagedPl = timeBest(stagedSolve)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	stagedSolve()
-	runtime.ReadMemStats(&after)
-	st.AllocsPerSolve = after.Mallocs - before.Mallocs
-	st.BytesPerSolve = after.TotalAlloc - before.TotalAlloc
+	st.AllocsPerSolve, st.BytesPerSolve = allocated(func() { stagedSolve() })
 	st.Crossings = stagedPl.Crossings(stagedCounts)
+
+	cs := &out.CalibrateServe
+	cs.Layers, cs.Experts = st.Layers, st.Experts
+	cs.GPUs, cs.Nodes, cs.SystemSeed = st.GPUs, st.Nodes, st.SystemSeed
+	cs.AllocBudget = calibrateServeAllocBudget
+	cs.WallMS = bestMS(func() { benchSetup(t) })
+	cs.AllocsPerSetup, cs.BytesPerSetup = allocated(func() { benchSetup(t) })
 
 	// The acceptance gates: the sparse path must be a pure speedup.
 	if !out.MemoryAwareAnneal.BitIdentical || !out.CrossingOnlyAnneal.BitIdentical {
@@ -297,6 +337,10 @@ func TestGenerateSolverBench(t *testing.T) {
 	if st.Crossings != stagedSolveCrossings {
 		t.Fatalf("staged solve crossings %v, want %v", st.Crossings, stagedSolveCrossings)
 	}
+	// So must the whole set-up.
+	if cs.AllocsPerSetup > calibrateServeAllocBudget {
+		t.Fatalf("set-up allocated %d objects, over its budget of %d", cs.AllocsPerSetup, calibrateServeAllocBudget)
+	}
 
 	blob, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -310,5 +354,6 @@ func TestGenerateSolverBench(t *testing.T) {
 		out.MemoryAwareAnneal.Speedup, out.MemoryAwareAnneal.BitIdentical)
 	t.Logf("staged solve: %.1fms, %d allocs, %d bytes, crossings %v",
 		st.WallMS, st.AllocsPerSolve, st.BytesPerSolve, st.Crossings)
+	t.Logf("set-up: %.1fms, %d allocs, %d bytes", cs.WallMS, cs.AllocsPerSetup, cs.BytesPerSetup)
 	t.Log("wrote BENCH_solver.json")
 }
