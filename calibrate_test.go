@@ -106,17 +106,20 @@ func TestEngineOutputsGoldenDigest(t *testing.T) {
 // allocates at the calibSystem shape. On amd64 a set-up that runs the
 // forward math allocates 37.5 MB there, a timing-only one 14.6 MB, one
 // whose staged solve reuses its flow workspace and best placement 6.0 MB,
-// and one that profiles whole paths per call and keeps the engine's jobs
-// and chunks in per-layer slabs 2.8 MB; the budget sits between the last
-// two.
-const setupAllocBudget = 5 << 20
+// one that profiles whole paths per call and keeps the engine's jobs and
+// chunks in per-layer slabs 2.8 MB, and one whose flat collectives are
+// lockstep exchanges and whose top-1 weight is shared 2.3 MB; the budget
+// sits between the last two.
+const setupAllocBudget = 5 << 19
 
 // setupAllocCountBudget bounds the heap objects the same set-up allocates:
 // 121,194 when every dispatched job, every per-layer combine map and every
-// routed token's expert slice was its own allocation, about 19,500 since
-// they share slabs. The budget sits between, so a reintroduced per-job
-// allocation or per-layer map fails loudly.
-const setupAllocCountBudget = 50000
+// routed token's expert slice was its own allocation, about 19,500 when
+// they shared slabs but every collective boxed each chunk into a message
+// and every top-1 route allocated its weight, and about 8,000 since neither
+// does. The budget sits between the last two, so a reintroduced per-message
+// box, per-token weight, per-job allocation or per-layer map fails loudly.
+const setupAllocCountBudget = 12000
 
 // TestSetupAllocBudget gates set-up's allocation volume and count.
 // Calibration reads only simulated seconds and dispatch counts from its

@@ -1,8 +1,8 @@
 // Package cluster implements the simulated distributed runtime the ExFlow
 // engine executes on: every simulated GPU ("rank") is a goroutine, ranks
-// exchange real data over per-pair channels, and each rank carries a
-// deterministic simulated clock advanced by an alpha-beta network cost model
-// (from package topo) and by modeled compute costs.
+// exchange real data, and each rank carries a deterministic simulated clock
+// advanced by an alpha-beta network cost model (from package topo) and by
+// modeled compute costs.
 //
 // The design follows the LogP tradition: a send charges the sender the full
 // transfer time, the message is stamped with the sender's clock at
@@ -10,6 +10,15 @@
 // Synchronizing operations (Barrier, and the collectives built in package
 // collective) therefore propagate the critical path exactly the way a real
 // bulk-synchronous MoE inference step does.
+//
+// Ranks move data in two ways. Barrier and the flat collectives (package
+// collective's Alltoall and Allgather) each run as one lockstep exchange
+// (Rank.Exchange): every rank deposits its clock and its tables, the last
+// rank to arrive delivers the data and computes every message stamp of the
+// schedule, and each rank then replays its own sends and receives on its
+// clock. Point-to-point Send and Recv go through per-pair mailboxes, which
+// serve only the rooted and hierarchical collectives and are built when the
+// first of them runs.
 package cluster
 
 import (
@@ -27,23 +36,29 @@ type message struct {
 	poison  bool    // set when a peer rank panicked; Recv re-panics
 }
 
-// mailboxDepth bounds the per-(src,dst) channel. The collectives run in
-// lockstep (every rank issues the same sequence, and each send to a peer is
-// matched by that peer's receive in the same collective), so at most 2
-// messages are outstanding per pair: one from the current collective and one
-// from a sender already in the next. A sender further ahead only blocks
-// until the receiver catches up, which it does in order, so a full mailbox
-// is back-pressure, never a deadlock. Each slot holds a pointer the GC must
-// zero and scan, and a 16-GPU cluster has 256 mailboxes, so the depth stays
-// small.
+// mailboxDepth bounds the per-(src,dst) channel. The point-to-point
+// collectives run in lockstep (every rank issues the same sequence, and
+// each send to a peer is matched by that peer's receive in the same
+// collective), so at most 2 messages are outstanding per pair: one from the
+// current collective and one from a sender already in the next. A sender
+// further ahead only blocks until the receiver catches up, which it does in
+// order, so a full mailbox is back-pressure, never a deadlock. Each slot
+// holds a pointer the GC must zero and scan, and a 16-GPU cluster has 256
+// mailboxes, so the depth stays small.
 const mailboxDepth = 16
 
-// Cluster owns the topology, the mailboxes, and the shared barrier.
+// abortedByPeer marks the panics a poisoned cluster raises in ranks that
+// were blocked when a peer panicked; Run reports the root cause instead.
+const abortedByPeer = "aborted by a peer rank panic"
+
+// Cluster owns the topology, the lockstep exchange and the mailboxes.
 type Cluster struct {
-	Topo  *topo.Topology
-	n     int
-	boxes [][]chan message // boxes[src][dst]
-	bar   *timeBarrier
+	Topo *topo.Topology
+	n    int
+	ex   exchange
+
+	boxOnce sync.Once
+	boxes   [][]chan message // boxes[src][dst]; see mailboxes
 }
 
 // New creates a cluster with one rank per GPU in the topology.
@@ -52,14 +67,24 @@ func New(t *topo.Topology) *Cluster {
 		panic(err)
 	}
 	n := t.TotalGPUs()
-	boxes := make([][]chan message, n)
-	for s := range boxes {
-		boxes[s] = make([]chan message, n)
-		for d := range boxes[s] {
-			boxes[s][d] = make(chan message, mailboxDepth)
+	c := &Cluster{Topo: t, n: n}
+	c.ex.init(n)
+	return c
+}
+
+// mailboxes returns the per-pair channels, building them on first use: a
+// run whose collectives are all lockstep exchanges never pays for them.
+func (c *Cluster) mailboxes() [][]chan message {
+	c.boxOnce.Do(func() {
+		c.boxes = make([][]chan message, c.n)
+		for s := range c.boxes {
+			c.boxes[s] = make([]chan message, c.n)
+			for d := range c.boxes[s] {
+				c.boxes[s][d] = make(chan message, mailboxDepth)
+			}
 		}
-	}
-	return &Cluster{Topo: t, n: n, boxes: boxes, bar: newTimeBarrier(n)}
+	})
+	return c.boxes
 }
 
 // Size returns the number of ranks.
@@ -76,6 +101,9 @@ type Rank struct {
 	// rank charges a handful of categories, so Advance finds one by a short
 	// linear scan instead of hashing its name into a map.
 	categories []categoryTotal
+	// scratch holds the rank's collective state, one value per type (see
+	// Scratch).
+	scratch []any
 }
 
 // categoryTotal is one accounting category's running total.
@@ -121,6 +149,22 @@ func (r *Rank) Breakdown() map[string]float64 {
 	return out
 }
 
+// Scratch returns the rank's reusable value of type S, zero on first use. A
+// collective built on Exchange keeps its per-rank tables there, one value
+// per type, so repeating the collective allocates nothing. The value is the
+// rank's own: only the round's last arriver touches it from another
+// goroutine, inside Exchange, while the rank waits there.
+func Scratch[S any](r *Rank) *S {
+	for _, v := range r.scratch {
+		if s, ok := v.(*S); ok {
+			return s
+		}
+	}
+	s := new(S)
+	r.scratch = append(r.scratch, s)
+	return s
+}
+
 // Send transfers data to rank dst, charging the sender the modeled transfer
 // time for bytes payload bytes under the given accounting category. The data
 // value itself is passed by reference; callers must not mutate shared
@@ -131,7 +175,7 @@ func (r *Rank) Send(dst int, data any, bytes int, category string) {
 	}
 	cost := r.Cluster.Topo.TransferTime(r.ID, dst, bytes)
 	r.Advance(category, cost)
-	r.Cluster.boxes[r.ID][dst] <- message{data: data, arrival: r.clock}
+	r.Cluster.mailboxes()[r.ID][dst] <- message{data: data, arrival: r.clock}
 }
 
 // Recv blocks until a message from src arrives and returns its payload,
@@ -140,9 +184,9 @@ func (r *Rank) Recv(src int) any {
 	if src == r.ID {
 		panic("cluster: self-recv")
 	}
-	m := <-r.Cluster.boxes[src][r.ID]
+	m := <-r.Cluster.mailboxes()[src][r.ID]
 	if m.poison {
-		panic("cluster: recv aborted by a peer rank panic")
+		panic("cluster: recv " + abortedByPeer)
 	}
 	r.advanceTo(m.arrival)
 	return m.data
@@ -157,8 +201,72 @@ func (r *Rank) LocalCopy(bytes int, category string) {
 // advanced to the maximum clock over all participants (the defining property
 // of a synchronizing collective).
 func (r *Rank) Barrier() {
-	t := r.Cluster.bar.wait(r.clock)
-	r.advanceTo(t)
+	b := r.Cluster.ex.round(r.ID, r.clock, nil, func(b *board) {
+		b.max = 0
+		for i, t := range b.clock {
+			if b.payload[i] != nil {
+				panic("cluster: ranks disagree on the collective: a Barrier met an Exchange")
+			}
+			if t > b.max {
+				b.max = t
+			}
+		}
+	})
+	r.advanceTo(b.max)
+}
+
+// Pattern is the peer order of a lockstep collective's P-1 steps.
+type Pattern int
+
+const (
+	// Pairwise sends to rank r+s and receives from rank r-s (mod P) at step
+	// s: the Alltoall schedule.
+	Pairwise Pattern = iota
+	// Ring sends to rank r+1 and receives from rank r-1 (mod P) at every
+	// step: the Allgather schedule.
+	Ring
+)
+
+// peers returns whom rank r of p sends to and receives from at step s.
+func (pt Pattern) peers(r, s, p int) (dst, src int) {
+	if pt == Ring {
+		s = 1
+	}
+	return (r + s) % p, (r - s + p) % p
+}
+
+// Exchange runs one collective as a single lockstep round and charges this
+// rank its part of the pattern's P-1-step schedule, exactly as if each step
+// were a Send to the step's destination followed by a Recv from its source.
+// Every rank calls it with the same pattern and a non-nil payload of the
+// same type.
+//
+// The last rank to arrive calls its deliver once, holding the round's lock,
+// with every rank's payload in rank order. deliver moves the data between
+// the payloads and sets bytes[r][s], the wire size rank r sends at step s,
+// for every rank r and step 1 <= s < P. It copies everything a receiver
+// needs while every rank is still inside Exchange, so a rank may refill its
+// tables as soon as Exchange returns. Since it runs under the lock, deliver
+// must not block or call back into the cluster.
+func (r *Rank) Exchange(pattern Pattern, category string, payload any, deliver func(payloads []any, bytes [][]int)) {
+	if payload == nil {
+		panic("cluster: Exchange needs a payload")
+	}
+	c := r.Cluster
+	b := c.ex.round(r.ID, r.clock, payload, func(b *board) {
+		for _, x := range b.payload {
+			if x == nil {
+				panic("cluster: ranks disagree on the collective: an Exchange met a Barrier")
+			}
+		}
+		deliver(b.payload, b.bytes)
+		c.ex.schedule(c.Topo, pattern, b)
+	})
+	cost, arrive := b.cost[r.ID], b.arrive[r.ID]
+	for s := 1; s < c.n; s++ {
+		r.Advance(category, cost[s])
+		r.advanceTo(arrive[s])
+	}
 }
 
 // Node returns the node index hosting this rank.
@@ -179,7 +287,7 @@ func (c *Cluster) Run(fn func(r *Rank)) []*Rank {
 			defer func() {
 				if p := recover(); p != nil {
 					*slot = p
-					// Release peers stuck in the barrier or in Recv so Run
+					// Release peers stuck in an exchange or in Recv so Run
 					// can return and re-raise the original panic.
 					c.poison()
 				}
@@ -195,7 +303,7 @@ func (c *Cluster) Run(fn func(r *Rank)) []*Rank {
 		if p == nil {
 			continue
 		}
-		if s, ok := p.(string); ok && strings.Contains(s, "aborted by a peer rank panic") {
+		if s, ok := p.(string); ok && strings.Contains(s, abortedByPeer) {
 			if abortIdx == -1 {
 				abortIdx = i
 			}
@@ -209,16 +317,17 @@ func (c *Cluster) Run(fn func(r *Rank)) []*Rank {
 	return ranks
 }
 
-// poison tears the cluster down after a rank panic: it releases barrier
+// poison tears the cluster down after a rank panic: it releases exchange
 // waiters and floods every mailbox with poison sentinels so blocked Recv
 // calls wake up and re-panic. Sends are non-blocking — a full mailbox means
 // the receiver has plenty to read before it could block again on this pair.
 func (c *Cluster) poison() {
-	c.bar.poison()
-	for src := range c.boxes {
-		for dst := range c.boxes[src] {
+	c.ex.poison()
+	boxes := c.mailboxes()
+	for src := range boxes {
+		for dst := range boxes[src] {
 			select {
-			case c.boxes[src][dst] <- message{poison: true}:
+			case boxes[src][dst] <- message{poison: true}:
 			default:
 			}
 		}
@@ -252,60 +361,122 @@ func MergedBreakdown(ranks []*Rank) map[string]float64 {
 	return out
 }
 
-// timeBarrier is a reusable barrier that additionally computes the max of
-// the participants' clocks per generation.
-type timeBarrier struct {
+// exchange is the lockstep rendezvous behind Barrier and Exchange. Each
+// round is one generation, and its deposits and results live on the board
+// of the generation's parity. A rank reads its results after the round
+// releases it, outside the lock, and no rank can deposit into that board
+// again before every rank has joined the next round, the one that uses the
+// other board; so a rank can never be two rounds ahead of the slowest
+// reader.
+type exchange struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond
 	n        int
 	arrived  int
-	gen      int
-	maxTime  float64
-	result   float64
+	gen      uint64
 	poisoned bool
+	boards   [2]board
+	// sent and cur are the last arriver's scratch for schedule.
+	sent, cur []float64
 }
 
-func newTimeBarrier(n int) *timeBarrier {
-	b := &timeBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
+// board holds one round's deposits and results.
+type board struct {
+	clock   []float64   // clock[r]: rank r's clock when it arrived
+	payload []any       // payload[r]: rank r's deposit, nil for a Barrier
+	bytes   [][]int     // bytes[r][s]: the wire size rank r sends at step s
+	cost    [][]float64 // cost[r][s]: rank r's transfer time at step s
+	arrive  [][]float64 // arrive[r][s]: the stamp of what rank r receives at step s
+	max     float64     // a Barrier's result: the largest arrival clock
+}
+
+func (ex *exchange) init(n int) {
+	ex.n = n
+	ex.cond.L = &ex.mu
+	for i := range ex.boards {
+		ex.boards[i] = board{
+			clock:   make([]float64, n),
+			payload: make([]any, n),
+			bytes:   square[int](n),
+			cost:    square[float64](n),
+			arrive:  square[float64](n),
+		}
+	}
+	ex.sent = make([]float64, n)
+	ex.cur = make([]float64, n)
+}
+
+// square returns an n x n matrix whose rows share one backing array.
+func square[T any](n int) [][]T {
+	cells := make([]T, n*n)
+	rows := make([][]T, n)
+	for i := range rows {
+		rows[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
+}
+
+// round deposits one rank's clock and payload and blocks until every rank
+// has deposited; the last to arrive runs complete on the round's board
+// while holding the lock, then releases the others. It returns the board,
+// which the rank may read until it joins the next round.
+func (ex *exchange) round(id int, clock float64, payload any, complete func(*board)) *board {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.poisoned {
+		panic("cluster: collective " + abortedByPeer)
+	}
+	gen := ex.gen
+	b := &ex.boards[gen&1]
+	b.clock[id] = clock
+	b.payload[id] = payload
+	if ex.arrived++; ex.arrived < ex.n {
+		for gen == ex.gen && !ex.poisoned {
+			ex.cond.Wait()
+		}
+		if gen == ex.gen {
+			panic("cluster: collective " + abortedByPeer)
+		}
+		return b
+	}
+	complete(b)
+	ex.arrived = 0
+	ex.gen++
+	ex.cond.Broadcast()
 	return b
 }
 
-// wait blocks until n participants have called it, then releases everyone
-// with the maximum submitted time. It is reusable across generations.
-func (b *timeBarrier) wait(t float64) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned {
-		panic("cluster: barrier poisoned by a peer rank panic")
+// schedule runs every rank's schedule from the deposited clocks, one step
+// at a time: each rank's send advances its clock by the transfer time and
+// stamps its message with the result, and each rank then advances to the
+// stamp of the message it receives. These are the same additions and
+// comparisons each rank's Advance and advanceTo make when it replays its
+// row, so the stamps are bit for bit the ones per-pair messages carried.
+func (ex *exchange) schedule(t *topo.Topology, pattern Pattern, b *board) {
+	p := ex.n
+	copy(ex.cur, b.clock)
+	for s := 1; s < p; s++ {
+		for r := 0; r < p; r++ {
+			dst, _ := pattern.peers(r, s, p)
+			b.cost[r][s] = t.TransferTime(r, dst, b.bytes[r][s])
+			ex.sent[r] = ex.cur[r] + b.cost[r][s]
+		}
+		for r := 0; r < p; r++ {
+			_, src := pattern.peers(r, s, p)
+			b.arrive[r][s] = ex.sent[src]
+			ex.cur[r] = ex.sent[r]
+			if ex.sent[src] > ex.cur[r] {
+				ex.cur[r] = ex.sent[src]
+			}
+		}
 	}
-	gen := b.gen
-	if t > b.maxTime {
-		b.maxTime = t
-	}
-	b.arrived++
-	if b.arrived == b.n {
-		b.result = b.maxTime
-		b.arrived = 0
-		b.maxTime = 0
-		b.gen++
-		b.cond.Broadcast()
-		return b.result
-	}
-	for gen == b.gen && !b.poisoned {
-		b.cond.Wait()
-	}
-	if b.poisoned {
-		panic("cluster: barrier poisoned by a peer rank panic")
-	}
-	return b.result
 }
 
 // poison permanently releases all current and future waiters with a panic,
-// used to tear down the barrier when some rank has already panicked.
-func (b *timeBarrier) poison() {
-	b.mu.Lock()
-	b.poisoned = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
+// used to tear down the exchange when some rank has already panicked.
+func (ex *exchange) poison() {
+	ex.mu.Lock()
+	ex.poisoned = true
+	ex.cond.Broadcast()
+	ex.mu.Unlock()
 }

@@ -11,7 +11,9 @@ import (
 
 // TestLaggingRankDoesNotDeadlock runs far more collectives than a mailbox
 // holds while rank 0 lags: its peers push Gathers into full mailboxes and
-// must wait on back-pressure, never deadlock. The lag is host time only, so
+// must wait on back-pressure, never deadlock. Gather is what exercises the
+// back-pressure: the interleaved Alltoalls are lockstep exchanges, which
+// hold every rank until the slowest arrives. The lag is host time only, so
 // the simulated clocks must match a run without it.
 func TestLaggingRankDoesNotDeadlock(t *testing.T) {
 	rounds := 4*cluster.MailboxDepth + 1

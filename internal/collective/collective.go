@@ -13,6 +13,12 @@
 //
 // These are the algorithms NCCL uses at the message sizes MoE inference
 // produces, so the simulated time has the right shape in both P and bytes.
+//
+// Alltoall and Allgather run as one lockstep exchange each
+// (cluster.Rank.Exchange): the last rank to arrive copies every chunk header
+// into its receivers' tables and computes the schedule's message stamps, and
+// every rank replays its own steps on its clock. The rest send point to
+// point.
 package collective
 
 import (
@@ -21,55 +27,103 @@ import (
 	"repro/internal/cluster"
 )
 
+// pairwise is one rank's Alltoall state, kept across calls in the rank's
+// cluster.Scratch.
+type pairwise[T any] struct {
+	send  [][]T          // the caller's table, for the round in progress
+	recv  [][]T          // the rank's receive table, returned to the caller
+	peers []*pairwise[T] // every rank's state, when this rank arrives last
+}
+
 // Alltoall performs a personalized all-to-all exchange: send[d] is delivered
 // to rank d, and the returned recv[s] holds the chunk rank s addressed to
 // this rank. Chunks may have different lengths (MoE token dispatch is
 // irregular). elemBytes is the wire size of one T. The simulated time charged
 // reflects the pairwise-exchange schedule; chunks addressed to the local rank
 // are charged as a local copy.
+//
+// Every chunk header is copied before Alltoall returns, so the caller may
+// refill send at once. The returned table is the rank's own and is
+// overwritten by its next Alltoall of the same element type.
 func Alltoall[T any](r *cluster.Rank, send [][]T, elemBytes int, category string) [][]T {
 	p := r.Cluster.Size()
 	if len(send) != p {
 		panic(fmt.Sprintf("collective: Alltoall needs %d chunks, got %d", p, len(send)))
 	}
-	recv := make([][]T, p)
-	// Local chunk: an on-GPU copy, not a network transfer.
-	recv[r.ID] = send[r.ID]
-	r.LocalCopy(len(send[r.ID])*elemBytes, category)
-	for step := 1; step < p; step++ {
-		dst := (r.ID + step) % p
-		src := (r.ID - step + p) % p
-		r.Send(dst, send[dst], len(send[dst])*elemBytes, category)
-		recv[src] = r.Recv(src).([]T)
+	st := cluster.Scratch[pairwise[T]](r)
+	if st.recv == nil {
+		st.recv = make([][]T, p)
+		st.peers = make([]*pairwise[T], p)
 	}
-	return recv
+	st.send = send
+	// Local chunk: an on-GPU copy, not a network transfer.
+	r.LocalCopy(len(send[r.ID])*elemBytes, category)
+	r.Exchange(cluster.Pairwise, category, st, func(payloads []any, bytes [][]int) {
+		peers := st.peers
+		for i, x := range payloads {
+			peers[i] = deposit[pairwise[T]](x)
+		}
+		for src, from := range peers {
+			for dst, chunk := range from.send {
+				peers[dst].recv[src] = chunk
+			}
+			for step := 1; step < p; step++ {
+				bytes[src][step] = len(from.send[(src+step)%p]) * elemBytes
+			}
+		}
+	})
+	st.send = nil
+	return st.recv
+}
+
+// ring is one rank's Allgather state, kept across calls in the rank's
+// cluster.Scratch.
+type ring[T any] struct {
+	mine  []T        // the caller's chunk, for the round in progress
+	out   [][]T      // the rank's gathered table, returned to the caller
+	peers []*ring[T] // every rank's state, when this rank arrives last
 }
 
 // Allgather collects each rank's chunk onto every rank using a ring. The
 // result slice is indexed by source rank and is identical (element-wise) on
-// all ranks.
+// all ranks. The returned table is the rank's own and is overwritten by its
+// next Allgather of the same element type.
 func Allgather[T any](r *cluster.Rank, mine []T, elemBytes int, category string) [][]T {
 	p := r.Cluster.Size()
-	out := make([][]T, p)
-	out[r.ID] = mine
-	next := (r.ID + 1) % p
-	prev := (r.ID - 1 + p) % p
-	carry := mine
-	carryOwner := r.ID
-	for step := 1; step < p; step++ {
-		r.Send(next, ringPacket[T]{owner: carryOwner, data: carry}, len(carry)*elemBytes, category)
-		pkt := r.Recv(prev).(ringPacket[T])
-		out[pkt.owner] = pkt.data
-		carry = pkt.data
-		carryOwner = pkt.owner
+	st := cluster.Scratch[ring[T]](r)
+	if st.out == nil {
+		st.out = make([][]T, p)
+		st.peers = make([]*ring[T], p)
 	}
-	return out
+	st.mine = mine
+	r.Exchange(cluster.Ring, category, st, func(payloads []any, bytes [][]int) {
+		peers := st.peers
+		for i, x := range payloads {
+			peers[i] = deposit[ring[T]](x)
+		}
+		for src, from := range peers {
+			for _, to := range peers {
+				to.out[src] = from.mine
+			}
+			// At step s a rank forwards the chunk it received at step s-1,
+			// which rank src-s+1 owns.
+			for step := 1; step < p; step++ {
+				bytes[src][step] = len(peers[(src-step+1+p)%p].mine) * elemBytes
+			}
+		}
+	})
+	st.mine = nil
+	return st.out
 }
 
-// ringPacket carries a chunk plus its originating rank around the ring.
-type ringPacket[T any] struct {
-	owner int
-	data  []T
+// deposit returns an exchange payload as the collective state S, panicking
+// when the ranks called different collectives.
+func deposit[S any](x any) *S {
+	s, ok := x.(*S)
+	if !ok {
+		panic(fmt.Sprintf("collective: ranks disagree on the collective: %T met %T", x, s))
+	}
+	return s
 }
 
 // AllReduceSum sums float64 vectors of equal length across all ranks; every

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
 	"repro/internal/topo"
 )
 
@@ -245,16 +246,32 @@ func TestAlltoallTimeScalesWithClusterSize(t *testing.T) {
 	}
 }
 
+// BenchmarkAlltoall16GPU times back-to-back engine-sized Alltoalls on one
+// 16-GPU cluster: each rank sends zero to three tokens to every peer,
+// cycling through eight irregular tables built up front. One op is one
+// collective on every rank.
 func BenchmarkAlltoall16GPU(b *testing.B) {
-	tp := topo.ForGPUs(16)
-	p := tp.TotalGPUs()
-	for i := 0; i < b.N; i++ {
-		run(tp, func(r *cluster.Rank) {
-			send := make([][]byte, p)
-			for d := range send {
-				send[d] = make([]byte, 4096)
+	c := cluster.New(topo.ForGPUs(16))
+	p := c.Size()
+	tables := make([][][][]int, p) // tables[rank][variant][dst]
+	for r := range tables {
+		g := rng.New(rng.Mix64(16, uint64(r)))
+		tables[r] = make([][][]int, 8)
+		for v := range tables[r] {
+			tables[r][v] = make([][]int, p)
+			for d := range tables[r][v] {
+				if n := g.Intn(4); n > 0 {
+					tables[r][v][d] = make([]int, n)
+				}
 			}
-			Alltoall(r, send, 1, "a2a")
-		})
+		}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.Run(func(r *cluster.Rank) {
+		mine := tables[r.ID]
+		for i := 0; i < b.N; i++ {
+			Alltoall(r, mine[i%len(mine)], 4096, "alltoall")
+		}
+	})
 }

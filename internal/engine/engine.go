@@ -381,11 +381,13 @@ func runRank(rk *cluster.Rank, cfg *Config, reqs []*request, m *rankMetrics, mem
 	iterations := cfg.Metrics.Counter("engine_iterations_total")
 
 	// Chunk tables and per-destination job counts, reused across layers.
-	// No peer ever reads these: a collective copies each chunk's header
-	// into its message. The chunks' backing buffers and the jobs they
-	// point at do cross ranks, and a peer may still read them after this
-	// rank has moved a collective ahead, so those are allocated fresh for
-	// every collective (see carve).
+	// No peer reads these once a collective returns: the flat Alltoall's
+	// last arriver copies every chunk header into its receiver's table
+	// while all ranks are still inside the call, and the hierarchical
+	// schedule copies the headers into its messages. The chunks' backing
+	// buffers and the jobs they point at do cross ranks, and a peer may
+	// still read them after this rank has moved a collective ahead, so
+	// those are allocated fresh for every collective (see carve).
 	send := make([][]*expertJob, gpus)
 	back := make([][]*expertJob, gpus)
 	counts := make([]int, gpus)
@@ -633,8 +635,7 @@ func distinctExperts(jobs []*expertJob) []int {
 // counts[d] jobs, of one buffer allocated fresh for the collective that
 // will carry the chunks. Appending each destination's jobs in order then
 // fills its chunk without growing it, and no append can reach a
-// neighbouring chunk. A destination with no jobs gets a nil chunk, which a
-// send boxes without allocating.
+// neighbouring chunk. A destination with no jobs gets a nil chunk.
 func carve(chunks [][]*expertJob, counts []int) {
 	total := 0
 	for _, n := range counts {

@@ -173,6 +173,23 @@ func TestTop1WeightIsUnity(t *testing.T) {
 	}
 }
 
+// TestRunLeavesSharedUnitWeight runs the engine, in every mode and with
+// the full math, on a top-1 kernel router whose weight every token shares,
+// and checks the run never wrote to it: it is still exactly 1, one entry
+// wide with no room to append, and the same slice for every token.
+func TestRunLeavesSharedUnitWeight(t *testing.T) {
+	for _, mode := range []Mode{Vanilla, ContextCoherent, ExFlow} {
+		cfg := testSetup(t, mode, 8, mode == ExFlow)
+		Run(cfg)
+		_, w := moe.RouteWeights(cfg.Router, 0, 7, -1, nil)
+		_, again := moe.RouteWeights(cfg.Router, 2, 8, 3, nil)
+		if len(w) != 1 || cap(w) != 1 || w[0] != 1 || &w[0] != &again[0] {
+			t.Fatalf("%v: top-1 weight after a run is %v (len %d, cap %d, shared %t), want the shared [1]",
+				mode, w, len(w), cap(w), &w[0] == &again[0])
+		}
+	}
+}
+
 func TestTop2WeightsNormalizedAndOrdered(t *testing.T) {
 	kernel := synth.NewKernel(synth.KernelParams{Seed: 4, Layers: 3, Experts: 8, Strength: 0.7})
 	router := synth.NewKernelRouter(kernel, synth.Pile(), 2)

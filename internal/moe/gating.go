@@ -26,8 +26,11 @@ type Router interface {
 
 // WeightedRouter is implemented by routers that also expose combine weights
 // for top-k gating: RouteWeighted returns the selected experts (primary
-// first) and their normalized mixture weights. Routers that do not
-// implement it are combined with RouteWeights' fallback.
+// first) and their normalized mixture weights. Both slices are read-only,
+// like Route's experts: an implementation may return a shared table (a
+// top-1 weight is always exactly 1), so callers must never write to them.
+// Routers that do not implement it are combined with RouteWeights'
+// fallback.
 type WeightedRouter interface {
 	Router
 	RouteWeighted(layer int, tokenID uint64, prev int, h []float32) ([]int, []float64)

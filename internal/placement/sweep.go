@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"slices"
+
 	"repro/internal/assign"
 )
 
@@ -19,7 +21,8 @@ type LayerSweepOptions struct {
 // balanced-transportation problem (each expert's cost of living on GPU g is
 // the transition weight it would *fail* to keep local), solved by min-cost
 // max-flow. Sweeps alternate forward and backward until the objective stops
-// improving.
+// improving; a layer whose neighbors have not changed since its last solve
+// is skipped, since re-solving it would rewrite the same row (sweepLayers).
 //
 // Each single-layer step is optimal, so the objective is monotonically
 // non-increasing and the procedure converges; the final result is a strong
@@ -37,16 +40,9 @@ func LayerSweep(counts [][][]float64, layers, experts, gpus int, opts LayerSweep
 	} else {
 		p = Contiguous(layers, experts, gpus)
 	}
-	caps := balancedCaps(experts, gpus)
-	// One flow workspace and one benefit matrix serve every layer of the
-	// sweep; each layer's assignment is written straight into p.
-	var solver assign.Solver
-	benefit, cells := newBenefit(experts, gpus)
-
-	resolveLayer := func(j int) {
+	fill := func(j int, benefit [][]float64) {
 		// benefit[e][g]: transition weight kept local if expert e of layer j
 		// sits on GPU g, given the fixed neighbor layers.
-		clear(cells)
 		if j > 0 {
 			for from := 0; from < experts; from++ {
 				g := p.Assign[j-1][from]
@@ -66,37 +62,75 @@ func LayerSweep(counts [][][]float64, layers, experts, gpus int, opts LayerSweep
 				}
 			}
 		}
+	}
+	sweepLayers(p, maxSweeps, func() float64 { return p.Crossings(counts) }, fill)
+	return p
+}
+
+// sweepLayers is the coordinate descent LayerSweep and WeightedSweep share:
+// forward then backward passes over p's layers until objective stops
+// improving or maxSweeps passes have run. A visit to layer j zeroes the
+// benefit matrix, lets fill add the weight each expert of layer j keeps
+// local on each GPU given rows j-1 and j+1 of p.Assign, and writes the
+// balanced assignment that maximizes it into row j, with one flow
+// workspace and one benefit matrix for the whole sweep.
+//
+// fill reads only the neighbouring rows and inputs that never change during
+// the sweep, and the flow solver is a pure function of its inputs
+// (assign.Solver). So a visit whose layer was solved after both neighbours
+// last changed would rewrite the same row, and is skipped. The first pass
+// solves every layer, and a layer counts as changed only when its solve
+// rewrote its row with different values. Every pass therefore ends in the
+// placement a sweep without skips reaches, and the convergence test reads
+// the same objectives.
+func sweepLayers(p *Placement, maxSweeps int, objective func() float64, fill func(j int, benefit [][]float64)) {
+	layers, experts, gpus := p.Layers, p.Experts, p.GPUs
+	var solver assign.Solver
+	benefit, cells := newBenefit(experts, gpus)
+	// caps holds each GPU's experts/gpus capacity. solvedAt[j] and
+	// changedAt[j] are the visit numbers (from 1) of layer j's last solve
+	// and of the last solve that changed its row, and old holds the row a
+	// solve is about to replace.
+	ints := make([]int, gpus+2*layers+experts)
+	caps, ints := ints[:gpus], ints[gpus:]
+	solvedAt, changedAt, old := ints[:layers], ints[layers:2*layers], ints[2*layers:]
+	for g := range caps {
+		caps[g] = experts / gpus
+	}
+	visit := 0
+	step := func(j int) {
+		visit++
+		if solvedAt[j] > 0 &&
+			(j == 0 || changedAt[j-1] < solvedAt[j]) &&
+			(j == layers-1 || changedAt[j+1] < solvedAt[j]) {
+			return
+		}
+		copy(old, p.Assign[j])
+		clear(cells)
+		fill(j, benefit)
 		if _, err := solver.MaximizeBalanced(p.Assign[j], benefit, caps); err != nil {
 			// Capacities always suffice by construction; this is a bug trap.
 			panic(err)
 		}
+		solvedAt[j] = visit
+		if !slices.Equal(old, p.Assign[j]) {
+			changedAt[j] = visit
+		}
 	}
-
-	prev := p.Crossings(counts)
+	prev := objective()
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		for j := 0; j < layers; j++ {
-			resolveLayer(j)
+			step(j)
 		}
 		for j := layers - 1; j >= 0; j-- {
-			resolveLayer(j)
+			step(j)
 		}
-		cur := p.Crossings(counts)
+		cur := objective()
 		if cur >= prev-1e-9 {
 			break
 		}
 		prev = cur
 	}
-	return p
-}
-
-// balancedCaps returns the per-GPU capacities of one layer's balanced
-// assignment: experts/gpus each.
-func balancedCaps(experts, gpus int) []int {
-	caps := make([]int, gpus)
-	for g := range caps {
-		caps[g] = experts / gpus
-	}
-	return caps
 }
 
 // newBenefit allocates a rows x cols benefit matrix whose rows share one

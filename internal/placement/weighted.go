@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"repro/internal/assign"
 	"repro/internal/topo"
 )
 
@@ -13,7 +12,8 @@ import (
 //	                 = 1 + NodePenalty      different node
 //
 // directly over GPU-level assignments, using the same transportation
-// coordinate descent as LayerSweep with a topology-aware benefit matrix.
+// coordinate descent as LayerSweep (sweepLayers) with a topology-aware
+// benefit matrix.
 // NodePenalty expresses how much worse an inter-node hop is than an
 // intra-node hop (the NVLink/IB gap suggests ~5-6 on the paper's hardware).
 //
@@ -28,7 +28,6 @@ func WeightedSweep(counts [][][]float64, layers, experts int, tp *topo.Topology,
 		panic("placement: negative node penalty")
 	}
 	p := Contiguous(layers, experts, gpus)
-	caps := balancedCaps(experts, gpus)
 
 	// tierBenefit[gHere][gThere] is the benefit weight of keeping a unit of
 	// transition between GPUs gHere and gThere: full (1 + nodePenalty) when
@@ -45,12 +44,7 @@ func WeightedSweep(counts [][][]float64, layers, experts int, tp *topo.Topology,
 		}
 	}
 
-	// As in LayerSweep, one flow workspace and one benefit matrix serve the
-	// whole sweep.
-	var solver assign.Solver
-	benefit, cells := newBenefit(experts, gpus)
-	resolveLayer := func(j int) {
-		clear(cells)
+	fill := func(j int, benefit [][]float64) {
 		for g := 0; g < gpus; g++ {
 			if j > 0 {
 				for from := 0; from < experts; from++ {
@@ -81,28 +75,10 @@ func WeightedSweep(counts [][][]float64, layers, experts int, tp *topo.Topology,
 				}
 			}
 		}
-		if _, err := solver.MaximizeBalanced(p.Assign[j], benefit, caps); err != nil {
-			panic(err)
-		}
 	}
-
-	blended := func() float64 {
+	sweepLayers(p, 8, func() float64 {
 		return p.Crossings(counts) + nodePenalty*p.NodeCrossings(counts, tp.GPUsPerNode)
-	}
-	prev := blended()
-	for sweep := 0; sweep < 8; sweep++ {
-		for j := 0; j < layers; j++ {
-			resolveLayer(j)
-		}
-		for j := layers - 1; j >= 0; j-- {
-			resolveLayer(j)
-		}
-		cur := blended()
-		if cur >= prev-1e-9 {
-			break
-		}
-		prev = cur
-	}
+	}, fill)
 	// Polish with annealing on the GPU-level objective (cheap, keeps the
 	// comparison with Solve/Staged fair).
 	return Anneal(counts, p, AnnealOptions{Seed: seed})

@@ -51,6 +51,10 @@ type Kernel struct {
 	// expertIDs[e:e+1], so routing a token allocates nothing. Read-only
 	// once NewKernel returns.
 	expertIDs []int
+	// unitWeight is {1}, with no room to append: the weight every top-1
+	// RouteWeighted returns, so weighting a token allocates nothing either.
+	// Read-only.
+	unitWeight []float64
 }
 
 // KernelParams configures NewKernel.
@@ -148,6 +152,7 @@ func NewKernel(p KernelParams) *Kernel {
 	for e := range k.expertIDs {
 		k.expertIDs[e] = e
 	}
+	k.unitWeight = []float64{1}
 	return k
 }
 

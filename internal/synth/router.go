@@ -89,11 +89,12 @@ func (kr *KernelRouter) second(layer int, tokenID uint64, prev, domain, primary 
 // RouteWeighted implements moe.WeightedRouter: mixture weights proportional
 // to the kernel's conditional probabilities of the selected experts. A
 // top-1 weight is exactly 1 — the expert's probability divided by itself,
-// or 1/1 when it has none — so top-1 skips the tilted row.
+// or 1/1 when it has none — so top-1 skips the tilted row and returns the
+// kernel's shared, read-only unit weight, allocating nothing.
 func (kr *KernelRouter) RouteWeighted(layer int, tokenID uint64, prev int, h []float32) ([]int, []float64) {
 	experts := kr.Route(layer, tokenID, prev, h)
 	if kr.TopK == 1 {
-		return experts, []float64{1}
+		return experts, kr.Kernel.unitWeight
 	}
 	domain := kr.Profile.TokenDomain(tokenID)
 	var row []float64

@@ -535,6 +535,17 @@ func TestKernelDrawAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("KernelRouter.PathInto allocates %v objects per token, want 0", a)
 	}
+	// A top-1 RouteWeighted returns the kernel's shared unit weight, also
+	// capped at one entry.
+	if a := testing.AllocsPerRun(200, func() {
+		tok++
+		_, _ = kr.RouteWeighted(3, tok, 5, nil)
+	}); a != 0 {
+		t.Fatalf("top-1 RouteWeighted allocates %v objects per call, want 0", a)
+	}
+	if _, w := kr.RouteWeighted(3, tok, 5, nil); len(w) != 1 || cap(w) != 1 || w[0] != 1 {
+		t.Fatalf("top-1 RouteWeighted returns %v with cap %d, want [1] with cap 1", w, cap(w))
+	}
 }
 
 // BenchmarkKernelPathInto routes one token through every layer of the

@@ -173,8 +173,10 @@ type solverBenchJSON struct {
 // allocates. A set-up that routed every profiled token layer by layer,
 // allocated every dispatched job on its own and grouped each layer's
 // combine through a map allocated 339,243; with whole-path profiling and
-// per-layer slabs it allocates about 74,000. The budget sits between.
-const calibrateServeAllocBudget = 120000
+// per-layer slabs it allocated about 74,300; with lockstep collectives,
+// which box no message and build no mailbox, and a shared top-1 weight it
+// allocates about 24,600. The budget sits between the last two.
+const calibrateServeAllocBudget = 40000
 
 type calibrateServeJSON struct {
 	Layers         int     `json:"layers"`
