@@ -149,13 +149,15 @@ func TestSetupAllocBudget(t *testing.T) {
 // benchSetup runs one fresh set-up at the repository benchmark's shape
 // (GPT-M/32E cut to 16 layers, 16 GPUs, system seed 7): NewSystem plus
 // CalibrateServe, the work behind the benchmark's setup_s.
-func benchSetup(tb testing.TB) {
+func benchSetup(tb testing.TB) (*System, *ServeCalibration) {
 	cfg := moe.GPTM(32)
 	cfg.Layers = 16
 	sys := NewSystem(SystemOptions{Model: cfg, GPUs: 16, AffinityStrength: 0.85, DomainTilt: 8, SolveWorkers: 1, Seed: 7})
-	if _, err := CalibrateServe(sys, ServeOptions{Replicas: 2, DecodeTokens: 32, SolveWorkers: 1}); err != nil {
+	cal, err := CalibrateServe(sys, ServeOptions{Replicas: 2, DecodeTokens: 32, SolveWorkers: 1})
+	if err != nil {
 		tb.Fatal(err)
 	}
+	return sys, cal
 }
 
 // BenchmarkCalibrateServe times one benchSetup.

@@ -56,6 +56,9 @@ type Cluster struct {
 	Topo *topo.Topology
 	n    int
 	ex   exchange
+	// links[src*n+dst] is Topo.Link(src, dst), built once so the exchange's
+	// schedule prices a step without classifying the hop.
+	links []topo.LinkCost
 
 	boxOnce sync.Once
 	boxes   [][]chan message // boxes[src][dst]; see mailboxes
@@ -67,7 +70,12 @@ func New(t *topo.Topology) *Cluster {
 		panic(err)
 	}
 	n := t.TotalGPUs()
-	c := &Cluster{Topo: t, n: n}
+	c := &Cluster{Topo: t, n: n, links: make([]topo.LinkCost, n*n)}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			c.links[src*n+dst] = t.Link(src, dst)
+		}
+	}
 	c.ex.init(n)
 	return c
 }
@@ -118,18 +126,28 @@ func (r *Rank) Now() float64 { return r.clock }
 // Advance moves the simulated clock forward by dt seconds, attributing the
 // interval to the named category (e.g. "attention", "alltoall").
 func (r *Rank) Advance(category string, dt float64) {
+	r.charge(r.slot(category), dt)
+}
+
+// slot returns the index of a category's total, adding the category on
+// first use.
+func (r *Rank) slot(category string) int {
+	for i := range r.categories {
+		if r.categories[i].name == category {
+			return i
+		}
+	}
+	r.categories = append(r.categories, categoryTotal{name: category})
+	return len(r.categories) - 1
+}
+
+// charge is Advance with the category's slot already found.
+func (r *Rank) charge(slot int, dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("cluster: negative time advance %v", dt))
 	}
 	r.clock += dt
-	i := 0
-	for i < len(r.categories) && r.categories[i].name != category {
-		i++
-	}
-	if i == len(r.categories) {
-		r.categories = append(r.categories, categoryTotal{name: category})
-	}
-	r.categories[i].total += dt
+	r.categories[slot].total += dt
 }
 
 // advanceTo moves the clock to at least t without attributing the waiting
@@ -260,11 +278,15 @@ func (r *Rank) Exchange(pattern Pattern, category string, payload any, deliver f
 			}
 		}
 		deliver(b.payload, b.bytes)
-		c.ex.schedule(c.Topo, pattern, b)
+		c.ex.schedule(c.links, pattern, b)
 	})
+	if c.n == 1 {
+		return // a one-rank exchange has no steps: it charges no category
+	}
 	cost, arrive := b.cost[r.ID], b.arrive[r.ID]
+	slot := r.slot(category)
 	for s := 1; s < c.n; s++ {
-		r.Advance(category, cost[s])
+		r.charge(slot, cost[s])
 		r.advanceTo(arrive[s])
 	}
 }
@@ -452,13 +474,13 @@ func (ex *exchange) round(id int, clock float64, payload any, complete func(*boa
 // stamp of the message it receives. These are the same additions and
 // comparisons each rank's Advance and advanceTo make when it replays its
 // row, so the stamps are bit for bit the ones per-pair messages carried.
-func (ex *exchange) schedule(t *topo.Topology, pattern Pattern, b *board) {
+func (ex *exchange) schedule(links []topo.LinkCost, pattern Pattern, b *board) {
 	p := ex.n
 	copy(ex.cur, b.clock)
 	for s := 1; s < p; s++ {
 		for r := 0; r < p; r++ {
 			dst, _ := pattern.peers(r, s, p)
-			b.cost[r][s] = t.TransferTime(r, dst, b.bytes[r][s])
+			b.cost[r][s] = links[r*p+dst].Time(b.bytes[r][s])
 			ex.sent[r] = ex.cur[r] + b.cost[r][s]
 		}
 		for r := 0; r < p; r++ {

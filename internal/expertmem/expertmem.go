@@ -32,8 +32,10 @@
 package expertmem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -306,7 +308,7 @@ type Manager struct {
 	perGPU     int       // balanced expert instances per GPU
 	hostOnNVMe []bool    // [layer*Experts+expert]: master copy on NVMe
 	popularity []float64 // [layer*Experts+expert]: affinity mass
-	succ       [][][]int // [layer][expert]: top-K layer+1 successors
+	succ       [][]int   // [layer*Experts+expert]: top-K layer+1 successors
 	hostTime   float64   // HostLink.Time(ExpertBytes)
 	nvmeTime   float64   // NVMeLink.Time(ExpertBytes)
 
@@ -464,11 +466,16 @@ func (m *Manager) buildOracles() {
 			}
 		}
 		if k := m.cfg.PrefetchK; k > 0 {
-			m.succ = make([][][]int, len(aff))
+			// Every list is carved from one array, capped at its end.
+			experts := m.cfg.Experts
+			flat := make([]int, 0, len(aff)*experts*min(k, experts))
+			m.succ = make([][]int, len(aff)*experts)
+			var scratch []int
 			for l := range aff {
-				m.succ[l] = make([][]int, m.cfg.Experts)
-				for from := 0; from < m.cfg.Experts; from++ {
-					m.succ[l][from] = topKIndices(aff[l][from], k)
+				for from := 0; from < experts; from++ {
+					start := len(flat)
+					flat, scratch = appendTopK(flat, scratch, aff[l][from], k)
+					m.succ[l*experts+from] = flat[start:len(flat):len(flat)]
 				}
 			}
 		}
@@ -479,12 +486,7 @@ func (m *Manager) buildOracles() {
 		for i := range order {
 			order[i] = i
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if m.popularity[order[a]] != m.popularity[order[b]] {
-				return m.popularity[order[a]] > m.popularity[order[b]]
-			}
-			return order[a] < order[b]
-		})
+		slices.SortStableFunc(order, func(a, b int) int { return byMassThenIndex(m.popularity, a, b) })
 		m.hostOnNVMe = make([]bool, n)
 		for _, idx := range order[m.cfg.HostSlots:] {
 			m.hostOnNVMe[idx] = true
@@ -492,25 +494,29 @@ func (m *Manager) buildOracles() {
 	}
 }
 
-// topKIndices returns the indices of the k largest row entries with positive
-// mass, in decreasing order (ties broken by index).
-func topKIndices(row []float64, k int) []int {
-	idx := make([]int, 0, len(row))
+// appendTopK appends to dst the indices of the k largest row entries with
+// positive mass, in decreasing order (ties broken by index). idx is reused
+// scratch; both slices are returned.
+func appendTopK(dst, idx []int, row []float64, k int) ([]int, []int) {
+	idx = idx[:0]
 	for i, w := range row {
 		if w > 0 {
 			idx = append(idx, i)
 		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if row[idx[a]] != row[idx[b]] {
-			return row[idx[a]] > row[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if len(idx) > k {
-		idx = idx[:k]
+	slices.SortStableFunc(idx, func(a, b int) int { return byMassThenIndex(row, a, b) })
+	return append(dst, idx[:min(k, len(idx))]...), idx
+}
+
+// byMassThenIndex orders indices by decreasing mass, ties by index.
+func byMassThenIndex(mass []float64, a, b int) int {
+	switch {
+	case mass[a] > mass[b]:
+		return -1
+	case mass[a] < mass[b]:
+		return 1
 	}
-	return append([]int(nil), idx...)
+	return cmp.Compare(a, b)
 }
 
 // id is the flat index of (layer, expert) in the per-expert tables.
@@ -531,10 +537,10 @@ func (m *Manager) Popularity(layer, expert int) float64 { return m.popOf(layer, 
 // routed expert at layer — the affinity matrix read as a prefetch oracle.
 // Empty at the last layer or when prefetching is off.
 func (m *Manager) Successors(layer, expert int) []int {
-	if m.succ == nil || layer < 0 || layer >= len(m.succ) {
+	if m.succ == nil || layer < 0 || layer >= len(m.succ)/m.cfg.Experts {
 		return nil
 	}
-	return m.succ[layer][expert]
+	return m.succ[layer*m.cfg.Experts+expert]
 }
 
 // FetchSeconds is the modeled time to bring one expert into HBM from its

@@ -119,10 +119,8 @@ func (s *server) onCrash(now float64, idx int) {
 	if wasWarming && s.fl != nil {
 		s.fl.warming--
 	}
-	moved := make([]*request, 0, len(r.queue)+len(r.active))
-	moved = append(moved, r.queue...)
-	moved = append(moved, r.active...)
-	r.queue, r.active = nil, nil
+	moved := append(r.takeQueue(), r.active...)
+	r.active = nil
 	ch.redispatched += len(moved)
 	ch.lostIters += lost
 	ch.met.crashes.Inc()

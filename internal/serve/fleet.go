@@ -351,8 +351,7 @@ func (s *server) scaleDown(now float64, dec fleet.Decision) {
 	// Graceful drain: queued requests never started decoding here — hand them
 	// to the survivors immediately instead of making them wait out the drain
 	// behind a retiring replica. In-flight actives finish in place.
-	moved := victim.queue
-	victim.queue = nil
+	moved := victim.takeQueue()
 	s.opts.Decisions.Logf(now, "scale-down replica=%d rate=%.2freq/s desired=%d streak=%d redispatched=%d draining-active=%d",
 		victim.id, dec.Rate, dec.Desired, dec.Streak, len(moved), len(victim.active))
 	if victim.load() == 0 && !victim.running && !victim.stalled {

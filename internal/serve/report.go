@@ -158,8 +158,8 @@ func (s *server) buildReport() *Report {
 	// over the admitted population (identical to all arrivals without a
 	// fleet, where nothing can be shed).
 	admitted := 0
-	for _, rq := range s.arrivals {
-		if !rq.shed {
+	for i := range s.arrivals {
+		if !s.arrivals[i].shed {
 			admitted++
 		}
 	}
@@ -196,7 +196,8 @@ func (s *server) buildReport() *Report {
 	}
 
 	// Requests are already sorted by arrival (generated in time order).
-	for _, rq := range s.arrivals {
+	for i := range s.arrivals {
+		rq := &s.arrivals[i]
 		if rq.shed {
 			continue
 		}

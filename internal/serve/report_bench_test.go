@@ -26,7 +26,7 @@ func reportServerFixture(n int) *server {
 	}
 	for i := 0; i < n; i++ {
 		at := dur * float64(i) / float64(n)
-		s.arrivals = append(s.arrivals, &request{
+		s.arrivals = append(s.arrivals, request{
 			arrival: at,
 			finish:  at + 0.05 + 0.3*r.Float64(),
 		})

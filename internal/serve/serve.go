@@ -59,9 +59,14 @@ type request struct {
 
 // replica is one expert-parallel deployment behind the front-end.
 type replica struct {
-	id      int
-	pl      *placement.Placement
+	id int
+	pl *placement.Placement
+	// queue[qhead:] are the queued requests in arrival order. Admission
+	// advances qhead instead of slicing the head away, and a drained queue
+	// rewinds, so appends reuse the array. A queue that never drains keeps
+	// its admitted prefix: at most one pointer per arrival of the run.
 	queue   []*request
+	qhead   int
 	active  []*request
 	running bool
 	stalled bool
@@ -81,7 +86,23 @@ type replica struct {
 }
 
 // load is the front-end's routing metric: queued plus active requests.
-func (r *replica) load() int { return len(r.queue) + len(r.active) }
+func (r *replica) load() int { return len(r.queue) - r.qhead + len(r.active) }
+
+// dequeue removes and returns the queue's head, rewinding an emptied queue.
+func (r *replica) dequeue() *request {
+	rq := r.queue[r.qhead]
+	if r.qhead++; r.qhead == len(r.queue) {
+		r.queue, r.qhead = r.queue[:0], 0
+	}
+	return rq
+}
+
+// takeQueue empties the queue and hands its requests over.
+func (r *replica) takeQueue() []*request {
+	out := r.queue[r.qhead:]
+	r.queue, r.qhead = nil, 0
+	return out
+}
 
 // Event kinds, in tie-break priority order at equal timestamps: crashes
 // first (a fault at time T kills the replica before anything else at T can
@@ -210,8 +231,10 @@ type server struct {
 	tr  *obs.Tracer
 	met serveMetrics
 
-	events    eventHeap
-	arrivals  []*request
+	events eventHeap
+	// arrivals holds every request of the run, in arrival order, in one
+	// array; queues and batches point into it.
+	arrivals  []request
 	pending   *pendingMigration
 	solving   *pendingSolve
 	lastCheck float64
@@ -329,15 +352,21 @@ func Run(d Deployment, opts Options) (*Report, error) {
 
 	// Pre-draw every arrival: phase by phase, deterministic in the seed.
 	ar := rng.New(rng.Mix64(cfg.Seed, 0xA881))
-	start := 0.0
+	times := make([][]float64, len(cfg.Phases))
+	start, n := 0.0, 0
 	for pi, p := range cfg.Phases {
-		for _, t := range generateArrivals(ar, p, start) {
-			s.arrivals = append(s.arrivals, &request{arrival: t, phase: pi, remaining: cfg.DecodeTokens, seq: len(s.arrivals)})
-		}
+		times[pi] = generateArrivals(ar, p, start)
 		start += p.Duration
+		n += len(times[pi])
 	}
-	if len(s.arrivals) == 0 {
+	if n == 0 {
 		return nil, errNoArrivals
+	}
+	s.arrivals = make([]request, 0, n)
+	for pi, ts := range times {
+		for _, t := range ts {
+			s.arrivals = append(s.arrivals, request{arrival: t, phase: pi, remaining: cfg.DecodeTokens, seq: len(s.arrivals)})
+		}
 	}
 	for i := range s.arrivals {
 		s.events.push(event{t: s.arrivals[i].arrival, kind: evArrival, seq: i})
@@ -350,7 +379,7 @@ func Run(d Deployment, opts Options) (*Report, error) {
 		// the fault aborted.
 		switch e.kind {
 		case evArrival:
-			s.onArrival(e.t, s.arrivals[e.seq])
+			s.onArrival(e.t, &s.arrivals[e.seq])
 		case evIterEnd:
 			if e.gen == s.replicas[e.rep].gen {
 				s.onIterEnd(e.t, s.replicas[e.rep])
@@ -615,9 +644,8 @@ func (s *server) start(now float64, r *replica) {
 		return
 	}
 	gpus := s.opts.topo.TotalGPUs()
-	for len(r.active) < s.opts.MaxBatch && len(r.queue) > 0 {
-		rq := r.queue[0]
-		r.queue = r.queue[1:]
+	for len(r.active) < s.opts.MaxBatch && r.qhead < len(r.queue) {
+		rq := r.dequeue()
 		rq.home = r.admits % gpus
 		r.admits++
 		r.active = append(r.active, rq)

@@ -99,9 +99,13 @@ func (t *Trace) PairCounts(i, j int) [][]float64 {
 	if i < 0 || j >= t.Layers || i >= j {
 		panic(fmt.Sprintf("trace: invalid layer pair (%d,%d)", i, j))
 	}
-	counts := make([][]float64, t.Experts)
+	// One backing array; each row is capped at its end so an append to it
+	// cannot spill into the next.
+	n := t.Experts
+	cells := make([]float64, n*n)
+	counts := make([][]float64, n)
 	for e := range counts {
-		counts[e] = make([]float64, t.Experts)
+		counts[e] = cells[e*n : (e+1)*n : (e+1)*n]
 	}
 	for _, path := range t.Paths {
 		counts[path[i]][path[j]]++

@@ -3,7 +3,7 @@ package exflow
 // Solver benchmarks: the sparse-vs-dense annealing hot path and the
 // parallel solve portfolio, at the same scale as BenchmarkMemoryAwareAnneal,
 // and the whole staged solve and the whole set-up at the repository
-// benchmark's set-up shape.
+// benchmark's set-up shape, and the allocations of its serve loop.
 // TestGenerateSolverBench (gated on SOLVER_BENCH=1) measures them with its
 // own timer and writes BENCH_solver.json — the machine-readable record CI
 // uploads as an artifact.
@@ -167,6 +167,39 @@ type solverBenchJSON struct {
 	// calibration engine runs) at the same shape, benchSetup. The generator
 	// fails if it allocates more than calibrateServeAllocBudget objects.
 	CalibrateServe calibrateServeJSON `json:"calibrate_serve"`
+
+	// ServeLoop is one Serve of each serveLoopPrograms entry on benchSetup's
+	// calibration: heap objects per decode iteration, set-up and report of
+	// the serve run amortized in. The generator fails if a program exceeds
+	// its budget.
+	ServeLoop []serveLoopJSON `json:"serve_loop"`
+}
+
+// serveLoopPrograms are the repository benchmark's steady and oversub
+// traffic programs, one Serve each (serving seed 1). A serve run allocated
+// 3.70 (steady) and 4.71 (oversub) objects per decode iteration when it
+// allocated one object per request, a queue array per admission burst, the
+// trace window's rows while it filled and a slice per prefetch successor
+// list; with requests in one array, rewinding queues, a flat window ring
+// and flat successor lists it allocates about 0.09 and 0.22. The budgets
+// sit between, so any allocation per request or per token fails.
+var serveLoopPrograms = []serveLoopJSON{
+	{Program: "steady", RateReqPerS: 3200, Seconds: 2.5, AllocBudget: 1},
+	{Program: "oversub", RateReqPerS: 190, Seconds: 30, Oversubscription: 1.5, CachePolicy: "affinity", AllocBudget: 1},
+}
+
+type serveLoopJSON struct {
+	Program          string  `json:"program"`
+	RateReqPerS      float64 `json:"rate_req_per_s"`
+	Seconds          float64 `json:"seconds"`
+	Oversubscription float64 `json:"oversubscription"`
+	CachePolicy      string  `json:"cache_policy,omitempty"`
+	Seed             uint64  `json:"seed"`
+	Iterations       int     `json:"iterations"`
+	WallMS           float64 `json:"wall_ms"`
+	Allocs           uint64  `json:"allocs"`
+	AllocsPerIter    float64 `json:"allocs_per_iter"`
+	AllocBudget      float64 `json:"alloc_budget"`
 }
 
 // calibrateServeAllocBudget bounds the heap objects one benchSetup
@@ -317,6 +350,27 @@ func TestGenerateSolverBench(t *testing.T) {
 	cs.WallMS = bestMS(func() { benchSetup(t) })
 	cs.AllocsPerSetup, cs.BytesPerSetup = allocated(func() { benchSetup(t) })
 
+	serveSys, serveCal := benchSetup(t)
+	for _, sl := range serveLoopPrograms {
+		sl.Seed = 1
+		opts := ServeOptions{
+			Replicas: 2, DecodeTokens: 32, SolveWorkers: 1, Calibration: serveCal, Seed: sl.Seed,
+			Oversubscription: sl.Oversubscription, CachePolicy: sl.CachePolicy,
+			Phases: []ServePhase{{Name: sl.Program, Duration: sl.Seconds, Rate: sl.RateReqPerS}},
+		}
+		var rep *ServeReport
+		var err error
+		t0 := time.Now()
+		sl.Allocs, _ = allocated(func() { rep, _, err = Serve(serveSys, opts) })
+		sl.WallMS = float64(time.Since(t0).Nanoseconds()) / 1e6
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl.Iterations = rep.Iterations
+		sl.AllocsPerIter = float64(sl.Allocs) / float64(rep.Iterations)
+		out.ServeLoop = append(out.ServeLoop, sl)
+	}
+
 	// The acceptance gates: the sparse path must be a pure speedup.
 	if !out.MemoryAwareAnneal.BitIdentical || !out.CrossingOnlyAnneal.BitIdentical {
 		t.Fatal("sparse anneal not bit-identical to dense reference")
@@ -344,6 +398,14 @@ func TestGenerateSolverBench(t *testing.T) {
 		t.Fatalf("set-up allocated %d objects, over its budget of %d", cs.AllocsPerSetup, calibrateServeAllocBudget)
 	}
 
+	// So must every serve loop.
+	for _, sl := range out.ServeLoop {
+		if sl.AllocsPerIter > sl.AllocBudget {
+			t.Fatalf("%s serve run allocated %.3f objects per iteration, over its budget of %g",
+				sl.Program, sl.AllocsPerIter, sl.AllocBudget)
+		}
+	}
+
 	blob, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -357,5 +419,8 @@ func TestGenerateSolverBench(t *testing.T) {
 	t.Logf("staged solve: %.1fms, %d allocs, %d bytes, crossings %v",
 		st.WallMS, st.AllocsPerSolve, st.BytesPerSolve, st.Crossings)
 	t.Logf("set-up: %.1fms, %d allocs, %d bytes", cs.WallMS, cs.AllocsPerSetup, cs.BytesPerSetup)
+	for _, sl := range out.ServeLoop {
+		t.Logf("%s serve: %d iterations in %.0fms, %.3f allocs per iteration", sl.Program, sl.Iterations, sl.WallMS, sl.AllocsPerIter)
+	}
 	t.Log("wrote BENCH_solver.json")
 }
