@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/engine"
@@ -96,6 +97,44 @@ func TestEngineOutputsGoldenDigest(t *testing.T) {
 			d.ints(out)
 		}
 		d.f64(rep.SimSeconds)
+	}
+	if got := d.h.Sum64(); got != want {
+		t.Errorf("digest %#x, want %#x", got, uint64(want))
+	}
+}
+
+// TestHierarchicalEngineGoldenDigest pins the node-leader Alltoall's
+// simulated clocks across commits: SimSeconds and every Breakdown value of
+// hierarchical-dispatch runs under Vanilla (dispatch and combine-back both
+// hierarchical) and ExFlow at 8, 16 and 32 GPUs, to a digest recorded on an
+// earlier build. Runs are timing-only; their clocks equal the full-math
+// ones (TestTimingOnlyMatchesFullMath).
+func TestHierarchicalEngineGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; FMA fusion elsewhere changes float bits")
+	}
+	const want = 0x1a33b33c7bc3308e
+	w := Workload{Hierarchical: true}
+	d := newDigest()
+	for _, gpus := range []int{8, 16, 32} {
+		cfg := moe.GPTM(32)
+		cfg.Layers = 8
+		sys := NewSystem(SystemOptions{Model: cfg, GPUs: gpus, AffinityStrength: 0.85, DomainTilt: 8, Seed: 7})
+		for _, rep := range []*engine.Report{
+			sys.run(engine.Vanilla, sys.Baseline(), w, true),
+			sys.run(engine.ExFlow, sys.SolvePlacement(sys.Profile(1500)), w, true),
+		} {
+			d.f64(rep.SimSeconds)
+			cats := make([]string, 0, len(rep.Breakdown))
+			for k := range rep.Breakdown {
+				cats = append(cats, k)
+			}
+			sort.Strings(cats)
+			for _, k := range cats {
+				d.h.Write([]byte(k))
+				d.f64(rep.Breakdown[k])
+			}
+		}
 	}
 	if got := d.h.Sum64(); got != want {
 		t.Errorf("digest %#x, want %#x", got, uint64(want))

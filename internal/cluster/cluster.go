@@ -11,14 +11,11 @@
 // collective) therefore propagate the critical path exactly the way a real
 // bulk-synchronous MoE inference step does.
 //
-// Ranks move data in two ways. Barrier and the flat collectives (package
-// collective's Alltoall and Allgather) each run as one lockstep exchange
-// (Rank.Exchange): every rank deposits its clock and its tables, the last
-// rank to arrive delivers the data and computes every message stamp of the
-// schedule, and each rank then replays its own sends and receives on its
-// clock. Point-to-point Send and Recv go through per-pair mailboxes, which
-// serve only the rooted and hierarchical collectives and are built when the
-// first of them runs.
+// Ranks move data one way: Barrier and every collective in package
+// collective run as one lockstep exchange round (Rank.Exchange). Every rank
+// deposits its clock and its tables, the last rank to arrive delivers the
+// data and computes every message stamp of the collective's step plan, and
+// each rank then replays its own sends and receives on its clock.
 package cluster
 
 import (
@@ -29,29 +26,11 @@ import (
 	"repro/internal/topo"
 )
 
-// message is a stamped payload traveling between ranks.
-type message struct {
-	data    any
-	arrival float64 // sender clock when the transfer completes
-	poison  bool    // set when a peer rank panicked; Recv re-panics
-}
-
-// mailboxDepth bounds the per-(src,dst) channel. The point-to-point
-// collectives run in lockstep (every rank issues the same sequence, and
-// each send to a peer is matched by that peer's receive in the same
-// collective), so at most 2 messages are outstanding per pair: one from the
-// current collective and one from a sender already in the next. A sender
-// further ahead only blocks until the receiver catches up, which it does in
-// order, so a full mailbox is back-pressure, never a deadlock. Each slot
-// holds a pointer the GC must zero and scan, and a 16-GPU cluster has 256
-// mailboxes, so the depth stays small.
-const mailboxDepth = 16
-
 // abortedByPeer marks the panics a poisoned cluster raises in ranks that
 // were blocked when a peer panicked; Run reports the root cause instead.
 const abortedByPeer = "aborted by a peer rank panic"
 
-// Cluster owns the topology, the lockstep exchange and the mailboxes.
+// Cluster owns the topology and the lockstep exchange.
 type Cluster struct {
 	Topo *topo.Topology
 	n    int
@@ -59,9 +38,9 @@ type Cluster struct {
 	// links[src*n+dst] is Topo.Link(src, dst), built once so the exchange's
 	// schedule prices a step without classifying the hop.
 	links []topo.LinkCost
-
-	boxOnce sync.Once
-	boxes   [][]chan message // boxes[src][dst]; see mailboxes
+	// plans[pt] is pattern pt's step plan, built once so the schedule reads
+	// each step's peers instead of computing them.
+	plans [numPatterns]plan
 }
 
 // New creates a cluster with one rank per GPU in the topology.
@@ -76,23 +55,13 @@ func New(t *topo.Topology) *Cluster {
 			c.links[src*n+dst] = t.Link(src, dst)
 		}
 	}
-	c.ex.init(n)
+	c.plans = buildPlans(t)
+	steps := 0
+	for _, pl := range c.plans {
+		steps = max(steps, pl.steps)
+	}
+	c.ex.init(n, steps)
 	return c
-}
-
-// mailboxes returns the per-pair channels, building them on first use: a
-// run whose collectives are all lockstep exchanges never pays for them.
-func (c *Cluster) mailboxes() [][]chan message {
-	c.boxOnce.Do(func() {
-		c.boxes = make([][]chan message, c.n)
-		for s := range c.boxes {
-			c.boxes[s] = make([]chan message, c.n)
-			for d := range c.boxes[s] {
-				c.boxes[s][d] = make(chan message, mailboxDepth)
-			}
-		}
-	})
-	return c.boxes
 }
 
 // Size returns the number of ranks.
@@ -183,33 +152,6 @@ func Scratch[S any](r *Rank) *S {
 	return s
 }
 
-// Send transfers data to rank dst, charging the sender the modeled transfer
-// time for bytes payload bytes under the given accounting category. The data
-// value itself is passed by reference; callers must not mutate shared
-// payloads after sending.
-func (r *Rank) Send(dst int, data any, bytes int, category string) {
-	if dst == r.ID {
-		panic("cluster: self-send; use local state instead")
-	}
-	cost := r.Cluster.Topo.TransferTime(r.ID, dst, bytes)
-	r.Advance(category, cost)
-	r.Cluster.mailboxes()[r.ID][dst] <- message{data: data, arrival: r.clock}
-}
-
-// Recv blocks until a message from src arrives and returns its payload,
-// advancing the receiver's clock to the message arrival time.
-func (r *Rank) Recv(src int) any {
-	if src == r.ID {
-		panic("cluster: self-recv")
-	}
-	m := <-r.Cluster.mailboxes()[src][r.ID]
-	if m.poison {
-		panic("cluster: recv " + abortedByPeer)
-	}
-	r.advanceTo(m.arrival)
-	return m.data
-}
-
 // LocalCopy charges the rank for moving bytes within its own memory.
 func (r *Rank) LocalCopy(bytes int, category string) {
 	r.Advance(category, r.Cluster.Topo.TransferTime(r.ID, r.ID, bytes))
@@ -233,44 +175,112 @@ func (r *Rank) Barrier() {
 	r.advanceTo(b.max)
 }
 
-// Pattern is the peer order of a lockstep collective's P-1 steps.
+// Pattern names a lockstep collective's step plan: at each step every rank
+// sends to at most one peer and receives from at most one.
 type Pattern int
 
 const (
-	// Pairwise sends to rank r+s and receives from rank r-s (mod P) at step
-	// s: the Alltoall schedule.
+	// Pairwise runs P-1 steps; at step s rank r sends to rank r+s and
+	// receives from rank r-s (mod P). The Alltoall schedule.
 	Pairwise Pattern = iota
-	// Ring sends to rank r+1 and receives from rank r-1 (mod P) at every
-	// step: the Allgather schedule.
+	// Ring runs P-1 steps; at every step rank r sends to rank r+1 and
+	// receives from rank r-1 (mod P). The Allgather schedule.
 	Ring
+	// NodeLeader is the hierarchical Alltoall schedule for N nodes of G GPUs,
+	// each node led by its local rank 0. Its 3G+N-4 steps run in four
+	// phases:
+	//   - steps 1 to G-1, node-local pairwise: at step s local rank k sends
+	//     to local rank k+s and receives from local rank k-s (mod G);
+	//   - steps G to 2G-2, gather: local rank k > 0 sends to its leader at
+	//     step G-1+k;
+	//   - steps 2G-1 to 2G+N-3, leader pairwise: at step 2G-2+j node n's
+	//     leader sends to node n+j's and receives from node n-j's (mod N);
+	//   - steps 2G+N-2 to 3G+N-4, scatter: the leader sends to local rank
+	//     k > 0 at step 2G+N-3+k.
+	NodeLeader
+	numPatterns
 )
 
-// peers returns whom rank r of p sends to and receives from at step s.
-func (pt Pattern) peers(r, s, p int) (dst, src int) {
-	if pt == Ring {
-		s = 1
+// plan is a pattern's schedule on one cluster: at step s, for 1 <= s <=
+// steps, rank r sends to dst[s*n+r] and receives from src[s*n+r], where -1
+// means none.
+type plan struct {
+	steps    int
+	dst, src []int
+}
+
+// buildPlans lays out every pattern's plan for the topology.
+func buildPlans(t *topo.Topology) [numPatterns]plan {
+	n, g, nodes := t.TotalGPUs(), t.GPUsPerNode, t.Nodes
+	var pls [numPatterns]plan
+	pw, ring, nl := &pls[Pairwise], &pls[Ring], &pls[NodeLeader]
+	pw.init(n, n-1)
+	ring.init(n, n-1)
+	for s := 1; s < n; s++ {
+		for r := 0; r < n; r++ {
+			pw.link(s, r, (r+s)%n)
+			ring.link(s, r, (r+1)%n)
+		}
 	}
-	return (r + s) % p, (r - s + p) % p
+	// Each phase's steps follow the previous phase's last.
+	gather, leaders, scatter := g-1, 2*g-2, 2*g+nodes-3
+	nl.init(n, scatter+g-1)
+	for node := 0; node < nodes; node++ {
+		leader := t.Rank(node, 0)
+		for k := 0; k < g; k++ {
+			r := t.Rank(node, k)
+			for s := 1; s < g; s++ {
+				nl.link(s, r, t.Rank(node, (k+s)%g))
+			}
+			if k > 0 {
+				nl.link(gather+k, r, leader)
+				nl.link(scatter+k, leader, r)
+			}
+		}
+		for j := 1; j < nodes; j++ {
+			nl.link(leaders+j, leader, t.Rank((node+j)%nodes, 0))
+		}
+	}
+	return pls
+}
+
+// init sizes the plan for n ranks and the given steps, every rank idle.
+func (pl *plan) init(n, steps int) {
+	pl.steps = steps
+	pl.dst = make([]int, (steps+1)*n)
+	pl.src = make([]int, (steps+1)*n)
+	for i := range pl.dst {
+		pl.dst[i], pl.src[i] = -1, -1
+	}
+}
+
+// link makes rank from send to rank to at step s.
+func (pl *plan) link(s, from, to int) {
+	n := len(pl.dst) / (pl.steps + 1)
+	pl.dst[s*n+from] = to
+	pl.src[s*n+to] = from
 }
 
 // Exchange runs one collective as a single lockstep round and charges this
-// rank its part of the pattern's P-1-step schedule, exactly as if each step
-// were a Send to the step's destination followed by a Recv from its source.
-// Every rank calls it with the same pattern and a non-nil payload of the
-// same type.
+// rank its part of the pattern's step plan, exactly as if each step were a
+// point-to-point send to the step's destination followed by a receive from
+// its source; a step at which the rank sends nothing charges 0, and one at
+// which it receives nothing waits for nothing. Every rank calls it with the same pattern and
+// a non-nil payload of the same type.
 //
 // The last rank to arrive calls its deliver once, holding the round's lock,
 // with every rank's payload in rank order. deliver moves the data between
 // the payloads and sets bytes[r][s], the wire size rank r sends at step s,
-// for every rank r and step 1 <= s < P. It copies everything a receiver
-// needs while every rank is still inside Exchange, so a rank may refill its
-// tables as soon as Exchange returns. Since it runs under the lock, deliver
-// must not block or call back into the cluster.
+// for every step s at which the plan has rank r send. It copies everything
+// a receiver needs while every rank is still inside Exchange, so a rank may
+// refill its tables as soon as Exchange returns. Since it runs under the
+// lock, deliver must not block or call back into the cluster.
 func (r *Rank) Exchange(pattern Pattern, category string, payload any, deliver func(payloads []any, bytes [][]int)) {
 	if payload == nil {
 		panic("cluster: Exchange needs a payload")
 	}
 	c := r.Cluster
+	pl := &c.plans[pattern]
 	b := c.ex.round(r.ID, r.clock, payload, func(b *board) {
 		for _, x := range b.payload {
 			if x == nil {
@@ -278,21 +288,18 @@ func (r *Rank) Exchange(pattern Pattern, category string, payload any, deliver f
 			}
 		}
 		deliver(b.payload, b.bytes)
-		c.ex.schedule(c.links, pattern, b)
+		c.ex.schedule(c.links, pl, b)
 	})
-	if c.n == 1 {
+	if pl.steps == 0 {
 		return // a one-rank exchange has no steps: it charges no category
 	}
 	cost, arrive := b.cost[r.ID], b.arrive[r.ID]
 	slot := r.slot(category)
-	for s := 1; s < c.n; s++ {
+	for s := 1; s <= pl.steps; s++ {
 		r.charge(slot, cost[s])
 		r.advanceTo(arrive[s])
 	}
 }
-
-// Node returns the node index hosting this rank.
-func (r *Rank) Node() int { return r.Cluster.Topo.NodeOf(r.ID) }
 
 // Run launches fn on every rank concurrently and returns the per-rank
 // handles (with their final clocks and breakdowns) once all have finished.
@@ -309,9 +316,9 @@ func (c *Cluster) Run(fn func(r *Rank)) []*Rank {
 			defer func() {
 				if p := recover(); p != nil {
 					*slot = p
-					// Release peers stuck in an exchange or in Recv so Run
-					// can return and re-raise the original panic.
-					c.poison()
+					// Release peers stuck in an exchange round so Run can
+					// return and re-raise the original panic.
+					c.ex.poison()
 				}
 			}()
 			fn(r)
@@ -337,23 +344,6 @@ func (c *Cluster) Run(fn func(r *Rank)) []*Rank {
 		panic(fmt.Sprintf("cluster: rank %d panicked: %v", abortIdx, panics[abortIdx]))
 	}
 	return ranks
-}
-
-// poison tears the cluster down after a rank panic: it releases exchange
-// waiters and floods every mailbox with poison sentinels so blocked Recv
-// calls wake up and re-panic. Sends are non-blocking — a full mailbox means
-// the receiver has plenty to read before it could block again on this pair.
-func (c *Cluster) poison() {
-	c.ex.poison()
-	boxes := c.mailboxes()
-	for src := range boxes {
-		for dst := range boxes[src] {
-			select {
-			case boxes[src][dst] <- message{poison: true}:
-			default:
-			}
-		}
-	}
 }
 
 // MaxClock returns the largest simulated clock across ranks — the modeled
@@ -402,7 +392,8 @@ type exchange struct {
 	sent, cur []float64
 }
 
-// board holds one round's deposits and results.
+// board holds one round's deposits and results. Its step columns run from 1
+// to the longest plan's step count; column 0 is unused.
 type board struct {
 	clock   []float64   // clock[r]: rank r's clock when it arrived
 	payload []any       // payload[r]: rank r's deposit, nil for a Barrier
@@ -412,28 +403,29 @@ type board struct {
 	max     float64     // a Barrier's result: the largest arrival clock
 }
 
-func (ex *exchange) init(n int) {
+// init sizes the exchange for n ranks and plans of at most steps steps.
+func (ex *exchange) init(n, steps int) {
 	ex.n = n
 	ex.cond.L = &ex.mu
 	for i := range ex.boards {
 		ex.boards[i] = board{
 			clock:   make([]float64, n),
 			payload: make([]any, n),
-			bytes:   square[int](n),
-			cost:    square[float64](n),
-			arrive:  square[float64](n),
+			bytes:   grid[int](n, steps+1),
+			cost:    grid[float64](n, steps+1),
+			arrive:  grid[float64](n, steps+1),
 		}
 	}
 	ex.sent = make([]float64, n)
 	ex.cur = make([]float64, n)
 }
 
-// square returns an n x n matrix whose rows share one backing array.
-func square[T any](n int) [][]T {
-	cells := make([]T, n*n)
+// grid returns an n x cols matrix whose rows share one backing array.
+func grid[T any](n, cols int) [][]T {
+	cells := make([]T, n*cols)
 	rows := make([][]T, n)
 	for i := range rows {
-		rows[i] = cells[i*n : (i+1)*n : (i+1)*n]
+		rows[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return rows
 }
@@ -468,27 +460,36 @@ func (ex *exchange) round(id int, clock float64, payload any, complete func(*boa
 	return b
 }
 
-// schedule runs every rank's schedule from the deposited clocks, one step
-// at a time: each rank's send advances its clock by the transfer time and
-// stamps its message with the result, and each rank then advances to the
-// stamp of the message it receives. These are the same additions and
-// comparisons each rank's Advance and advanceTo make when it replays its
-// row, so the stamps are bit for bit the ones per-pair messages carried.
-func (ex *exchange) schedule(links []topo.LinkCost, pattern Pattern, b *board) {
-	p := ex.n
+// schedule runs every rank's plan from the deposited clocks, one step at a
+// time: each rank's send advances its clock by the transfer time (0 when
+// it sends nothing) and stamps its message with the result, and each rank
+// then advances to the stamp of the message it receives. A rank that
+// receives nothing gets stamp 0, which no clock is below. These are the
+// same additions and comparisons each rank's Advance and advanceTo make
+// when it replays its row, so the stamps are bit for bit the ones per-pair
+// messages carried.
+func (ex *exchange) schedule(links []topo.LinkCost, pl *plan, b *board) {
+	n := ex.n
 	copy(ex.cur, b.clock)
-	for s := 1; s < p; s++ {
-		for r := 0; r < p; r++ {
-			dst, _ := pattern.peers(r, s, p)
-			b.cost[r][s] = links[r*p+dst].Time(b.bytes[r][s])
-			ex.sent[r] = ex.cur[r] + b.cost[r][s]
+	for s := 1; s <= pl.steps; s++ {
+		dst, src := pl.dst[s*n:(s+1)*n], pl.src[s*n:(s+1)*n]
+		for r, to := range dst {
+			cost := 0.0
+			if to >= 0 {
+				cost = links[r*n+to].Time(b.bytes[r][s])
+			}
+			b.cost[r][s] = cost
+			ex.sent[r] = ex.cur[r] + cost
 		}
-		for r := 0; r < p; r++ {
-			_, src := pattern.peers(r, s, p)
-			b.arrive[r][s] = ex.sent[src]
+		for r, from := range src {
 			ex.cur[r] = ex.sent[r]
-			if ex.sent[src] > ex.cur[r] {
-				ex.cur[r] = ex.sent[src]
+			if from < 0 {
+				b.arrive[r][s] = 0
+				continue
+			}
+			b.arrive[r][s] = ex.sent[from]
+			if ex.sent[from] > ex.cur[r] {
+				ex.cur[r] = ex.sent[from]
 			}
 		}
 	}

@@ -22,18 +22,14 @@ func TestRunExecutesAllRanks(t *testing.T) {
 	}
 }
 
-func TestSendRecvDelivers(t *testing.T) {
-	c := New(smallTopo())
-	c.Run(func(r *Rank) {
-		if r.ID == 0 {
-			r.Send(1, "hello", 100, "test")
+// sendOne runs one Pairwise exchange round in which only rank from sends:
+// n bytes, at step s, to rank from+s.
+func sendOne(r *Rank, category string, from, s, n int) {
+	r.Exchange(Pairwise, category, r, func(_ []any, bytes [][]int) {
+		for _, row := range bytes {
+			clear(row)
 		}
-		if r.ID == 1 {
-			got := r.Recv(0).(string)
-			if got != "hello" {
-				t.Errorf("got %q", got)
-			}
-		}
+		bytes[from][s] = n
 	})
 }
 
@@ -41,15 +37,8 @@ func TestSendChargesSenderByTier(t *testing.T) {
 	c := New(smallTopo())
 	ranks := c.Run(func(r *Rank) {
 		const bytes = 1 << 20
-		switch r.ID {
-		case 0:
-			r.Send(1, 1, bytes, "intra") // same node
-			r.Send(4, 1, bytes, "inter") // other node
-		case 1:
-			r.Recv(0)
-		case 4:
-			r.Recv(0)
-		}
+		sendOne(r, "intra", 0, 1, bytes) // to rank 1, same node
+		sendOne(r, "inter", 0, 4, bytes) // to rank 4, other node
 	})
 	bd := ranks[0].Breakdown()
 	if bd["intra"] <= 0 || bd["inter"] <= 0 {
@@ -65,11 +54,10 @@ func TestRecvAdvancesToArrival(t *testing.T) {
 	ranks := c.Run(func(r *Rank) {
 		if r.ID == 0 {
 			r.Advance("compute", 1.0) // sender is busy for 1s first
-			r.Send(1, 1, 1000, "comm")
 		}
-		if r.ID == 1 {
-			r.Recv(0) // receiver idle; clock must jump past 1s
-		}
+		// Rank 1 receives from rank 0 at step 1 and sends nothing; its
+		// clock must jump past 1s.
+		sendOne(r, "comm", 0, 1, 1000)
 	})
 	if ranks[1].Now() < 1.0 {
 		t.Fatalf("receiver clock %v did not advance to message arrival", ranks[1].Now())
@@ -156,26 +144,13 @@ func TestMaxClockAndMergedBreakdown(t *testing.T) {
 	}
 }
 
-func TestSelfSendPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c := New(topo.SingleNode(1))
-	c.Run(func(r *Rank) { r.Send(0, 1, 1, "x") })
-}
-
 func TestLocalCopyCheaperThanNetwork(t *testing.T) {
 	c := New(smallTopo())
 	ranks := c.Run(func(r *Rank) {
 		if r.ID == 0 {
 			r.LocalCopy(1<<20, "local")
-			r.Send(1, 1, 1<<20, "net")
 		}
-		if r.ID == 1 {
-			r.Recv(0)
-		}
+		sendOne(r, "net", 0, 1, 1<<20)
 	})
 	bd := ranks[0].Breakdown()
 	if bd["local"] >= bd["net"] {
@@ -198,34 +173,19 @@ func TestRankPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestManyMessagesOrdered(t *testing.T) {
-	c := New(topo.SingleNode(2))
-	c.Run(func(r *Rank) {
-		const n = 500
-		if r.ID == 0 {
-			for i := 0; i < n; i++ {
-				r.Send(1, i, 8, "x")
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if got := r.Recv(0).(int); got != i {
-					t.Errorf("message %d arrived as %d", i, got)
-					return
-				}
-			}
-		}
-	})
-}
-
 func TestDeterministicClocks(t *testing.T) {
 	run := func() []float64 {
 		c := New(smallTopo())
 		ranks := c.Run(func(r *Rank) {
-			next := (r.ID + 1) % c.Size()
-			prev := (r.ID - 1 + c.Size()) % c.Size()
-			for i := 0; i < 10; i++ {
-				r.Send(next, r.ID, 1000, "ring")
-				r.Recv(prev)
+			for i := 0; i < 12; i++ {
+				r.Advance("compute", float64(r.ID)*1e-6)
+				r.Exchange(Pattern(i%int(numPatterns)), "comm", r, func(_ []any, bytes [][]int) {
+					for src, row := range bytes {
+						for s := range row {
+							row[s] = 1000 * (src + s)
+						}
+					}
+				})
 			}
 			r.Barrier()
 		})

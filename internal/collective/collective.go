@@ -1,24 +1,24 @@
 // Package collective implements the MPI/NCCL-style collective operations MoE
-// expert parallelism is built from — Alltoall, Allgather, AllReduce,
-// Broadcast — over the simulated cluster runtime.
+// expert parallelism is built from — Alltoall, its node-leader variant
+// HierarchicalAlltoall, and Allgather — over the simulated cluster runtime.
 //
 // Each collective both moves real data between rank goroutines and advances
 // the simulated clocks according to the algorithm's communication structure:
 //   - Alltoall: pairwise exchange, P-1 steps, rank r sends chunk to
 //     (r+step) mod P and receives from (r-step) mod P.
+//   - HierarchicalAlltoall: node-local pairwise exchange, then a gather to
+//     each node's leader, a pairwise exchange between leaders and a scatter
+//     from each leader (cluster.NodeLeader).
 //   - Allgather: ring, P-1 steps, each step forwarding the chunk received in
 //     the previous step.
-//   - AllReduce: ring reduce-scatter followed by ring allgather.
-//   - Broadcast: binomial tree from the root.
 //
 // These are the algorithms NCCL uses at the message sizes MoE inference
 // produces, so the simulated time has the right shape in both P and bytes.
 //
-// Alltoall and Allgather run as one lockstep exchange each
-// (cluster.Rank.Exchange): the last rank to arrive copies every chunk header
-// into its receivers' tables and computes the schedule's message stamps, and
-// every rank replays its own steps on its clock. The rest send point to
-// point.
+// Each runs as one lockstep exchange (cluster.Rank.Exchange): the last rank
+// to arrive copies every chunk header into its receivers' tables and
+// computes the schedule's message stamps, and every rank replays its own
+// steps on its clock.
 package collective
 
 import (
@@ -33,6 +33,25 @@ type pairwise[T any] struct {
 	send  [][]T          // the caller's table, for the round in progress
 	recv  [][]T          // the rank's receive table, returned to the caller
 	peers []*pairwise[T] // every rank's state, when this rank arrives last
+}
+
+// start readies the state for a round with the caller's table.
+func (st *pairwise[T]) start(send [][]T) {
+	if st.recv == nil {
+		st.recv = make([][]T, len(send))
+		st.peers = make([]*pairwise[T], len(send))
+	}
+	st.send = send
+}
+
+// transpose copies every chunk header into its receiver's table: rank d's
+// recv[s] becomes rank s's send[d]. Every peer must be set.
+func (st *pairwise[T]) transpose() {
+	for src, from := range st.peers {
+		for dst, chunk := range from.send {
+			st.peers[dst].recv[src] = chunk
+		}
+	}
 }
 
 // Alltoall performs a personalized all-to-all exchange: send[d] is delivered
@@ -51,22 +70,15 @@ func Alltoall[T any](r *cluster.Rank, send [][]T, elemBytes int, category string
 		panic(fmt.Sprintf("collective: Alltoall needs %d chunks, got %d", p, len(send)))
 	}
 	st := cluster.Scratch[pairwise[T]](r)
-	if st.recv == nil {
-		st.recv = make([][]T, p)
-		st.peers = make([]*pairwise[T], p)
-	}
-	st.send = send
+	st.start(send)
 	// Local chunk: an on-GPU copy, not a network transfer.
 	r.LocalCopy(len(send[r.ID])*elemBytes, category)
 	r.Exchange(cluster.Pairwise, category, st, func(payloads []any, bytes [][]int) {
-		peers := st.peers
 		for i, x := range payloads {
-			peers[i] = deposit[pairwise[T]](x)
+			st.peers[i] = deposit[pairwise[T]](x)
 		}
-		for src, from := range peers {
-			for dst, chunk := range from.send {
-				peers[dst].recv[src] = chunk
-			}
+		st.transpose()
+		for src, from := range st.peers {
 			for step := 1; step < p; step++ {
 				bytes[src][step] = len(from.send[(src+step)%p]) * elemBytes
 			}
@@ -124,72 +136,6 @@ func deposit[S any](x any) *S {
 		panic(fmt.Sprintf("collective: ranks disagree on the collective: %T met %T", x, s))
 	}
 	return s
-}
-
-// AllReduceSum sums float64 vectors of equal length across all ranks; every
-// rank returns the same totals. Implemented as ring reduce-scatter + ring
-// allgather over contiguous blocks, the bandwidth-optimal schedule.
-func AllReduceSum(r *cluster.Rank, mine []float64, category string) []float64 {
-	p := r.Cluster.Size()
-	n := len(mine)
-	acc := append([]float64(nil), mine...)
-	if p == 1 {
-		return acc
-	}
-	const elemBytes = 8
-	// Block boundaries: block b covers [bounds[b], bounds[b+1]).
-	bounds := make([]int, p+1)
-	for b := 0; b <= p; b++ {
-		bounds[b] = b * n / p
-	}
-	next := (r.ID + 1) % p
-	prev := (r.ID - 1 + p) % p
-	// Reduce-scatter: after p-1 steps, rank r holds the full sum of block r.
-	for step := 0; step < p-1; step++ {
-		sendBlock := (r.ID - step + p) % p
-		recvBlock := (r.ID - step - 1 + p) % p
-		chunk := append([]float64(nil), acc[bounds[sendBlock]:bounds[sendBlock+1]]...)
-		r.Send(next, chunk, len(chunk)*elemBytes, category)
-		in := r.Recv(prev).([]float64)
-		dst := acc[bounds[recvBlock]:bounds[recvBlock+1]]
-		for i := range dst {
-			dst[i] += in[i]
-		}
-	}
-	// Allgather the reduced blocks.
-	for step := 0; step < p-1; step++ {
-		sendBlock := (r.ID + 1 - step + p) % p
-		recvBlock := (r.ID - step + p) % p
-		chunk := append([]float64(nil), acc[bounds[sendBlock]:bounds[sendBlock+1]]...)
-		r.Send(next, chunk, len(chunk)*elemBytes, category)
-		in := r.Recv(prev).([]float64)
-		copy(acc[bounds[recvBlock]:bounds[recvBlock+1]], in)
-	}
-	return acc
-}
-
-// Broadcast distributes root's value to every rank via a binomial tree and
-// returns it. Non-root ranks pass any placeholder (ignored).
-func Broadcast[T any](r *cluster.Rank, root int, value T, bytes int, category string) T {
-	p := r.Cluster.Size()
-	if root < 0 || root >= p {
-		panic("collective: invalid broadcast root")
-	}
-	// Work in a rotated space where the root is rank 0. At step `mask`,
-	// ranks [0, mask) already hold the value and each sends to vrank+mask;
-	// ranks [mask, 2*mask) receive.
-	vrank := (r.ID - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank < mask {
-			peer := vrank + mask
-			if peer < p {
-				r.Send((peer+root)%p, value, bytes, category)
-			}
-		} else if vrank < 2*mask {
-			value = r.Recv(((vrank - mask) + root) % p).(T)
-		}
-	}
-	return value
 }
 
 // TotalBytes is a helper computing the wire volume of a chunked payload.

@@ -2,9 +2,10 @@ package collective
 
 import (
 	"fmt"
-	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/rng"
@@ -138,85 +139,6 @@ func TestAllgatherEmptyChunks(t *testing.T) {
 	})
 }
 
-func TestAllReduceSumCorrect(t *testing.T) {
-	for _, gpus := range []int{1, 2, 3, 4, 8} {
-		tp := topo.ForGPUs(gpus)
-		p := tp.TotalGPUs()
-		const n = 17 // deliberately not divisible by p
-		run(tp, func(r *cluster.Rank) {
-			mine := make([]float64, n)
-			for i := range mine {
-				mine[i] = float64(r.ID*100 + i)
-			}
-			got := AllReduceSum(r, mine, "ar")
-			for i := range got {
-				want := 0.0
-				for s := 0; s < p; s++ {
-					want += float64(s*100 + i)
-				}
-				if math.Abs(got[i]-want) > 1e-9 {
-					t.Errorf("gpus=%d rank=%d elem %d: got %v want %v", gpus, r.ID, i, got[i], want)
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestAllReduceDoesNotMutateInput(t *testing.T) {
-	tp := topo.SingleNode(2)
-	run(tp, func(r *cluster.Rank) {
-		mine := []float64{1, 2, 3}
-		AllReduceSum(r, mine, "ar")
-		if mine[0] != 1 || mine[1] != 2 || mine[2] != 3 {
-			t.Errorf("input mutated: %v", mine)
-		}
-	})
-}
-
-func TestBroadcastFromEveryRoot(t *testing.T) {
-	tp := topo.Wilkes3(2)
-	p := tp.TotalGPUs()
-	for root := 0; root < p; root++ {
-		var mu sync.Mutex
-		got := make([]int, p)
-		run(tp, func(r *cluster.Rank) {
-			val := -1
-			if r.ID == root {
-				val = 4242
-			}
-			out := Broadcast(r, root, val, 8, "bc")
-			mu.Lock()
-			got[r.ID] = out
-			mu.Unlock()
-		})
-		for rank, v := range got {
-			if v != 4242 {
-				t.Fatalf("root=%d rank=%d got %d", root, rank, v)
-			}
-		}
-	}
-}
-
-func TestBroadcastInvalidRootPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	run(topo.SingleNode(2), func(r *cluster.Rank) {
-		Broadcast(r, 5, 1, 8, "bc")
-	})
-}
-
-func TestBroadcastSingleRank(t *testing.T) {
-	run(topo.SingleNode(1), func(r *cluster.Rank) {
-		if Broadcast(r, 0, 7, 8, "bc") != 7 {
-			t.Error("single-rank broadcast wrong")
-		}
-	})
-}
-
 func TestTotalBytes(t *testing.T) {
 	chunks := [][]int{{1, 2}, nil, {3}}
 	if TotalBytes(chunks, 8) != 24 {
@@ -246,10 +168,46 @@ func TestAlltoallTimeScalesWithClusterSize(t *testing.T) {
 	}
 }
 
+// TestCollectivePanicReportsRootCause panics one rank just before a
+// collective its peers have entered or are about to enter. Run must release
+// the peers and re-raise the root cause, not a peer's abort, within 10 s.
+func TestCollectivePanicReportsRootCause(t *testing.T) {
+	ops := map[string]func(r *cluster.Rank){
+		"alltoall":     func(r *cluster.Rank) { Alltoall(r, make([][]int, r.Cluster.Size()), 8, "a2a") },
+		"hierarchical": func(r *cluster.Rank) { HierarchicalAlltoall(r, make([][]int, r.Cluster.Size()), 8, "ha2a") },
+		"allgather":    func(r *cluster.Rank) { Allgather(r, []int{r.ID}, 8, "ag") },
+		"barrier":      func(r *cluster.Rank) { r.Barrier() },
+	}
+	for name, op := range ops {
+		for _, culprit := range []int{0, 5, 15} {
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				cluster.New(topo.ForGPUs(16)).Run(func(r *cluster.Rank) {
+					op(r) // one round completes first
+					if r.ID == culprit {
+						panic("root-cause-boom")
+					}
+					op(r)
+					op(r)
+				})
+			}()
+			select {
+			case p := <-done:
+				if s, ok := p.(string); !ok || !strings.Contains(s, "root-cause-boom") {
+					t.Fatalf("%s, rank %d panicking: Run re-raised %v, want the root cause", name, culprit, p)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, rank %d panicking: peers still blocked after 10 s", name, culprit)
+			}
+		}
+	}
+}
+
 // BenchmarkAlltoall16GPU times back-to-back engine-sized Alltoalls on one
-// 16-GPU cluster: each rank sends zero to three tokens to every peer,
-// cycling through eight irregular tables built up front. One op is one
-// collective on every rank.
+// 16-GPU cluster (4 nodes of 4), flat and on the node-leader schedule: each
+// rank sends zero to three tokens to every peer, cycling through eight
+// irregular tables built up front. One op is one collective on every rank.
 func BenchmarkAlltoall16GPU(b *testing.B) {
 	c := cluster.New(topo.ForGPUs(16))
 	p := c.Size()
@@ -266,12 +224,18 @@ func BenchmarkAlltoall16GPU(b *testing.B) {
 			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	c.Run(func(r *cluster.Rank) {
-		mine := tables[r.ID]
-		for i := 0; i < b.N; i++ {
-			Alltoall(r, mine[i%len(mine)], 4096, "alltoall")
-		}
-	})
+	for _, bc := range []struct {
+		name string
+		a2a  func(*cluster.Rank, [][]int, int, string) [][]int
+	}{{"flat", Alltoall[int]}, {"hierarchical", HierarchicalAlltoall[int]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			c.Run(func(r *cluster.Rank) {
+				mine := tables[r.ID]
+				for i := 0; i < b.N; i++ {
+					bc.a2a(r, mine[i%len(mine)], 4096, "alltoall")
+				}
+			})
+		})
+	}
 }

@@ -1,153 +1,94 @@
 package collective
 
 import (
+	"fmt"
+
 	"repro/internal/cluster"
 )
 
-// HierarchicalAlltoall performs a personalized all-to-all in two stages that
-// exploit the topology's bandwidth hierarchy, the way NCCL's PXN / rail-
-// optimized schedules do:
+// nodeLeader is one rank's HierarchicalAlltoall state, kept across calls in
+// the rank's cluster.Scratch. It holds Alltoall's tables under a type of its
+// own, so ranks that mix the two schedules in one round fail the deposit
+// check.
+type nodeLeader[T any] struct{ pairwise[T] }
+
+// HierarchicalAlltoall performs Alltoall's personalized all-to-all on a
+// schedule that exploits the topology's bandwidth hierarchy, the way NCCL's
+// PXN / rail-optimized schedules do (cluster.NodeLeader):
 //
-//  1. Intra-node gather: every rank forwards its inter-node chunks to the
-//     node's leader (local rank 0) over NVLink, bundled per destination
-//     node.
-//  2. Inter-node exchange: node leaders exchange the bundled chunks over
+//  1. Intra-node exchange: node-local chunks go directly, pairwise over
+//     NVLink.
+//  2. Intra-node gather: every rank forwards its inter-node chunks to the
+//     node's leader (local rank 0) over NVLink, in one bundle.
+//  3. Inter-node exchange: node leaders exchange the bundled chunks over
 //     the slow fabric (one large message per node pair instead of
 //     GPUsPerNode^2 small ones), then scatter arrivals to their local
-//     ranks.
+//     ranks, one bundle each.
 //
-// Intra-node chunks are delivered directly. The result is semantically
-// identical to Alltoall; the win is fewer inter-node messages, which
-// matters when the per-message latency term dominates (small-chunk MoE
-// dispatch at scale).
-type hierPacket[T any] struct {
-	srcRank int
-	dstRank int
-	data    []T
-}
-
-// HierarchicalAlltoall has the same contract as Alltoall.
+// The delivered table is Alltoall's; the win is fewer inter-node messages,
+// which matters when the per-message latency term dominates (small-chunk
+// MoE dispatch at scale). It has Alltoall's contract: the returned table is
+// the rank's own and is overwritten by its next HierarchicalAlltoall of the
+// same element type. On one node it is Alltoall.
 func HierarchicalAlltoall[T any](r *cluster.Rank, send [][]T, elemBytes int, category string) [][]T {
 	tp := r.Cluster.Topo
 	p := r.Cluster.Size()
 	if len(send) != p {
-		panic("collective: HierarchicalAlltoall chunk count mismatch")
+		panic(fmt.Sprintf("collective: HierarchicalAlltoall needs %d chunks, got %d", p, len(send)))
 	}
 	if tp.Nodes == 1 {
 		return Alltoall(r, send, elemBytes, category)
 	}
-	recv := make([][]T, p)
-	myNode := tp.NodeOf(r.ID)
-	leader := tp.Rank(myNode, 0)
-	isLeader := r.ID == leader
-
-	// Stage 0: direct intra-node (and self) deliveries via the flat
-	// pairwise schedule restricted to the node.
-	recv[r.ID] = send[r.ID]
+	st := cluster.Scratch[nodeLeader[T]](r)
+	st.start(send)
 	r.LocalCopy(len(send[r.ID])*elemBytes, category)
-	local := tp.RanksOnNode(myNode)
-	for step := 1; step < len(local); step++ {
-		me := indexOf(local, r.ID)
-		dst := local[(me+step)%len(local)]
-		src := local[(me-step+len(local))%len(local)]
-		r.Send(dst, send[dst], len(send[dst])*elemBytes, category)
-		recv[src] = r.Recv(src).([]T)
-	}
-
-	// Stage 1: forward inter-node chunks to the node leader, bundled per
-	// destination node.
-	type bundle = []hierPacket[T]
-	outByNode := make([]bundle, tp.Nodes)
-	bytesByNode := make([]int, tp.Nodes)
-	for dst := 0; dst < p; dst++ {
-		dn := tp.NodeOf(dst)
-		if dn == myNode {
-			continue
+	r.Exchange(cluster.NodeLeader, category, st, func(payloads []any, bytes [][]int) {
+		for i, x := range payloads {
+			st.peers[i] = &deposit[nodeLeader[T]](x).pairwise
 		}
-		outByNode[dn] = append(outByNode[dn], hierPacket[T]{srcRank: r.ID, dstRank: dst, data: send[dst]})
-		bytesByNode[dn] += len(send[dst]) * elemBytes
-	}
-	if !isLeader {
-		total := 0
-		var all bundle
-		for dn := 0; dn < tp.Nodes; dn++ {
-			all = append(all, outByNode[dn]...)
-			total += bytesByNode[dn]
-		}
-		r.Send(leader, all, total, category)
-	}
-	var staged []bundle // leader: per destination node
-	if isLeader {
-		staged = make([]bundle, tp.Nodes)
-		for dn := 0; dn < tp.Nodes; dn++ {
-			staged[dn] = append(staged[dn], outByNode[dn]...)
-		}
-		for _, peer := range local {
-			if peer == leader {
-				continue
+		st.transpose()
+		// Each step's wire size is the sum of the chunks its bundle carries;
+		// the steps are laid out as cluster.NodeLeader describes. Ranks are
+		// node-major: rank node*g+k is local rank k of node.
+		g, nodes := tp.GPUsPerNode, tp.Nodes
+		gather, leaders, scatter := g-1, 2*g-2, 2*g+nodes-3
+		wire := func(src, dst int) int { return len(st.peers[src].send[dst]) * elemBytes }
+		for src := 0; src < p; src++ {
+			node, k := src/g, src%g
+			for s := 1; s < g; s++ {
+				bytes[src][s] = wire(src, node*g+(k+s)%g)
 			}
-			in := r.Recv(peer).(bundle)
-			for _, pkt := range in {
-				staged[tp.NodeOf(pkt.dstRank)] = append(staged[tp.NodeOf(pkt.dstRank)], pkt)
-			}
-		}
-	}
-
-	// Stage 2: leaders exchange node bundles pairwise, then scatter to
-	// local ranks; non-leaders receive their forwarded chunks.
-	if isLeader {
-		arrivals := make([]bundle, 0, tp.Nodes)
-		for step := 1; step < tp.Nodes; step++ {
-			dstNode := (myNode + step) % tp.Nodes
-			srcNode := (myNode - step + tp.Nodes) % tp.Nodes
-			out := staged[dstNode]
-			bytes := 0
-			for _, pkt := range out {
-				bytes += len(pkt.data) * elemBytes
-			}
-			r.Send(tp.Rank(dstNode, 0), out, bytes, category)
-			arrivals = append(arrivals, r.Recv(tp.Rank(srcNode, 0)).(bundle))
-		}
-		// Scatter arrivals: keep own, forward the rest over NVLink.
-		perLocal := make(map[int]bundle)
-		for _, in := range arrivals {
-			for _, pkt := range in {
-				if pkt.dstRank == r.ID {
-					recv[pkt.srcRank] = pkt.data
-				} else {
-					perLocal[pkt.dstRank] = append(perLocal[pkt.dstRank], pkt)
+			if k > 0 { // every chunk leaving the node, to the leader
+				sum := 0
+				for dst := 0; dst < p; dst++ {
+					if dst/g != node {
+						sum += wire(src, dst)
+					}
 				}
-			}
-		}
-		for _, peer := range local {
-			if peer == leader {
+				bytes[src][gather+k] = sum
 				continue
 			}
-			out := perLocal[peer]
-			bytes := 0
-			for _, pkt := range out {
-				bytes += len(pkt.data) * elemBytes
+			for j := 1; j < nodes; j++ { // the node's chunks for node+j
+				to := (node + j) % nodes
+				sum := 0
+				for a := node * g; a < (node+1)*g; a++ {
+					for b := to * g; b < (to+1)*g; b++ {
+						sum += wire(a, b)
+					}
+				}
+				bytes[src][leaders+j] = sum
 			}
-			r.Send(peer, out, bytes, category)
+			for kk := 1; kk < g; kk++ { // other nodes' chunks for local rank kk
+				sum := 0
+				for from := 0; from < p; from++ {
+					if from/g != node {
+						sum += wire(from, node*g+kk)
+					}
+				}
+				bytes[src][scatter+kk] = sum
+			}
 		}
-	} else {
-		in := r.Recv(leader).(bundle)
-		for _, pkt := range in {
-			recv[pkt.srcRank] = pkt.data
-		}
-	}
-	// Chunks from ranks that sent nothing to us stay nil, matching the
-	// flat Alltoall's behaviour for empty sends only when senders used nil
-	// chunks; normalize to empty slices where the flat version would have
-	// delivered a non-nil empty chunk is unnecessary for callers.
-	return recv
-}
-
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	panic("collective: rank not on its own node")
+	})
+	st.send = nil
+	return st.recv
 }

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,8 +114,8 @@ func TestHierarchicalSingleNodeDelegates(t *testing.T) {
 
 func TestHierarchicalWrongChunkCountPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		if s, _ := recover().(string); !strings.Contains(s, "needs 8 chunks, got 3") {
+			t.Fatalf("panic %q does not give the chunk counts", s)
 		}
 	}()
 	run(topo.Wilkes3(2), func(r *cluster.Rank) {
