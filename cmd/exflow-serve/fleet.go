@@ -35,8 +35,6 @@ type fleetArmJSON struct {
 	Requests   int     `json:"requests"`
 	// Fleet accounting (zero for the fleet-nil baseline).
 	Arrivals    int `json:"arrivals"`
-	Shed        int `json:"shed"`
-	Deferred    int `json:"deferred"`
 	ScaleUps    int `json:"scale_ups"`
 	ScaleDowns  int `json:"scale_downs"`
 	MaxLive     int `json:"max_live"`
@@ -64,8 +62,8 @@ type fleetSummaryJSON struct {
 	Arms []fleetArmJSON `json:"arms"`
 
 	Acceptance struct {
-		// FleetDisabledBitIdentical: an all-zero FleetSpec (admit everything,
-		// never scale, no shared cache) reproduces the fleet-nil run exactly.
+		// FleetDisabledBitIdentical: an all-zero FleetSpec (never scale, no
+		// shared cache) reproduces the fleet-nil run exactly.
 		FleetDisabledBitIdentical bool `json:"fleet_disabled_bit_identical"`
 		// SharedCacheReducesNVMe: the shared node-level master tier strictly
 		// reduces fleet-wide NVMe fetches vs per-replica static splits.
@@ -95,7 +93,7 @@ func toFleetArm(name string, rep *exflow.ServeReport, warm, spike float64) fleet
 		a.NVMeFetches = rep.ExpertMem.NVMeFetches
 	}
 	if fl := rep.Fleet; fl != nil {
-		a.Arrivals, a.Shed, a.Deferred = fl.Arrivals, fl.Shed, fl.Deferred
+		a.Arrivals = fl.Arrivals
 		a.ScaleUps, a.ScaleDowns = fl.ScaleUps, fl.ScaleDowns
 		a.MaxLive, a.FinalLive = fl.MaxLive, fl.FinalLive
 		if fl.HostCache != nil {
@@ -223,8 +221,8 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 		autoRun.Fleet.FinalLive < autoRun.Fleet.MaxLive
 
 	for _, arm := range sum.Arms {
-		fmt.Printf("  %-17s spike P95 %8.4fs P99 %8.4fs  recover P95 %8.4fs  shed %4d defer %4d  scale %d/%d  live max %d final %d  nvme %d\n",
-			arm.Name, arm.SpikeP95, arm.SpikeP99, arm.RecoverP95, arm.Shed, arm.Deferred,
+		fmt.Printf("  %-17s spike P95 %8.4fs P99 %8.4fs  recover P95 %8.4fs  scale %d/%d  live max %d final %d  nvme %d\n",
+			arm.Name, arm.SpikeP95, arm.SpikeP99, arm.RecoverP95,
 			arm.ScaleUps, arm.ScaleDowns, arm.MaxLive, arm.FinalLive, arm.NVMeFetches)
 	}
 	fmt.Printf("\ninert spec bit-identical to fleet-nil: %v\n", a.FleetDisabledBitIdentical)

@@ -144,7 +144,6 @@ func main() {
 		seed        = flag.Uint64("seed", 7, "deterministic seed")
 		workers     = flag.Int("solveworkers", 1, "placement-solver portfolio width (initial solve and live re-solves); deterministic for any fixed value, 1 = serial")
 		solveLat    = flag.Float64("solvelat", 0, "simulated latency of a background re-solve in seconds; the fleet keeps serving while it runs (overlap, not pause)")
-		autoSolve   = flag.Bool("autosolve", false, "derive the simulated re-solve latency from the solver's measured wall clock (running mean; the calibration solve seeds the prior) — an explicit nonzero -solvelat always wins")
 		jsonPath    = flag.String("json", "BENCH_serve.json", "machine-readable summary path ('-' to skip the file)")
 		traceOut    = flag.String("traceout", "", "write a Chrome/Perfetto trace of the adaptive serving run to this path (chrome://tracing or ui.perfetto.dev)")
 		traceSample = flag.Int("tracesample", 128, "keep 1-in-N of the high-volume trace events (fetch/evict/prefetch/admit); control-plane events are always kept. 0 records everything — under -memratio the ring then wraps and overwrites the oldest events, migrations included")
@@ -201,7 +200,7 @@ func main() {
 			gpus: *gpus, replicas: *replicas, decode: *decode, hostSlots: *hostSlots,
 			seed: *seed, dur: *warm + *duration, arrival: *arrival, provision: provision,
 			jsonPath: path, memaware: *memaware,
-			solveWorkers: *workers, solveLat: *solveLat, autoSolve: *autoSolve,
+			solveWorkers: *workers, solveLat: *solveLat,
 		})
 		return
 	}
@@ -239,7 +238,6 @@ func main() {
 		Phases:           phases,
 		SolveSeconds:     *solveLat,
 		SolveWorkers:     *workers,
-		AutoSolveSeconds: *autoSolve,
 		Oversubscription: *memRatio,
 		HostSlots:        *hostSlots,
 		LatencyBucket:    (*warm + *duration) / 80,
@@ -469,7 +467,6 @@ type oversubConfig struct {
 	memaware                          bool
 	solveWorkers                      int
 	solveLat                          float64
-	autoSolve                         bool
 }
 
 // sweepArm is one finished cell of the oversubscription sweep.
@@ -503,13 +500,12 @@ func runOversubSweep(sys *exflow.System, cfg moe.Config, oc oversubConfig) {
 	// memory-disabled baseline, where a host-DRAM bound without the memory
 	// layer is rejected. runWith applies it to every oversubscribed arm.
 	base := exflow.ServeOptions{
-		Replicas:         replicas,
-		DecodeTokens:     decode,
-		SolveSeconds:     oc.solveLat,
-		SolveWorkers:     oc.solveWorkers,
-		AutoSolveSeconds: oc.autoSolve,
-		LatencyBucket:    dur / 80,
-		Seed:             seed,
+		Replicas:      replicas,
+		DecodeTokens:  decode,
+		SolveSeconds:  oc.solveLat,
+		SolveWorkers:  oc.solveWorkers,
+		LatencyBucket: dur / 80,
+		Seed:          seed,
 	}
 	cal, err := exflow.CalibrateServe(sys, base)
 	if err != nil {

@@ -168,7 +168,7 @@ func (s *System) SolvePlacementMemoryAware(tr *trace.Trace, oversub float64, pol
 			panic(err)
 		}
 		if prefetchK == 0 {
-			prefetchK = 4
+			prefetchK = expertmem.DefaultPrefetchK
 		}
 		mcfg := expertmem.ConfigFor(s.Topo, cfg.Layers, cfg.Experts, int(cfg.ExpertParams())*2, // fp16
 			oversub, pol, prefetchK, hostSlots, counts)
@@ -208,7 +208,8 @@ type Workload struct {
 	// CachePolicy is the residency policy under oversubscription: "lru",
 	// "lfu", "pin", or "affinity" (default). Invalid names panic.
 	CachePolicy string
-	// PrefetchK is the prefetch fan-out (0 means 4; affinity policy only).
+	// PrefetchK is the prefetch fan-out (0 means expertmem.DefaultPrefetchK;
+	// affinity policy only).
 	PrefetchK int
 }
 
@@ -246,7 +247,7 @@ func (s *System) memoryConfigFor(w Workload) *expertmem.Config {
 	}
 	k := w.PrefetchK
 	if k == 0 {
-		k = 4
+		k = expertmem.DefaultPrefetchK
 	}
 	cfg := s.Model.Cfg
 	aff := make([][][]float64, cfg.Layers-1)

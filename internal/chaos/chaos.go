@@ -273,15 +273,6 @@ func (s *Schedule) DegradeWindows() int {
 	return n
 }
 
-// Backoff returns the idle wait before retry attempt (1-based),
-// doubling per attempt: FetchBackoff, 2*FetchBackoff, 4*FetchBackoff, ...
-func (s *Schedule) Backoff(attempt int) float64 {
-	if s == nil || attempt < 1 {
-		return 0
-	}
-	return s.FetchBackoff * math.Pow(2, float64(attempt-1))
-}
-
 // CrashOutcome records one crash fault's realized lifecycle for the report.
 type CrashOutcome struct {
 	// Replica and At echo the fault; Redispatched counts the queued plus

@@ -144,23 +144,6 @@ func TestWithDefaultsResolvesRetryModel(t *testing.T) {
 	}
 }
 
-func TestBackoffDoubles(t *testing.T) {
-	s := &Schedule{FetchTimeout: 1, FetchBackoff: 0.01}
-	want := []float64{0.01, 0.02, 0.04}
-	for i, w := range want {
-		if got := s.Backoff(i + 1); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	if got := s.Backoff(0); got != 0 {
-		t.Errorf("Backoff(0) = %v, want 0", got)
-	}
-	var nilSched *Schedule
-	if got := nilSched.Backoff(1); got != 0 {
-		t.Errorf("nil Backoff = %v, want 0", got)
-	}
-}
-
 func TestScheduleAccessors(t *testing.T) {
 	var nilSched *Schedule
 	if nilSched.Crashes() != nil || nilSched.DegradeWindows() != 0 {

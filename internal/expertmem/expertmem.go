@@ -98,6 +98,11 @@ func SlotsForBytes(hbmBytes int64, expertBytes int) int {
 	return int(hbmBytes / int64(expertBytes))
 }
 
+// DefaultPrefetchK is the prefetch fan-out the serving and engine
+// integrations use: how many affinity successors the prefetcher chases per
+// routed expert under the affinity policy.
+const DefaultPrefetchK = 4
+
 // ConfigFor derives the standard deployment config shared by the engine and
 // serving integrations: the slot budget comes from the oversubscription
 // ratio, clamped to what the topology's physical HBM can actually hold, and

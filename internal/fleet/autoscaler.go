@@ -43,8 +43,7 @@ type Autoscaler struct {
 // NewAutoscaler builds the loop state for a defaulted spec.
 func NewAutoscaler(spec Spec) *Autoscaler { return &Autoscaler{spec: spec} }
 
-// ObserveArrival records one offered request (shed or admitted alike — the
-// forecast tracks demand, not acceptance).
+// ObserveArrival records one offered request.
 func (a *Autoscaler) ObserveArrival() { a.pending++ }
 
 // Rate is the current arrival-rate forecast in requests/second.
@@ -85,7 +84,7 @@ func (a *Autoscaler) Reconcile(now float64, committed int, perReplicaTokensPerSe
 	a.tick(now)
 	dec := Decision{Time: now, Rate: a.rate}
 	desired := committed
-	if per := a.spec.TargetUtilization * perReplicaTokensPerSec; per > 0 {
+	if per := targetUtilization * perReplicaTokensPerSec; per > 0 {
 		desired = int(math.Ceil(a.rate * float64(decodeTokens) / per))
 	}
 	if desired < a.spec.MinReplicas {

@@ -3,12 +3,12 @@ package fleet
 import "testing"
 
 // scalerSpec is a defaulted spec with round numbers: one replica serves 10
-// req/s at full utilization (100 tokens/s, 10 decode tokens) and
-// TargetUtilization 1 keeps desired = ceil(rate/10).
+// req/s at full utilization (100 tokens/s, 10 decode tokens), so at the
+// 0.75 target utilization it is provisioned for 7.5 req/s and desired =
+// ceil(rate/7.5).
 func scalerSpec() Spec {
 	return Spec{
 		MinReplicas: 1, MaxReplicas: 8,
-		TargetUtilization: 1,
 		ForecastHalfLife:  1,
 		ScaleUpCooldown:   2,
 		ScaleDownCooldown: 6,
@@ -24,10 +24,10 @@ func arrive(a *Autoscaler, n int) {
 
 func TestAutoscalerScaleUpJumpsToDesired(t *testing.T) {
 	a := NewAutoscaler(scalerSpec())
-	arrive(a, 50) // 50 req/s over [0,1): desired = ceil(50/10) = 5
+	arrive(a, 50) // 50 req/s over [0,1): desired = ceil(50/7.5) = 7
 	dec, act := a.Reconcile(1, 2, 100, 10)
-	if !act || dec.Delta != 3 || dec.Desired != 5 {
-		t.Fatalf("decision = %+v act=%v, want delta 3 to desired 5", dec, act)
+	if !act || dec.Delta != 5 || dec.Desired != 7 {
+		t.Fatalf("decision = %+v act=%v, want delta 5 to desired 7", dec, act)
 	}
 	if a.Rate() != 50 {
 		t.Errorf("rate = %v, want 50 (first sample seeds the EWMA)", a.Rate())
@@ -82,9 +82,10 @@ func TestAutoscalerNoFlapAtBoundary(t *testing.T) {
 	// blips back (committed just shrank past it): the cross-block holds ups
 	// for ScaleDownCooldown.
 	a := NewAutoscaler(scalerSpec())
-	// Rate ~=20 req/s: desired 2. Committed 3 -> streak toward a drain.
+	// Rate 15 req/s: desired ceil(15/7.5) = 2. Committed 3 -> streak toward
+	// a drain.
 	for _, now := range []float64{1, 2, 3} {
-		arrive(a, 20)
+		arrive(a, 15)
 		dec, act := a.Reconcile(now, 3, 100, 10)
 		if now < 3 && act {
 			t.Fatalf("acted before streak at t=%v: %+v", now, dec)
@@ -93,18 +94,20 @@ func TestAutoscalerNoFlapAtBoundary(t *testing.T) {
 			t.Fatalf("expected drain at t=3, got %+v act=%v", dec, act)
 		}
 	}
-	// Boundary rate wobbles up to 25 req/s: desired 3 > committed 2, but the
-	// down at t=3 blocks ups until t=9.
+	// Boundary rate wobbles up toward 20 req/s: desired 3 > committed 2, but
+	// the down at t=3 blocks ups until t=9.
 	for _, now := range []float64{4, 5, 6, 7, 8} {
-		arrive(a, 25)
+		arrive(a, 20)
 		if dec, act := a.Reconcile(now, 2, 100, 10); act {
 			t.Fatalf("up inside the post-down block acted at t=%v: %+v", now, dec)
 		}
 	}
 	// And symmetrically: after the up finally lands, collapsing demand cannot
 	// immediately drain it (ups block downs for ScaleUpCooldown): the streak
-	// fills at t=11 but the up at t=9.5 blocks downs until t=11.5.
-	arrive(a, 45)
+	// fills at t=11 but the up at t=9.5 blocks downs until t=11.5. The rate
+	// stays near 20 (desired 3), then decays below 15 (desired 2) within
+	// half a second of idling.
+	arrive(a, 30)
 	if _, act := a.Reconcile(9.5, 2, 100, 10); !act {
 		t.Fatal("up after the block expired should act")
 	}
@@ -120,7 +123,7 @@ func TestAutoscalerNoFlapAtBoundary(t *testing.T) {
 
 func TestAutoscalerClamps(t *testing.T) {
 	a := NewAutoscaler(scalerSpec())
-	arrive(a, 10000) // desired would be 1000; clamps to MaxReplicas 8
+	arrive(a, 10000) // desired would be 1334; clamps to MaxReplicas 8
 	dec, act := a.Reconcile(1, 2, 100, 10)
 	if !act || dec.Desired != 8 || dec.Delta != 6 {
 		t.Fatalf("decision = %+v act=%v, want clamp to max 8", dec, act)

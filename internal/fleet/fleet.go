@@ -1,6 +1,6 @@
 // Package fleet is the node-level coordination tier above the serving
 // simulator: it owns what co-located replicas share and how many of them
-// exist. Three pieces compose it:
+// exist. Two pieces compose it:
 //
 //   - a shared host-DRAM master-copy cache (HostCache): one popularity-ranked,
 //     HostSlots-bounded DRAM tier per node instead of one per replica, with
@@ -11,15 +11,11 @@
 //
 //   - an autoscaler (Autoscaler) running a reconciliation loop on the
 //     simulated clock: a declarative Spec states the desired world (min/max
-//     replicas, target utilization, cooldowns), an EWMA forecasts the arrival
+//     replicas, cooldowns, cadence), an EWMA forecasts the arrival
 //     rate, and each reconcile step moves the committed replica count one
 //     decision toward desired — spiderpool's controller/agent split for
 //     declaratively-specified elastic resource pools is the architectural
-//     exemplar;
-//
-//   - queue-depth admission control (Spec.Admit): an arriving request is
-//     deferred, then shed, while the fleet already holds MaxQueuePerReplica
-//     queued+active requests per live replica.
+//     exemplar.
 //
 // The package is pure policy plus bookkeeping: internal/serve owns the event
 // loop and calls in; nothing here touches a clock or a goroutine.
@@ -32,13 +28,14 @@ import (
 	"repro/internal/stats"
 )
 
-// AdmissionQueue is Spec.Admission's one policy name: shed by fleet-wide
-// queue depth (requests), the classic front-end guard.
-const AdmissionQueue = "queue"
+// targetUtilization is the fraction of fleet decode capacity the autoscaler
+// provisions for: desired = ceil(forecast demand / (targetUtilization *
+// per-replica capacity)).
+const targetUtilization = 0.75
 
-// Spec declares the fleet tier's desired state. The zero value is inert:
-// every request admitted, no autoscaling, no shared cache — a serving run
-// with an inert Spec is bit-identical to one with no fleet tier at all.
+// Spec declares the fleet tier's desired state. The zero value is inert: no
+// autoscaling and no shared cache — a serving run with an inert Spec is
+// bit-identical to one with no fleet tier at all.
 type Spec struct {
 	// SharedHostCache replaces each replica's independent host-DRAM
 	// master-copy tier with one node-level HostCache shared by all
@@ -52,11 +49,6 @@ type Spec struct {
 	// lie inside [MinReplicas, MaxReplicas].
 	MinReplicas int
 	MaxReplicas int
-	// TargetUtilization is the fraction of fleet decode capacity the
-	// autoscaler provisions for: desired = ceil(forecast demand /
-	// (TargetUtilization * per-replica capacity)). Default 0.75; must be in
-	// (0, 1].
-	TargetUtilization float64
 	// ForecastHalfLife is the EWMA half-life in simulated seconds of the
 	// arrival-rate forecast (default 5).
 	ForecastHalfLife float64
@@ -72,18 +64,6 @@ type Spec struct {
 	// ReconcileInterval is the reconciliation cadence in simulated seconds
 	// (default 1).
 	ReconcileInterval float64
-
-	// Admission selects the admission-control policy: "" (admit everything)
-	// or AdmissionQueue.
-	Admission string
-	// MaxQueuePerReplica is the queue policy's shed threshold in queued+active
-	// requests per live replica (default 64).
-	MaxQueuePerReplica int
-	// DeferSeconds is how long a deferred request waits before re-arriving
-	// (default 0.25); MaxDefers bounds how many times one request may be
-	// deferred before the choice is admit-or-shed (default 2).
-	DeferSeconds float64
-	MaxDefers    int
 }
 
 // Autoscaling reports whether the spec enables elastic replica scaling.
@@ -91,9 +71,6 @@ func (s *Spec) Autoscaling() bool { return s.MaxReplicas > 0 }
 
 // WithDefaults resolves zero tunables to their defaults, returning a copy.
 func (s Spec) WithDefaults() Spec {
-	if s.TargetUtilization == 0 {
-		s.TargetUtilization = 0.75
-	}
 	if s.ForecastHalfLife == 0 {
 		s.ForecastHalfLife = 5
 	}
@@ -108,15 +85,6 @@ func (s Spec) WithDefaults() Spec {
 	}
 	if s.ReconcileInterval == 0 {
 		s.ReconcileInterval = 1
-	}
-	if s.MaxQueuePerReplica == 0 {
-		s.MaxQueuePerReplica = 64
-	}
-	if s.DeferSeconds == 0 {
-		s.DeferSeconds = 0.25
-	}
-	if s.MaxDefers == 0 {
-		s.MaxDefers = 2
 	}
 	if s.Autoscaling() && s.MinReplicas == 0 {
 		s.MinReplicas = 1
@@ -136,11 +104,8 @@ func (s *Spec) Validate(replicas int) error {
 		return fmt.Errorf("fleet: MinReplicas %d exceeds MaxReplicas %d", s.MinReplicas, s.MaxReplicas)
 	case s.MaxReplicas > 0 && (replicas < s.MinReplicas || replicas > s.MaxReplicas):
 		return fmt.Errorf("fleet: initial replica count %d outside autoscaler bounds [%d, %d]", replicas, s.MinReplicas, s.MaxReplicas)
-	case !(s.TargetUtilization >= 0 && s.TargetUtilization <= 1):
-		// Written so NaN fails it too.
-		return fmt.Errorf("fleet: TargetUtilization must be in (0, 1] (zero for the default 0.75), got %v", s.TargetUtilization)
-	case s.DownscaleStreak < 0 || s.MaxQueuePerReplica < 0 || s.MaxDefers < 0:
-		return fmt.Errorf("fleet: count tunables must be non-negative")
+	case s.DownscaleStreak < 0:
+		return fmt.Errorf("fleet: DownscaleStreak must be non-negative, got %d", s.DownscaleStreak)
 	}
 	// NaN passes every ordered comparison and +Inf every lower bound, so
 	// each time tunable is checked for finiteness explicitly.
@@ -150,24 +115,19 @@ func (s *Spec) Validate(replicas int) error {
 	}{
 		{"ForecastHalfLife", s.ForecastHalfLife}, {"ScaleUpCooldown", s.ScaleUpCooldown},
 		{"ScaleDownCooldown", s.ScaleDownCooldown}, {"ReconcileInterval", s.ReconcileInterval},
-		{"DeferSeconds", s.DeferSeconds},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("fleet: time tunables must be non-negative and finite, got %s = %v", f.name, f.v)
 		}
-	}
-	if s.Admission != "" && s.Admission != AdmissionQueue {
-		return fmt.Errorf("fleet: unknown admission policy %q (want %q or empty)", s.Admission, AdmissionQueue)
 	}
 	return nil
 }
 
 // Report summarizes the fleet tier's activity over one serving run.
 type Report struct {
-	// Arrivals counts distinct requests offered to the front-end; every one
-	// is either admitted or shed (Arrivals == Admitted + Shed). Deferred
-	// counts defer events — one request can contribute several.
-	Arrivals, Admitted, Shed, Deferred int
+	// Arrivals counts the requests offered to the front-end; every one is
+	// enqueued on a serving replica.
+	Arrivals int
 	// ScaleUps / ScaleDowns count autoscaler actions; MaxLive and FinalLive
 	// are the peak and end-of-run serving replica counts.
 	ScaleUps, ScaleDowns int

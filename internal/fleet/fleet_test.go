@@ -8,10 +8,9 @@ import (
 
 func TestSpecWithDefaults(t *testing.T) {
 	d := Spec{}.WithDefaults()
-	if d.TargetUtilization != 0.75 || d.ForecastHalfLife != 5 ||
+	if d.ForecastHalfLife != 5 ||
 		d.ScaleUpCooldown != 2 || d.ScaleDownCooldown != 6 ||
-		d.DownscaleStreak != 3 || d.ReconcileInterval != 1 ||
-		d.MaxQueuePerReplica != 64 || d.DeferSeconds != 0.25 || d.MaxDefers != 2 {
+		d.DownscaleStreak != 3 || d.ReconcileInterval != 1 {
 		t.Errorf("defaults = %+v", d)
 	}
 	if d.MinReplicas != 0 {
@@ -21,8 +20,8 @@ func TestSpecWithDefaults(t *testing.T) {
 		t.Errorf("MinReplicas = %d with autoscaling on, want floor 1", a.MinReplicas)
 	}
 	// Explicit values survive defaulting.
-	e := Spec{TargetUtilization: 0.5, MaxDefers: 7}.WithDefaults()
-	if e.TargetUtilization != 0.5 || e.MaxDefers != 7 {
+	e := Spec{ForecastHalfLife: 0.5, DownscaleStreak: 7}.WithDefaults()
+	if e.ForecastHalfLife != 0.5 || e.DownscaleStreak != 7 {
 		t.Errorf("explicit tunables overwritten: %+v", e)
 	}
 }
@@ -49,20 +48,13 @@ func TestSpecValidate(t *testing.T) {
 		{"floor without ceiling", Spec{MinReplicas: 2}, 2, "MaxReplicas is 0"},
 		{"min over max", Spec{MinReplicas: 5, MaxReplicas: 4}, 4, "exceeds"},
 		{"replicas outside bounds", Spec{MinReplicas: 2, MaxReplicas: 4}, 1, "outside autoscaler bounds"},
-		{"utilization over one", Spec{TargetUtilization: 1.5}, 2, "TargetUtilization"},
-		{"negative time", Spec{DeferSeconds: -1}, 2, "time tunables"},
-		{"negative count", Spec{MaxDefers: -1}, 2, "count tunables"},
-		{"unknown admission", Spec{Admission: "vibes"}, 2, "unknown admission policy"},
-		// The retired paging policy's name is no longer a policy.
-		{"paging admission retired", Spec{Admission: "paging"}, 2, "unknown admission policy"},
-		{"queue ok", Spec{Admission: AdmissionQueue}, 2, ""},
+		{"negative time", Spec{ReconcileInterval: -1}, 2, "time tunables"},
+		{"negative count", Spec{DownscaleStreak: -1}, 2, "DownscaleStreak"},
 		// NaN passes every ordered comparison; each field must name itself.
-		{"NaN utilization", Spec{TargetUtilization: math.NaN()}, 2, "TargetUtilization"},
 		{"NaN half-life", Spec{ForecastHalfLife: math.NaN()}, 2, "ForecastHalfLife"},
 		{"NaN scale-up cooldown", Spec{ScaleUpCooldown: math.NaN()}, 2, "ScaleUpCooldown"},
 		{"NaN scale-down cooldown", Spec{ScaleDownCooldown: math.NaN()}, 2, "ScaleDownCooldown"},
 		{"NaN reconcile interval", Spec{ReconcileInterval: math.NaN()}, 2, "ReconcileInterval"},
-		{"NaN defer", Spec{DeferSeconds: math.NaN()}, 2, "DeferSeconds"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate(c.replicas)

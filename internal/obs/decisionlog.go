@@ -9,8 +9,8 @@ import (
 
 // DecisionLog is a bounded, human-readable record of controller decisions:
 // every observe/skip/solve/discard/reject/install with the inputs that drove
-// it (drift score, MinGain arithmetic, staleness check). Lines are stamped
-// with the simulated clock. All methods are no-ops on a nil receiver.
+// it (drift score, minimum-gain arithmetic, staleness check). Lines are
+// stamped with the simulated clock. All methods are no-ops on a nil receiver.
 type DecisionLog struct {
 	mu      sync.Mutex
 	lines   []string

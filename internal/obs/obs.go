@@ -49,7 +49,7 @@ const (
 	// EvSolveStart / EvSolve / EvSolveDiscard / EvSolveReject are the
 	// controller's background re-solve: launch instant, the full overlap
 	// window as a span, and the two no-migration outcomes (stale result
-	// discarded; gain below MinGain). Value on EvSolveStart is the drift
+	// discarded; gain below the minimum). Value on EvSolveStart is the drift
 	// score that fired.
 	EvSolveStart
 	EvSolve
@@ -70,11 +70,9 @@ const (
 	// replica drained out of the serving set. Aux is the replica id.
 	EvScaleUp
 	EvScaleDown
-	// EvShed / EvDefer are admission-control outcomes for one arriving
-	// request: dropped, or re-offered after a short wait. Aux is the request
-	// index.
+	// EvShed is one request dropped after a retry-exhausted expert fetch
+	// (internal/chaos). Aux is the request index.
 	EvShed
-	EvDefer
 	// EvFleetSize samples the committed (live + warming) replica count
 	// (Value). Rendered as a Perfetto counter track.
 	EvFleetSize
@@ -138,8 +136,6 @@ func (k EventKind) String() string {
 		return "scale-down"
 	case EvShed:
 		return "shed"
-	case EvDefer:
-		return "defer"
 	case EvFleetSize:
 		return "fleet-size"
 	case EvCrash:
@@ -172,7 +168,6 @@ var highVolume = [numEventKinds]bool{
 	EvPrefetchHit:   true,
 	EvPrefetchDrop:  true,
 	EvShed:          true,
-	EvDefer:         true,
 	// Fetch retries and preemptions ride the per-fetch path and scale with
 	// traffic; crash/recover/degrade events are control-plane and never
 	// thinned.

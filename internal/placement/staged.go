@@ -13,7 +13,8 @@ type SolveOptions struct {
 	// Seed feeds the annealer (and derives portfolio replica seeds).
 	Seed uint64
 	// Memory optionally folds expected expert-stall into the annealing
-	// objective (see SolveMem).
+	// polish (the sweep stays crossing-only); nil or inactive reproduces
+	// Solve bit-identically.
 	Memory *MemoryObjective
 	// Workers is the annealing portfolio width (see AnnealOptions.Workers);
 	// zero or one is the single-replica solve, bit-identical to Solve.
@@ -27,14 +28,6 @@ type SolveOptions struct {
 // descent refined by simulated annealing. seed feeds the annealer.
 func Solve(counts [][][]float64, layers, experts, gpus int, seed uint64) *Placement {
 	return SolveOpt(counts, layers, experts, gpus, SolveOptions{Seed: seed})
-}
-
-// SolveMem is Solve with an optional memory-aware objective: the sweep
-// stays crossing-only (its transportation subproblem has no residency
-// notion), and the annealing polish prices crossings plus expected
-// expert-stall. A nil or inactive objective reproduces Solve bit-identically.
-func SolveMem(counts [][][]float64, layers, experts, gpus int, seed uint64, mem *MemoryObjective) *Placement {
-	return SolveOpt(counts, layers, experts, gpus, SolveOptions{Seed: seed, Memory: mem})
 }
 
 // SolveOpt is the fully-optioned single-level pipeline: LayerSweep followed

@@ -205,7 +205,7 @@ func catalog() []row {
 		},
 		{
 			id: "drain-conservation", category: "fleet", priority: "P2",
-			description: "Scale-down after a spike drains gracefully: retiring replicas hand their queues to survivors and finished + shed equals arrivals.",
+			description: "Scale-down after a spike drains gracefully: retiring replicas hand their queues to survivors and every arrival finishes.",
 			run:         runDrainConservation,
 		},
 	}
@@ -482,16 +482,13 @@ func runFlashCrowdCrash(sys system, sp scaleParams, seed uint64) (bool, map[stri
 	met := map[string]float64{
 		"scale_ups":    float64(fl.ScaleUps),
 		"arrivals":     float64(fl.Arrivals),
-		"admitted":     float64(fl.Admitted),
-		"shed":         float64(fl.Shed),
 		"redispatched": float64(fr.Redispatched),
 		"max_live":     float64(fl.MaxLive),
 	}
 	pass := fr.Recoveries == 1 && fl.ScaleUps > 0 &&
-		fl.Arrivals == fl.Admitted+fl.Shed && // admission accounting exact
-		rep.Requests == fl.Admitted // nothing admitted is stranded
-	notes := fmt.Sprintf("crash at %.2fs during 3x spike; %d scale-ups, %d/%d admitted; %s",
-		crashAt, fl.ScaleUps, fl.Admitted, fl.Arrivals, fr)
+		rep.Requests == fl.Arrivals // nothing offered is stranded
+	notes := fmt.Sprintf("crash at %.2fs during 3x spike; %d scale-ups, %d/%d finished; %s",
+		crashAt, fl.ScaleUps, rep.Requests, fl.Arrivals, fr)
 	return pass, met, notes, nil
 }
 
@@ -512,13 +509,11 @@ func runAutoscalerReplacesCrash(sys system, sp scaleParams, seed uint64) (bool, 
 	met := map[string]float64{
 		"scale_ups":  float64(fl.ScaleUps),
 		"final_live": float64(fl.FinalLive),
-		"admitted":   float64(fl.Admitted),
 		"arrivals":   float64(fl.Arrivals),
 	}
 	pass := fr.Recoveries == 0 && // the slot itself never comes back
 		fl.ScaleUps > 0 && // but the autoscaler replaced the capacity
-		fl.Arrivals == fl.Admitted+fl.Shed &&
-		rep.Requests == fl.Admitted
+		rep.Requests == fl.Arrivals
 	notes := fmt.Sprintf("permanent crash at %.1fs; %d scale-ups replaced the slot; %s",
 		sp.warm, fl.ScaleUps, fr)
 	return pass, met, notes, nil
@@ -584,14 +579,11 @@ func runDrainConservation(sys system, sp scaleParams, seed uint64) (bool, map[st
 	met := map[string]float64{
 		"scale_downs": float64(fl.ScaleDowns),
 		"arrivals":    float64(fl.Arrivals),
-		"admitted":    float64(fl.Admitted),
-		"shed":        float64(fl.Shed),
 		"finished":    float64(rep.Requests),
 	}
 	pass := fl.ScaleDowns > 0 &&
-		fl.Arrivals == fl.Admitted+fl.Shed &&
-		rep.Requests == fl.Admitted // drains strand nothing
-	notes := fmt.Sprintf("%d scale-downs after the spike; %d admitted all finished",
-		fl.ScaleDowns, fl.Admitted)
+		rep.Requests == fl.Arrivals // drains strand nothing
+	notes := fmt.Sprintf("%d scale-downs after the spike; all %d arrivals finished",
+		fl.ScaleDowns, fl.Arrivals)
 	return pass, met, notes, nil
 }

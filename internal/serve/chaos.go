@@ -88,7 +88,7 @@ func (s *server) applyChaosHooks(mem *expertmem.Manager) {
 
 // chaosQuiet extends the post-fault quiet window on the controller.
 func (s *server) chaosQuiet(now float64) {
-	s.ch.quietUntil = max(s.ch.quietUntil, now+2*s.opts.CheckInterval)
+	s.ch.quietUntil = max(s.ch.quietUntil, now+2*checkInterval)
 }
 
 // onCrash kills a replica: its residency tables and in-flight iteration are

@@ -239,14 +239,14 @@ func TestServeChaosCrashDuringAutoscale(t *testing.T) {
 	if fl.ScaleUps == 0 {
 		t.Fatalf("autoscaler never replaced the crashed capacity: %+v", fl)
 	}
-	if fl.Arrivals != fl.Admitted+fl.Shed || rep.Requests != fl.Admitted {
+	if rep.Requests != fl.Arrivals {
 		t.Fatalf("fleet accounting broke under chaos: %+v vs %d requests", fl, rep.Requests)
 	}
 }
 
 func TestServeChaosDrainConservation(t *testing.T) {
 	// Scale-down with a queued backlog: the drained replica's queue moves to
-	// the survivors immediately and every admitted request still finishes.
+	// the survivors immediately and every arrival still finishes.
 	dep, opts, _ := testSystem(t)
 	warm := nearKneeRate(opts, 0.4, 0.2, 0.5)
 	opts.Phases = []Phase{
@@ -269,12 +269,9 @@ func TestServeChaosDrainConservation(t *testing.T) {
 	if fl.ScaleDowns == 0 {
 		t.Fatalf("fleet never drained after the spike: %+v", fl)
 	}
-	if fl.Arrivals != fl.Admitted+fl.Shed {
-		t.Fatalf("arrival accounting broke: %d != %d + %d", fl.Arrivals, fl.Admitted, fl.Shed)
-	}
-	// finished + shed == arrivals: nothing was stranded on a retired replica.
-	if rep.Requests != fl.Admitted {
-		t.Fatalf("%d admitted but %d finished — drain stranded requests", fl.Admitted, rep.Requests)
+	// finished == arrivals: nothing was stranded on a retired replica.
+	if rep.Requests != fl.Arrivals {
+		t.Fatalf("%d arrivals but %d finished — drain stranded requests", fl.Arrivals, rep.Requests)
 	}
 }
 

@@ -18,7 +18,7 @@ type MigrationEvent struct {
 	SolveStarted float64
 	SolveSeconds float64
 	// Time is the simulated second the controller decided to migrate (the
-	// background solve finished and cleared the staleness and MinGain
+	// background solve finished and cleared the staleness and minimum-gain
 	// gates).
 	Time float64
 	// Completed is when the last replica finished its parameter copy.
@@ -103,8 +103,8 @@ type pendingSolve struct {
 // — prices the migration and hands the server a rolling migration plan
 // (complete). The FPTAS-for-ISSP lineage motivates treating this as an
 // incremental budgeted step — canonicalization keeps the move set
-// near-minimal and MinGain rejects re-solves that would churn parameters
-// for marginal benefit.
+// near-minimal and the minimum-gain gate rejects re-solves that would churn
+// parameters for marginal benefit.
 type controller struct {
 	opts   *runConfig
 	window *TraceWindow
@@ -115,11 +115,11 @@ type controller struct {
 	churn func([]placement.Move) (int, float64)
 
 	// met caches the controller's metric handles (zero value when metrics
-	// are off). wallSum/wallCount accumulate measured solve walls for the
-	// AutoSolveSeconds running-mean estimate.
-	met       serveMetrics
-	wallSum   float64
-	wallCount int
+	// are off).
+	met serveMetrics
+	// minGain is the minimum fractional per-token cost reduction worth
+	// migrating for: defaultMinGain, raised by tests to force rejections.
+	minGain float64
 
 	// pooled is the drift checks' scratch: observe scores the pooled window
 	// in it and complete's staleness check reuses it. A launched solve takes
@@ -134,20 +134,12 @@ type controller struct {
 
 func newController(opts *runConfig, window *TraceWindow, baseline [][]float64) *controller {
 	return &controller{
-		opts:   opts,
-		window: window,
-		det:    NewDetector(JS, opts.threshold, opts.Patience, baseline),
-		met:    newServeMetrics(opts.Metrics),
+		opts:    opts,
+		window:  window,
+		det:     NewDetector(JS, opts.threshold, patience, baseline),
+		met:     newServeMetrics(opts.Metrics),
+		minGain: defaultMinGain,
 	}
-}
-
-// solveEstimate is the AutoSolveSeconds latency estimate: the running mean
-// of measured solve walls, or SolveSecondsPrior before any solve completed.
-func (c *controller) solveEstimate() float64 {
-	if c.wallCount > 0 {
-		return c.wallSum / float64(c.wallCount)
-	}
-	return c.opts.SolveSecondsPrior
 }
 
 // observe scores the live window and, when the detector fires under the
@@ -218,11 +210,9 @@ func (c *controller) observe(now float64, cur *placement.Placement, busy bool) (
 // complete collects a finished background solve: it applies the staleness
 // guard, prices the candidate placement against the snapshot it was solved
 // on, and returns a migration plan — or nil when the solve is discarded
-// (stale) or rejected (below MinGain).
+// (stale) or rejected (below the minimum gain).
 func (c *controller) complete(now float64, cur *placement.Placement, ps *pendingSolve) *pendingMigration {
 	fresh := <-ps.result
-	c.wallSum += ps.wall
-	c.wallCount++
 	c.met.solverWall.Observe(ps.wall)
 	dl := c.opts.Decisions
 	tr := c.opts.Trace
@@ -253,16 +243,16 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 	if staleCost > 0 {
 		gain = 1 - freshCost/staleCost
 	}
-	if gain < c.opts.MinGain {
+	if gain < c.minGain {
 		// Not worth the parameter traffic; back off before re-solving again.
-		c.cooldownUntil = now + c.opts.Cooldown
+		c.cooldownUntil = now + cooldown
 		c.det.Rebase(c.det.baseline) // clear the hot streak, keep the baseline
 		c.met.rejects.Inc()
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.EvSolveReject, Rep: -1, GPU: -1, Layer: -1, Expert: -1, T: now, Value: gain})
 		}
 		dl.Logf(now, "solve-reject gain=%.4f<mingain=%.4f (stale=%.6fs/token fresh=%.6fs/token) cooldown-until=%.3fs",
-			gain, c.opts.MinGain, staleCost, freshCost, c.cooldownUntil)
+			gain, c.minGain, staleCost, freshCost, c.cooldownUntil)
 		return nil
 	}
 	// Price exactly the placement being installed (PriceMigration would
@@ -307,7 +297,7 @@ func (c *controller) complete(now float64, cur *placement.Placement, ps *pending
 	}
 	c.met.predStallDelta.Set(ev.PredictedStallDelta)
 	dl.Logf(now, "solve-accept gain=%.4f>=mingain=%.4f moves=%d cross-node=%d pause/replica=%.3fms pred-stall-delta=%.6fs/token churn=%d",
-		gain, c.opts.MinGain, ev.Moves, ev.CrossNodeMoves, ev.Seconds*1e3, ev.PredictedStallDelta, ev.ResidencyChurn)
+		gain, c.minGain, ev.Moves, ev.CrossNodeMoves, ev.Seconds*1e3, ev.PredictedStallDelta, ev.ResidencyChurn)
 	return &pendingMigration{newPl: canon, event: ev}
 }
 
@@ -336,7 +326,7 @@ func residencyObjective(o *runConfig, layers, experts int, counts [][][]float64)
 		return nil // Validate already rejected this; belt and braces
 	}
 	cfg := expertmem.ConfigFor(o.topo, layers, experts, o.expertBytes,
-		o.Oversubscription, pol, o.PrefetchK, o.HostSlots, counts)
+		o.Oversubscription, pol, expertmem.DefaultPrefetchK, o.HostSlots, counts)
 	mo := placement.NewMemoryObjective(cfg, o.cost.PerCrossHop)
 	// Serving is bulk-synchronous over MaxBatch-token iterations: a batch
 	// demands each expert at most once per layer, so the per-token demand
@@ -380,5 +370,5 @@ func (c *controller) perTokenCost(counts [][][]float64, pl *placement.Placement)
 func (c *controller) finish(now float64) {
 	// The detector retains its baseline, so it gets a fresh matrix.
 	c.det.Rebase(c.window.Pooled())
-	c.cooldownUntil = now + c.opts.Cooldown
+	c.cooldownUntil = now + cooldown
 }

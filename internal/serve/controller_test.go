@@ -11,12 +11,11 @@ import (
 
 // controllerFixture builds a controller over a window filled with drifted
 // traffic, so the detector is hot and only the gating logic decides whether
-// a plan is returned.
+// a plan is returned. minGain replaces the controller's default gain gate.
 func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.Placement, runConfig) {
 	t.Helper()
 	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
-	opts.MinGain = minGain
 	opts.Phases = driftProgram(opts, drifted)
 	cfg, err := resolve(dep, opts)
 	if err != nil {
@@ -35,6 +34,7 @@ func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.P
 		window.Push(p)
 	}
 	ctrl := newController(&cfg, window, Pool(cfg.baseline, cfg.kernel.Experts))
+	ctrl.minGain = minGain
 	return ctrl, cfg.placement.Clone(), cfg
 }
 
@@ -42,7 +42,7 @@ func controllerFixture(t *testing.T, minGain float64) (*controller, *placement.P
 // detector fires, completing the background solve solveLatency simulated
 // seconds after it started. Returns the plan (nil when discarded/rejected)
 // and the drift score that launched the solve.
-func solveAndComplete(ctrl *controller, cur *placement.Placement, patience int, solveLatency float64) (*pendingMigration, float64) {
+func solveAndComplete(ctrl *controller, cur *placement.Placement, solveLatency float64) (*pendingMigration, float64) {
 	for i := 0; i < patience+1; i++ {
 		score, solve := ctrl.observe(float64(i), cur, false)
 		if solve != nil {
@@ -53,8 +53,8 @@ func solveAndComplete(ctrl *controller, cur *placement.Placement, patience int, 
 }
 
 func TestControllerAcceptsWhenGainClearsMinGain(t *testing.T) {
-	ctrl, cur, opts := controllerFixture(t, 0.01)
-	plan, score := solveAndComplete(ctrl, cur, opts.Patience, 0)
+	ctrl, cur, _ := controllerFixture(t, 0.01)
+	plan, score := solveAndComplete(ctrl, cur, 0)
 	if plan == nil {
 		t.Fatalf("drifted window (score %v) produced no plan", score)
 	}
@@ -62,8 +62,8 @@ func TestControllerAcceptsWhenGainClearsMinGain(t *testing.T) {
 	if ev.Moves == 0 || ev.Seconds <= 0 {
 		t.Fatalf("plan prices nothing: %+v", ev)
 	}
-	if ev.PredictedGain < opts.MinGain {
-		t.Fatalf("accepted gain %v below MinGain %v", ev.PredictedGain, opts.MinGain)
+	if ev.PredictedGain < ctrl.minGain {
+		t.Fatalf("accepted gain %v below the minimum %v", ev.PredictedGain, ctrl.minGain)
 	}
 	if ev.Score != score {
 		t.Fatalf("event score %v != observed %v", ev.Score, score)
@@ -80,21 +80,21 @@ func TestControllerAcceptsWhenGainClearsMinGain(t *testing.T) {
 func TestControllerRejectsBelowMinGainAndCoolsDown(t *testing.T) {
 	// An impossible gain requirement: every re-solve is rejected and the
 	// rejection opens a cooldown window.
-	ctrl, cur, opts := controllerFixture(t, 0.99)
-	plan, _ := solveAndComplete(ctrl, cur, opts.Patience, 0)
+	ctrl, cur, _ := controllerFixture(t, 0.99)
+	plan, _ := solveAndComplete(ctrl, cur, 0)
 	if plan != nil {
-		t.Fatalf("gain cannot clear MinGain=0.99, yet got a plan: %+v", plan.event)
+		t.Fatalf("gain cannot clear a 0.99 minimum, yet got a plan: %+v", plan.event)
 	}
 	if ctrl.solves == 0 {
-		t.Fatal("controller never re-solved, so MinGain gating was not exercised")
+		t.Fatal("controller never re-solved, so the gain gate was not exercised")
 	}
 	if ctrl.cooldownUntil <= 0 {
 		t.Fatal("rejected re-solve must open a cooldown window")
 	}
 	// Inside the cooldown the controller must not even re-solve.
 	solves := ctrl.solves
-	for i := 0; i < opts.Patience+2; i++ {
-		if _, p := ctrl.observe(float64(opts.Patience)+0.1*float64(i), cur, false); p != nil {
+	for i := 0; i < patience+2; i++ {
+		if _, p := ctrl.observe(float64(patience)+0.1*float64(i), cur, false); p != nil {
 			t.Fatal("plan produced during cooldown")
 		}
 	}
@@ -104,17 +104,17 @@ func TestControllerRejectsBelowMinGainAndCoolsDown(t *testing.T) {
 }
 
 func TestControllerGatesOnBusyAndFill(t *testing.T) {
-	ctrl, cur, opts := controllerFixture(t, 0.01)
+	ctrl, cur, _ := controllerFixture(t, 0.01)
 	// busy: a migration in flight suppresses new plans.
-	for i := 0; i < opts.Patience+2; i++ {
+	for i := 0; i < patience+2; i++ {
 		if _, p := ctrl.observe(float64(i), cur, true); p != nil {
 			t.Fatal("plan produced while a migration is in flight")
 		}
 	}
 	// Adaptive off: score still reported, never a plan.
-	ctrl2, cur2, opts2 := controllerFixture(t, 0.01)
+	ctrl2, cur2, _ := controllerFixture(t, 0.01)
 	ctrl2.opts.Adaptive = false
-	for i := 0; i < opts2.Patience+2; i++ {
+	for i := 0; i < patience+2; i++ {
 		score, p := ctrl2.observe(float64(i), cur2, false)
 		if p != nil {
 			t.Fatal("static controller returned a plan")
@@ -155,7 +155,7 @@ func TestControllerStalenessGuardDiscardsDriftedSolve(t *testing.T) {
 	// stale question: complete must discard it instead of migrating.
 	ctrl, cur, opts := controllerFixture(t, 0.01)
 	var solve *pendingSolve
-	for i := 0; i < opts.Patience+1 && solve == nil; i++ {
+	for i := 0; i < patience+1 && solve == nil; i++ {
 		_, solve = ctrl.observe(float64(i), cur, false)
 	}
 	if solve == nil {
@@ -196,7 +196,7 @@ func TestControllerSolveOverlapNotChargedToPause(t *testing.T) {
 	// after launch must yield the same pause as an instantaneous one.
 	ctrl, cur, opts := controllerFixture(t, 0.01)
 	var solve *pendingSolve
-	for i := 0; i < opts.Patience+1 && solve == nil; i++ {
+	for i := 0; i < patience+1 && solve == nil; i++ {
 		_, solve = ctrl.observe(float64(i), cur, false)
 	}
 	if solve == nil {

@@ -44,9 +44,9 @@ type fleetState struct {
 	lastReconcile float64
 	warming       int
 
-	arrivals, admitted, shed, deferred int
-	scaleUps, scaleDowns               int
-	maxLive                            int
+	arrivals             int
+	scaleUps, scaleDowns int
+	maxLive              int
 
 	repT, repY []float64
 
@@ -142,7 +142,7 @@ func (s *server) refreshFleetPricing(now float64) {
 		// how many tokens shared them, so per-iteration (normalized to full
 		// batch) is the stable realized quantity — per-token would read
 		// inflated exactly when the fleet idles on small batches.
-		if sum, n := s.iterStallWindow(now - 4*s.opts.CheckInterval); n > 0 {
+		if sum, n := s.iterStallWindow(now - 4*checkInterval); n > 0 {
 			r := sum / float64(n) / (raw * float64(s.opts.MaxBatch))
 			if !fl.haveCalib {
 				fl.calib, fl.haveCalib = r, true
@@ -177,60 +177,6 @@ func (s *server) replicaTokensPerSec() float64 {
 		return 0
 	}
 	return float64(b) / iter
-}
-
-// fleetAdmit runs admission control on one offered request; false means the
-// request was deferred (it will re-arrive) or shed (it is gone) and must not
-// be enqueued.
-func (s *server) fleetAdmit(now float64, rq *request) bool {
-	fl := s.fl
-	if rq.defers == 0 {
-		fl.arrivals++
-		fl.scaler.ObserveArrival()
-	}
-	s.maybeReconcile(now)
-	if fl.spec.Admission == "" {
-		fl.admitted++
-		return true
-	}
-	live, _ := s.liveCounts()
-	queued := 0
-	for _, r := range s.replicas {
-		if r.live {
-			queued += r.load()
-		}
-	}
-	// The depth bound the queue policy compares against — narrated on every
-	// defer and shed so the decision log shows the arithmetic, not just the
-	// verdict.
-	bound := fl.spec.MaxQueuePerReplica * live
-	switch fl.spec.Admit(fleet.AdmissionInput{Queued: queued, Live: live, Defers: rq.defers}) {
-	case fleet.Defer:
-		rq.defers++
-		fl.deferred++
-		fl.met.defers.Inc()
-		if s.tr != nil {
-			s.tr.Emit(obs.Event{Kind: obs.EvDefer, Rep: -1, GPU: -1, Layer: -1, Expert: -1,
-				T: now, Aux: int64(rq.seq)})
-		}
-		s.opts.Decisions.Logf(now, "admission-defer req=%d queued=%d bound=%d defers=%d retry=%.2fs",
-			rq.seq, queued, bound, rq.defers, fl.spec.DeferSeconds)
-		s.events.push(event{t: now + fl.spec.DeferSeconds, kind: evArrival, seq: rq.seq})
-		return false
-	case fleet.Shed:
-		rq.shed = true
-		fl.shed++
-		fl.met.sheds.Inc()
-		if s.tr != nil {
-			s.tr.Emit(obs.Event{Kind: obs.EvShed, Rep: -1, GPU: -1, Layer: -1, Expert: -1,
-				T: now, Aux: int64(rq.seq)})
-		}
-		s.opts.Decisions.Logf(now, "admission-shed req=%d queued=%d bound=%d defers=%d",
-			rq.seq, queued, bound, rq.defers)
-		return false
-	}
-	fl.admitted++
-	return true
 }
 
 // maybeReconcile runs the autoscaler's reconciliation step on its own
@@ -411,8 +357,7 @@ func (s *server) fleetReport() *fleet.Report {
 	fl := s.fl
 	live, _ := s.liveCounts()
 	rep := &fleet.Report{
-		Arrivals: fl.arrivals, Admitted: fl.admitted, Shed: fl.shed, Deferred: fl.deferred,
-		ScaleUps: fl.scaleUps, ScaleDowns: fl.scaleDowns,
+		Arrivals: fl.arrivals, ScaleUps: fl.scaleUps, ScaleDowns: fl.scaleDowns,
 		MaxLive: fl.maxLive, FinalLive: live,
 		Replicas: &stats.Series{Name: "fleet-replicas", X: fl.repT, Y: fl.repY},
 	}

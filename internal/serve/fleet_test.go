@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -37,56 +34,62 @@ func TestServeFleetInertSpecBitIdentical(t *testing.T) {
 	if fl == nil {
 		t.Fatal("fleet report missing with Fleet set")
 	}
-	if fl.Arrivals != fl.Admitted || fl.Shed != 0 || fl.Deferred != 0 ||
-		fl.Admitted != got.Requests {
-		t.Fatalf("inert fleet accounting: %+v (want every arrival admitted)", fl)
+	if fl.Arrivals != got.Requests {
+		t.Fatalf("inert fleet accounting: %+v (want every arrival finished)", fl)
 	}
 	if off.Fleet != nil {
 		t.Fatal("fleet report present without a fleet spec")
 	}
 }
 
-// TestServeFleetAdmissionAccounting: every offered request is either admitted
-// or shed, and only admitted ones reach the latency report. Every defer and
-// shed line in the decision log names the depth bound the request was
-// compared against.
-func TestServeFleetAdmissionAccounting(t *testing.T) {
+// TestServeFleetConservation: every offered request finishes under any fleet
+// spec — inert, a shared host cache, or an autoscaler that scales up through
+// an overload and drains afterwards. The arms offer the fleet-nil run's
+// arrival stream, so each fleet report counts exactly its own finished
+// requests and the fleet-nil run's.
+func TestServeFleetConservation(t *testing.T) {
 	dep, opts, _ := testSystem(t)
-	opts.Phases = []Phase{{Name: "crush", Duration: 4, Rate: nearKneeRate(opts, 2.0, 0.2, 0.5), Dataset: synth.Pile()}}
-	opts.Fleet = &fleet.Spec{Admission: fleet.AdmissionQueue, MaxQueuePerReplica: 8}
-	dl := obs.NewDecisionLog(1 << 16)
-	opts.Decisions = dl
-	rep, err := Run(dep, opts)
+	opts.Oversubscription = 2
+	opts.HostSlots = dep.Kernel.Layers * dep.Kernel.Experts / 4
+	warm := nearKneeRate(opts, 0.4, 0.2, 0.5)
+	opts.Phases = []Phase{
+		{Name: "warm", Duration: 2, Rate: warm, Dataset: synth.Pile()},
+		{Name: "spike", Duration: 2, Rate: 4 * warm, Dataset: synth.Pile()},
+		{Name: "recover", Duration: 3, Rate: warm / 2, Dataset: synth.Pile()},
+	}
+	off, err := Run(dep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := rep.Fleet
-	if fl.Shed == 0 || fl.Deferred == 0 {
-		t.Fatalf("2x overload against an 8-deep bound shed %d / deferred %d, want both > 0", fl.Shed, fl.Deferred)
-	}
-	if fl.Arrivals != fl.Admitted+fl.Shed {
-		t.Fatalf("accounting broke: %d arrivals != %d admitted + %d shed", fl.Arrivals, fl.Admitted, fl.Shed)
-	}
-	if rep.Requests != fl.Admitted {
-		t.Fatalf("report has %d requests, admission admitted %d", rep.Requests, fl.Admitted)
-	}
-	// Two replicas stay live throughout, so the bound is 8 x 2.
-	seen := map[string]int{}
-	for _, line := range dl.Lines() {
-		for _, kind := range []string{"admission-defer ", "admission-shed "} {
-			if !strings.Contains(line, kind) {
-				continue
-			}
-			seen[kind]++
-			var queued, bound int
-			i := strings.Index(line, "queued=")
-			if _, err := fmt.Sscanf(line[max(i, 0):], "queued=%d bound=%d", &queued, &bound); err != nil || bound != 16 || queued < bound {
-				t.Fatalf("%q: want queued=N bound=16 with N >= 16 (err %v)", line, err)
-			}
+	for _, c := range []struct {
+		name string
+		spec *fleet.Spec
+	}{
+		{"inert", &fleet.Spec{}},
+		{"shared-cache", &fleet.Spec{SharedHostCache: true}},
+		{"autoscaling", &fleet.Spec{
+			MinReplicas: 2, MaxReplicas: 4,
+			ReconcileInterval: 0.25,
+			ScaleUpCooldown:   0.5,
+			ScaleDownCooldown: 1,
+			DownscaleStreak:   2,
+			ForecastHalfLife:  0.5,
+		}},
+	} {
+		o := opts
+		o.Fleet = c.spec
+		rep, err := Run(dep, o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if seen["admission-defer "] == 0 || seen["admission-shed "] == 0 {
-		t.Fatalf("decision log lines by kind %v, want both defers and sheds", seen)
+		fl := rep.Fleet
+		if fl.Arrivals != rep.Requests || fl.Arrivals != off.Requests {
+			t.Fatalf("%s: %d arrivals, %d finished, %d finished without a fleet tier",
+				c.name, fl.Arrivals, rep.Requests, off.Requests)
+		}
+		if c.spec.Autoscaling() && (fl.ScaleUps == 0 || fl.ScaleDowns == 0) {
+			t.Fatalf("%s: the overload never exercised both scaling paths: %+v", c.name, fl)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ func goldenSystem() (Deployment, Options, *synth.DatasetProfile) {
 		MaxBatch:     32,
 		DecodeTokens: 16,
 		Window:       1024,
-		Cooldown:     2,
 		Calibration: &Calibration{
 			Trace:          tr,
 			Placement:      placement.Staged(tr.AllTransitionCounts(), k.Layers, k.Experts, tp, 3),

@@ -16,7 +16,7 @@ type serveMetrics struct {
 
 	solves     *obs.Counter // controller_solves_total: background re-solves launched
 	discards   *obs.Counter // controller_solve_discards_total: staleness guard
-	rejects    *obs.Counter // controller_solve_rejects_total: below MinGain
+	rejects    *obs.Counter // controller_solve_rejects_total: below the minimum gain
 	migrations *obs.Counter // migrations_total: completed rollouts
 
 	drift          *obs.Gauge // controller_drift_score: last observed score
@@ -36,8 +36,6 @@ type fleetMetrics struct {
 	stallEst   *obs.Gauge   // fleet_stall_estimate: predicted stall s/token
 	scaleUps   *obs.Counter // fleet_scale_ups_total
 	scaleDowns *obs.Counter // fleet_scale_downs_total
-	sheds      *obs.Counter // fleet_shed_total
-	defers     *obs.Counter // fleet_deferred_total
 }
 
 // chaosMetrics caches the fault-injection counters. Like fleetMetrics they
@@ -75,8 +73,6 @@ func newFleetMetrics(reg *obs.Registry) fleetMetrics {
 		stallEst:   reg.Gauge("fleet_stall_estimate"),
 		scaleUps:   reg.Counter("fleet_scale_ups_total"),
 		scaleDowns: reg.Counter("fleet_scale_downs_total"),
-		sheds:      reg.Counter("fleet_shed_total"),
-		defers:     reg.Counter("fleet_deferred_total"),
 	}
 }
 

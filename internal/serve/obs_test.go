@@ -146,65 +146,3 @@ func TestServeTraceCoversLifecycle(t *testing.T) {
 		t.Error("expertmem_fetch_seconds histogram empty")
 	}
 }
-
-// TestSolveEstimateUsesPriorThenRunningMean pins the AutoSolveSeconds
-// latency source: the configured prior before any solve completed, then the
-// running mean of measured walls.
-func TestSolveEstimateUsesPriorThenRunningMean(t *testing.T) {
-	c := &controller{opts: &runConfig{Options: Options{SolveSecondsPrior: 0.25}}}
-	if got := c.solveEstimate(); got != 0.25 {
-		t.Fatalf("estimate before any solve = %v, want the 0.25 prior", got)
-	}
-	c.wallSum, c.wallCount = 0.3, 2
-	if got := c.solveEstimate(); got != 0.15 {
-		t.Fatalf("estimate after two solves = %v, want the 0.15 running mean", got)
-	}
-}
-
-// TestServeAutoSolveLatencyFeedsSimulatedClock runs the drift program with
-// AutoSolveSeconds under a ticking fake wall clock and checks the accepted
-// migration's solve overlap window reflects a measured (nonzero) latency
-// even though Options.SolveSeconds is zero.
-func TestServeAutoSolveLatencyFeedsSimulatedClock(t *testing.T) {
-	dep, opts, drifted := testSystem(t)
-	opts.Adaptive = true
-	opts.Phases = driftProgram(opts, drifted)
-	opts.AutoSolveSeconds = true
-	opts.SolveSecondsPrior = 0.05
-	reg := obs.NewRegistry()
-	reg.SetNow(func() float64 { return 0 }) // measured walls are zero...
-	opts.Metrics = reg
-	rep, err := Run(dep, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Migrations) == 0 {
-		t.Fatal("fixture produced no migrations")
-	}
-	// ...so the first solve runs at the prior and later solves at the
-	// measured zero mean. The first migration's overlap window must span at
-	// least the prior (events can only lengthen it; allow float slack from
-	// the event-time subtraction).
-	if got := rep.Migrations[0].SolveSeconds; got < 0.05-1e-9 {
-		t.Fatalf("first solve overlap %v shorter than the 0.05 prior", got)
-	}
-}
-
-// TestOptionsValidateObservability covers the new option cross-checks.
-func TestOptionsValidateObservability(t *testing.T) {
-	_, opts, drifted := testSystem(t)
-	opts.Phases = driftProgram(opts, drifted)
-	opts.SolveSecondsPrior = -1
-	if err := opts.Validate(); err == nil {
-		t.Error("negative SolveSecondsPrior accepted")
-	}
-	opts.SolveSecondsPrior = 0.1
-	opts.AutoSolveSeconds = false
-	if err := opts.Validate(); err == nil {
-		t.Error("SolveSecondsPrior without AutoSolveSeconds accepted")
-	}
-	opts.AutoSolveSeconds = true
-	if err := opts.Validate(); err != nil {
-		t.Errorf("valid auto-solve options rejected: %v", err)
-	}
-}

@@ -60,14 +60,9 @@ type Calibration struct {
 	Trace     *trace.Trace
 	Placement *placement.Placement
 	Metrics   Metrics
-	// DriftThreshold is the resolved detector threshold a run uses when
-	// Options.DriftThreshold is zero (zero here too takes the default
-	// 0.008).
+	// DriftThreshold is the resolved detector threshold a run uses (zero
+	// takes the default 0.008).
 	DriftThreshold float64
-	// SolveWallSeconds is the measured host wall clock of the initial
-	// placement solve — the prior Options.AutoSolveSeconds seeds its
-	// latency estimate with before any background re-solve has completed.
-	SolveWallSeconds float64
 }
 
 // Phase is one era of offered traffic: requests arrive for Duration seconds
@@ -108,9 +103,6 @@ type Options struct {
 	// calibrated fleet request capacity (default 0.9 — near the knee, where
 	// placement quality matters most).
 	LoadFrac float64
-	// CalibIters is the decode-iteration count of each calibration engine
-	// run (default 3; a calibration input).
-	CalibIters int
 	// Phases is the traffic program; empty means one 30-second
 	// in-distribution Poisson phase.
 	Phases []Phase
@@ -121,23 +113,6 @@ type Options struct {
 	Adaptive bool
 	// Window is the TraceWindow capacity in token paths (default 4096).
 	Window int
-	// CheckInterval is the drift-check cadence in simulated seconds
-	// (default 0.5, at least 0.1).
-	CheckInterval float64
-	// DriftThreshold is the detector's divergence threshold; zero takes the
-	// calibration's, which exflow.CalibrateServe auto-calibrates to 3x the
-	// in-distribution sampling-noise floor measured on a held-out profiling
-	// slice.
-	DriftThreshold float64
-	// Patience is how many consecutive hot drift checks fire the detector
-	// (default 2).
-	Patience int
-	// Cooldown is the minimum simulated seconds between re-solves
-	// (default 5).
-	Cooldown float64
-	// MinGain is the minimum fractional per-token cost reduction worth
-	// migrating for (default 0.01).
-	MinGain float64
 	// SolveSeconds is the simulated latency of one background re-solve: the
 	// controller solves on a snapshot of the live window while the fleet
 	// keeps serving, and the result lands SolveSeconds later on the
@@ -161,9 +136,6 @@ type Options struct {
 	// "lru", "lfu", "pin" (static pin-by-popularity), or "affinity" (the
 	// default: affinity-mass eviction plus affinity-guided prefetching).
 	CachePolicy string
-	// PrefetchK is how many affinity successors the prefetcher chases per
-	// routed expert (default 4; affinity policy only).
-	PrefetchK int
 	// HostSlots bounds how many expert master copies fit in host DRAM per
 	// replica; the coldest experts by affinity popularity fall through to
 	// NVMe and pay both hops on a fetch. 0 means everything fits in DRAM.
@@ -177,9 +149,8 @@ type Options struct {
 	MemoryAware bool
 	// Fleet enables the node-level fleet tier (internal/fleet): a shared
 	// host-DRAM master-copy cache across co-located replicas, a declarative
-	// reconciliation-loop autoscaler on the simulated clock, and queue-depth
-	// admission control. Nil disables the tier; the serve path is then
-	// bit-identical to a build without it.
+	// reconciliation-loop autoscaler on the simulated clock. Nil disables the
+	// tier; the serve path is then bit-identical to a build without it.
 	Fleet *fleet.Spec
 	// Chaos declares a fault-injection schedule for the run
 	// (internal/chaos): replica crashes with timed recoveries, degraded-link
@@ -204,18 +175,6 @@ type Options struct {
 	// controller decision (observe, skip, solve launch, discard, reject,
 	// accept, migration completion) with the inputs that drove it.
 	Decisions *obs.DecisionLog
-	// AutoSolveSeconds derives the simulated background-solve latency from
-	// the solver's measured host wall clock (running mean of completed
-	// solves, measured by Metrics.Now) instead of the fixed SolveSeconds.
-	// An explicit SolveSeconds > 0 always wins. The simulated timeline then
-	// depends on host solver speed — leave it off for byte-reproducible
-	// runs.
-	AutoSolveSeconds bool
-	// SolveSecondsPrior seeds the AutoSolveSeconds estimate before any
-	// background solve has completed; zero takes the calibration's measured
-	// initial-placement solve wall (Calibration.SolveWallSeconds). Requires
-	// AutoSolveSeconds.
-	SolveSecondsPrior float64
 	// LatencyBucket is the report's time-bucket width in seconds for the
 	// P95/throughput series (0 = makespan/80). A width that would split the
 	// run into more than 65,536 buckets is widened to that count.
@@ -260,9 +219,8 @@ func (o Options) Validate() error {
 		v    int
 	}{
 		{"Replicas", o.Replicas}, {"MaxBatch", o.MaxBatch}, {"DecodeTokens", o.DecodeTokens},
-		{"ProfileTokens", o.ProfileTokens}, {"CalibIters", o.CalibIters},
-		{"Window (the TraceWindow capacity)", o.Window}, {"Patience", o.Patience},
-		{"SolveWorkers", o.SolveWorkers}, {"PrefetchK", o.PrefetchK}, {"HostSlots", o.HostSlots},
+		{"ProfileTokens", o.ProfileTokens}, {"Window (the TraceWindow capacity)", o.Window},
+		{"SolveWorkers", o.SolveWorkers}, {"HostSlots", o.HostSlots},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("serve: %s must be non-negative (zero for the default), got %d", f.name, f.v)
@@ -277,9 +235,7 @@ func (o Options) Validate() error {
 		name string
 		v    float64
 	}{
-		{"LoadFrac", o.LoadFrac}, {"CheckInterval", o.CheckInterval},
-		{"DriftThreshold", o.DriftThreshold}, {"Cooldown", o.Cooldown}, {"MinGain", o.MinGain},
-		{"SolveSeconds", o.SolveSeconds}, {"SolveSecondsPrior", o.SolveSecondsPrior},
+		{"LoadFrac", o.LoadFrac}, {"SolveSeconds", o.SolveSeconds},
 		{"Oversubscription", o.Oversubscription}, {"LatencyBucket", o.LatencyBucket},
 	} {
 		if !nonNegative(f.v) {
@@ -287,20 +243,6 @@ func (o Options) Validate() error {
 		}
 	}
 	switch {
-	case o.CheckInterval > 0 && o.CheckInterval < minCheckInterval:
-		// Each drift check may launch an anneal, and a solve the staleness
-		// guard discards relaunches at the next check: a cadence below one
-		// decode iteration turns every iteration into a re-solve.
-		return fmt.Errorf("serve: CheckInterval must be 0 (the default 0.5 s) or at least %v s, got %v", minCheckInterval, o.CheckInterval)
-	case o.MinGain > 1:
-		// The gain is 1 - fresh/stale per-token cost, which never exceeds 1:
-		// every re-solve would be rejected, and re-launched after each
-		// Cooldown for the rest of the run.
-		return fmt.Errorf("serve: MinGain must be at most 1 (the gain is a fraction of the stale placement's per-token cost), got %v", o.MinGain)
-	case o.SolveSecondsPrior > 0 && !o.AutoSolveSeconds:
-		// A prior without the estimator does nothing; rejected so the caller
-		// notices the missing flag.
-		return fmt.Errorf("serve: SolveSecondsPrior set but AutoSolveSeconds is off; enable it or drop the prior")
 	case o.Oversubscription > 0 && o.Oversubscription < 1:
 		return fmt.Errorf("serve: Oversubscription must be 0 (off) or >= 1, got %v", o.Oversubscription)
 	case o.Oversubscription == 0 && o.HostSlots > 0:
@@ -379,12 +321,8 @@ func (o Options) Validate() error {
 }
 
 // maxPhaseArrivals bounds one phase's expected request count: a run
-// pre-draws every arrival into memory before simulating. minCheckInterval
-// is the fastest drift-check cadence, in simulated seconds.
-const (
-	maxPhaseArrivals = 1 << 24
-	minCheckInterval = 0.1
-)
+// pre-draws every arrival into memory before simulating.
+const maxPhaseArrivals = 1 << 24
 
 // nonNegative reports whether v is a non-negative finite number.
 func nonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
@@ -419,37 +357,14 @@ func (o Options) WithDefaults(d Deployment) Options {
 	if o.LoadFrac == 0 {
 		o.LoadFrac = 0.9
 	}
-	if o.CalibIters == 0 {
-		o.CalibIters = 3
-	}
 	if o.Window == 0 {
 		o.Window = DefaultWindow
-	}
-	if o.CheckInterval == 0 {
-		o.CheckInterval = 0.5
-	}
-	if o.Patience == 0 {
-		o.Patience = 2
-	}
-	if o.Cooldown == 0 {
-		o.Cooldown = 5
-	}
-	if o.MinGain == 0 {
-		o.MinGain = 0.01
-	}
-	if o.PrefetchK == 0 {
-		o.PrefetchK = 4
 	}
 	if o.SolveWorkers == 0 {
 		o.SolveWorkers = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = d.Seed
-	}
-	if o.AutoSolveSeconds && o.SolveSecondsPrior == 0 && o.Calibration != nil {
-		// The measured initial-placement solve wall is the closest available
-		// analogue of a background re-solve.
-		o.SolveSecondsPrior = o.Calibration.SolveWallSeconds
 	}
 	phases := o.Phases
 	if len(phases) == 0 {
@@ -469,13 +384,23 @@ func (o Options) WithDefaults(d Deployment) Options {
 	return o
 }
 
-// The drift threshold a run falls back to, and the window fill a re-solve
-// needs.
+// The controller's fixed tunables: no experiment, scenario or benchmark
+// workload needs another value.
 const (
-	// defaultDriftThreshold applies when both Options.DriftThreshold and
-	// Calibration.DriftThreshold are zero. JS sampling noise on a full default window sits near 0.005 and a clear
-	// mixture shift near 0.02+ (see the drift detector tests); 0.008
-	// separates them with margin on both sides.
+	// checkInterval is the drift-check cadence in simulated seconds.
+	checkInterval = 0.5
+	// patience is how many consecutive hot drift checks fire the detector.
+	patience = 2
+	// cooldown is the minimum simulated seconds between re-solves, counted
+	// from a rejected solve or a completed migration.
+	cooldown = 5
+	// defaultMinGain is the minimum fractional per-token cost reduction
+	// worth migrating for (controller.minGain; tests raise it).
+	defaultMinGain = 0.01
+	// defaultDriftThreshold applies when Calibration.DriftThreshold is zero.
+	// JS sampling noise on a full default window sits near 0.005 and a
+	// clear mixture shift near 0.02 or more (see the drift detector tests),
+	// so 0.008 separates them with margin on both sides.
 	defaultDriftThreshold = 0.008
 	// minFill is the window fill fraction required before a re-solve.
 	minFill = 0.5
@@ -540,10 +465,7 @@ func resolve(d Deployment, o Options) (runConfig, error) {
 				p.Name, p.Dataset.Name, len(p.Dataset.Mix), d.Kernel.Domains)
 		}
 	}
-	threshold := o.DriftThreshold
-	if threshold == 0 {
-		threshold = cal.DriftThreshold
-	}
+	threshold := cal.DriftThreshold
 	if threshold == 0 {
 		threshold = defaultDriftThreshold
 	}

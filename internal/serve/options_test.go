@@ -135,31 +135,31 @@ func TestServeResolvesPhaseDefaults(t *testing.T) {
 // fuzzKnobs is FuzzServeOptions' view of one configuration, decoded field by
 // field (encoding/binary, little-endian) from the raw input: small unsigned
 // integers for the integer knobs and raw IEEE-754 bits for every float, so
-// NaN, ±Inf, denormals and 1e308 all reach the validator. Replica counts,
-// crash targets and MaxDefers keep their low three bits, DecodeTokens its
-// low five and SolveWorkers its low two: host work grows with their product
-// (a 255-wide portfolio solves 255 anneals per re-solve), and a legal but
+// NaN, ±Inf, denormals and 1e308 all reach the validator. Replica counts
+// and crash targets keep their low three bits, DecodeTokens its low five
+// and SolveWorkers its low two: host work grows with their product (a
+// 255-wide portfolio solves 255 anneals per re-solve), and a legal but
 // heavy run is not a finding.
 //
 // The layout is frozen at 242 bytes so the checked-in corpus replays the
-// inputs it was found with: the two blank float64 fields held retired
-// options, and encoding/binary skips them on read.
+// inputs it was found with: the blank fields held retired options (the
+// controller's and admission control's tunables among them), and
+// encoding/binary skips them on read.
 type fuzzKnobs struct {
-	Replicas, MaxBatch, DecodeTokens, Window, Patience, PrefetchK, HostSlots, SolveWorkers uint8
-	// Flags: Adaptive, MemoryAware, an unused bit, AutoSolveSeconds, a
-	// second phase, a drifted first phase, and the cache policy (top two
-	// bits).
+	Replicas, MaxBatch, DecodeTokens, Window, _, _, HostSlots, SolveWorkers uint8
+	// Flags: Adaptive, MemoryAware, two unused bits, a second phase, a
+	// drifted first phase, and the cache policy (top two bits).
 	Flags uint8
 
-	CheckInterval, DriftThreshold, Cooldown, MinGain, SolveSeconds, SolveSecondsPrior float64
-	Oversubscription, _, LatencyBucket, LoadFrac                                      float64
-	Dur0, Rate0, Dur1, Rate1                                                          float64
+	_, _, _, _, SolveSeconds, _                  float64
+	Oversubscription, _, LatencyBucket, LoadFrac float64
+	Dur0, Rate0, Dur1, Rate1                     float64
 
-	// FleetFlags: a fleet spec at all, SharedHostCache, and the admission
-	// policy (next two bits).
-	FleetFlags, MinReplicas, MaxReplicas, MaxQueuePerReplica, MaxDefers, DownscaleStreak uint8
-	TargetUtilization, ForecastHalfLife, ScaleUpCooldown, ScaleDownCooldown              float64
-	ReconcileInterval, _, DeferSeconds                                                   float64
+	// FleetFlags: a fleet spec at all and SharedHostCache; the next two
+	// bits are unused.
+	FleetFlags, MinReplicas, MaxReplicas, _, _, DownscaleStreak uint8
+	_, ForecastHalfLife, ScaleUpCooldown, ScaleDownCooldown     float64
+	ReconcileInterval, _, _                                     float64
 
 	// ChaosFlags: a schedule at all, a crash, a degraded link,
 	// PreemptibleDMA.
@@ -188,14 +188,11 @@ func clampPhase(v, limit float64) float64 {
 func (k fuzzKnobs) options(base Options, knee float64, drifted *synth.DatasetProfile) Options {
 	o := base
 	o.Replicas, o.MaxBatch, o.DecodeTokens = int(k.Replicas&7), int(k.MaxBatch), int(k.DecodeTokens&31)
-	o.Window, o.Patience, o.PrefetchK = int(k.Window), int(k.Patience), int(k.PrefetchK)
-	o.HostSlots, o.SolveWorkers = int(k.HostSlots), int(k.SolveWorkers&3)
+	o.Window, o.HostSlots, o.SolveWorkers = int(k.Window), int(k.HostSlots), int(k.SolveWorkers&3)
 	o.Adaptive = k.Flags&1 != 0
 	o.MemoryAware = k.Flags&2 != 0
-	o.AutoSolveSeconds = k.Flags&8 != 0
 	o.CachePolicy = []string{"", "lru", "pin", "affinity"}[k.Flags>>6]
-	o.CheckInterval, o.DriftThreshold, o.Cooldown, o.MinGain = k.CheckInterval, k.DriftThreshold, k.Cooldown, k.MinGain
-	o.SolveSeconds, o.SolveSecondsPrior = k.SolveSeconds, k.SolveSecondsPrior
+	o.SolveSeconds = k.SolveSeconds
 	o.Oversubscription, o.LatencyBucket, o.LoadFrac = k.Oversubscription, k.LatencyBucket, k.LoadFrac
 
 	first := Phase{Name: "first", Duration: clampPhase(k.Dur0, 1), Rate: clampPhase(k.Rate0, 2*knee)}
@@ -211,15 +208,10 @@ func (k fuzzKnobs) options(base Options, knee float64, drifted *synth.DatasetPro
 	if k.FleetFlags&1 != 0 {
 		o.Fleet = &fleet.Spec{
 			MinReplicas: int(k.MinReplicas & 7), MaxReplicas: int(k.MaxReplicas & 7),
-			TargetUtilization: k.TargetUtilization, ForecastHalfLife: k.ForecastHalfLife,
-			ScaleUpCooldown: k.ScaleUpCooldown, ScaleDownCooldown: k.ScaleDownCooldown,
+			ForecastHalfLife: k.ForecastHalfLife,
+			ScaleUpCooldown:  k.ScaleUpCooldown, ScaleDownCooldown: k.ScaleDownCooldown,
 			DownscaleStreak: int(k.DownscaleStreak), ReconcileInterval: k.ReconcileInterval,
 			SharedHostCache: k.FleetFlags&2 != 0,
-			// Slot 2 is the retired paging policy's name, which Validate
-			// must reject like any unknown one.
-			Admission:          []string{"", fleet.AdmissionQueue, "paging", "bogus"}[k.FleetFlags>>2&3],
-			MaxQueuePerReplica: int(k.MaxQueuePerReplica),
-			DeferSeconds:       k.DeferSeconds, MaxDefers: int(k.MaxDefers & 7),
 		}
 	}
 	if k.ChaosFlags&1 != 0 {
@@ -241,9 +233,9 @@ func (k fuzzKnobs) options(base Options, knee float64, drifted *synth.DatasetPro
 // FuzzServeOptions checks the validator's contract on the golden fixture:
 // whenever Validate accepts a set of options, Run returns within 30 s
 // without panicking, and every offered request either finishes or is shed
-// (by fleet admission or by chaos retry exhaustion). Offered is the request
-// count of the same options run with Fleet and Chaos nil, as the scenario
-// matrix's retry-exhaustion row computes it.
+// by chaos retry exhaustion. Offered is the request count of the same
+// options run with Fleet and Chaos nil, as the scenario matrix's
+// retry-exhaustion row computes it.
 func FuzzServeOptions(f *testing.F) {
 	dep, base, drifted := goldenSystem()
 	knee := nearKneeRate(base, 1, 0.2, 0.5)
@@ -258,11 +250,12 @@ func FuzzServeOptions(f *testing.F) {
 	inf := fuzzKnobs{Dur0: 1, Rate0: knee / 2, Oversubscription: 2,
 		ChaosFlags: 1 | 4, DegradeAt: 0.5, DegradeDuration: 1, DegradeFactor: math.Inf(1)}
 	f.Add(inf.bytes())
-	// A MinGain no re-solve can meet, with a negligible cooldown and drift
-	// check cadence: every check used to launch a re-solve that was then
-	// rejected, thousands of anneals per run.
-	storm := fuzzKnobs{Flags: 1 | 16 | 32, Dur0: 1, Rate0: 2 * knee, Dur1: 1, Rate1: 2 * knee,
-		CheckInterval: 1e-300, Cooldown: 1e-300, MinGain: 1e300, Patience: 1}
+	// An adaptive run on drifted traffic at twice the knee, then a bursty
+	// drifted phase: the controller fires, re-solves and migrates while the
+	// overloaded fleet drains its backlog (one solve and one migration on
+	// this fixture). With the controller's tunables as options this seed
+	// drove a re-solve storm; they are constants now.
+	storm := fuzzKnobs{Flags: 1 | 16 | 32, Dur0: 1, Rate0: 2 * knee, Dur1: 1, Rate1: 2 * knee}
 	f.Add(storm.bytes())
 	size := binary.Size(fuzzKnobs{})
 	if size != 242 {
@@ -303,11 +296,8 @@ func FuzzServeOptions(f *testing.F) {
 			}
 		}
 		shed := 0
-		if rep.Fleet != nil {
-			shed += rep.Fleet.Shed
-		}
 		if rep.Faults != nil {
-			shed += rep.Faults.ShedRetryExhausted
+			shed = rep.Faults.ShedRetryExhausted
 		}
 		if finished+shed != offered.Requests {
 			t.Fatalf("finished %d + shed %d != offered %d", finished, shed, offered.Requests)

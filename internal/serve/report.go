@@ -52,7 +52,7 @@ type Report struct {
 	// Solves counts background re-solves launched by the controller;
 	// DiscardedSolves counts those whose result was thrown away by the
 	// staleness guard (routing drifted past threshold again while the solve
-	// ran). Solves also includes re-solves rejected by MinGain.
+	// ran). Solves also includes re-solves rejected by the minimum-gain gate.
 	Solves          int
 	DiscardedSolves int
 	// ExpertMem aggregates tiered expert-weight memory activity across the
@@ -74,9 +74,8 @@ type Report struct {
 	// Saturated reports whether the fleet-wide queue was still growing at
 	// the end of the run (offered load above capacity).
 	Saturated bool
-	// Fleet is the fleet tier's run summary — admission accounting,
-	// autoscaler activity, shared host-cache stats (nil when Options.Fleet
-	// is nil).
+	// Fleet is the fleet tier's run summary — offered arrivals, autoscaler
+	// activity, shared host-cache stats (nil when Options.Fleet is nil).
 	Fleet *fleet.Report
 	// Faults is the fault-injection ledger — crash outcomes with recovery
 	// times, accumulated downtime, re-dispatched requests, degraded-link
@@ -154,13 +153,13 @@ func (r *Report) String() string {
 
 // buildReport aggregates the run state.
 func (s *server) buildReport() *Report {
-	// Shed requests never decode; every latency/throughput figure below is
-	// over the admitted population (identical to all arrivals without a
-	// fleet, where nothing can be shed).
-	admitted := 0
+	// Requests shed on a retry-exhausted fetch never finish; every
+	// latency/throughput figure below is over the rest (all arrivals unless
+	// a chaos fetch timeout is armed).
+	finished := 0
 	for i := range s.arrivals {
 		if !s.arrivals[i].shed {
-			admitted++
+			finished++
 		}
 	}
 	rep := &Report{
@@ -168,8 +167,8 @@ func (s *server) buildReport() *Report {
 		Solves:          s.ctrl.solves,
 		DiscardedSolves: s.ctrl.discards,
 		Iterations:      s.iterations,
-		Requests:        admitted,
-		Tokens:          admitted * s.opts.DecodeTokens,
+		Requests:        finished,
+		Tokens:          finished * s.opts.DecodeTokens,
 	}
 	if s.mems != nil {
 		mst := expertmem.Stats{}

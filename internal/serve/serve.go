@@ -51,10 +51,9 @@ type request struct {
 	replica   int
 	home      int // home GPU inside the replica (layer-0 dispatch origin)
 	seq       int // index into server.arrivals
-	// defers / shed are the fleet tier's admission outcome: how many times
-	// the request was re-offered, and whether it was ultimately dropped.
-	defers int
-	shed   bool
+	// shed marks a request dropped after a retry-exhausted expert fetch
+	// (chaos); it never finishes.
+	shed bool
 }
 
 // replica is one expert-parallel deployment behind the front-end.
@@ -314,7 +313,7 @@ func Run(d Deployment, opts Options) (*Report, error) {
 			return nil, err
 		}
 		s.memCfg = expertmem.ConfigFor(cfg.topo, layers, experts, cfg.expertBytes,
-			cfg.Oversubscription, pol, cfg.PrefetchK, cfg.HostSlots, cfg.baseline)
+			cfg.Oversubscription, pol, expertmem.DefaultPrefetchK, cfg.HostSlots, cfg.baseline)
 		if s.fl != nil && s.fl.spec.SharedHostCache {
 			// The shared node tier replaces each replica's private static
 			// DRAM/NVMe split: one popularity-ranked master working set for
@@ -434,10 +433,12 @@ func (s *server) paramCopySeconds() float64 {
 }
 
 // onArrival admits a request to the least-loaded serving replica's queue,
-// after the fleet tier's admission control (when enabled) has priced it.
+// after counting it into the fleet tier's demand forecast (when enabled).
 func (s *server) onArrival(now float64, rq *request) {
-	if s.fl != nil && !s.fleetAdmit(now, rq) {
-		return
+	if s.fl != nil {
+		s.fl.arrivals++
+		s.fl.scaler.ObserveArrival()
+		s.maybeReconcile(now)
 	}
 	var best *replica
 	for _, r := range s.replicas {
@@ -571,7 +572,7 @@ func (s *server) beginStall(now float64, r *replica) {
 // the simulated clock. The solve overlaps serving: no replica pauses until
 // the solve lands, clears the staleness guard, and becomes a migration.
 func (s *server) maybeCheckDrift(now float64) {
-	if now-s.lastCheck < s.opts.CheckInterval {
+	if now-s.lastCheck < checkInterval {
 		return
 	}
 	s.lastCheck = now
@@ -604,18 +605,7 @@ func (s *server) maybeCheckDrift(now float64) {
 	}
 	s.solving = solve
 	s.seq++
-	s.events.push(event{t: now + s.solveLatency(), kind: evSolveEnd, seq: s.seq})
-}
-
-// solveLatency is the simulated seconds one background re-solve charges to
-// the clock: the explicit SolveSeconds when set, otherwise — under
-// AutoSolveSeconds — the controller's running mean of measured solve walls,
-// seeded by SolveSecondsPrior before the first completed solve.
-func (s *server) solveLatency() float64 {
-	if s.opts.SolveSeconds > 0 || !s.opts.AutoSolveSeconds {
-		return s.opts.SolveSeconds
-	}
-	return s.ctrl.solveEstimate()
+	s.events.push(event{t: now + s.opts.SolveSeconds, kind: evSolveEnd, seq: s.seq})
 }
 
 // onSolveEnd collects the background re-solve. The wall-clock join with the
@@ -626,7 +616,7 @@ func (s *server) onSolveEnd(now float64) {
 	s.solving = nil
 	plan := s.ctrl.complete(now, s.replicas[0].pl, ps)
 	if plan == nil {
-		return // discarded (stale) or rejected (below MinGain)
+		return // discarded (stale) or rejected (below the minimum gain)
 	}
 	s.pending = plan
 	// Idle replicas produce no events; if the first in line is idle, stall

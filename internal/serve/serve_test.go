@@ -211,27 +211,14 @@ func TestServeValidation(t *testing.T) {
 		t.Fatal("missing expert bytes must fail")
 	}
 	// Zero means "use the default" for these tunables. A negative value must
-	// fail validation: past it, the window and detector constructors panic
-	// on one and the rest silently misconfigure the run. The last two rows
-	// are out of range the other way.
+	// fail validation: past it, the window constructor panics on one and the
+	// bucket width silently misconfigures the report.
 	for _, c := range []struct {
 		name string
 		set  func(*Options)
 	}{
 		{"Window", func(o *Options) { o.Window = -1 }},
-		{"CheckInterval", func(o *Options) { o.CheckInterval = -1 }},
-		{"DriftThreshold", func(o *Options) { o.DriftThreshold = -1 }},
-		{"Patience", func(o *Options) { o.Patience = -1 }},
-		{"Cooldown", func(o *Options) { o.Cooldown = -1 }},
-		{"MinGain", func(o *Options) { o.MinGain = -1 }},
 		{"LatencyBucket", func(o *Options) { o.LatencyBucket = -1 }},
-		{"PrefetchK", func(o *Options) { o.PrefetchK = -1 }},
-		// A gain above 1 is unreachable: every re-solve would be rejected
-		// and re-launched after each cooldown.
-		{"MinGain", func(o *Options) { o.Adaptive, o.MinGain = true, 2 }},
-		// A sub-iteration cadence relaunches every discarded solve at the
-		// next iteration.
-		{"CheckInterval", func(o *Options) { o.Adaptive, o.CheckInterval = true, 1e-3 }},
 	} {
 		dep, opts, _ := testSystem(t)
 		opts.Phases = []Phase{{Name: "ok", Duration: 1, Rate: 10, Dataset: synth.Pile()}}
@@ -242,19 +229,14 @@ func TestServeValidation(t *testing.T) {
 	}
 	// NaN passes every "< 0" check and +Inf every lower bound. Both used to
 	// get through and silently misconfigure the run: a NaN Oversubscription
-	// dropped the memory layer, +Inf raised P95 a thousandfold, and a NaN
-	// DriftThreshold never migrated. Each setter satisfies the field's
-	// prerequisites, so the non-finite value is the only fault.
+	// dropped the memory layer and +Inf raised P95 a thousandfold. Each
+	// setter satisfies the field's prerequisites, so the non-finite value is
+	// the only fault.
 	for _, c := range []struct {
 		name string
 		set  func(*Options, float64)
 	}{
-		{"CheckInterval", func(o *Options, v float64) { o.CheckInterval = v }},
-		{"DriftThreshold", func(o *Options, v float64) { o.Adaptive, o.DriftThreshold = true, v }},
-		{"Cooldown", func(o *Options, v float64) { o.Cooldown = v }},
-		{"MinGain", func(o *Options, v float64) { o.MinGain = v }},
 		{"SolveSeconds", func(o *Options, v float64) { o.SolveSeconds = v }},
-		{"SolveSecondsPrior", func(o *Options, v float64) { o.AutoSolveSeconds, o.SolveSecondsPrior = true, v }},
 		{"LatencyBucket", func(o *Options, v float64) { o.LatencyBucket = v }},
 		{"Oversubscription", func(o *Options, v float64) { o.Oversubscription = v }},
 	} {

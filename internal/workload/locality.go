@@ -41,15 +41,6 @@ func (m LocalityModel) Time(n int, fracNode, fracCross float64) float64 {
 	return m.Fixed + float64(n)*(m.PerToken+m.PerNodeHop*fracNode+m.PerCrossHop*fracCross)
 }
 
-// At collapses the model to a plain IterationModel at fixed locality
-// fractions — the bridge to the locality-oblivious Simulate queue.
-func (m LocalityModel) At(fracNode, fracCross float64) IterationModel {
-	return IterationModel{
-		Fixed:    m.Fixed,
-		PerToken: m.PerToken + m.PerNodeHop*fracNode + m.PerCrossHop*fracCross,
-	}
-}
-
 // LocalityPoint is one engine measurement: an iteration of Batch active
 // tokens whose dispatches crossed GPUs within a node with frequency FracNode
 // and crossed nodes with frequency FracCross took Seconds.

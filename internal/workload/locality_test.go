@@ -87,10 +87,6 @@ func TestLocalityModelTime(t *testing.T) {
 	if m.Time(10, 0, 0.8) <= m.Time(10, 0, 0.2) {
 		t.Fatal("more cross-node dispatch must cost more")
 	}
-	it := m.At(0.2, 0.5)
-	if math.Abs(it.Time(10)-m.Time(10, 0.2, 0.5)) > 1e-12 {
-		t.Fatal("At() must agree with Time()")
-	}
 }
 
 func TestFitIterationModelRejectsZeroMeasurements(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/serve"
 	"repro/internal/trace"
@@ -30,16 +29,12 @@ type (
 type ServeReport = serve.Report
 
 // FleetSpec declares the fleet tier's desired state (see internal/fleet):
-// shared host-DRAM master cache, autoscaler bounds and cadences, and the
-// admission policy. FleetReport is its run summary (ServeReport.Fleet).
+// shared host-DRAM master cache, and autoscaler bounds and cadences.
+// FleetReport is its run summary (ServeReport.Fleet).
 type (
 	FleetSpec   = fleet.Spec
 	FleetReport = fleet.Report
 )
-
-// FleetAdmissionQueue names the fleet tier's admission policy: shed by
-// queue depth.
-const FleetAdmissionQueue = fleet.AdmissionQueue
 
 // ChaosSchedule declares a fault-injection program for Serve (see
 // internal/chaos): build one from ChaosCrash / ChaosCrashForever /
@@ -102,30 +97,20 @@ func CalibrateServe(sys *System, opts ServeOptions) (*ServeCalibration, error) {
 	}
 	opts = opts.WithDefaults(sys.serveDeployment())
 	tr := sys.Profile(opts.ProfileTokens)
-	// Time the initial solve on whichever clock the caller's registry uses
-	// (tests pin it via SetNow; no registry reads the real wall clock).
-	clock := opts.Metrics
-	if clock == nil {
-		clock = obs.NewRegistry()
-	}
-	t0 := clock.Now()
 	pl := sys.SolvePlacement(tr)
-	solveWall := clock.Now() - t0
-
-	threshold := opts.DriftThreshold
-	if threshold == 0 {
-		threshold = calibrateDriftThreshold(sys, tr, opts.Window)
-	}
-
-	cost, fracNode, fracCross, err := fitLocalityModel(sys, pl, opts.CalibIters)
+	threshold := calibrateDriftThreshold(sys, tr, opts.Window)
+	cost, fracNode, fracCross, err := fitLocalityModel(sys, pl, calibIters)
 	if err != nil {
 		return nil, fmt.Errorf("exflow: serve calibration failed: %w", err)
 	}
 	met := ServeMetrics{Cost: cost, FracNode: fracNode, FracCross: fracCross}
 	met.TokenCapacity = float64(opts.MaxBatch) / cost.Time(opts.MaxBatch, fracNode, fracCross)
 	met.RequestCapacity = met.TokenCapacity * float64(opts.Replicas) / float64(opts.DecodeTokens)
-	return &ServeCalibration{Trace: tr, Placement: pl, Metrics: met, DriftThreshold: threshold, SolveWallSeconds: solveWall}, nil
+	return &ServeCalibration{Trace: tr, Placement: pl, Metrics: met, DriftThreshold: threshold}, nil
 }
+
+// calibIters is the decode-iteration count of each calibration engine run.
+const calibIters = 3
 
 // calibrateDriftThreshold bootstraps the detector threshold from the model
 // itself: it scores a held-out, window-sized slice of in-distribution

@@ -43,7 +43,6 @@ func TestServeOptionValidation(t *testing.T) {
 		{"NaN duration", ServeOptions{Phases: []ServePhase{{Duration: math.NaN(), Rate: 1}}}, "Duration"},
 		{"infinite duration", ServeOptions{Phases: []ServePhase{{Duration: math.Inf(1), Rate: 1}}}, "Duration"},
 		{"bad arrival", ServeOptions{Phases: []ServePhase{{Duration: 1, Rate: 1, Arrival: "fractal"}}}, "arrival"},
-		{"negative patience", ServeOptions{Patience: -1}, "non-negative"},
 		{"fractional oversub", ServeOptions{Oversubscription: 0.5}, "Oversubscription"},
 		{"negative oversub", ServeOptions{Oversubscription: -2}, "Oversubscription"},
 		{"negative host slots", ServeOptions{HostSlots: -1}, "HostSlots"},
@@ -60,9 +59,6 @@ func TestServeOptionValidation(t *testing.T) {
 		// Fleet specs are validated at the public boundary too.
 		{"fleet min over max", ServeOptions{Fleet: &FleetSpec{MinReplicas: 5, MaxReplicas: 2}}, "MaxReplicas"},
 		{"fleet replicas outside bounds", ServeOptions{Replicas: 1, Fleet: &FleetSpec{MinReplicas: 2, MaxReplicas: 4}}, "bounds"},
-		{"fleet bad admission", ServeOptions{Fleet: &FleetSpec{Admission: "vibes"}}, "admission"},
-		// The retired paging policy's name is rejected like any unknown one.
-		{"fleet paging admission retired", ServeOptions{Oversubscription: 2, Fleet: &FleetSpec{Admission: "paging"}}, "unknown admission policy"},
 		{"fleet shared cache without memory layer", ServeOptions{Fleet: &FleetSpec{SharedHostCache: true}}, "Oversubscription"},
 		{"fleet shared cache without host slots", ServeOptions{Oversubscription: 2, Fleet: &FleetSpec{SharedHostCache: true}}, "HostSlots"},
 	}
