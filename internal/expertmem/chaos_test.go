@@ -87,8 +87,8 @@ func TestFetchRetryExhaustionFails(t *testing.T) {
 	if m.Resident(0, 0, 0) {
 		t.Fatal("failed fetch left the expert resident")
 	}
-	if m.shards[0].used() != 0 {
-		t.Fatalf("failed fetch holds %d slots", m.shards[0].used())
+	if m.shards[0].used != 0 {
+		t.Fatalf("failed fetch holds %d slots", m.shards[0].used)
 	}
 }
 

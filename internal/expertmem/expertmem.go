@@ -35,6 +35,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -157,7 +158,6 @@ type Entry struct {
 	lastUse       float64
 	uses          int
 	pop           float64 // affinity popularity (the affinity policy's score)
-	pos           int     // index in shard.occupied while held
 	held          bool    // occupies a slot (resident or in flight)
 	resident      bool
 	pinned        bool
@@ -168,11 +168,14 @@ type Entry struct {
 type shard struct {
 	gpu int
 	// table is the dense residency table, indexed layer*Experts+expert; a
-	// row is live while held. occupied lists the held ids (in no particular
-	// order — eviction picks by a strict total order, so scan order cannot
-	// matter) and its length is the number of slots in use.
-	table      []Entry
-	occupied   []int
+	// row is live while held. occ is the occupancy bitset over eviction
+	// ranks: bit r is set while the row ranked r (the manager's byRank[r])
+	// is held. used counts the set bits, the slots in use.
+	table []Entry
+	occ   []uint64
+	used  int
+	// rank is the manager's id -> eviction-rank table (shared, read-only).
+	rank       []int
 	linkFreeAt float64
 	stats      Stats
 	// hasSpec marks that the transfer currently occupying the link (through
@@ -182,9 +185,6 @@ type shard struct {
 	specKey   key
 	specUntil float64
 }
-
-// used is the number of slots held (resident or in flight).
-func (s *shard) used() int { return len(s.occupied) }
 
 // lookup returns the live row for table id, or nil.
 func (s *shard) lookup(id int) *Entry {
@@ -198,20 +198,17 @@ func (s *shard) lookup(id int) *Entry {
 // a slot; the caller has checked one is free.
 func (s *shard) insert(id int, e Entry) {
 	e.held = true
-	e.pos = len(s.occupied)
 	s.table[id] = e
-	s.occupied = append(s.occupied, id)
+	r := s.rank[id]
+	s.occ[r>>6] |= 1 << (r & 63)
+	s.used++
 }
 
-// remove frees the slot of the live row at table id, moving the last
-// occupied id into its place.
+// remove frees the slot of the live row at table id.
 func (s *shard) remove(id int) {
-	pos := s.table[id].pos
-	last := len(s.occupied) - 1
-	moved := s.occupied[last]
-	s.occupied[pos] = moved
-	s.table[moved].pos = pos
-	s.occupied = s.occupied[:last]
+	r := s.rank[id]
+	s.occ[r>>6] &^= 1 << (r & 63)
+	s.used--
 	s.table[id] = Entry{}
 }
 
@@ -317,6 +314,11 @@ type Manager struct {
 	hostTime   float64   // HostLink.Time(ExpertBytes)
 	nvmeTime   float64   // NVMeLink.Time(ExpertBytes)
 
+	// rank and byRank are inverse permutations between layer*Experts+expert
+	// ids and eviction ranks: popularity ascending, then id ascending (see
+	// victim).
+	rank, byRank []int
+
 	// hostTier, when set, replaces the static hostOnNVMe split with a shared
 	// node-level master-copy tier (see SetHostTier); tierRep is this
 	// manager's replica id there.
@@ -353,15 +355,20 @@ func New(cfg Config) *Manager {
 	if cfg.NVMeLink.Bandwidth > 0 {
 		m.nvmeTime = cfg.NVMeLink.Time(cfg.ExpertBytes)
 	}
+	m.buildOracles()
+	// Every shard's occupancy bitset is carved from one array.
+	n := cfg.Layers * cfg.Experts
+	words := (n + 63) / 64
+	occ := make([]uint64, cfg.GPUs*words)
 	m.shards = make([]*shard, cfg.GPUs)
 	for g := range m.shards {
 		m.shards[g] = &shard{
-			gpu:      g,
-			table:    make([]Entry, cfg.Layers*cfg.Experts),
-			occupied: make([]int, 0, cfg.SlotsPerGPU),
+			gpu:   g,
+			table: make([]Entry, n),
+			occ:   occ[g*words : (g+1)*words : (g+1)*words],
+			rank:  m.rank,
 		}
 	}
-	m.buildOracles()
 	return m
 }
 
@@ -485,6 +492,19 @@ func (m *Manager) buildOracles() {
 			}
 		}
 	}
+	// Popularity never changes after this, so the first key of every
+	// affinity eviction is ranked once: least mass first, ties by id.
+	m.byRank = make([]int, n)
+	for i := range m.byRank {
+		m.byRank[i] = i
+	}
+	slices.SortFunc(m.byRank, func(a, b int) int {
+		return cmp.Or(cmp.Compare(m.popularity[a], m.popularity[b]), cmp.Compare(a, b))
+	})
+	m.rank = make([]int, n)
+	for r, id := range m.byRank {
+		m.rank[id] = r
+	}
 	if m.cfg.HostSlots > 0 && m.cfg.HostSlots < n {
 		// The coldest experts' master copies fall through to NVMe.
 		order := make([]int, n)
@@ -601,7 +621,7 @@ func (m *Manager) warm(assign [][]int, charged bool, now float64) float64 {
 		s := m.shards[g]
 		gpuExtra := 0.0
 		for _, c := range cands {
-			if s.used() >= m.cfg.SlotsPerGPU {
+			if s.used >= m.cfg.SlotsPerGPU {
 				break
 			}
 			s.insert(m.id(c.k.layer, c.k.expert), Entry{
@@ -891,20 +911,12 @@ func (m *Manager) backoff(attempt int) float64 {
 }
 
 // freeSlot ensures the shard has a free slot, evicting a policy-chosen
-// victim if needed. It reports whether a slot is available. Pinned entries
-// and in-flight transfers (readyAt > now) are never evicted.
+// victim if needed. It reports whether a slot is available.
 func (m *Manager) freeSlot(s *shard, now float64) bool {
-	if s.used() < m.cfg.SlotsPerGPU {
+	if s.used < m.cfg.SlotsPerGPU {
 		return true
 	}
-	var victim *Entry
-	for _, id := range s.occupied {
-		e := &s.table[id]
-		if e.pinned || (!e.resident && e.readyAt > now) {
-			continue
-		}
-		victim = m.policy.Better(victim, e)
-	}
+	victim := m.victim(s, now)
 	if victim == nil {
 		return false
 	}
@@ -922,6 +934,31 @@ func (m *Manager) freeSlot(s *shard, now float64) bool {
 			Layer: int32(layer), Expert: int32(expert), T: now})
 	}
 	return true
+}
+
+// victim returns the policy's eviction choice among the shard's held rows,
+// or nil if every one is pinned or in flight (readyAt > now). It walks the
+// occupancy bitset in rank order. Better is a strict total order, so the
+// minimum is the same whatever order the rows are visited in; under the
+// affinity policy, whose first key is popularity (the rank's first key),
+// no row ranked past the first eligible row's equal-popularity run can
+// beat it, so the walk stops there. Every other policy walks every row.
+func (m *Manager) victim(s *shard, now float64) *Entry {
+	_, byPop := m.policy.(affinityPolicy)
+	var victim *Entry
+	for w, word := range s.occ {
+		for ; word != 0; word &= word - 1 {
+			e := &s.table[m.byRank[w<<6|bits.TrailingZeros64(word)]]
+			if byPop && victim != nil && e.pop != victim.pop {
+				return victim
+			}
+			if e.pinned || (!e.resident && e.readyAt > now) {
+				continue
+			}
+			victim = m.policy.Better(victim, e)
+		}
+	}
+	return victim
 }
 
 // Resident reports whether (layer, expert) is HBM-resident on the GPU.

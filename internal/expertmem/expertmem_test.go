@@ -161,8 +161,10 @@ func TestPinByPopularityStreamsMisses(t *testing.T) {
 		t.Fatalf("warm should not count accesses: %+v", pre)
 	}
 	var pinnedKey *Entry
-	for _, id := range m.shards[0].occupied {
-		pinnedKey = &m.shards[0].table[id]
+	for id := range m.shards[0].table {
+		if e := m.shards[0].lookup(id); e != nil {
+			pinnedKey = e
+		}
 	}
 	if pinnedKey == nil || !pinnedKey.pinned {
 		t.Fatal("warm did not pin")
@@ -322,8 +324,8 @@ func TestWarmPreloadsMostPopular(t *testing.T) {
 	m := New(testConfig(3, LRU()))
 	m.Warm(contiguousAssign())
 	for g := 0; g < 2; g++ {
-		if m.shards[g].used() != 3 {
-			t.Fatalf("gpu %d warm used %d slots", g, m.shards[g].used())
+		if m.shards[g].used != 3 {
+			t.Fatalf("gpu %d warm used %d slots", g, m.shards[g].used)
 		}
 	}
 }

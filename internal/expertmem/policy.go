@@ -11,9 +11,13 @@ import (
 //
 // Better must impose a strict total order over eviction candidates (ties
 // broken by (Layer, Expert)) and return the preferable victim of the two;
-// either argument may be nil. A total order makes victim selection
-// independent of residency-table iteration order, which is what keeps the
-// whole simulation deterministic.
+// either argument may be nil. The manager offers it a shard's held rows in
+// eviction-rank order (popularity ascending, then layer and expert), and a
+// total order makes the victim independent of that visiting order, which is
+// what keeps the whole simulation deterministic. Only the affinity policy,
+// whose first key is that same popularity, is not offered every row: the
+// walk stops once it has passed the first eligible row's equal-popularity
+// run, since no later row can beat it.
 type Policy interface {
 	Name() string
 	// Better returns the preferable eviction victim of a and b.
