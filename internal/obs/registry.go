@@ -13,7 +13,9 @@ import (
 // to be resolved once at setup and cached by the instrumented component;
 // every handle method is safe on a nil receiver (the observability-off fast
 // path) and safe for concurrent use (solver portfolio workers update shared
-// counters).
+// counters). The update methods (Add, Inc, Set, Observe) only test for nil
+// and call an unexported locked update, so they inline, and a disabled
+// metric costs its caller one compare.
 type Registry struct {
 	mu    sync.Mutex
 	c     map[string]*Counter
@@ -123,9 +125,19 @@ type Counter struct {
 
 // Add increments the counter; negative deltas panic (use a Gauge).
 func (c *Counter) Add(v float64) {
-	if c == nil {
-		return
+	if c != nil {
+		c.add(v)
 	}
+}
+
+// Inc adds one.
+func (c *Counter) Inc() {
+	if c != nil {
+		c.add(1)
+	}
+}
+
+func (c *Counter) add(v float64) {
 	if v < 0 {
 		panic("obs: negative counter increment")
 	}
@@ -133,9 +145,6 @@ func (c *Counter) Add(v float64) {
 	c.v += v
 	c.mu.Unlock()
 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current total.
 func (c *Counter) Value() float64 {
@@ -156,9 +165,12 @@ type Gauge struct {
 
 // Set records the value.
 func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
+	if g != nil {
+		g.store(v)
 	}
+}
+
+func (g *Gauge) store(v float64) {
 	g.mu.Lock()
 	g.v, g.set = v, true
 	g.mu.Unlock()
@@ -186,9 +198,12 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
+	if h != nil {
+		h.observe(v)
 	}
+}
+
+func (h *Histogram) observe(v float64) {
 	h.mu.Lock()
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/heap"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/expertmem"
@@ -53,6 +54,118 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 	for len(typed) > 0 {
 		if got, want := typed.pop(), heap.Pop(&boxed).(event); got != want {
 			t.Fatalf("drain: typed heap popped %+v, container/heap %+v", got, want)
+		}
+	}
+}
+
+// heapLoop is the serve loop's event order before the arrival cursor, the
+// reference for TestArrivalCursorMatchesHeap: every arrival pushed into one
+// heap up front, after the chaos schedule's crashes, then popped together
+// with whatever handle schedules. It returns the pop sequence.
+func heapLoop(arrivals []request, crashes []event, handle func(event, *eventHeap)) []event {
+	var h eventHeap
+	for _, c := range crashes {
+		h.push(c)
+	}
+	for i := range arrivals {
+		h.push(event{t: arrivals[i].arrival, kind: evArrival, seq: i})
+	}
+	var out []event
+	for len(h) > 0 {
+		e := h.pop()
+		out = append(out, e)
+		handle(e, &h)
+	}
+	return out
+}
+
+// cursorLoop is the serve loop's event order: the same crashes in the heap,
+// the arrivals behind server.nextEvent's cursor.
+func cursorLoop(arrivals []request, crashes []event, handle func(event, *eventHeap)) []event {
+	s := &server{arrivals: arrivals}
+	for _, c := range crashes {
+		s.events.push(c)
+	}
+	var out []event
+	for {
+		e, ok := s.nextEvent()
+		if !ok {
+			return out
+		}
+		out = append(out, e)
+		handle(e, &s.events)
+	}
+}
+
+// TestArrivalCursorMatchesHeap runs random sorted arrival streams through
+// both loops and compares their full pop sequences. Arrival times tie often,
+// also across phase boundaries. A fake handler answers each popped event by
+// scheduling non-arrival events of every kind, the way the serve loop's
+// handlers do (a fresh sequence number each), at the popped event's time, at
+// upcoming arrival times and in between, on the replicas arrivals use, so
+// every tie the order must break between an arrival and another event
+// occurs. Crashes carry their fault index, as scheduleChaos pushes them.
+func TestArrivalCursorMatchesHeap(t *testing.T) {
+	r := rng.New(0xC0450)
+	kinds := []int{evCrash, evScaleUp, evRecover, evStallEnd, evSolveEnd, evIterEnd}
+	for trial := 0; trial < 200; trial++ {
+		var arrivals []request
+		at, phases := 0.0, 1+r.Intn(4)
+		for phase := 0; phase < phases; phase++ {
+			end := at + float64(1+r.Intn(3))
+			for i := r.Intn(60); i > 0 && at <= end; i-- {
+				arrivals = append(arrivals, request{arrival: at, phase: phase, seq: len(arrivals)})
+				if r.Intn(3) > 0 { // otherwise the next arrival ties
+					at += float64(r.Intn(3)) * 0.25
+				}
+			}
+			at = end // the next phase's first arrival may tie this one's last
+		}
+		times := make([]float64, len(arrivals))
+		for i := range arrivals {
+			times[i] = arrivals[i].arrival
+		}
+		var crashes []event
+		for i := 0; i < r.Intn(4); i++ {
+			ct := float64(r.Intn(8)) * 0.25
+			if len(times) > 0 && r.Intn(2) == 0 {
+				ct = times[r.Intn(len(times))]
+			}
+			crashes = append(crashes, event{t: ct, kind: evCrash, seq: i})
+		}
+		seed := r.Uint64()
+		// newHandler returns a handler with its own generator and sequence
+		// counter, so each loop gets an identical one: the two schedule the
+		// same events as long as they pop the same ones.
+		newHandler := func() func(event, *eventHeap) {
+			hr, seq, budget := rng.New(seed), 0, 3*len(arrivals)+20
+			return func(e event, h *eventHeap) {
+				for k := hr.Intn(3); k > 0 && budget > 0; k-- {
+					budget--
+					ev := event{t: e.t, kind: kinds[1+hr.Intn(len(kinds)-1)], rep: hr.Intn(3), gen: hr.Intn(2)}
+					switch hr.Intn(3) {
+					case 0: // an upcoming arrival's time
+						if i := sort.SearchFloat64s(times, e.t); i < len(times) {
+							ev.t = times[i+hr.Intn(len(times)-i)]
+						}
+					case 1:
+						ev.t += float64(hr.Intn(4)) * 0.125
+					}
+					seq++
+					ev.seq = seq
+					h.push(ev)
+				}
+			}
+		}
+		want := heapLoop(arrivals, crashes, newHandler())
+		got := cursorLoop(arrivals, crashes, newHandler())
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: cursor loop ran %d events, heap loop %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d, event %d: cursor loop popped %+v, heap loop %+v", trial, i, got[i], want[i])
+			}
 		}
 	}
 }

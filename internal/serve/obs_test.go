@@ -3,17 +3,25 @@ package serve
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
 )
 
+// obsResult is one instrumented run: its report and its three sinks.
+type obsResult struct {
+	rep *Report
+	tr  *obs.Tracer
+	reg *obs.Registry
+	dl  *obs.DecisionLog
+}
+
 // obsRun executes the adaptive drift program under tiered expert memory with
 // every observability sink attached and the registry's wall clock pinned to
 // a constant — solver walls then measure exactly zero, which keeps the
 // exported bytes a pure function of the seed.
-func obsRun(t *testing.T) (*Report, *obs.Tracer, *obs.Registry, *obs.DecisionLog) {
-	t.Helper()
+func obsRun(t *testing.T) (obsResult, error) {
 	dep, opts, drifted := testSystem(t)
 	opts.Adaptive = true
 	opts.Phases = driftProgram(opts, drifted)
@@ -22,33 +30,57 @@ func obsRun(t *testing.T) (*Report, *obs.Tracer, *obs.Registry, *obs.DecisionLog
 	// Thin the high-volume kinds (fetch/evict/prefetch/admit dominate under
 	// 2x oversubscription) so the rare control-plane events are never
 	// overwritten by ring wrap; sampling is per-kind and deterministic.
-	tr := obs.NewTracer(obs.TracerOptions{Cap: 1 << 20, Sample: 128})
-	reg := obs.NewRegistry()
-	reg.SetNow(func() float64 { return 0 })
-	dl := obs.NewDecisionLog(0)
-	opts.Trace = tr
-	opts.Metrics = reg
-	opts.Decisions = dl
-	rep, err := Run(dep, opts)
-	if err != nil {
-		t.Fatal(err)
+	res := obsResult{
+		tr:  obs.NewTracer(obs.TracerOptions{Cap: 1 << 20, Sample: 128}),
+		reg: obs.NewRegistry(),
+		dl:  obs.NewDecisionLog(0),
 	}
-	return rep, tr, reg, dl
+	res.reg.SetNow(func() float64 { return 0 })
+	opts.Trace = res.tr
+	opts.Metrics = res.reg
+	opts.Decisions = res.dl
+	var err error
+	res.rep, err = Run(dep, opts)
+	return res, err
+}
+
+// sharedObs is the one instrumented run that the tests below share. It is
+// made by the first test that asks for it; the tests only read its report
+// and sinks (Snapshot, Events, String), so sharing it halves their runs,
+// which dominate the package's time under -race.
+var sharedObs struct {
+	once sync.Once
+	res  obsResult
+	err  error
+}
+
+// sharedObsRun returns the shared instrumented run, failing the test if the
+// run failed.
+func sharedObsRun(t *testing.T) obsResult {
+	t.Helper()
+	sharedObs.once.Do(func() { sharedObs.res, sharedObs.err = obsRun(t) })
+	if sharedObs.err != nil {
+		t.Fatal(sharedObs.err)
+	}
+	return sharedObs.res
 }
 
 // TestServeObservabilityDeterministicExports pins the byte-determinism
 // contract: two identical-seed adaptive runs (drift, migrations, tiered
 // memory, background solves) must export byte-identical Perfetto traces,
-// metric snapshots, and decision logs.
+// metric snapshots, and decision logs. The first is the shared run.
 func TestServeObservabilityDeterministicExports(t *testing.T) {
-	_, tr1, reg1, dl1 := obsRun(t)
-	_, tr2, reg2, dl2 := obsRun(t)
-
-	j1, err := obs.PerfettoJSON(tr1)
+	a := sharedObsRun(t)
+	b, err := obsRun(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := obs.PerfettoJSON(tr2)
+
+	j1, err := obs.PerfettoJSON(a.tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := obs.PerfettoJSON(b.tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +88,11 @@ func TestServeObservabilityDeterministicExports(t *testing.T) {
 		t.Fatalf("trace exports diverged across identical-seed runs (%d vs %d bytes)", len(j1), len(j2))
 	}
 
-	m1, err := reg1.Snapshot().MarshalIndentJSON()
+	m1, err := a.reg.Snapshot().MarshalIndentJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := reg2.Snapshot().MarshalIndentJSON()
+	m2, err := b.reg.Snapshot().MarshalIndentJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +100,7 @@ func TestServeObservabilityDeterministicExports(t *testing.T) {
 		t.Fatalf("metrics exports diverged across identical-seed runs:\n%s\nvs\n%s", m1, m2)
 	}
 
-	if dl1.String() != dl2.String() {
+	if a.dl.String() != b.dl.String() {
 		t.Fatal("decision logs diverged across identical-seed runs")
 	}
 }
@@ -78,7 +110,8 @@ func TestServeObservabilityDeterministicExports(t *testing.T) {
 // Report.MemStallSeconds addition-for-addition, so the two must be equal to
 // the bit, not merely within tolerance.
 func TestServeMemStallMetricMatchesReport(t *testing.T) {
-	rep, _, reg, _ := obsRun(t)
+	run := sharedObsRun(t)
+	rep, reg := run.rep, run.reg
 	if rep.MemStallSeconds <= 0 {
 		t.Fatal("fixture produced no memory stall; the exactness check needs a nonzero value")
 	}
@@ -100,7 +133,8 @@ func TestServeMemStallMetricMatchesReport(t *testing.T) {
 // spans, expert stalls and fetches, migration pauses, and the solver
 // lifecycle — plus the decision-log lines that narrate the controller.
 func TestServeTraceCoversLifecycle(t *testing.T) {
-	rep, tr, reg, dl := obsRun(t)
+	run := sharedObsRun(t)
+	rep, tr, reg, dl := run.rep, run.tr, run.reg, run.dl
 	if len(rep.Migrations) == 0 {
 		t.Fatal("fixture produced no migrations; lifecycle coverage needs at least one")
 	}

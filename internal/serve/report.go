@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -98,16 +99,18 @@ type Report struct {
 // [t0, t1) — the primitive behind per-phase and post-recovery comparisons.
 func (r *Report) WindowStats(t0, t1 float64) PhaseStats {
 	ps := PhaseStats{Name: fmt.Sprintf("[%.1f,%.1f)", t0, t1), Start: t0, End: t1}
-	var lat []float64
-	for i, at := range r.arrivalTimes {
-		if at >= t0 && at < t1 {
-			lat = append(lat, r.latencies[i])
-		}
-	}
-	ps.Requests = len(lat)
-	if len(lat) == 0 {
+	// The arrival times are sorted, so the requests with t0 <= at < t1 are
+	// the run [lo, hi) of them. A NaN t0 puts lo at the end and a NaN t1
+	// puts hi at the start, so a NaN bound selects nothing, as an inverted
+	// window does.
+	n := len(r.arrivalTimes)
+	lo := sort.Search(n, func(i int) bool { return r.arrivalTimes[i] >= t0 })
+	hi := sort.Search(n, func(i int) bool { return !(r.arrivalTimes[i] < t1) })
+	if lo >= hi {
 		return ps
 	}
+	lat := slices.Clone(r.latencies[lo:hi])
+	ps.Requests = len(lat)
 	ps.Mean = stats.Mean(lat)
 	// One sort serves all three percentile queries (lat is local scratch);
 	// stats.Percentile would copy and re-sort per query.
@@ -195,6 +198,9 @@ func (s *server) buildReport() *Report {
 	}
 
 	// Requests are already sorted by arrival (generated in time order).
+	rep.arrivalTimes = make([]float64, 0, finished)
+	rep.latencies = make([]float64, 0, finished)
+	rep.finishTimes = make([]float64, 0, finished)
 	for i := range s.arrivals {
 		rq := &s.arrivals[i]
 		if rq.shed {

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -137,5 +140,69 @@ func TestReportStringIncludesChurn(t *testing.T) {
 	out := rep.String()
 	if !strings.Contains(out, "5 resident copies churned") {
 		t.Fatalf("churn missing from report string:\n%s", out)
+	}
+}
+
+// linearWindowStats is WindowStats as it was before the binary search: a
+// filter over every arrival, appending each selected latency. It is the
+// reference for TestWindowStatsMatchesLinearScan.
+func linearWindowStats(r *Report, t0, t1 float64) PhaseStats {
+	ps := PhaseStats{Name: fmt.Sprintf("[%.1f,%.1f)", t0, t1), Start: t0, End: t1}
+	var lat []float64
+	for i, at := range r.arrivalTimes {
+		if at >= t0 && at < t1 {
+			lat = append(lat, r.latencies[i])
+		}
+	}
+	ps.Requests = len(lat)
+	if len(lat) == 0 {
+		return ps
+	}
+	ps.Mean = stats.Mean(lat)
+	sort.Float64s(lat)
+	ps.P50 = stats.SortedPercentile(lat, 50)
+	ps.P95 = stats.SortedPercentile(lat, 95)
+	ps.P99 = stats.SortedPercentile(lat, 99)
+	return ps
+}
+
+// TestWindowStatsMatchesLinearScan compares the binary-searched window with
+// the linear filter, every PhaseStats field by its bits, over random sorted
+// arrival times with many duplicates. The windows start and end exactly on
+// arrivals, between them and outside the run; they include empty, inverted
+// and infinite windows and NaN bounds, which select nothing.
+func TestWindowStatsMatchesLinearScan(t *testing.T) {
+	r := rng.New(0x3157)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 120; trial++ {
+		n := r.Intn(40)
+		if trial%3 == 0 {
+			n = r.Intn(400)
+		}
+		arr, lat := make([]float64, n), make([]float64, n)
+		at := r.Float64()
+		for i := range arr {
+			if r.Intn(3) > 0 { // otherwise a duplicate of the previous time
+				at += float64(r.Intn(4)) * 0.25
+			}
+			arr[i], lat[i] = at, r.Float64()*float64(1+r.Intn(5))
+		}
+		rep := reportFixture(arr, lat)
+		bounds := []float64{math.Inf(-1), math.Inf(1), math.NaN(), -1, 0, at + 1}
+		for i := 0; i < 4 && n > 0; i++ {
+			v := arr[r.Intn(n)]
+			bounds = append(bounds, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)), v+0.125)
+		}
+		for _, t0 := range bounds {
+			for _, t1 := range bounds {
+				got, want := rep.WindowStats(t0, t1), linearWindowStats(rep, t0, t1)
+				if got.Name != want.Name || got.Requests != want.Requests ||
+					!same(got.Start, want.Start) || !same(got.End, want.End) ||
+					!same(got.Mean, want.Mean) || !same(got.P50, want.P50) || !same(got.P95, want.P95) ||
+					!same(got.P99, want.P99) || !same(got.Throughput, want.Throughput) {
+					t.Fatalf("trial %d, %d arrivals, window [%v, %v): got %+v, want %+v", trial, n, t0, t1, got, want)
+				}
+			}
+		}
 	}
 }

@@ -132,24 +132,29 @@ type event struct {
 	gen int
 }
 
+// before reports whether a runs ahead of b: by time, then kind, replica and
+// sequence number. gen is not compared.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.rep != b.rep {
+		return a.rep < b.rep
+	}
+	return a.seq < b.seq
+}
+
 // eventHeap is the simulation's binary min-heap of pending events. push and
 // pop run container/heap's sift loops step for step, so the array evolves
 // exactly as under container/heap and events that compare equal (they can
 // differ only in gen) pop in the same order; being typed, they box nothing.
+// Arrivals never enter it (see server.nextEvent).
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	if h[i].rep != h[j].rep {
-		return h[i].rep < h[j].rep
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 // push adds e (container/heap.Push).
 func (h *eventHeap) push(e event) {
@@ -232,8 +237,10 @@ type server struct {
 
 	events eventHeap
 	// arrivals holds every request of the run, in arrival order, in one
-	// array; queues and batches point into it.
+	// array; queues and batches point into it. arrived counts those whose
+	// arrival event has run.
 	arrivals  []request
+	arrived   int
 	pending   *pendingMigration
 	solving   *pendingSolve
 	lastCheck float64
@@ -367,12 +374,12 @@ func Run(d Deployment, opts Options) (*Report, error) {
 			s.arrivals = append(s.arrivals, request{arrival: t, phase: pi, remaining: cfg.DecodeTokens, seq: len(s.arrivals)})
 		}
 	}
-	for i := range s.arrivals {
-		s.events.push(event{t: s.arrivals[i].arrival, kind: evArrival, seq: i})
-	}
 
-	for len(s.events) > 0 {
-		e := s.events.pop()
+	for {
+		e, ok := s.nextEvent()
+		if !ok {
+			break
+		}
 		// Replica-targeted events from a crashed incarnation are stale: the
 		// generation check drops an iteration, stall, warm-up, or recovery
 		// the fault aborted.
@@ -402,6 +409,28 @@ func Run(d Deployment, opts Options) (*Report, error) {
 		}
 	}
 	return s.buildReport(), nil
+}
+
+// nextEvent removes and returns the run's earliest pending event, or false
+// once none is left. Arrivals stay out of the event heap: the arrival at
+// the cursor and the heap's top compete under the heap's own order, and the
+// earlier one runs. That order is strict, so the pop
+// sequence is the one a single heap holding every arrival would give. Two
+// arrivals differ in seq, which rises with arrival time; two other events
+// differ in (kind, seq), since crashes carry their fault index and every
+// other event a fresh s.seq; an arrival and any other event differ in kind.
+func (s *server) nextEvent() (event, bool) {
+	if s.arrived < len(s.arrivals) {
+		a := event{t: s.arrivals[s.arrived].arrival, kind: evArrival, seq: s.arrived}
+		if len(s.events) == 0 || a.before(&s.events[0]) {
+			s.arrived++
+			return a, true
+		}
+	}
+	if len(s.events) == 0 {
+		return event{}, false
+	}
+	return s.events.pop(), true
 }
 
 // residencyChurn prices a migration's residency churn on one replica's

@@ -169,23 +169,33 @@ type solverBenchJSON struct {
 	CalibrateServe calibrateServeJSON `json:"calibrate_serve"`
 
 	// ServeLoop is one Serve of each serveLoopPrograms entry on benchSetup's
-	// calibration: heap objects per decode iteration, set-up and report of
-	// the serve run amortized in. The generator fails if a program exceeds
-	// its budget.
+	// calibration: heap objects per decode iteration and heap bytes per
+	// offered request, set-up and report of the serve run amortized in. The
+	// generator fails if a program exceeds either budget.
 	ServeLoop []serveLoopJSON `json:"serve_loop"`
 }
 
 // serveLoopPrograms are the repository benchmark's steady and oversub
-// traffic programs, one Serve each (serving seed 1). A serve run allocated
-// 3.70 (steady) and 4.71 (oversub) objects per decode iteration when it
-// allocated one object per request, a queue array per admission burst, the
-// trace window's rows while it filled and a slice per prefetch successor
-// list; with requests in one array, rewinding queues, a flat window ring
-// and flat successor lists it allocates about 0.09 and 0.22. The budgets
-// sit between, so any allocation per request or per token fails.
+// traffic programs, one Serve each (serving seed 1). Neither runs a chaos
+// schedule, so every offered request finishes and Report.Requests counts
+// them all.
+//
+// A serve run allocated 3.70 (steady) and 4.71 (oversub) objects per decode
+// iteration when it allocated one object per request, a queue array per
+// admission burst, the trace window's rows while it filled and a slice per
+// prefetch successor list; with requests in one array, rewinding queues, a
+// flat window ring and flat successor lists it allocates about 0.09 and
+// 0.22. The object budgets sit between, so any allocation per request or
+// per token fails.
+//
+// It allocated 584 (steady) and 869 (oversub) bytes per request while every
+// arrival was pushed into the event heap up front and the report grew its
+// arrays by appending; with an arrival cursor and a report built at its
+// final size it allocates about 289 and 570. The byte budgets sit between,
+// so an event or a growing array per request fails.
 var serveLoopPrograms = []serveLoopJSON{
-	{Program: "steady", RateReqPerS: 3200, Seconds: 2.5, AllocBudget: 1},
-	{Program: "oversub", RateReqPerS: 190, Seconds: 30, Oversubscription: 1.5, CachePolicy: "affinity", AllocBudget: 1},
+	{Program: "steady", RateReqPerS: 3200, Seconds: 2.5, AllocBudget: 1, BytesBudget: 440},
+	{Program: "oversub", RateReqPerS: 190, Seconds: 30, Oversubscription: 1.5, CachePolicy: "affinity", AllocBudget: 1, BytesBudget: 720},
 }
 
 type serveLoopJSON struct {
@@ -196,10 +206,14 @@ type serveLoopJSON struct {
 	CachePolicy      string  `json:"cache_policy,omitempty"`
 	Seed             uint64  `json:"seed"`
 	Iterations       int     `json:"iterations"`
+	Requests         int     `json:"requests"`
 	WallMS           float64 `json:"wall_ms"`
 	Allocs           uint64  `json:"allocs"`
 	AllocsPerIter    float64 `json:"allocs_per_iter"`
 	AllocBudget      float64 `json:"alloc_budget"`
+	Bytes            uint64  `json:"bytes"`
+	BytesPerRequest  float64 `json:"bytes_per_request"`
+	BytesBudget      float64 `json:"bytes_per_request_budget"`
 }
 
 // calibrateServeAllocBudget bounds the heap objects one benchSetup
@@ -361,13 +375,14 @@ func TestGenerateSolverBench(t *testing.T) {
 		var rep *ServeReport
 		var err error
 		t0 := time.Now()
-		sl.Allocs, _ = allocated(func() { rep, _, err = Serve(serveSys, opts) })
+		sl.Allocs, sl.Bytes = allocated(func() { rep, _, err = Serve(serveSys, opts) })
 		sl.WallMS = float64(time.Since(t0).Nanoseconds()) / 1e6
 		if err != nil {
 			t.Fatal(err)
 		}
-		sl.Iterations = rep.Iterations
+		sl.Iterations, sl.Requests = rep.Iterations, rep.Requests
 		sl.AllocsPerIter = float64(sl.Allocs) / float64(rep.Iterations)
+		sl.BytesPerRequest = float64(sl.Bytes) / float64(rep.Requests)
 		out.ServeLoop = append(out.ServeLoop, sl)
 	}
 
@@ -404,6 +419,10 @@ func TestGenerateSolverBench(t *testing.T) {
 			t.Fatalf("%s serve run allocated %.3f objects per iteration, over its budget of %g",
 				sl.Program, sl.AllocsPerIter, sl.AllocBudget)
 		}
+		if sl.BytesPerRequest > sl.BytesBudget {
+			t.Fatalf("%s serve run allocated %.1f bytes per request, over its budget of %g",
+				sl.Program, sl.BytesPerRequest, sl.BytesBudget)
+		}
 	}
 
 	blob, err := json.MarshalIndent(out, "", "  ")
@@ -420,7 +439,8 @@ func TestGenerateSolverBench(t *testing.T) {
 		st.WallMS, st.AllocsPerSolve, st.BytesPerSolve, st.Crossings)
 	t.Logf("set-up: %.1fms, %d allocs, %d bytes", cs.WallMS, cs.AllocsPerSetup, cs.BytesPerSetup)
 	for _, sl := range out.ServeLoop {
-		t.Logf("%s serve: %d iterations in %.0fms, %.3f allocs per iteration", sl.Program, sl.Iterations, sl.WallMS, sl.AllocsPerIter)
+		t.Logf("%s serve: %d iterations in %.0fms, %.3f allocs per iteration, %.1f bytes per request",
+			sl.Program, sl.Iterations, sl.WallMS, sl.AllocsPerIter, sl.BytesPerRequest)
 	}
 	t.Log("wrote BENCH_solver.json")
 }
