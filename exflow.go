@@ -306,8 +306,3 @@ func (s *System) Speedup(profileTokens int, w Workload) (*engine.Report, *engine
 	}
 	return base, exf, exf.Throughput / base.Throughput
 }
-
-// describe returns a one-line system summary used by the CLI tools.
-func (s *System) describe() string {
-	return fmt.Sprintf("%s on %s", s.Model.Cfg.String(), s.Topo.String())
-}

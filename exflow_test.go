@@ -157,9 +157,3 @@ func TestRunModesDiffer(t *testing.T) {
 		t.Fatal("coherent mode should move fewer alltoall bytes")
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	if s := smallSystem(4).describe(); len(s) == 0 {
-		t.Fatal("describe empty")
-	}
-}

@@ -12,14 +12,6 @@ func init() {
 	register("expert_memory", runExpertMemory)
 }
 
-// MemoryRun is one cell of the oversubscription sweep: a serving run under
-// tiered expert-weight memory at a given (ratio, policy).
-type MemoryRun struct {
-	Ratio  float64
-	Policy string
-	Report *ServeReport
-}
-
 // MemorySweepRatios is the oversubscription sweep the experiment and the
 // CLI share: 1x (everything resident) through 4x (a quarter fits).
 var MemorySweepRatios = []float64{1, 1.5, 2, 4}

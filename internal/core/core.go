@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/affinity"
 	"repro/internal/placement"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -162,74 +161,4 @@ func (o *Optimizer) Solve(tr *trace.Trace) (*Plan, error) {
 		return nil, fmt.Errorf("core: solver produced invalid plan: %w", err)
 	}
 	return plan, nil
-}
-
-// BudgetResult records one step of SearchTokenBudget.
-type BudgetResult struct {
-	Tokens      int
-	HeldOutGain float64 // baseline/solved crossings on held-out tokens
-}
-
-// SearchTokenBudget answers the paper's Fig 13 question operationally:
-// starting from minTokens, it doubles the profiling budget until the
-// held-out improvement ratio stops growing by at least epsilon, and returns
-// the chosen budget with the measurement curve. profile must contain at
-// least maxTokens paths; heldOut is a disjoint evaluation trace.
-func (o *Optimizer) SearchTokenBudget(profile, heldOut *trace.Trace, minTokens, maxTokens int, epsilon float64) (int, []BudgetResult, error) {
-	if minTokens <= 0 || maxTokens < minTokens {
-		return 0, nil, fmt.Errorf("core: invalid budget range [%d, %d]", minTokens, maxTokens)
-	}
-	if profile.Tokens() < maxTokens {
-		return 0, nil, fmt.Errorf("core: profile trace has %d tokens, need %d", profile.Tokens(), maxTokens)
-	}
-	evalCounts := heldOut.AllTransitionCounts()
-	base := placement.Contiguous(profile.Layers, profile.Experts, o.Topo.TotalGPUs())
-	baseCross := base.Crossings(evalCounts)
-
-	var curve []BudgetResult
-	best := minTokens
-	prevGain := 0.0
-	for n := minTokens; n <= maxTokens; n *= 2 {
-		plan, err := o.Solve(profile.Head(n))
-		if err != nil {
-			return 0, nil, err
-		}
-		cross := plan.Placement().Crossings(evalCounts)
-		gain := 1.0
-		if cross > 0 {
-			gain = baseCross / cross
-		}
-		curve = append(curve, BudgetResult{Tokens: n, HeldOutGain: gain})
-		if gain > prevGain+epsilon {
-			best = n
-			prevGain = gain
-		} else {
-			// Converged: the doubled budget did not help.
-			return best, curve, nil
-		}
-	}
-	return best, curve, nil
-}
-
-// Report summarizes a plan against a trace for operator consumption.
-type Report struct {
-	Plan          *Plan
-	Concentration float64 // top-3 affinity mass of the trace
-	LocalFrac     float64 // same-GPU transition fraction under the plan
-	IntraNodeFrac float64
-}
-
-// Analyze produces the operator report.
-func (o *Optimizer) Analyze(plan *Plan, tr *trace.Trace) (*Report, error) {
-	if err := plan.CheckCompatible(tr.Layers, tr.Experts, o.Topo); err != nil {
-		return nil, err
-	}
-	aff := affinity.Estimate(tr)
-	loc := plan.Placement().Locality(tr, o.Topo)
-	return &Report{
-		Plan:          plan,
-		Concentration: aff.Concentration(3),
-		LocalFrac:     loc.FracSameGPU,
-		IntraNodeFrac: loc.FracIntraNode,
-	}, nil
 }

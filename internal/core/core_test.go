@@ -126,68 +126,3 @@ func TestPlanPlacementMatchesAssign(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchTokenBudgetConverges(t *testing.T) {
-	o := testOptimizer()
-	profile := testTrace(4000)
-	heldOut := func() *trace.Trace {
-		k := synth.NewKernel(synth.KernelParams{Seed: 5, Layers: 6, Experts: 16, Strength: 0.85})
-		kr := synth.NewKernelRouter(k, synth.Pile(), 1)
-		ids := make([]uint64, 3000)
-		for i := range ids {
-			ids[i] = synth.Pile().TokenID(uint64(1<<20 + i))
-		}
-		return trace.Collect(kr, 6, ids)
-	}()
-	best, curve, err := o.SearchTokenBudget(profile, heldOut, 100, 4000, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) == 0 {
-		t.Fatal("no curve points")
-	}
-	if best < 100 || best > 4000 {
-		t.Fatalf("budget %d out of range", best)
-	}
-	// Gains must all be >= 1 (affinity placement never loses to contiguous
-	// on this strong-affinity kernel) and non-decreasing along the kept
-	// prefix.
-	for _, pt := range curve {
-		if pt.HeldOutGain < 1 {
-			t.Fatalf("gain %v below 1 at %d tokens", pt.HeldOutGain, pt.Tokens)
-		}
-	}
-}
-
-func TestSearchTokenBudgetErrors(t *testing.T) {
-	o := testOptimizer()
-	tr := testTrace(100)
-	if _, _, err := o.SearchTokenBudget(tr, tr, 0, 100, 0.01); err == nil {
-		t.Fatal("invalid range should error")
-	}
-	if _, _, err := o.SearchTokenBudget(tr, tr, 100, 1000, 0.01); err == nil {
-		t.Fatal("insufficient profile should error")
-	}
-}
-
-func TestAnalyze(t *testing.T) {
-	o := testOptimizer()
-	tr := testTrace(1200)
-	plan, err := o.Solve(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := o.Analyze(plan, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Concentration <= 0 || rep.LocalFrac <= 0 || rep.IntraNodeFrac < rep.LocalFrac {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	// Analyzing against a mismatched trace fails.
-	k := synth.NewKernel(synth.KernelParams{Seed: 9, Layers: 4, Experts: 16, Strength: 0.5})
-	other := trace.Collect(synth.NewKernelRouter(k, synth.Pile(), 1), 4, trace.SequentialIDs(50, nil))
-	if _, err := o.Analyze(plan, other); err == nil {
-		t.Fatal("shape mismatch should error")
-	}
-}

@@ -448,9 +448,6 @@ func (m *Manager) Prefetching() bool {
 	return m.cfg.PrefetchK > 0 && m.policy.Prefetch() && m.succ != nil
 }
 
-// PolicyName returns the active eviction policy's name.
-func (m *Manager) PolicyName() string { return m.policy.Name() }
-
 // buildOracles precomputes popularity, the DRAM/NVMe master-copy split, and
 // the top-K successor lists from the affinity tensor.
 func (m *Manager) buildOracles() {

@@ -12,7 +12,6 @@ type Heatmap struct {
 	RowLabel   string
 	ColLabel   string
 	Values     [][]float64
-	RowStride  int // label every RowStride-th row; 0 means every row
 	cellRamp   []rune
 	downsample int
 }

@@ -12,12 +12,6 @@ func GELU(v []float32) {
 	}
 }
 
-// GELUMatrix applies GELU to every element of m in place and returns m.
-func GELUMatrix(m *Matrix) *Matrix {
-	GELU(m.Data)
-	return m
-}
-
 // Softmax normalizes v into a probability distribution in place using the
 // numerically stable max-shift formulation.
 func Softmax(v []float32) {

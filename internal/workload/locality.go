@@ -5,19 +5,21 @@ import (
 	"math"
 )
 
-// LocalityModel extends IterationModel with the quantity the whole ExFlow
-// pipeline optimizes: where token dispatches land. One decode iteration of an
-// active batch of n tokens whose dispatches stay on the current GPU with
-// probability (1 - fracNode - fracCross) is modeled as
+// LocalityModel is the serving cost of one decode iteration as a function of
+// the active batch and of the quantity the whole ExFlow pipeline optimizes:
+// where token dispatches land. One decode iteration of an active batch of n
+// tokens whose dispatches stay on the current GPU with probability
+// (1 - fracNode - fracCross) is modeled as
 //
 //	time(n, fracNode, fracCross) =
 //	    Fixed + n*(PerToken + PerNodeHop*fracNode + PerCrossHop*fracCross)
 //
-// so a placement that lowers the cross-node dispatch fraction lowers the
-// effective service rate of the continuous-batching queue. The coefficients
-// are fit from real engine runs (FitLocalityModel), which is how the online
-// serving layer turns live routing statistics into latency without re-running
-// the engine inside the discrete-event loop.
+// so a placement that lowers the cross-node dispatch fraction shortens every
+// iteration and raises the service rate of the continuous-batching queue.
+// The coefficients are fit from real engine runs (FitLocalityModel, or
+// FitIterationModel for the batch-only terms), which is how internal/serve
+// turns live routing statistics into latency without re-running the engine
+// inside its discrete-event loop.
 type LocalityModel struct {
 	// Fixed is the per-iteration cost independent of batch size (kernel
 	// launches, collective latency terms).

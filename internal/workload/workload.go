@@ -1,47 +1,26 @@
-// Package workload models the serving layer above the inference engine:
-// request arrival processes, continuous batching, and end-to-end request
-// latency. The paper evaluates steady-state throughput; a downstream user
-// of ExFlow cares equally about what the throughput gain does to tail
-// latency under load, which this package answers with a discrete-event
-// queueing simulation driven by iteration-time measurements from the
-// engine.
+// Package workload holds the serving cost models: what one decode iteration
+// of a continuous-batching server costs, fit from inference-engine
+// measurements. LocalityModel prices an iteration by its active batch and
+// its dispatch locality; FitLocalityModel fits it by least squares and
+// FitIterationModel fits its batch-only part through two points.
+// internal/serve runs the discrete-event simulation that turns these costs
+// into request latency.
 package workload
 
-import (
-	"fmt"
-	"sort"
+import "fmt"
 
-	"repro/internal/rng"
-	"repro/internal/stats"
-)
-
-// IterationModel is the serving-side summary of an engine configuration:
-// the time of one decode iteration as a function of the active batch size,
-// time(n) = Fixed + PerToken * n. Engine measurements at two batch sizes
-// fit it (see FitIterationModel).
-type IterationModel struct {
-	Fixed    float64
-	PerToken float64
-}
-
-// Time returns the modeled iteration time for an active batch of n.
-func (m IterationModel) Time(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return m.Fixed + m.PerToken*float64(n)
-}
-
-// FitIterationModel fits the linear model through two measurements
-// (batch size, per-iteration seconds). The batch sizes must differ and the
-// measured times must be positive — a zero measurement would fit a model
-// under which iterations are free and every queue is infinitely fast.
-func FitIterationModel(n1 int, t1 float64, n2 int, t2 float64) (IterationModel, error) {
+// FitIterationModel fits the linear cost time(n) = Fixed + PerToken * n
+// through two measurements (batch size, per-iteration seconds) and returns
+// it as a LocalityModel with zero hop terms: the measured runs already price
+// their dispatches. The batch sizes must differ and the measured times must
+// be positive — a zero measurement would fit a model under which iterations
+// are free and every queue is infinitely fast.
+func FitIterationModel(n1 int, t1 float64, n2 int, t2 float64) (LocalityModel, error) {
 	if n1 == n2 {
-		return IterationModel{}, fmt.Errorf("workload: need two distinct batch sizes")
+		return LocalityModel{}, fmt.Errorf("workload: need two distinct batch sizes")
 	}
 	if t1 <= 0 || t2 <= 0 {
-		return IterationModel{}, fmt.Errorf("workload: non-positive iteration measurement (t1=%v t2=%v)", t1, t2)
+		return LocalityModel{}, fmt.Errorf("workload: non-positive iteration measurement (t1=%v t2=%v)", t1, t2)
 	}
 	per := (t2 - t1) / float64(n2-n1)
 	fixed := t1 - per*float64(n1)
@@ -49,7 +28,7 @@ func FitIterationModel(n1 int, t1 float64, n2 int, t2 float64) (IterationModel, 
 		// Measurement noise can produce a slightly negative component;
 		// clamp rather than reject, but never both.
 		if per < 0 && fixed < 0 {
-			return IterationModel{}, fmt.Errorf("workload: degenerate fit (fixed=%v per=%v)", fixed, per)
+			return LocalityModel{}, fmt.Errorf("workload: degenerate fit (fixed=%v per=%v)", fixed, per)
 		}
 		if per < 0 {
 			per = 0
@@ -59,140 +38,5 @@ func FitIterationModel(n1 int, t1 float64, n2 int, t2 float64) (IterationModel, 
 			per = (t1 + t2) / float64(n1+n2)
 		}
 	}
-	return IterationModel{Fixed: fixed, PerToken: per}, nil
-}
-
-// Spec describes the offered workload.
-type Spec struct {
-	// ArrivalRate is requests per second (Poisson).
-	ArrivalRate float64
-	// DecodeTokens is the number of iterations each request needs.
-	DecodeTokens int
-	// MaxBatch is the server's active-slot limit (continuous batching).
-	MaxBatch int
-	// Requests is the number of requests to simulate.
-	Requests int
-	Seed     uint64
-}
-
-// Validate checks the spec.
-func (s Spec) Validate() error {
-	if s.ArrivalRate <= 0 || s.DecodeTokens <= 0 || s.MaxBatch <= 0 || s.Requests <= 0 {
-		return fmt.Errorf("workload: non-positive spec field: %+v", s)
-	}
-	return nil
-}
-
-// Result summarizes a simulation.
-type Result struct {
-	// Latencies are per-request end-to-end seconds (arrival to last token).
-	Latencies []float64
-	// P50, P95, P99 are latency percentiles.
-	P50, P95, P99 float64
-	// MeanBatch is the average active batch across iterations.
-	MeanBatch float64
-	// Makespan is the total simulated time.
-	Makespan float64
-	// Throughput is generated tokens per second over the makespan.
-	Throughput float64
-	// Saturated reports whether the queue grew monotonically (offered load
-	// above capacity).
-	Saturated bool
-}
-
-// request tracks one simulated request.
-type simReq struct {
-	arrival   float64
-	remaining int
-	finish    float64
-}
-
-// Simulate runs the continuous-batching queue: at every iteration boundary
-// the server admits queued requests into free slots (FIFO), runs one decode
-// iteration for all active requests (every active request yields one
-// token), and retires requests that have all their tokens.
-func Simulate(model IterationModel, spec Spec) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	r := rng.New(rng.Mix64(spec.Seed, 0x1047))
-	// Pre-draw arrivals.
-	reqs := make([]*simReq, spec.Requests)
-	now := 0.0
-	for i := range reqs {
-		now += r.Exponential() / spec.ArrivalRate
-		reqs[i] = &simReq{arrival: now, remaining: spec.DecodeTokens}
-	}
-
-	var active []*simReq
-	next := 0 // next unadmitted request
-	clock := 0.0
-	iterations := 0
-	batchTotal := 0
-	queuePeakEarly, queuePeakLate := 0, 0
-	for next < len(reqs) || len(active) > 0 {
-		// Admit.
-		for next < len(reqs) && len(active) < spec.MaxBatch && reqs[next].arrival <= clock {
-			active = append(active, reqs[next])
-			next++
-		}
-		if len(active) == 0 {
-			// Idle: jump to the next arrival.
-			clock = reqs[next].arrival
-			continue
-		}
-		// One iteration.
-		clock += model.Time(len(active))
-		iterations++
-		batchTotal += len(active)
-		kept := active[:0]
-		for _, rq := range active {
-			rq.remaining--
-			if rq.remaining == 0 {
-				rq.finish = clock
-			} else {
-				kept = append(kept, rq)
-			}
-		}
-		active = kept
-		// Track queue growth for saturation detection.
-		queued := 0
-		for i := next; i < len(reqs) && reqs[i].arrival <= clock; i++ {
-			queued++
-		}
-		if iterations < 64 {
-			if queued > queuePeakEarly {
-				queuePeakEarly = queued
-			}
-		} else if queued > queuePeakLate {
-			queuePeakLate = queued
-		}
-	}
-
-	res := &Result{Makespan: clock}
-	for _, rq := range reqs {
-		res.Latencies = append(res.Latencies, rq.finish-rq.arrival)
-	}
-	sort.Float64s(res.Latencies)
-	res.P50 = stats.Percentile(res.Latencies, 50)
-	res.P95 = stats.Percentile(res.Latencies, 95)
-	res.P99 = stats.Percentile(res.Latencies, 99)
-	if iterations > 0 {
-		res.MeanBatch = float64(batchTotal) / float64(iterations)
-	}
-	if clock > 0 {
-		res.Throughput = float64(spec.Requests*spec.DecodeTokens) / clock
-	}
-	res.Saturated = queuePeakLate > 4*queuePeakEarly+8
-	return res, nil
-}
-
-// CapacityTokensPerSecond returns the model's asymptotic token throughput
-// at full batch — the knee of the latency-vs-load curve.
-func CapacityTokensPerSecond(model IterationModel, maxBatch int) float64 {
-	t := model.Time(maxBatch)
-	if t == 0 {
-		return 0
-	}
-	return float64(maxBatch) / t
+	return LocalityModel{Fixed: fixed, PerToken: per}, nil
 }

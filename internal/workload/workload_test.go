@@ -3,12 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func testModel() IterationModel {
-	return IterationModel{Fixed: 0.002, PerToken: 0.0001}
-}
 
 func TestFitIterationModel(t *testing.T) {
 	m, err := FitIterationModel(8, 0.0028, 32, 0.0052)
@@ -17,6 +12,9 @@ func TestFitIterationModel(t *testing.T) {
 	}
 	if math.Abs(m.PerToken-0.0001) > 1e-9 || math.Abs(m.Fixed-0.002) > 1e-9 {
 		t.Fatalf("bad fit: %+v", m)
+	}
+	if m.PerNodeHop != 0 || m.PerCrossHop != 0 {
+		t.Fatalf("two-point fit must leave the hop terms zero: %+v", m)
 	}
 	if _, err := FitIterationModel(8, 1, 8, 2); err == nil {
 		t.Fatal("same batch sizes should error")
@@ -32,153 +30,5 @@ func TestFitClampsNoise(t *testing.T) {
 	}
 	if m.PerToken < 0 || m.Fixed < 0 {
 		t.Fatalf("fit not clamped: %+v", m)
-	}
-}
-
-func TestModelTime(t *testing.T) {
-	m := testModel()
-	if m.Time(0) != 0 || m.Time(-1) != 0 {
-		t.Fatal("empty batch should take no time")
-	}
-	if m.Time(10) <= m.Time(1) {
-		t.Fatal("time must grow with batch")
-	}
-}
-
-func TestSimulateLowLoad(t *testing.T) {
-	m := testModel()
-	res, err := Simulate(m, Spec{ArrivalRate: 5, DecodeTokens: 10, MaxBatch: 32, Requests: 300, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Latencies) != 300 {
-		t.Fatalf("got %d latencies", len(res.Latencies))
-	}
-	// At 5 req/s against a capacity of ~6000 tok/s the system is nearly
-	// idle: latency ~ DecodeTokens * Time(1).
-	ideal := 10 * m.Time(1)
-	if res.P50 > 3*ideal {
-		t.Fatalf("low-load P50 %v too far above ideal %v", res.P50, ideal)
-	}
-	if res.Saturated {
-		t.Fatal("low load must not saturate")
-	}
-	if res.P95 < res.P50 || res.P99 < res.P95 {
-		t.Fatal("percentiles out of order")
-	}
-}
-
-func TestSimulateLatencyGrowsWithLoad(t *testing.T) {
-	m := testModel()
-	p95 := func(rate float64) float64 {
-		res, err := Simulate(m, Spec{ArrivalRate: rate, DecodeTokens: 10, MaxBatch: 16, Requests: 500, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.P95
-	}
-	low, mid, high := p95(10), p95(100), p95(300)
-	if !(low <= mid && mid < high) {
-		t.Fatalf("latency should grow with load: %v, %v, %v", low, mid, high)
-	}
-}
-
-func TestSimulateSaturationDetected(t *testing.T) {
-	m := testModel()
-	// Capacity with MaxBatch 16: 16 / (0.002 + 0.0016) = ~4400 tok/s =
-	// ~440 req/s at 10 tokens each. Offer well beyond it.
-	res, err := Simulate(m, Spec{ArrivalRate: 2000, DecodeTokens: 10, MaxBatch: 16, Requests: 2000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Saturated {
-		t.Fatal("overload should be flagged as saturated")
-	}
-	if res.MeanBatch < 15 {
-		t.Fatalf("saturated server should run full batches, got %v", res.MeanBatch)
-	}
-}
-
-func TestSimulateFasterModelLowerLatency(t *testing.T) {
-	// The serving-level consequence of ExFlow: a smaller Fixed term (less
-	// Alltoall per iteration) gives lower tail latency at equal load.
-	slow := IterationModel{Fixed: 0.004, PerToken: 0.0001}
-	fast := IterationModel{Fixed: 0.002, PerToken: 0.0001}
-	spec := Spec{ArrivalRate: 150, DecodeTokens: 10, MaxBatch: 16, Requests: 800, Seed: 4}
-	rs, err := Simulate(slow, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := Simulate(fast, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.P95 >= rs.P95 {
-		t.Fatalf("faster iteration model must cut P95: %v vs %v", rf.P95, rs.P95)
-	}
-	if rf.Throughput <= rs.Throughput && rs.Saturated {
-		t.Fatal("faster model should not lose throughput under load")
-	}
-}
-
-func TestSimulateSpecValidation(t *testing.T) {
-	m := testModel()
-	bad := []Spec{
-		{},
-		{ArrivalRate: 1, DecodeTokens: 0, MaxBatch: 1, Requests: 1},
-		{ArrivalRate: 1, DecodeTokens: 1, MaxBatch: 0, Requests: 1},
-		{ArrivalRate: -1, DecodeTokens: 1, MaxBatch: 1, Requests: 1},
-	}
-	for i, s := range bad {
-		if _, err := Simulate(m, s); err == nil {
-			t.Fatalf("spec %d should fail", i)
-		}
-	}
-}
-
-func TestSimulateDeterministic(t *testing.T) {
-	m := testModel()
-	spec := Spec{ArrivalRate: 80, DecodeTokens: 8, MaxBatch: 8, Requests: 400, Seed: 9}
-	a, err := Simulate(m, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(m, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.P95 != b.P95 || a.Makespan != b.Makespan {
-		t.Fatal("simulation not deterministic")
-	}
-}
-
-func TestLatenciesNonNegativeProperty(t *testing.T) {
-	m := testModel()
-	if err := quick.Check(func(seed uint64, rateRaw uint8) bool {
-		rate := float64(rateRaw%200) + 1
-		res, err := Simulate(m, Spec{ArrivalRate: rate, DecodeTokens: 5, MaxBatch: 8, Requests: 100, Seed: seed})
-		if err != nil {
-			return false
-		}
-		for _, l := range res.Latencies {
-			if l < 0 {
-				return false
-			}
-		}
-		return res.Makespan > 0 && res.Throughput > 0
-	}, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCapacityTokensPerSecond(t *testing.T) {
-	m := testModel()
-	c := CapacityTokensPerSecond(m, 16)
-	want := 16.0 / m.Time(16)
-	if math.Abs(c-want) > 1e-9 {
-		t.Fatalf("capacity %v, want %v", c, want)
-	}
-	if CapacityTokensPerSecond(IterationModel{}, 4) != 0 {
-		t.Fatal("zero model should have zero capacity")
 	}
 }
