@@ -1,26 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"sync"
 
 	"repro"
-	"repro/internal/moe"
-	"repro/internal/obs"
 )
-
-// fleetConfig carries the fleet benchmark's knobs from the flag set.
-type fleetConfig struct {
-	gpus, replicas, decode int
-	seed                   uint64
-	warm, duration         float64
-	arrival                string
-	solveWorkers           int
-	jsonPath               string
-}
 
 // fleetArmJSON is one serving run of the fleet benchmark.
 type fleetArmJSON struct {
@@ -88,9 +73,8 @@ func toFleetArm(name string, rep *exflow.ServeReport, warm, spike float64) fleet
 		OverallP95: rep.Overall.P95,
 		Makespan:   rep.Makespan,
 		Requests:   rep.Requests,
-	}
-	if rep.ExpertMem != nil {
-		a.NVMeFetches = rep.ExpertMem.NVMeFetches
+		// Every arm serves under the memory tier.
+		NVMeFetches: rep.ExpertMem.NVMeFetches,
 	}
 	if fl := rep.Fleet; fl != nil {
 		a.Arrivals = fl.Arrivals
@@ -103,108 +87,84 @@ func toFleetArm(name string, rep *exflow.ServeReport, warm, spike float64) fleet
 	return a
 }
 
-// runFleetBench drives the fleet tier through a flash crowd: a warm era at
+// runFleet drives the fleet tier through a flash crowd: a warm era at
 // comfortable load, a 2.5x spike on a shifted token mixture, and a recovery
 // era — once per fleet configuration over the identical arrival stream. The
 // arms establish the tier's two claims (shared host cache cuts NVMe traffic,
 // the autoscaler recovers the spike and stands back down) plus the
 // inert-spec bit-identity guarantee.
-func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
+func runFleet(sys *exflow.System) (any, error) {
+	cfg := sys.Model.Cfg
 	const ratio = 2.0
-	spikeDur, recoverDur := fc.duration/2, fc.duration/2
+	spikeDur, recoverDur := *duration/2, *duration/2
 	hostSlots := cfg.Layers * cfg.Experts / 4
+	maxReplicas := 3 * *replicas
 	fmt.Printf("fleet benchmark: %s on %d GPUs x%d replicas, %.0fs warm + %.0fs flash crowd + %.0fs recovery at %.1fx oversubscription\n",
-		cfg.String(), fc.gpus, fc.replicas, fc.warm, spikeDur, recoverDur, ratio)
+		cfg.String(), *gpus, *replicas, *warm, spikeDur, recoverDur, ratio)
 
 	base := exflow.ServeOptions{
-		Replicas:     fc.replicas,
-		DecodeTokens: fc.decode,
-		SolveWorkers: fc.solveWorkers,
-		Seed:         fc.seed,
+		Replicas:     *replicas,
+		DecodeTokens: *decode,
+		SolveWorkers: *workers,
+		Seed:         *seed,
 	}
 	cal, err := exflow.CalibrateServe(sys, base)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "exflow-serve:", err)
-		os.Exit(1)
+		return nil, err
 	}
 	base.Calibration = cal
-	probeBase := base
-	probeBase.HostSlots = hostSlots
-	capTok, err := exflow.ProbeMemoryCapacity(sys, probeBase, ratio, fc.warm)
+	base.Oversubscription, base.HostSlots = ratio, hostSlots
+	capTok, err := exflow.ProbeMemoryCapacity(sys, base, ratio, *warm)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "exflow-serve:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	warmRate := 0.6 * capTok / float64(fc.decode)
+	warmRate := 0.6 * capTok / float64(*decode)
 	spikeRate := 2.5 * warmRate
-	phases := []exflow.ServePhase{
-		{Name: "warm", Duration: fc.warm, Rate: warmRate, Arrival: fc.arrival},
-		{Name: "spike", Duration: spikeDur, Rate: spikeRate, Arrival: fc.arrival, Dataset: exflow.ViralDataset()},
-		{Name: "recover", Duration: recoverDur, Rate: warmRate, Arrival: fc.arrival},
+	base.Phases = []exflow.ServePhase{
+		{Name: "warm", Duration: *warm, Rate: warmRate, Arrival: *arrival},
+		{Name: "spike", Duration: spikeDur, Rate: spikeRate, Arrival: *arrival, Dataset: exflow.ViralDataset()},
+		{Name: "recover", Duration: recoverDur, Rate: warmRate, Arrival: *arrival},
 	}
-
-	run := func(spec *exflow.FleetSpec) *exflow.ServeReport {
-		o := base
-		o.Oversubscription = ratio
-		o.HostSlots = hostSlots
-		o.Phases = phases
-		o.Fleet = spec
-		rep, _, err := exflow.Serve(sys, o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "exflow-serve:", err)
-			os.Exit(1)
-		}
-		return rep
-	}
+	fmt.Printf("%.1f req/s warm, %.1f req/s spike\n", warmRate, spikeRate)
 
 	// Reconciliation cadences scale with the traffic program so the bench
 	// behaves at smoke scale too.
-	recon := math.Max(0.25, fc.warm/16)
-	autoSpec := func() *exflow.FleetSpec {
-		return &exflow.FleetSpec{
-			MinReplicas:       fc.replicas,
-			MaxReplicas:       3 * fc.replicas,
+	recon := math.Max(0.25, *warm/16)
+	specs := []*exflow.FleetSpec{
+		nil,
+		{},
+		{SharedHostCache: true},
+		{
+			MinReplicas:       *replicas,
+			MaxReplicas:       maxReplicas,
 			ReconcileInterval: recon,
 			ScaleUpCooldown:   2 * recon,
 			ScaleDownCooldown: 4 * recon,
 			DownscaleStreak:   2,
-			ForecastHalfLife:  math.Max(1, fc.warm/8),
-		}
+			ForecastHalfLife:  math.Max(1, *warm/8),
+		},
 	}
-
-	fmt.Printf("%.1f req/s warm, %.1f req/s spike\n", warmRate, spikeRate)
-
-	// The arms share the arrival stream (same seed, same phases) and only
-	// read shared state, so they fan out; results land in named slots.
-	var (
-		wg                                   sync.WaitGroup
-		nilRun, inertRun, sharedRun, autoRun *exflow.ServeReport
-	)
-	launch := func(dst **exflow.ServeReport, spec *exflow.FleetSpec) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			*dst = run(spec)
-		}()
+	// The arms share the arrival stream (same seed, same phases).
+	opts := make([]exflow.ServeOptions, len(specs))
+	for i, spec := range specs {
+		opts[i] = base
+		opts[i].Fleet = spec
 	}
-	launch(&nilRun, nil)
-	launch(&inertRun, &exflow.FleetSpec{})
-	launch(&sharedRun, &exflow.FleetSpec{SharedHostCache: true})
-	launch(&autoRun, autoSpec())
-	wg.Wait()
+	reps, err := exflow.ServeAll(sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	nilRun, inertRun, sharedRun, autoRun := reps[0], reps[1], reps[2], reps[3]
 
 	sum := fleetSummaryJSON{
-		Model: cfg.Name, Layers: cfg.Layers, GPUs: fc.gpus,
-		Replicas: fc.replicas, MaxReplicas: 3 * fc.replicas, Seed: fc.seed,
+		Model: cfg.Name, Layers: cfg.Layers, GPUs: *gpus,
+		Replicas: *replicas, MaxReplicas: maxReplicas, Seed: *seed,
 		Oversubscription: ratio, HostSlots: hostSlots,
 		WarmRPS: warmRate, SpikeRPS: spikeRate,
-		WarmSeconds: fc.warm, SpikeSeconds: spikeDur, RecoverSeconds: recoverDur,
+		WarmSeconds: *warm, SpikeSeconds: spikeDur, RecoverSeconds: recoverDur,
 	}
-	sum.Arms = []fleetArmJSON{
-		toFleetArm("fleet-nil", nilRun, fc.warm, spikeDur),
-		toFleetArm("inert-spec", inertRun, fc.warm, spikeDur),
-		toFleetArm("shared-cache", sharedRun, fc.warm, spikeDur),
-		toFleetArm("autoscaler", autoRun, fc.warm, spikeDur),
+	for i, name := range []string{"fleet-nil", "inert-spec", "shared-cache", "autoscaler"} {
+		sum.Arms = append(sum.Arms, toFleetArm(name, reps[i], *warm, spikeDur))
 	}
 
 	a := &sum.Acceptance
@@ -213,10 +173,9 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 	a.NVMeIndependent = nilRun.ExpertMem.NVMeFetches
 	a.NVMeShared = sharedRun.ExpertMem.NVMeFetches
 	a.SharedCacheReducesNVMe = a.NVMeShared < a.NVMeIndependent
-	nilSpikeP95 := nilRun.WindowStats(fc.warm, fc.warm+spikeDur).P95
-	autoSpikeP95 := autoRun.WindowStats(fc.warm, fc.warm+spikeDur).P95
+	nilSpikeP95, autoSpikeP95 := sum.Arms[0].SpikeP95, sum.Arms[3].SpikeP95
 	a.AutoscalerRecoversP95 = autoRun.Fleet.ScaleUps > 0 &&
-		autoRun.Fleet.MaxLive <= 3*fc.replicas && autoSpikeP95 < nilSpikeP95
+		autoRun.Fleet.MaxLive <= maxReplicas && autoSpikeP95 < nilSpikeP95
 	a.AutoscalerScalesBackDown = autoRun.Fleet.ScaleDowns > 0 &&
 		autoRun.Fleet.FinalLive < autoRun.Fleet.MaxLive
 
@@ -231,17 +190,5 @@ func runFleetBench(sys *exflow.System, cfg moe.Config, fc fleetConfig) {
 	fmt.Printf("autoscaler spike P95 %.4fs vs fixed %.4fs, live max %d final %d -> recovers: %v, scales back down: %v\n",
 		autoSpikeP95, nilSpikeP95, autoRun.Fleet.MaxLive, autoRun.Fleet.FinalLive,
 		a.AutoscalerRecoversP95, a.AutoscalerScalesBackDown)
-
-	if fc.jsonPath != "-" {
-		blob, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "exflow-serve:", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteFileAtomic(fc.jsonPath, append(blob, '\n')); err != nil {
-			fmt.Fprintln(os.Stderr, "exflow-serve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", fc.jsonPath)
-	}
+	return sum, nil
 }

@@ -44,34 +44,22 @@ func main() {
 		},
 	}
 
-	// Calibrate once (profiling + engine runs), share across both fleets.
-	cal, err := exflow.CalibrateServe(sys, opts)
+	// One calibration (profiling + engine runs) serves both fleets, side by
+	// side; the comparison's tail is the second half of the drift phase.
+	cmp, err := exflow.CompareDrift(sys, opts)
 	if err != nil {
 		panic(err)
 	}
-	opts.Calibration = cal
-
+	sum, adaptive := cmp.Summary, cmp.Adaptive
 	fmt.Println("static fleet (offline placement, never re-placed):")
-	opts.Adaptive = false
-	static, met, err := exflow.Serve(sys, opts)
-	if err != nil {
-		panic(err)
-	}
 	fmt.Printf("  calibrated capacity %.0f tok/s per replica (cross-node hop costs %.2fus/token)\n",
-		met.TokenCapacity, met.Cost.PerCrossHop*1e6)
-	fmt.Print(static)
-
+		sum.TokenCapacity, sum.CostCrossHopUS)
+	fmt.Print(cmp.Static)
 	fmt.Println("\nadaptive fleet (drift detection + live expert re-placement):")
-	opts.Adaptive = true
-	adaptive, _, err := exflow.Serve(sys, opts)
-	if err != nil {
-		panic(err)
-	}
 	fmt.Print(adaptive)
 
-	tail0, tail1 := 20.0, 30.0
-	st, ad := static.WindowStats(tail0, tail1), adaptive.WindowStats(tail0, tail1)
-	fmt.Printf("\nafter the fleet settles (last 10s): static P95 %.3fs, adaptive P95 %.3fs\n", st.P95, ad.P95)
+	fmt.Printf("\nafter the fleet settles (last 10s): static P95 %.3fs, adaptive P95 %.3fs\n",
+		sum.Static.TailP95, sum.Adaptive.TailP95)
 	for _, m := range adaptive.Migrations {
 		fmt.Printf("the re-placement solved for %.0fms in the background (serving continued), then moved %d experts (%d cross-node) for a %.0fms pause per replica\n",
 			m.SolveSeconds*1e3, m.Moves, m.CrossNodeMoves, m.Seconds*1e3)

@@ -1,8 +1,6 @@
 package exflow
 
 import (
-	"fmt"
-
 	"repro/internal/expertmem"
 	"repro/internal/moe"
 	"repro/internal/stats"
@@ -12,41 +10,10 @@ func init() {
 	register("expert_memory", runExpertMemory)
 }
 
-// MemorySweepRatios is the oversubscription sweep the experiment and the
-// CLI share: 1x (everything resident) through 4x (a quarter fits).
-var MemorySweepRatios = []float64{1, 1.5, 2, 4}
-
-// ProbeMemoryCapacity estimates a configuration's sustainable token
-// throughput by saturating it briefly: at several times the 1x capacity the
-// queue never drains, so served tokens per second approximate the service
-// capacity under that oversubscription ratio and policy.
-func ProbeMemoryCapacity(sys *System, base ServeOptions, ratio float64, dur float64) (float64, error) {
-	cal := base.Calibration
-	if cal == nil {
-		var err error
-		if cal, err = CalibrateServe(sys, base); err != nil {
-			return 0, err
-		}
-	}
-	o := base
-	o.Adaptive = false
-	o.Oversubscription = ratio
-	o.CachePolicy = "affinity"
-	o.Calibration = cal
-	o.Phases = []ServePhase{{Name: "probe", Duration: dur, Rate: 3 * cal.Metrics.RequestCapacity}}
-	rep, _, err := Serve(sys, o)
-	if err != nil {
-		return 0, err
-	}
-	if rep.Makespan <= 0 {
-		return 0, fmt.Errorf("exflow: capacity probe served nothing")
-	}
-	return float64(rep.Tokens) / rep.Makespan, nil
-}
-
-// runExpertMemory sweeps oversubscription ratios and cache policies over a
-// steady serving workload. Each ratio is provisioned at 70% of its own
-// probed capacity (as an operator would), every policy at a ratio sees the
+// runExpertMemory renders `exflow-serve -oversub`'s sweep (SweepMemory) at
+// experiment scale: oversubscription ratios x cache policies over a steady
+// serving workload. Each ratio is provisioned at 70% of its own probed
+// capacity (as an operator would), every policy at a ratio sees the
 // identical arrival stream, and a memory-disabled baseline pins down the
 // 1x-adds-no-overhead guarantee.
 func runExpertMemory(opts ExperimentOptions) *Result {
@@ -55,39 +22,14 @@ func runExpertMemory(opts ExperimentOptions) *Result {
 	cfg.Layers = opts.scaled(12, 8)
 	sys := NewSystem(SystemOptions{Model: cfg, GPUs: 8, Seed: opts.Seed + 11, DomainTilt: servingDomainTilt})
 
-	dur := float64(opts.scaled(20, 4))
-	base := ServeOptions{
+	sw, err := SweepMemory(sys, ServeOptions{
 		Replicas:      2,
 		DecodeTokens:  32,
 		ProfileTokens: opts.scaled(3000, 2500),
-		LatencyBucket: dur / 40,
-	}
-	cal, err := CalibrateServe(sys, base)
+		Phases:        []ServePhase{{Name: "steady", Duration: float64(opts.scaled(20, 4))}},
+	}, 0.7, false)
 	if err != nil {
-		res.AddNote("serve calibration failed: %v", err)
-		return res
-	}
-	base.Calibration = cal
-
-	steady := func(rate float64) []ServePhase {
-		return []ServePhase{{Name: "steady", Duration: dur, Rate: rate}}
-	}
-	run := func(ratio float64, policy string, rate float64) *ServeReport {
-		o := base
-		o.Oversubscription = ratio
-		o.CachePolicy = policy
-		o.Phases = steady(rate)
-		rep, _, err := Serve(sys, o)
-		if err != nil {
-			res.AddNote("serve at %.1fx/%s failed: %v", ratio, policy, err)
-			return nil
-		}
-		return rep
-	}
-
-	baseRate := 0.7 * cal.Metrics.RequestCapacity
-	disabled := run(0, "", baseRate)
-	if disabled == nil {
+		res.AddNote("memory sweep failed: %v", err)
 		return res
 	}
 
@@ -98,75 +40,38 @@ func runExpertMemory(opts ExperimentOptions) *Result {
 	for _, pol := range expertmem.PolicyNames() {
 		series[pol] = [3]*stats.Series{tbHit.NewSeries(pol), tbP95.NewSeries(pol), tbStall.NewSeries(pol)}
 	}
-
-	// The experiment sweeps a subset of the CLI's ratios (the 1.5x point
-	// adds little beyond runtime at smoke scales; `exflow-serve -oversub`
-	// covers the full grid).
-	ratios := []float64{1, 2, 4}
-	var at2x map[string]*ServeReport
-	var oneXP95 float64
-	for _, ratio := range ratios {
-		rate := baseRate
-		if ratio > 1 {
-			capTok, err := ProbeMemoryCapacity(sys, base, ratio, dur/4)
-			if err != nil {
-				res.AddNote("capacity probe at %.1fx failed: %v", ratio, err)
-				continue
-			}
-			rate = 0.7 * capTok / float64(base.DecodeTokens)
-		}
-		reps := map[string]*ServeReport{}
-		policies := expertmem.PolicyNames()
-		if ratio == 1 {
+	var oneX, aff2x *ServeReport
+	for i, run := range sw.Summary.Runs {
+		record := []string{run.Policy}
+		if run.Ratio == 1 {
 			// At 1x every expert is resident and the policy can never act:
 			// one run stands for all four table columns.
-			policies = []string{"affinity"}
+			record = expertmem.PolicyNames()
+			oneX = sw.Reports[i]
 		}
-		for _, pol := range policies {
-			rep := run(ratio, pol, rate)
-			if rep == nil {
-				continue
-			}
-			reps[pol] = rep
-			hit := rep.ExpertMem.HitRate()
-			if rep.ExpertMem.Accesses == 0 {
-				hit = 1 // no paging: everything resident by construction
-			}
-			record := []string{pol}
-			if ratio == 1 {
-				record = expertmem.PolicyNames()
-			}
-			for _, name := range record {
-				s := series[name]
-				s[0].Add(ratio, hit)
-				s[1].Add(ratio, rep.Overall.P95)
-				s[2].Add(ratio, rep.MemStallSeconds/float64(rep.Tokens))
-			}
+		for _, name := range record {
+			s := series[name]
+			s[0].Add(run.Ratio, run.HitRate)
+			s[1].Add(run.Ratio, run.P95)
+			s[2].Add(run.Ratio, run.StallPerToken)
 		}
-		if ratio == 2 {
-			at2x = reps
-		}
-		if ratio == 1 {
-			if rep := reps["affinity"]; rep != nil {
-				oneXP95 = rep.Overall.P95
-				if rep.Makespan == disabled.Makespan && rep.Overall.P95 == disabled.Overall.P95 {
-					res.AddNote("1x oversubscription is free: memory layer reproduces the disabled baseline exactly (P95 %.4fs, makespan %.2fs)",
-						rep.Overall.P95, rep.Makespan)
-				} else {
-					res.AddNote("WARNING: 1x memory layer deviates from the disabled baseline (P95 %.4fs vs %.4fs)",
-						rep.Overall.P95, disabled.Overall.P95)
-				}
-			}
+		if run.Ratio == 2 && run.Policy == "affinity" {
+			aff2x = sw.Reports[i]
 		}
 	}
 
-	if aff, lru := at2x["affinity"], at2x["lru"]; aff != nil && lru != nil {
-		res.AddNote("2x oversubscription: affinity-prefetch hit rate %.1f%% vs LRU %.1f%%, P95 %.3fs vs %.3fs (1x P95 %.3fs)",
-			aff.ExpertMem.HitRate()*100, lru.ExpertMem.HitRate()*100,
-			aff.Overall.P95, lru.Overall.P95, oneXP95)
-		res.AddNote("2x affinity prefetcher: %d prefetches, %d hits, %d wasted; %d residency evictions",
-			aff.ExpertMem.Prefetches, aff.ExpertMem.PrefetchHits, aff.ExpertMem.WastedPrefetches, aff.ExpertMem.Evictions)
+	acc := sw.Summary.Acceptance
+	if acc.OneXMatchesDisabled {
+		res.AddNote("1x oversubscription is free: memory layer reproduces the disabled baseline exactly (P95 %.4fs, makespan %.2fs)",
+			oneX.Overall.P95, oneX.Makespan)
+	} else {
+		res.AddNote("WARNING: 1x memory layer deviates from the disabled baseline (P95 %.4fs vs %.4fs)",
+			oneX.Overall.P95, sw.Summary.DisabledP95)
 	}
+	res.AddNote("2x oversubscription: affinity-prefetch hit rate %.1f%% vs LRU %.1f%%, P95 %.3fs vs %.3fs (1x P95 %.3fs)",
+		acc.Affinity2xHitRate*100, acc.LRU2xHitRate*100, acc.Affinity2xP95, acc.LRU2xP95, oneX.Overall.P95)
+	res.AddNote("2x affinity prefetcher: %d prefetches, %d hits, %d wasted; %d residency evictions",
+		aff2x.ExpertMem.Prefetches, aff2x.ExpertMem.PrefetchHits, aff2x.ExpertMem.WastedPrefetches, aff2x.ExpertMem.Evictions)
 	res.AddNote("each ratio provisioned at 70%% of its own probed capacity; identical arrivals per ratio across policies")
 	return res
 }

@@ -23,12 +23,13 @@ func ViralDataset() *synth.DatasetProfile {
 // experiments use a checkpoint whose routing genuinely follows the traffic.
 const servingDomainTilt = 8
 
-// runServingAdaptive is the online-serving headline: a two-phase traffic
-// program (broad pile mixture, then a viral single-domain burst) served near
-// the capacity knee by a static-placement fleet and by an adaptive fleet
-// with routing-drift detection and live expert re-placement. Static ExFlow's
-// P95 degrades when the mixture drifts; the adaptive fleet pays a short
-// migration pause, then recovers.
+// runServingAdaptive renders `exflow-serve -drift`'s comparison
+// (CompareDrift) at experiment scale, the online-serving headline: a
+// two-phase traffic program (broad pile mixture, then a viral single-domain
+// burst) served near the capacity knee by a static-placement fleet and by an
+// adaptive fleet with routing-drift detection and live expert re-placement.
+// Static ExFlow's P95 degrades when the mixture drifts; the adaptive fleet
+// pays a short migration pause, then recovers.
 func runServingAdaptive(opts ExperimentOptions) *Result {
 	res := &Result{ID: "serving_adaptive", Title: "Online serving: static ExFlow vs adaptive re-placement under dataset drift"}
 	cfg := moe.GPTM(32)
@@ -37,7 +38,7 @@ func runServingAdaptive(opts ExperimentOptions) *Result {
 
 	warmDur := float64(opts.scaled(20, 3))
 	driftDur := float64(opts.scaled(40, 6))
-	base := ServeOptions{
+	cmp, err := CompareDrift(sys, ServeOptions{
 		Replicas:     2,
 		DecodeTokens: 32,
 		// Drift detection compares the live window against the profiled
@@ -50,41 +51,22 @@ func runServingAdaptive(opts ExperimentOptions) *Result {
 			{Name: "drift", Duration: driftDur, Dataset: ViralDataset()},
 		},
 		LatencyBucket: (warmDur + driftDur) / 60,
-	}
-	// One calibration (profile + engine fit) serves both fleets.
-	cal, err := CalibrateServe(sys, base)
+	})
 	if err != nil {
-		res.AddNote("serve calibration failed: %v", err)
+		res.AddNote("drift comparison failed: %v", err)
 		return res
 	}
-	base.Calibration = cal
-	mk := func(adaptive bool) ServeOptions {
-		o := base
-		o.Adaptive = adaptive
-		return o
-	}
-	static, sm, err := Serve(sys, mk(false))
-	if err != nil {
-		res.AddNote("static serve failed: %v", err)
-		return res
-	}
-	adaptive, _, err := Serve(sys, mk(true))
-	if err != nil {
-		res.AddNote("adaptive serve failed: %v", err)
-		return res
-	}
+	static, adaptive, sum := cmp.Static, cmp.Adaptive, cmp.Summary
 
 	// Table 1: P95 by era — warm, whole drift phase, and the drift tail
 	// (second half of the drift phase, after the adaptive fleet has settled).
-	tail0, tail1 := warmDur+driftDur/2, warmDur+driftDur
 	tb := newTableHelper(res, "P95 request latency (s) by era (0=warm 1=drift 2=drift-tail)", "era")
 	sSt := tb.NewSeries("static-p95")
 	sAd := tb.NewSeries("adaptive-p95")
-	stTail, adTail := static.WindowStats(tail0, tail1), adaptive.WindowStats(tail0, tail1)
 	for i, pair := range [][2]float64{
 		{static.Phases[0].P95, adaptive.Phases[0].P95},
 		{static.Phases[1].P95, adaptive.Phases[1].P95},
-		{stTail.P95, adTail.P95},
+		{sum.Static.TailP95, sum.Adaptive.TailP95},
 	} {
 		sSt.Add(float64(i), pair[0])
 		sAd.Add(float64(i), pair[1])
@@ -93,17 +75,17 @@ func runServingAdaptive(opts ExperimentOptions) *Result {
 	// Table 2: the P95 time series, where the drift hit and the migration
 	// pause are visible.
 	t2 := newTableHelper(res, "P95 latency (s) over time", "sim-seconds")
-	copySeries(t2, static.LatencyP95, "static")
-	copySeries(t2, adaptive.LatencyP95, "adaptive")
+	t2.AddSeries(&stats.Series{Name: "static", X: static.LatencyP95.X, Y: static.LatencyP95.Y})
+	t2.AddSeries(&stats.Series{Name: "adaptive", X: adaptive.LatencyP95.X, Y: adaptive.LatencyP95.Y})
 
 	// Table 3: drift score and live cross-node fraction.
 	t3 := newTableHelper(res, "drift score (JS) and cross-node dispatch over time", "sim-seconds")
-	copySeries(t3, adaptive.Drift, "drift-score")
-	copySeries(t3, static.CrossFrac, "static-crossfrac")
-	copySeries(t3, adaptive.CrossFrac, "adaptive-crossfrac")
+	t3.AddSeries(&stats.Series{Name: "drift-score", X: adaptive.Drift.X, Y: adaptive.Drift.Y})
+	t3.AddSeries(&stats.Series{Name: "static-crossfrac", X: static.CrossFrac.X, Y: static.CrossFrac.Y})
+	t3.AddSeries(&stats.Series{Name: "adaptive-crossfrac", X: adaptive.CrossFrac.X, Y: adaptive.CrossFrac.Y})
 
 	res.AddNote("fleet capacity %.0f tok/s/replica (fixed=%.0fus per-token=%.2fus cross-hop=%.2fus), offered load %.0f%% of knee",
-		sm.TokenCapacity, sm.Cost.Fixed*1e6, sm.Cost.PerToken*1e6, sm.Cost.PerCrossHop*1e6, base.LoadFrac*100)
+		sum.TokenCapacity, sum.CostFixedUS, sum.CostPerTokenUS, sum.CostCrossHopUS, sum.LoadFrac*100)
 	for _, m := range adaptive.Migrations {
 		res.AddNote("migration @%.2fs: drift score %.4f, %d expert moves (%d cross-node), %.0fms pause per replica, predicted per-token gain %.1f%%",
 			m.Time, m.Score, m.Moves, m.CrossNodeMoves, m.Seconds*1e3, m.PredictedGain*100)
@@ -111,21 +93,12 @@ func runServingAdaptive(opts ExperimentOptions) *Result {
 	if len(adaptive.Migrations) == 0 {
 		res.AddNote("adaptive fleet never migrated — drift signal below threshold at this scale")
 	}
-	warmP95 := static.Phases[0].P95
-	if reg := stTail.P95 - warmP95; reg > 0.05*warmP95 {
-		recovery := (stTail.P95 - adTail.P95) / reg
+	if cmp.Regressed {
 		res.AddNote("static P95 regression after drift: %.3fs -> %.3fs; adaptive tail %.3fs recovers %.0f%% of the regression",
-			warmP95, stTail.P95, adTail.P95, recovery*100)
+			sum.WarmP95, sum.Static.TailP95, sum.Adaptive.TailP95, sum.RecoveryFraction*100)
 	} else {
 		res.AddNote("static placement did not measurably regress at this scale (warm %.3fs, tail %.3fs; adaptive tail %.3fs)",
-			warmP95, stTail.P95, adTail.P95)
+			sum.WarmP95, sum.Static.TailP95, sum.Adaptive.TailP95)
 	}
 	return res
-}
-
-// copySeries clones a report series into a result table under a new name.
-func copySeries(tb *stats.Table, s *stats.Series, name string) {
-	out := tb.NewSeries(name)
-	out.X = append(out.X, s.X...)
-	out.Y = append(out.Y, s.Y...)
 }

@@ -65,34 +65,31 @@ func runServingLatency(opts ExperimentOptions) *Result {
 	requests := opts.scaled(3000, 400)
 	calBase := &ServeCalibration{Trace: tr, Placement: basePl, Metrics: ServeMetrics{Cost: mBase}}
 	calExf := &ServeCalibration{Trace: tr, Placement: affPl, Metrics: ServeMetrics{Cost: mExf}}
-	// p95 serves one Poisson phase long enough to offer the request count
-	// at rate; both arms at a load see the same arrivals (same seed).
-	p95 := func(cal *ServeCalibration, rate float64) (float64, error) {
-		rep, _, err := Serve(sys, ServeOptions{
-			Replicas:     1,
-			MaxBatch:     maxBatch,
-			DecodeTokens: decode,
-			Phases:       []ServePhase{{Duration: float64(requests) / rate, Rate: rate}},
-			Calibration:  cal,
-			Seed:         opts.Seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return rep.Overall.P95, nil
-	}
-	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 0.9} {
+	// Each arm at a load serves one Poisson phase long enough to offer the
+	// request count at that rate; both arms see the same arrivals (same
+	// seed).
+	loads := []float64{0.2, 0.4, 0.6, 0.8, 0.9}
+	var arms []ServeOptions
+	for _, frac := range loads {
 		rate := frac * capBase / float64(decode)
-		pb, err := p95(calBase, rate)
-		if err != nil {
-			res.AddNote("serve failed: %v", err)
-			return res
+		for _, cal := range []*ServeCalibration{calBase, calExf} {
+			arms = append(arms, ServeOptions{
+				Replicas:     1,
+				MaxBatch:     maxBatch,
+				DecodeTokens: decode,
+				Phases:       []ServePhase{{Duration: float64(requests) / rate, Rate: rate}},
+				Calibration:  cal,
+				Seed:         opts.Seed,
+			})
 		}
-		pe, err := p95(calExf, rate)
-		if err != nil {
-			res.AddNote("serve failed: %v", err)
-			return res
-		}
+	}
+	reps, err := ServeAll(sys, arms)
+	if err != nil {
+		res.AddNote("serve failed: %v", err)
+		return res
+	}
+	for i, frac := range loads {
+		pb, pe := reps[2*i].Overall.P95, reps[2*i+1].Overall.P95
 		sBase.Add(frac, pb)
 		sExf.Add(frac, pe)
 		res.AddNote("load %.0f%% of baseline capacity: P95 %.3fs -> %.3fs (%.1fx lower)",

