@@ -54,7 +54,7 @@ func TestCalibrateServeGoldenDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64; FMA fusion elsewhere changes float bits")
 	}
-	const want = 0xe84952b903e58dd7
+	const want = 0xbca1902a0e45e3ac
 	cal, err := CalibrateServe(calibSystem(), calibOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestEngineOutputsGoldenDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64; FMA fusion elsewhere changes float bits")
 	}
-	const want = 0x0d0d639a0ed42e5d
+	const want = 0x50e043e4cd396e4f
 	sys := calibSystem()
 	w := Workload{RequestsPerGPU: 4, PromptLen: 8, GenerateTokens: 4}
 	d := newDigest()
@@ -113,7 +113,7 @@ func TestHierarchicalEngineGoldenDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64; FMA fusion elsewhere changes float bits")
 	}
-	const want = 0x1a33b33c7bc3308e
+	const want = 0x72dc89c237541340
 	w := Workload{Hierarchical: true}
 	d := newDigest()
 	for _, gpus := range []int{8, 16, 32} {

@@ -85,14 +85,14 @@ func TestServeGoldenDigest(t *testing.T) {
 		migrating bool
 		tweak     func(o *Options)
 	}{
-		{"steady-static", 0x9697b22d49730f9e, false, func(o *Options) {
+		{"steady-static", 0x54588e7fd6fc86a3, false, func(o *Options) {
 			o.Phases = []Phase{{Name: "steady", Duration: 4, Rate: rate, Dataset: synth.Pile()}}
 		}},
-		{"drift-adaptive", 0x312e429c79b2e0e3, true, func(o *Options) {
+		{"drift-adaptive", 0x9ae6c5cea769b217, true, func(o *Options) {
 			o.Adaptive = true
 			o.Phases = drift
 		}},
-		{"drift-memaware-1.5x", 0x12f7637ebcf4c2be, true, func(o *Options) {
+		{"drift-memaware-1.5x", 0xd5703fc5c9cd82c5, true, func(o *Options) {
 			o.Adaptive = true
 			o.Oversubscription = 1.5
 			o.MemoryAware = true

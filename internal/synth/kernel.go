@@ -35,17 +35,12 @@ type Kernel struct {
 	trans    [][][]float64 // [layer][from][to], layer in [0, Layers-2]
 	domPref  [][]float64   // [domain][expert] multiplicative tilt
 
-	// cum holds the running sums of every domain-tilted routing row, the
-	// table draws sample from: row 0 is initDist and row 1+l*Experts+from is
-	// trans[l][from], each stored once per domain, so
-	// cum[slot*Experts+i] with slot = row*Domains+domain is
-	// tilted(row, domain)[0..i] summed left to right. guide is its cutpoint
-	// table: guideSize entries per slot, where entry t is the index a draw
-	// with uniform t/guideSize returns, so a draw starts its scan there.
-	// Both are read-only once NewKernel returns.
-	cum       []float64
-	guide     []uint16
-	guideSize int
+	// cells is the alias table every draw reads (Walker, ACM TOMS 3(3),
+	// 1977): Experts cells per slot, where slot = row*Domains+domain, row 0
+	// is initDist and row 1+l*Experts+from is trans[l][from]. Cell i keeps
+	// its column i with probability thr/2^48 and otherwise returns its
+	// alias, packed as thr<<16 | alias. Read-only once NewKernel returns.
+	cells []uint64
 
 	// expertIDs[e] is e: a top-1 route returns the one-entry window
 	// expertIDs[e:e+1], so routing a token allocates nothing. Read-only
@@ -86,7 +81,7 @@ type KernelParams struct {
 
 // NewKernel builds a deterministic kernel from the parameters.
 func NewKernel(p KernelParams) *Kernel {
-	// The sampling guide stores expert indices as uint16.
+	// The alias table stores expert indices as uint16.
 	if p.Layers < 1 || p.Experts < 1 || p.Experts > 1<<16 {
 		panic(fmt.Sprintf("synth: invalid kernel shape %dx%d", p.Layers, p.Experts))
 	}
@@ -147,7 +142,7 @@ func NewKernel(p KernelParams) *Kernel {
 		}
 		k.domPref[d] = pref
 	}
-	k.buildCum()
+	k.buildTable()
 	k.expertIDs = make([]int, p.Experts)
 	for e := range k.expertIDs {
 		k.expertIDs[e] = e
@@ -156,48 +151,54 @@ func NewKernel(p KernelParams) *Kernel {
 	return k
 }
 
-// buildCum fills the sampling tables. The running sums add in the same
-// left-to-right order rng.Categorical accumulates its weights, so a draw
-// from the table is bit-identical to Categorical over the tilted row. The
-// guide has a power-of-two size of at least Experts per slot, so both t/G
-// and f·G are exact.
-func (k *Kernel) buildCum() {
+// buildTable fills the alias table from every domain-tilted row.
+func (k *Kernel) buildTable() {
 	rows := 1 + (k.Layers-1)*k.Experts
-	k.guideSize = 1
-	for k.guideSize < k.Experts {
-		k.guideSize <<= 1
-	}
-	k.cum = make([]float64, rows*k.Domains*k.Experts)
-	k.guide = make([]uint16, rows*k.Domains*k.guideSize)
-	scratch := make([]float64, k.Experts)
+	k.cells = make([]uint64, rows*k.Domains*k.Experts)
+	scratch, scaled := make([]float64, k.Experts), make([]float64, k.Experts)
+	small, large := make([]int, 0, k.Experts), make([]int, 0, k.Experts)
 	for row := 0; row < rows; row++ {
 		base := k.initDist
 		if row > 0 {
 			base = k.trans[(row-1)/k.Experts][(row-1)%k.Experts]
 		}
 		for d := 0; d < k.Domains; d++ {
-			slot := row*k.Domains + d
-			acc := 0.0
-			c := k.cum[slot*k.Experts:][:k.Experts]
-			for i, w := range k.tiltInto(scratch, base, d) {
-				acc += w
-				c[i] = acc
-			}
-			fillGuide(k.guide[slot*k.guideSize:][:k.guideSize], c)
+			vose(k.cells[(row*k.Domains+d)*k.Experts:][:len(scratch)], k.tiltInto(scratch, base, d), scaled, small, large)
 		}
 	}
 }
 
-// fillGuide sets each guide entry g[t] to the index pick returns from the
-// running sums c at uniform t/len(g), in one merge pass.
-func fillGuide(g []uint16, c []float64) {
-	last, i := len(c)-1, 0
-	for t := range g {
-		u := float64(t) / float64(len(g)) * c[last]
-		for i < last && u >= c[i] {
-			i++
+// vose fills the cells of one row w, summing to 1, with Vose's
+// construction (IEEE TSE 17(9), 1991): each column starts with its
+// probability times len(w), and each under-full column is topped up by an
+// over-full one, its alias. While a zero-weight column is unpaired the
+// positive columns average above 1, so it gets a positive alias. Columns
+// left at the end are full up to rounding and alias themselves, so a row
+// with no mass draws its columns uniformly. scaled and the empty small and
+// large are scratch with room for len(w) entries; scaled ends holding each
+// column's last scaled weight.
+func vose(cells []uint64, w, scaled []float64, small, large []int) {
+	for i, p := range w {
+		scaled[i] = p * float64(len(w))
+		if scaled[i] < 1 {
+			small = append(small, i)
+		} else {
+			large = append(large, i)
 		}
-		g[t] = uint16(i)
+	}
+	for len(small) > 0 && len(large) > 0 {
+		l, g := small[len(small)-1], large[len(large)-1]
+		small, large = small[:len(small)-1], large[:len(large)-1]
+		cells[l] = uint64(scaled[l]*0x1p48)<<16 | uint64(g)
+		scaled[g] = (scaled[g] + scaled[l]) - 1
+		if scaled[g] < 1 {
+			small = append(small, g)
+		} else {
+			large = append(large, g)
+		}
+	}
+	for _, i := range append(small, large...) {
+		cells[i] = (1<<48-1)<<16 | uint64(i)
 	}
 }
 
@@ -210,31 +211,26 @@ func (k *Kernel) domain(domain int) int {
 	return domain % k.Domains
 }
 
-// draw samples an expert from the tilted routing row with seed seed:
-// rng.Categorical over tilted(row, domain), whose only uniform is
-// New(seed).Float64().
+// draw samples an expert from the tilted routing row with seed seed, whose
+// uniform is New(seed).Float64().
 func (k *Kernel) draw(seed uint64, row, domain int) int {
 	return k.pick(row*k.Domains+k.domain(domain), rng.FirstFloat64(seed))
 }
 
-// pick returns the index rng.Categorical returns over the tilted row of
-// slot when its uniform is f, without rebuilding the row: u is scaled by
-// the same total, and the answer is the first index with u < cum[i],
-// falling back to the last index exactly as Categorical's floating-point
-// slack does. The scan starts at guide entry ⌊f·G⌋, the answer at
-// f' = ⌊f·G⌋/G ≤ f. That is never past the answer at f, because
-// u = f·cum[last] rounds monotonically in f and the answer is monotone in
-// u; and every index before it has cum[i] ≤ u(f') ≤ u. So the forward scan
-// lands on the same index a linear scan from 0 would, in about one step.
+// pick returns the expert the alias table of slot gives uniform f in
+// [0, 1): column i = ⌊f·Experts⌋ (below Experts, as f·Experts rounds below
+// it), kept when the remainder's top 48 bits fall below the column's
+// threshold and replaced by its alias otherwise. The select is branch-free:
+// the remainder and threshold both lie below 2^48, so their difference's
+// sign bit is the comparison.
 func (k *Kernel) pick(slot int, f float64) int {
-	c := k.cum[slot*k.Experts:][:k.Experts]
-	last := len(c) - 1
-	u := f * c[last]
-	i := int(k.guide[slot*k.guideSize+int(f*float64(k.guideSize))])
-	for i < last && u >= c[i] {
-		i++
-	}
-	return i
+	x := f * float64(k.Experts)
+	i := int(x)
+	c := k.cells[slot*k.Experts+i]
+	r := uint64((x - float64(i)) * 0x1p48)
+	keep := -int((r - c>>16) >> 63)
+	alias := int(c & 0xFFFF)
+	return alias ^ (i^alias)&keep
 }
 
 // tilted returns base element-wise multiplied by the domain preference,
@@ -304,6 +300,9 @@ func (k *Kernel) PathInto(tokenID uint64, domain int, path []int) {
 		path[l] = prev
 	}
 }
+
+// TableBytes is the size of the alias table every draw reads.
+func (k *Kernel) TableBytes() int { return 8 * len(k.cells) }
 
 // Transition returns the ground-truth row P(.|from) between layer and
 // layer+1 (domain-untilted). Exposed for estimation-convergence tests.

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -308,7 +309,7 @@ func TestRouteWeightedMatchesTiltedRow(t *testing.T) {
 	k := NewKernel(KernelParams{Seed: 9, Layers: 3, Experts: 8, Strength: 0.8, DomainTilt: 4})
 	const emptyLayer, emptyFrom = 1, 5
 	clear(k.trans[emptyLayer-1][emptyFrom])
-	k.buildCum()
+	k.buildTable()
 	p := Pile()
 	// The first few tokens of every domain.
 	byDomain := make([][]uint64, k.Domains)
@@ -359,79 +360,63 @@ func TestRouteWeightedMatchesTiltedRow(t *testing.T) {
 	}
 }
 
-// categoricalDraw is the kernel's original sampler, kept as the reference
-// for the cumulative table: a fresh generator per (token, layer) and
-// rng.Categorical over the row tilted on the fly.
-func categoricalDraw(k *Kernel, tokenID uint64, layer, prev, domain int) int {
-	row := k.initDist
-	if layer > 0 {
-		row = k.trans[layer-1][prev]
+// aliasMass returns the probability mass the cells give each column, in
+// units of 2^-48/len(cells): cell i keeps column i with its threshold and
+// hands the rest of its 2^48 to its alias.
+func aliasMass(cells []uint64) []uint64 {
+	mass := make([]uint64, len(cells))
+	for i, c := range cells {
+		thr := c >> 16
+		mass[i] += thr
+		mass[c&0xFFFF] += 1<<48 - thr
 	}
-	return rng.New(rng.Mix64(k.Seed, tokenID, uint64(layer))).Categorical(k.tilted(row, domain))
+	return mass
 }
 
-// categoricalAt is rng.Categorical's scan with its uniform fixed at f.
-func categoricalAt(weights []float64, f float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := f * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
+// checkAliasRow checks one row's cells against its weights w: the rebuilt
+// probabilities match w within 1e-12, a zero-weight column keeps nothing
+// and is nobody's alias, and the extreme uniforms 0 and 1-2^-53 draw a
+// positive-weight column below len(w).
+func checkAliasRow(t *testing.T, name string, cells []uint64, w []float64, pick func(f float64) int) {
+	t.Helper()
+	for i, m := range aliasMass(cells) {
+		if got := float64(m) / 0x1p48 / float64(len(w)); math.Abs(got-w[i]) > 1e-12 {
+			t.Fatalf("%s: column %d rebuilt probability %v, row %v", name, i, got, w[i])
+		}
+		if w[i] == 0 && m != 0 {
+			t.Fatalf("%s: zero-weight column %d keeps mass %d", name, i, m)
 		}
 	}
-	return len(weights) - 1
+	for _, f := range []float64{0, 1 - 0x1p-53} {
+		if e := pick(f); e < 0 || e >= len(w) {
+			t.Fatalf("%s: uniform %v draws column %d of %d", name, f, e, len(w))
+		} else if w[e] == 0 {
+			t.Fatalf("%s: uniform %v draws zero-weight column %d", name, f, e)
+		}
+	}
 }
 
-func TestKernelDrawMatchesCategorical(t *testing.T) {
+// TestKernelAliasTableExact checks the alias table: every slot's cells
+// rebuild its tilted row, zero-weight columns are never drawn, including in
+// rows where rounding leaves Vose's construction with under-full columns
+// after the over-full ones run out, and hand-built integer rows come out
+// exact to the last unit of the thresholds.
+func TestKernelAliasTableExact(t *testing.T) {
 	kernels := map[string]*Kernel{
 		// The serving benchmark's shape and tilt.
 		"bench": NewKernel(KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8}),
-		// A zero-mass tail: the running sums end in a flat run the scan
-		// must never land on.
+		// Zero-weight columns: 13 of every row's 16.
 		"active3":    NewKernel(KernelParams{Seed: 3, Layers: 4, Experts: 16, Strength: 0.8, ActiveExperts: 3}),
 		"one-domain": NewKernel(KernelParams{Seed: 2, Layers: 3, Experts: 8, Strength: 0.7, Domains: 1}),
-		// Expert counts that are not powers of two: the guide has more
-		// entries than the row.
+		// Expert counts that are not powers of two.
 		"e24": NewKernel(KernelParams{Seed: 5, Layers: 4, Experts: 24, Strength: 0.85, DomainTilt: 8}),
 		"e48": NewKernel(KernelParams{Seed: 6, Layers: 3, Experts: 48, Strength: 0.6}),
-		// One expert: a one-entry guide, and every draw is 0.
+		// One expert: every draw is 0.
 		"e1": NewKernel(KernelParams{Seed: 8, Layers: 3, Experts: 1, Strength: 0.5}),
 	}
 	for name, k := range kernels {
-		r := rng.New(rng.Mix64(k.Seed, 0x7E57))
-		for n := 0; n < 10000; n++ {
-			tok := r.Uint64()
-			layer := r.Intn(k.Layers)
-			prev := r.Intn(k.Experts)
-			// Domains past the kernel's count alias modulo Domains, as the
-			// tilt always has.
-			domain := r.Intn(2 * k.Domains)
-			var got int
-			if layer == 0 {
-				got = k.First(tok, domain)
-			} else {
-				got = k.Next(tok, layer, prev, domain)
-			}
-			if want := categoricalDraw(k, tok, layer, prev, domain); got != want {
-				t.Fatalf("%s: token %#x layer %d prev %d domain %d: table draw %d, Categorical %d",
-					name, tok, layer, prev, domain, got, want)
-			}
-		}
-		// On every row, the uniforms where a guide entry changes: each
-		// cutpoint t/G, the uniform just below it, and both ends of
-		// Float64's range.
-		if g := k.guideSize; g&(g-1) != 0 || g < k.Experts {
-			t.Fatalf("%s: guide size %d for %d experts, want a power of two at least as large", name, g, k.Experts)
-		}
-		g := float64(k.guideSize)
-		edges := []float64{0, 1 - 0x1p-53}
-		for cut := 1; cut < k.guideSize; cut++ {
-			edges = append(edges, float64(cut)/g, float64(cut)/g-0x1p-53)
+		if len(k.cells) != (1+(k.Layers-1)*k.Experts)*k.Domains*k.Experts {
+			t.Fatalf("%s: %d cells", name, len(k.cells))
 		}
 		for row := 0; row < 1+(k.Layers-1)*k.Experts; row++ {
 			base := k.initDist
@@ -439,67 +424,74 @@ func TestKernelDrawMatchesCategorical(t *testing.T) {
 				base = k.trans[(row-1)/k.Experts][(row-1)%k.Experts]
 			}
 			for d := 0; d < k.Domains; d++ {
-				weights := k.tilted(base, d)
-				for _, f := range edges {
-					if got, want := k.pick(row*k.Domains+d, f), categoricalAt(weights, f); got != want {
-						t.Fatalf("%s: row %d domain %d uniform %v: table draw %d, Categorical %d",
-							name, row, d, f, got, want)
-					}
-				}
+				slot := row*k.Domains + d
+				checkAliasRow(t, fmt.Sprintf("%s row %d domain %d", name, row, d),
+					k.cells[slot*k.Experts:][:k.Experts], k.tilted(base, d),
+					func(f float64) int { return k.pick(slot, f) })
 			}
 		}
 	}
 
-	// A draw whose uniform sits at the top of Float64's range scans from
-	// the guide's last entry up to the last expert, the index Categorical
-	// falls back to when no earlier running sum exceeds u.
-	k := kernels["bench"]
-	for tok := uint64(0); ; tok++ {
-		if rng.FirstFloat64(rng.Mix64(k.Seed, tok, 0)) < 1-0x1p-20 {
+	// Random rows with zero-weight columns, built straight through vose.
+	// Some of them end with under-full columns left over once rounding has
+	// used up the over-full ones; those must still hold no zero column.
+	r := rng.New(0xA11A5)
+	exhausted := 0
+	for n := 0; n < 2000; n++ {
+		e := 2 + r.Intn(40)
+		w := make([]float64, e)
+		total := 0.0
+		for i := range w {
+			if r.Intn(3) > 0 {
+				w[i] = r.Float64()
+				total += w[i]
+			}
+		}
+		if total == 0 {
 			continue
 		}
-		got, want := k.First(tok, 0), categoricalDraw(k, tok, 0, 0, 0)
-		if got != want || got != k.Experts-1 {
-			t.Fatalf("top-of-range token %d: table draw %d, Categorical %d, want the last expert %d",
-				tok, got, want, k.Experts-1)
+		for i := range w {
+			w[i] /= total
 		}
-		break
+		cells, scaled := make([]uint64, e), make([]float64, e)
+		vose(cells, w, scaled, make([]int, 0, e), make([]int, 0, e))
+		for i, c := range cells {
+			if c&0xFFFF == uint64(i) && scaled[i] < 1 {
+				exhausted++
+				break
+			}
+		}
+		k := &Kernel{Experts: e, cells: cells}
+		checkAliasRow(t, fmt.Sprintf("random row %v", w), cells, w, func(f float64) int { return k.pick(0, f) })
 	}
-}
+	if exhausted == 0 {
+		t.Fatal("no random row ran out of over-full columns early")
+	}
 
-// TestKernelPickExactTies draws from hand-built rows whose integer running
-// sums make u equal a running sum exactly, both at guide cutpoints and
-// between them. Such a draw must skip past that sum, as Categorical's
-// u < acc does, and zero-weight experts (leading, inner and trailing) must
-// never be drawn.
-func TestKernelPickExactTies(t *testing.T) {
+	// Hand-built integer rows with zero-weight columns leading, inside and
+	// trailing: every scaled weight is a multiple of 1/8, so the
+	// construction runs without rounding and each column's mass, in units
+	// of 2^-48/E, is exactly its weight times E·2^48/total.
 	for _, weights := range [][]float64{
-		// Total 32 over a 16-entry guide: odd sums fall between cutpoints.
 		{0, 1, 1, 0, 2, 4, 0, 8, 0, 0, 16, 0},
-		// Total 16 over a 32-entry guide: every sum falls on a cutpoint.
 		{0, 0, 3, 1, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8},
 	} {
 		k := NewKernel(KernelParams{Seed: 1, Layers: 1, Experts: len(weights), Strength: 0.5, Domains: 1})
-		c := k.cum[:k.Experts]
-		acc := 0.0
-		for i, w := range weights {
-			acc += w
-			c[i] = acc
+		k.initDist = weights
+		k.domPref[0] = slices.Repeat([]float64{1}, len(weights))
+		k.buildTable()
+		total := 0.0
+		for _, w := range weights {
+			total += w
 		}
-		fillGuide(k.guide[:k.guideSize], c)
-		var uniforms []float64
-		for m := 0.0; m < acc; m++ {
-			uniforms = append(uniforms, m/acc, m/acc+0x1p-53) // u = m exactly, and just past it
+		for i, m := range aliasMass(k.cells) {
+			if want := uint64(weights[i] / total * float64(len(weights)) * 0x1p48); m != want {
+				t.Fatalf("weights %v: column %d mass %d, want %d", weights, i, m, want)
+			}
 		}
-		for cut := 1; cut < k.guideSize; cut++ {
-			f := float64(cut) / float64(k.guideSize)
-			uniforms = append(uniforms, f, f-0x1p-53)
-		}
-		uniforms = append(uniforms, 1-0x1p-53)
-		for _, f := range uniforms {
-			got, want := k.pick(0, f), categoricalAt(weights, f)
-			if got != want || weights[got] == 0 {
-				t.Fatalf("weights %v uniform %v: table draw %d, Categorical %d", weights, f, got, want)
+		for i := 0; i < 1<<12; i++ {
+			if e := k.pick(0, float64(i)/(1<<12)); weights[e] == 0 {
+				t.Fatalf("weights %v: uniform %v draws zero-weight column %d", weights, float64(i)/(1<<12), e)
 			}
 		}
 	}

@@ -3,7 +3,8 @@ package exflow
 // Solver benchmarks: the sparse-vs-dense annealing hot path and the
 // parallel solve portfolio, at the same scale as BenchmarkMemoryAwareAnneal,
 // and the whole staged solve and the whole set-up at the repository
-// benchmark's set-up shape, and the allocations of its serve loop.
+// benchmark's set-up shape, the allocations of its serve loop, and one
+// token's routing walk at its kernel shape.
 // TestGenerateSolverBench (gated on SOLVER_BENCH=1) measures them with its
 // own timer and writes BENCH_solver.json — the machine-readable record CI
 // uploads as an artifact.
@@ -19,6 +20,7 @@ import (
 	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/synth"
 )
 
 // solverBenchFixture is the shared solver-benchmark instance: gptm-32 at 16
@@ -62,7 +64,7 @@ const stagedSolveProfileTokens = 3000
 
 // stagedSolveCrossings is the crossing count of stagedSolveFixture's
 // placement, the repository benchmark's placement.crossings.
-const stagedSolveCrossings = 32699
+const stagedSolveCrossings = 32509
 
 // stagedSolveAllocBudget bounds the heap objects one stagedSolveFixture
 // solve allocates. A solve that rebuilt the flow network for every layer and
@@ -173,6 +175,24 @@ type solverBenchJSON struct {
 	// offered request, set-up and report of the serve run amortized in. The
 	// generator fails if a program exceeds either budget.
 	ServeLoop []serveLoopJSON `json:"serve_loop"`
+
+	// KernelPath is one token's routing walk, Kernel.PathInto with its
+	// domain draw, on the benchmark's kernel (BenchmarkKernelPathInto in
+	// internal/synth). The generator fails if the walk allocates or the
+	// alias table it reads outgrows one 8-byte cell per (row, domain,
+	// expert).
+	KernelPath kernelPathJSON `json:"kernel_path"`
+}
+
+type kernelPathJSON struct {
+	Layers           int     `json:"layers"`
+	Experts          int     `json:"experts"`
+	Domains          int     `json:"domains"`
+	NsPerOp          float64 `json:"ns_per_op"`
+	AllocsPerOp      int64   `json:"allocs_per_op"`
+	AllocBudget      int64   `json:"alloc_budget"`
+	TableBytes       int     `json:"table_bytes"`
+	TableBytesBudget int     `json:"table_bytes_budget"`
 }
 
 // serveLoopPrograms are the repository benchmark's steady and oversub
@@ -386,6 +406,22 @@ func TestGenerateSolverBench(t *testing.T) {
 		out.ServeLoop = append(out.ServeLoop, sl)
 	}
 
+	k := synth.NewKernel(synth.KernelParams{Seed: 7, Layers: 16, Experts: 32, Strength: 0.85, DomainTilt: 8})
+	kp := &out.KernelPath
+	kp.Layers, kp.Experts, kp.Domains = k.Layers, k.Experts, k.Domains
+	kp.TableBytes = k.TableBytes()
+	kp.TableBytesBudget = (1 + (k.Layers-1)*k.Experts) * k.Domains * k.Experts * 8
+	pile := synth.Pile()
+	path := make([]int, k.Layers)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k.PathInto(uint64(i), pile.TokenDomain(uint64(i)), path)
+		}
+	})
+	kp.NsPerOp = float64(res.T.Nanoseconds()) / float64(res.N)
+	kp.AllocsPerOp = res.AllocsPerOp()
+
 	// The acceptance gates: the sparse path must be a pure speedup.
 	if !out.MemoryAwareAnneal.BitIdentical || !out.CrossingOnlyAnneal.BitIdentical {
 		t.Fatal("sparse anneal not bit-identical to dense reference")
@@ -425,6 +461,14 @@ func TestGenerateSolverBench(t *testing.T) {
 		}
 	}
 
+	// And so must the routing walk.
+	if kp.AllocsPerOp > kp.AllocBudget {
+		t.Fatalf("kernel path walk allocated %d objects per token, over its budget of %d", kp.AllocsPerOp, kp.AllocBudget)
+	}
+	if kp.TableBytes > kp.TableBytesBudget {
+		t.Fatalf("kernel alias table holds %d bytes, over its budget of %d", kp.TableBytes, kp.TableBytesBudget)
+	}
+
 	blob, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -442,5 +486,6 @@ func TestGenerateSolverBench(t *testing.T) {
 		t.Logf("%s serve: %d iterations in %.0fms, %.3f allocs per iteration, %.1f bytes per request",
 			sl.Program, sl.Iterations, sl.WallMS, sl.AllocsPerIter, sl.BytesPerRequest)
 	}
+	t.Logf("kernel path: %.1f ns, %d allocs per token, %d-byte table", kp.NsPerOp, kp.AllocsPerOp, kp.TableBytes)
 	t.Log("wrote BENCH_solver.json")
 }
